@@ -18,7 +18,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,13 +77,12 @@ class OptimizerConfig:
     spam_reset_interval: int = 500
     spam_warmup_steps: int = 150
     gss_threshold: float = 5000.0
-    grad_clip: float = 0.0             # 0 disables; adam_gradclip defaults to 1
+    grad_clip: float = 0.0             # 0: off, except adam_gradclip clips at 1
     transforms: list[str] = field(default_factory=list)
     weight_decay: float = 0.0
     lion_beta1: float = 0.9
     lion_beta2: float = 0.99
     adafactor_eps1: float = 1e-30
-    adafactor_eps2: float = 1e-3
     adafactor_d: float = 1.0
 
 
@@ -136,6 +135,8 @@ class RunConfig:
             raise ConfigError("spike.severity: must be >= 0")
         if self.data.batch_size < 1 or self.data.samples < 1:
             raise ConfigError("data.batch_size and data.samples must be >= 1")
+        if self.optimizer.grad_clip < 0:
+            raise ConfigError("optimizer.grad_clip: must be >= 0")
         for kind in self.optimizer.transforms:
             if kind not in optim.TRANSFORM_KINDS:
                 raise ConfigError(f"optimizer.transforms: unknown transform '{kind}'")
@@ -146,8 +147,18 @@ class RunConfig:
 
 def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
     """Build the composed optimizer for a config; ``optimizer.transforms``
-    are applied in listed order before any built-in transforms."""
+    are applied in listed order before any built-in transforms.
+
+    Global gradient clipping is the ``grad_clip`` transform and runs once:
+    where ``optimizer.transforms`` lists it, or else first whenever
+    ``grad_clip > 0`` or the optimizer is ``adam_gradclip``. Its threshold
+    is ``grad_clip`` when positive, else 1.0.
+    """
     name = ocfg.name
+    transforms = list(ocfg.transforms)
+    if "grad_clip" not in transforms and (ocfg.grad_clip > 0
+                                          or name == "adam_gradclip"):
+        transforms.insert(0, "grad_clip")
     builtin: list[str] = []
     if name in ("adam", "adam_gradclip"):
         base = optim.AdamBase(ocfg.beta1, ocfg.beta2, ocfg.eps)
@@ -155,8 +166,7 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
         base = optim.SgdBase()
     elif name == "adafactor":
         base = optim.AdafactorBase(optim.AdafactorConfig(
-            eps1=ocfg.adafactor_eps1, eps2=ocfg.adafactor_eps2,
-            d=ocfg.adafactor_d))
+            eps1=ocfg.adafactor_eps1, d=ocfg.adafactor_d))
     elif name == "lion":
         base = optim.LionBase(ocfg.lion_beta1, ocfg.lion_beta2,
                               ocfg.weight_decay)
@@ -176,7 +186,7 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
     else:
         raise ConfigError(f"optimizer.name: unknown value '{name}'")
     return optim.compose(
-        list(ocfg.transforms) + builtin, base,
+        transforms + builtin, base,
         gamma1=ocfg.gamma1, gamma2=ocfg.gamma2, gamma3=ocfg.gamma3,
         eps=ocfg.eps, gss_threshold=ocfg.gss_threshold,
         grad_clip_threshold=ocfg.grad_clip if ocfg.grad_clip > 0 else 1.0)
@@ -207,18 +217,6 @@ def lr_schedule(step: int, cfg: RunConfig) -> float:
         return peak
     progress = (step - warmup) / (total - warmup)
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
-
-
-def detect_loss_spike(losses, k: float = 2.0, history: int = 50) -> bool:
-    """Current loss > k * median of the previous `history` finite losses.
-    Always false until `history` prior steps exist."""
-    losses = list(losses)
-    if len(losses) < history + 1:
-        return False
-    prev = [x for x in losses[-(history + 1):-1] if math.isfinite(x)]
-    if not prev:
-        return False
-    return losses[-1] > k * float(np.median(prev))
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +301,6 @@ def run(cfg: RunConfig, records_path: str | None = None,
             break
 
         norm_pre = global_grad_norm(grads.values())
-        if cfg.optimizer.grad_clip > 0:
-            names = list(grads)
-            clipped = optim.grad_clip_global([grads[n] for n in names],
-                                             cfg.optimizer.grad_clip)
-            grads = dict(zip(names, clipped))
         telemetry = opt.step(params, grads, lr, step)
         norm_post = global_grad_norm(telemetry.grads_post.values())
         if on_step is not None:
@@ -425,7 +418,3 @@ def sweep(base_cfg: RunConfig, lr_grid, out_dir: str | None = None,
         _atomic_write(os.path.join(out_dir, "sweep_summary.json"),
                       json.dumps(summary, indent=2) + "\n")
     return result
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)

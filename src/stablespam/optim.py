@@ -22,8 +22,11 @@ SpikeClip + periodic reset + post-reset linear LR warmup), Lion, and a
 simplified Adam-mini that keeps one shared second-moment scalar per tensor.
 
 ``compose`` builds an optimizer from an ordered list of gradient transforms
-plus a base update rule; Stable-SPAM is exactly
-``compose(["adaclip", "adagn"], Adam-with-MoRet)``, bit for bit.
+plus a base update rule, and is the only way the package runs an optimizer:
+Stable-SPAM is ``compose(["adaclip", "adagn"], Adam-with-MoRet)``, SPAM is
+``compose(["spike_clip"], Adam-with-reset-and-warmup)`` and Adam+GradClip is
+``compose(["grad_clip"], Adam)``. ``stablespam.oracles`` holds independent
+references that the tests and ``selftest`` compare these against.
 
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 """
@@ -31,7 +34,7 @@ All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,48 +102,10 @@ class AdafactorState:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StableSpamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    gamma1: float = 0.7
-    gamma2: float = 0.9
-    gamma3: float = 0.999
-    reset_interval: int = 1000
-    eps: float = 1e-6
-
-
-@dataclass
-class SpamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-6
-    reset_interval: int = 500
-    warmup_steps: int = 150
-    gss_threshold: float = 5000.0
-
-
-@dataclass
 class AdafactorConfig:
-    lr: float = 1e-3
     eps1: float = 1e-30
-    eps2: float = 1e-3
     d: float = 1.0
     decay_power: float = 0.8
-
-
-@dataclass
-class StableSpamState:
-    moments: AdamMoments
-    adagn: AdaGnState = field(default_factory=AdaGnState)
-    adaclip: AdaClipState = field(default_factory=AdaClipState)
-    last_clipped_fraction: float = 0.0
-    last_reset: bool = False
-
-    @classmethod
-    def zeros(cls, shape) -> "StableSpamState":
-        return cls(moments=AdamMoments.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +182,6 @@ def grad_clip_global(g_layers, threshold: float):
     return [as_matrix(g) * factor for g in g_layers]
 
 
-def moret_reset(moments: AdamMoments, global_step: int, interval: int) -> bool:
-    """Zero the moments at multiples of the interval (0 disables)."""
-    if interval and global_step % interval == 0:
-        moments.reset()
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Step rules
 # ---------------------------------------------------------------------------
@@ -243,19 +200,6 @@ def adam_step(w, g, moments: AdamMoments, lr: float,
     return w - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def stable_spam_step(w, g, state: StableSpamState, cfg: StableSpamConfig,
-                     global_step: int, lr: float | None = None):
-    """One full Stable-SPAM step: AdaClip -> AdaGN -> MoRet check -> Adam."""
-    if lr is None:
-        lr = cfg.lr
-    g, frac = adaclip(g, state.adaclip, cfg.gamma3)
-    g = adagn(g, state.adagn, cfg.gamma1, cfg.gamma2, cfg.eps)
-    reset = moret_reset(state.moments, global_step, cfg.reset_interval)
-    state.last_clipped_fraction = frac
-    state.last_reset = reset
-    return adam_step(w, g, state.moments, lr, cfg.beta1, cfg.beta2, cfg.eps)
-
-
 def spam_warmup_scale(global_step: int, reset_interval: int, warmup_steps: int) -> float:
     """Linear LR ramp k/warmup for k steps since the last reset boundary.
 
@@ -272,29 +216,11 @@ def spam_warmup_scale(global_step: int, reset_interval: int, warmup_steps: int) 
     return min(1.0, k / warmup_steps)
 
 
-def spam_step(w, g, moments: AdamMoments, cfg: SpamConfig,
-              global_step: int, lr: float | None = None):
-    """SPAM: reset takes effect entering the step after a boundary, then
-    SpikeClip against the (possibly just-zeroed) second moment, then Adam
-    with the post-reset warmup applied to the LR."""
-    if lr is None:
-        lr = cfg.lr
-    if cfg.reset_interval and global_step > 1 \
-            and (global_step - 1) % cfg.reset_interval == 0:
-        moments.reset()
-    g = spike_clip(g, moments.v, cfg.gss_threshold)
-    scale = spam_warmup_scale(global_step, cfg.reset_interval, cfg.warmup_steps)
-    return adam_step(w, g, moments, lr * scale, cfg.beta1, cfg.beta2, cfg.eps)
-
-
 def adafactor_step(w, g, state: AdafactorState, cfg: AdafactorConfig,
-                   lr: float | None = None):
+                   lr: float):
     """Simplified Adafactor: factored second moment for matrices (row/column
     mean accumulators, decay 1 - t^-0.8), unfactored for vectors, update
-    clipped so rms(update) <= d. eps2 is accepted for config compatibility
-    but the fixed-LR update here does not use it."""
-    if lr is None:
-        lr = cfg.lr
+    clipped so rms(update) <= d."""
     w = as_matrix(w)
     g = as_matrix(g)
     _require_finite(g)

@@ -1,11 +1,15 @@
-"""Independent straight-line scalar references used by the test suite.
+"""Independent straight-line references for the optimizers and quantizer.
 
-These are written directly from the update rules with plain Python floats
-and never call into the package, so they stay independent of the code paths
-they check.
+Both the pytest suite and ``stablespam selftest`` compare the library against
+these. They are written directly from the update rules with plain Python
+floats (and numpy arrays for the matrix trace) and import nothing from the
+package, so they stay independent of the code paths they check; a test
+enforces that this module imports only ``math`` and ``numpy``.
 """
 
 import math
+
+import numpy as np
 
 
 def adam_trace(gs, lr, b1=0.9, b2=0.999, eps=1e-6, w0=0.0):
@@ -105,6 +109,43 @@ def stable_spam_trace(gs, lr, g1=0.7, g2=0.9, g3=0.999, interval=1000,
         mh = m / (1 - b1 ** t_cycle)
         vh = v / (1 - b2 ** t_cycle)
         w = w - lr * mh / (math.sqrt(vh) + eps)
+        out.append(w)
+    return out
+
+
+def stable_spam_matrix_trace(gs, lr, g1=0.7, g2=0.9, g3=0.999, interval=1000,
+                             b1=0.9, b2=0.999, eps=1e-6):
+    """Stable-SPAM on one weight matrix that starts at zero; returns the
+    weights after each step. Every operation is written in the order the
+    update rules state it, so a faithful implementation agrees bit for
+    bit."""
+    w = np.zeros(np.shape(gs[0]))
+    m, v, t_cycle = np.zeros_like(w), np.zeros_like(w), 0
+    thr, mn, vn = 0.0, 0.0, 0.0
+    out = []
+    for step, g in enumerate(gs, start=1):
+        # AdaClip: entries above the bias-corrected max-abs EMA are rescaled
+        gmax = float(np.max(np.abs(g)))
+        thr = g3 * thr + (1 - g3) * gmax
+        that = thr / (1 - g3 ** step)
+        g = np.where(np.abs(g) > that, g / gmax * that, g)
+        # AdaGN: the matrix norm becomes mhat_n / (sqrt(vhat_n) + eps)
+        gnorm = float(np.sqrt(np.sum(g * g)))
+        mn = g1 * mn + (1 - g1) * gnorm
+        vn = g2 * vn + (1 - g2) * gnorm * gnorm
+        if gnorm != 0.0:
+            mhn = mn / (1 - g1 ** step)
+            vhn = vn / (1 - g2 ** step)
+            g = g / gnorm * (mhn / (math.sqrt(vhn) + eps))
+        # MoRet at multiples of the interval, then Adam
+        if interval and step % interval == 0:
+            m, v, t_cycle = np.zeros_like(w), np.zeros_like(w), 0
+        t_cycle += 1
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        mh = m / (1 - b1 ** t_cycle)
+        vh = v / (1 - b2 ** t_cycle)
+        w = w - lr * mh / (np.sqrt(vh) + eps)
         out.append(w)
     return out
 

@@ -37,8 +37,6 @@ class QuantFormat(Enum):
 @dataclass(frozen=True)
 class QuantSpec:
     format: QuantFormat = QuantFormat.NONE
-    granularity: str = "per_tensor"
-    rounding: str = "nearest_even"
 
     @classmethod
     def from_name(cls, name: str) -> "QuantSpec":

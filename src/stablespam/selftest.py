@@ -1,9 +1,9 @@
-"""Built-in release-gate checks: scalar optimizer traces against straight-line
-reference loops, finite-difference gradient checks, and quantizer properties.
+"""Built-in release-gate checks: optimizer traces against the independent
+references in :mod:`stablespam.oracles`, finite-difference gradient checks,
+and quantizer properties.
 
-The reference traces here are deliberately written as plain-Python scalar
-loops that do not call into :mod:`stablespam.optim`, so a regression in the
-library shows up as a trace mismatch.
+Every optimizer trace is run through ``harness.make_optimizer``, the path
+training uses, so a regression in the library shows up as a trace mismatch.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ import math
 
 import numpy as np
 
-from . import harness, models, optim, quant
+from . import harness, models, optim, oracles, quant
 from .quant import QuantFormat, QuantSpec
 from .tensor_core import make_rng
 
 TRACE_TOL = 1e-12
+LR = 0.01
 
 
 def _trace_gradients(n=100, seed=7):
@@ -24,69 +25,13 @@ def _trace_gradients(n=100, seed=7):
     return [float(g) for g in rng.standard_normal(n) * 2.0]
 
 
-def _adam_ref(gs, lr=0.01, b1=0.9, b2=0.999, eps=1e-6, reset_interval=0,
-              spam=False, theta=math.inf, warmup=0):
-    """Scalar Adam family reference: optional SPAM spike clip / reset /
-    warmup (reset entering the step after a boundary) or MoRet-style reset
-    at multiples."""
-    w, m, v, t_cycle = 0.0, 0.0, 0.0, 0
-    out = []
-    for step, g in enumerate(gs, start=1):
-        if spam and reset_interval and step > 1 and (step - 1) % reset_interval == 0:
-            m, v, t_cycle = 0.0, 0.0, 0
-        if spam and v > 0 and g * g / v > theta:
-            g = math.copysign(math.sqrt(theta * v), g)
-        if not spam and reset_interval and step % reset_interval == 0:
-            m, v, t_cycle = 0.0, 0.0, 0
-        scale = 1.0
-        if spam and warmup:
-            last = ((step - 1) // reset_interval) * reset_interval if reset_interval else 0
-            scale = min(1.0, (step - last) / warmup)
-        t_cycle += 1
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mh = m / (1 - b1 ** t_cycle)
-        vh = v / (1 - b2 ** t_cycle)
-        w -= lr * scale * mh / (math.sqrt(vh) + eps)
-        out.append(w)
-    return out
-
-
-def _stable_spam_ref(gs, lr=0.01, b1=0.9, b2=0.999, g1=0.7, g2=0.9, g3=0.999,
-                     interval=10, eps=1e-6):
-    w, m, v, t_cycle = 0.0, 0.0, 0.0, 0
-    thr, mn, vn = 0.0, 0.0, 0.0
-    out = []
-    for step, g in enumerate(gs, start=1):
-        gmax = abs(g)
-        thr = g3 * thr + (1 - g3) * gmax
-        that = thr / (1 - g3 ** step)
-        if abs(g) > that:
-            g = g / gmax * that
-        gnorm = abs(g)
-        mn = g1 * mn + (1 - g1) * gnorm
-        vn = g2 * vn + (1 - g2) * gnorm * gnorm
-        if gnorm != 0.0:
-            mh_n = mn / (1 - g1 ** step)
-            vh_n = vn / (1 - g2 ** step)
-            g = g / gnorm * (mh_n / (math.sqrt(vh_n) + eps))
-        if interval and step % interval == 0:
-            m, v, t_cycle = 0.0, 0.0, 0
-        t_cycle += 1
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mh = m / (1 - b1 ** t_cycle)
-        vh = v / (1 - b2 ** t_cycle)
-        w -= lr * mh / (math.sqrt(vh) + eps)
-        out.append(w)
-    return out
-
-
-def _run_class_trace(opt, gs, lr=0.01):
+def _named_trace(gs, name, **options):
+    """Scalar weight trace of the optimizer ``name`` built from a config."""
+    opt = harness.make_optimizer(harness.OptimizerConfig(name=name, **options))
     params = {"w": np.zeros((1, 1))}
     out = []
     for step, g in enumerate(gs, start=1):
-        opt.step(params, {"w": np.array([[g]])}, lr, step)
+        opt.step(params, {"w": np.array([[g]])}, LR, step)
         out.append(float(params["w"][0, 0]))
     return out
 
@@ -101,9 +46,8 @@ def _max_dev(a, b):
 
 def check_adam_trace():
     gs = _trace_gradients()
-    got = _run_class_trace(harness.make_optimizer(
-        harness.OptimizerConfig(name="adam")), gs)
-    assert _max_dev(got, _adam_ref(gs)) <= TRACE_TOL
+    got = _named_trace(gs, "adam")
+    assert _max_dev(got, oracles.adam_trace(gs, LR)) <= TRACE_TOL
 
 
 def check_sgd_quadratic_descent():
@@ -119,56 +63,35 @@ def check_sgd_quadratic_descent():
 
 def check_spam_trace():
     gs = _trace_gradients()
-    cfg = harness.OptimizerConfig(name="spam", spam_reset_interval=20,
-                                  spam_warmup_steps=10, gss_threshold=2.0)
-    got = _run_class_trace(harness.make_optimizer(cfg), gs)
-    ref = _adam_ref(gs, spam=True, reset_interval=20, warmup=10, theta=2.0)
+    got = _named_trace(gs, "spam", spam_reset_interval=20,
+                       spam_warmup_steps=10, gss_threshold=2.0)
+    ref = oracles.spam_trace(gs, LR, theta=2.0, reset_interval=20, warmup=10)
     assert _max_dev(got, ref) <= TRACE_TOL
 
 
 def check_stable_spam_trace():
     gs = _trace_gradients()
-    cfg = harness.OptimizerConfig(name="stable_spam", reset_interval=10)
-    got = _run_class_trace(harness.make_optimizer(cfg), gs)
-    assert _max_dev(got, _stable_spam_ref(gs)) <= TRACE_TOL
+    got = _named_trace(gs, "stable_spam", reset_interval=10)
+    ref = oracles.stable_spam_trace(gs, LR, interval=10)
+    assert _max_dev(got, ref) <= TRACE_TOL
 
 
 def check_lion_trace():
     gs = _trace_gradients()
-    got = _run_class_trace(harness.make_optimizer(
-        harness.OptimizerConfig(name="lion")), gs)
-    w, m = 0.0, 0.0
-    ref = []
-    for g in gs:
-        c = 0.9 * m + 0.1 * g
-        w -= 0.01 * math.copysign(1.0, c) if c != 0 else 0.0
-        m = 0.99 * m + 0.01 * g
-        ref.append(w)
-    assert _max_dev(got, ref) <= TRACE_TOL
+    got = _named_trace(gs, "lion")
+    assert _max_dev(got, oracles.lion_trace(gs, LR)) <= TRACE_TOL
 
 
 def check_adam_mini_trace():
     gs = _trace_gradients()
-    got = _run_class_trace(harness.make_optimizer(
-        harness.OptimizerConfig(name="adam_mini")), gs)
-    # scalar tensor: shared second moment equals per-element one
-    assert _max_dev(got, _adam_ref(gs)) <= TRACE_TOL
+    got = _named_trace(gs, "adam_mini")
+    assert _max_dev(got, oracles.adam_mini_trace(gs, LR)) <= TRACE_TOL
 
 
 def check_adafactor_trace():
     gs = _trace_gradients()
-    got = _run_class_trace(harness.make_optimizer(
-        harness.OptimizerConfig(name="adafactor")), gs)
-    w, v = 0.0, 0.0
-    ref = []
-    for t, g in enumerate(gs, start=1):
-        beta = 1.0 - t ** -0.8
-        v = beta * v + (1 - beta) * (g * g + 1e-30)
-        u = g / math.sqrt(v)
-        u /= max(1.0, abs(u) / 1.0)
-        w -= 0.01 * u
-        ref.append(w)
-    assert _max_dev(got, ref) <= TRACE_TOL
+    got = _named_trace(gs, "adafactor")
+    assert _max_dev(got, oracles.adafactor_trace(gs, LR)) <= TRACE_TOL
 
 
 def check_adaclip_bias_correction():
@@ -194,11 +117,14 @@ def check_adagn_norm_identity():
 
 
 def check_moret_periodicity():
-    moments = optim.AdamMoments.zeros((2, 2))
+    base = optim.AdamBase(reset_interval=10)
+    moments = base.state["w"] = optim.AdamMoments.zeros((2, 2))
     resets = []
     for step in range(1, 31):
         moments.m[...] = 1.0
-        resets.append(optim.moret_reset(moments, step, 10))
+        reset, _ = base.begin_step(step)
+        resets.append(reset)
+        assert not reset or not moments.m.any()
     assert [i + 1 for i, r in enumerate(resets) if r] == [10, 20, 30]
 
 
@@ -304,18 +230,16 @@ def check_fd_mlp():
 
 
 def check_compose_identity():
-    gs = _trace_gradients(60)
-    base = optim.AdamBase(reset_interval=10, reset_style="multiple")
-    composed = optim.compose(["adaclip", "adagn"], base)
-    got = _run_class_trace(composed, gs)
-    state = optim.StableSpamState.zeros((1, 1))
-    cfg = optim.StableSpamConfig(reset_interval=10)
-    w = np.zeros((1, 1))
-    ref = []
-    for step, g in enumerate(gs, start=1):
-        w = optim.stable_spam_step(w, np.array([[g]]), state, cfg, step, lr=0.01)
-        ref.append(float(w[0, 0]))
-    assert got == ref  # bit-for-bit
+    rng = make_rng(20)
+    gs = [rng.standard_normal((4, 4)) * (10.0 if i % 17 == 0 else 1.0)
+          for i in range(60)]
+    composed = optim.compose(["adaclip", "adagn"],
+                             optim.AdamBase(reset_interval=10))
+    params = {"w": np.zeros((4, 4))}
+    ref = oracles.stable_spam_matrix_trace(gs, LR, interval=10)
+    for step, (g, want) in enumerate(zip(gs, ref), start=1):
+        composed.step(params, {"w": g}, LR, step)
+        assert np.array_equal(params["w"], want), f"differs at step {step}"
 
 
 def check_grad_clip_norm_bound():
@@ -352,7 +276,7 @@ CHECKS = [
     ("finite differences: rmsnorm", check_fd_rmsnorm),
     ("finite differences: swiglu", check_fd_swiglu),
     ("finite differences: mlp", check_fd_mlp),
-    ("compose equals monolithic stable_spam", check_compose_identity),
+    ("compose stable_spam bitwise vs matrix oracle", check_compose_identity),
     ("global grad clip norm bound", check_grad_clip_norm_bound),
     ("lr schedule endpoints", check_lr_schedule_endpoints),
 ]

@@ -9,25 +9,19 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from stablespam import harness, models, optim
+from stablespam import harness, optim, oracles
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
-                                ScheduleConfig, SpikeConfig, run)
+                                ScheduleConfig, SpikeConfig, make_optimizer,
+                                run)
 from stablespam.models import (QuadraticProblem, init_mlp, make_quadratic,
                                mlp_forward_backward, mlp_loss,
                                quadratic_loss_grad, rmsnorm_fwd_bwd,
                                swiglu_fwd_bwd)
-from stablespam.optim import (AdaClipState, AdaGnState, AdafactorConfig,
-                              AdafactorState, AdamMiniState, AdamMoments,
-                              SpamConfig, StableSpamConfig, StableSpamState,
-                              adaclip, adafactor_step, adagn, adam_mini_step,
-                              adam_step, compose, grad_clip_global, lion_step,
-                              spam_step, stable_spam_step)
+from stablespam.optim import (AdaClipState, AdaGnState, AdamMoments, adaclip,
+                              adagn, adam_step, compose, grad_clip_global)
 from stablespam.quant import QuantFormat, QuantSpec, grid, qdq
 from stablespam.tensor_core import frobenius_norm, make_rng
-
-import oracles
 
 
 def report(num, name, ok, detail=""):
@@ -41,12 +35,15 @@ def scalar(x):
     return np.array([[float(x)]])
 
 
-def scalar_trace(step_fn, gs):
-    w = scalar(0.0)
+def named_trace(gs, lr, name, **options):
+    """Scalar weight trace of the optimizer that training builds for a
+    config: ``make_optimizer(OptimizerConfig(name=...))``."""
+    opt = make_optimizer(OptimizerConfig(name=name, **options))
+    params = {"w": scalar(0.0)}
     out = []
-    for i, g in enumerate(gs, start=1):
-        w = step_fn(w, scalar(g), i)
-        out.append(w[0, 0])
+    for step, g in enumerate(gs, start=1):
+        opt.step(params, {"w": scalar(g)}, lr, step)
+        out.append(params["w"][0, 0])
     return out
 
 
@@ -54,55 +51,23 @@ def test_criterion_01_oracle_equivalence():
     gs = [float(g) for g in make_rng(101).standard_normal(100) * 2.0]
     lr = 0.01
     t0 = time.time()
-    runs = {}
-
-    moments = AdamMoments.zeros((1, 1))
-    runs["adam"] = (
-        scalar_trace(lambda w, g, i: adam_step(w, g, moments, lr=lr), gs),
-        oracles.adam_trace(gs, lr))
-
-    clip_moments = AdamMoments.zeros((1, 1))
-
-    def gradclip_step(w, g, i):
-        (g,) = grad_clip_global([g], 1.0)
-        return adam_step(w, g, clip_moments, lr=lr)
-
-    runs["adam_gradclip"] = (scalar_trace(gradclip_step, gs),
-                             oracles.adam_gradclip_trace(gs, lr))
-
-    af_state = AdafactorState()
-    af_cfg = AdafactorConfig()
-    runs["adafactor"] = (
-        scalar_trace(lambda w, g, i: adafactor_step(w, g, af_state, af_cfg,
-                                                    lr=lr), gs),
-        oracles.adafactor_trace(gs, lr))
-
-    lion_m = np.zeros((1, 1))
-    runs["lion"] = (
-        scalar_trace(lambda w, g, i: lion_step(w, g, lion_m, lr=lr), gs),
-        oracles.lion_trace(gs, lr))
-
-    mini_state = AdamMiniState.zeros((1, 1))
-    runs["adam_mini"] = (
-        scalar_trace(lambda w, g, i: adam_mini_step(w, g, mini_state, lr=lr),
-                     gs),
-        oracles.adam_mini_trace(gs, lr))
-
-    spam_cfg = SpamConfig(gss_threshold=2.0, reset_interval=25,
-                          warmup_steps=10)
-    spam_moments = AdamMoments.zeros((1, 1))
-    runs["spam"] = (
-        scalar_trace(lambda w, g, i: spam_step(w, g, spam_moments, spam_cfg,
-                                               i, lr=lr), gs),
-        oracles.spam_trace(gs, lr, theta=2.0, reset_interval=25, warmup=10))
-
-    ss_cfg = StableSpamConfig(reset_interval=20)
-    ss_state = StableSpamState.zeros((1, 1))
-    runs["stable_spam"] = (
-        scalar_trace(lambda w, g, i: stable_spam_step(w, g, ss_state, ss_cfg,
-                                                      i, lr=lr), gs),
-        oracles.stable_spam_trace(gs, lr, interval=20))
-
+    runs = {
+        "adam": (named_trace(gs, lr, "adam"), oracles.adam_trace(gs, lr)),
+        # the library's default threshold for adam_gradclip is 1.0
+        "adam_gradclip": (named_trace(gs, lr, "adam_gradclip"),
+                          oracles.adam_gradclip_trace(gs, lr, threshold=1.0)),
+        "adafactor": (named_trace(gs, lr, "adafactor"),
+                      oracles.adafactor_trace(gs, lr)),
+        "lion": (named_trace(gs, lr, "lion"), oracles.lion_trace(gs, lr)),
+        "adam_mini": (named_trace(gs, lr, "adam_mini"),
+                      oracles.adam_mini_trace(gs, lr)),
+        "spam": (named_trace(gs, lr, "spam", gss_threshold=2.0,
+                             spam_reset_interval=25, spam_warmup_steps=10),
+                 oracles.spam_trace(gs, lr, theta=2.0, reset_interval=25,
+                                    warmup=10)),
+        "stable_spam": (named_trace(gs, lr, "stable_spam", reset_interval=20),
+                        oracles.stable_spam_trace(gs, lr, interval=20)),
+    }
     worst = max(max(abs(a - b) for a, b in zip(got, ref))
                 for got, ref in runs.values())
     elapsed = time.time() - t0
@@ -118,27 +83,19 @@ def test_criterion_02_algorithm_fidelity():
 
     composed = compose(["adaclip", "adagn"], optim.AdamBase(reset_interval=10))
     params = {"w": np.zeros((4, 4))}
-    cfg = StableSpamConfig(reset_interval=10)
-    state = StableSpamState.zeros((4, 4))
-    w = np.zeros((4, 4))
+    reference = oracles.stable_spam_matrix_trace(gs, 0.01, interval=10)
     identical = True
-    for step, g in enumerate(gs, start=1):
-        composed.step(params, {"w": g}, 0.01, step)
-        w = stable_spam_step(w, g, state, cfg, step, lr=0.01)
+    reset_steps = []
+    for step, (g, w) in enumerate(zip(gs, reference), start=1):
+        telemetry = composed.step(params, {"w": g}, 0.01, step)
+        if telemetry.reset:
+            reset_steps.append(step)
         if not np.array_equal(params["w"], w):
             identical = False
             break
 
     # MoRet zeroing exactly at multiples of the interval
-    reset_steps = []
-    probe = StableSpamState.zeros((1, 1))
-    probe_w = scalar(0.0)
-    for step in range(1, 31):
-        probe_w = stable_spam_step(probe_w, scalar(1.0), probe,
-                                   StableSpamConfig(reset_interval=10), step)
-        if probe.last_reset:
-            reset_steps.append(step)
-    resets_ok = reset_steps == [10, 20, 30]
+    resets_ok = reset_steps == list(range(10, 101, 10))
 
     # bias-corrected constants under a constant gradient
     c = -2.5
@@ -154,7 +111,7 @@ def test_criterion_02_algorithm_fidelity():
                     and abs(m_hat - c) <= 1e-12 * abs(c)
                     and abs(v_hat - c * c) <= 1e-12 * c * c)
 
-    report(2, "compose([adaclip, adagn], Adam+MoRet) == stable_spam_step",
+    report(2, "compose([adaclip, adagn], Adam+MoRet) == Stable-SPAM oracle",
            identical and resets_ok and constants_ok,
            f"bitwise={identical}, resets={reset_steps}")
 

@@ -5,6 +5,8 @@ import pytest
 from stablespam import cli, optim, selftest
 from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
                             parse_config_text, parse_lr_grid)
+from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
+                                ScheduleConfig, run)
 from stablespam.optim import ConfigError
 
 SMALL = """
@@ -45,13 +47,6 @@ class TestParseConfig:
         assert o.spam_reset_interval == 500
         assert o.spam_warmup_steps == 150
 
-    def test_adam_gradclip_implies_threshold_one(self):
-        cfg = parse_config_text("optimizer.name = adam_gradclip")
-        assert cfg.optimizer.grad_clip == 1.0
-        explicit = parse_config_text("optimizer.name = adam_gradclip\n"
-                                     "optimizer.grad_clip = 0.5")
-        assert explicit.optimizer.grad_clip == 0.5
-
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# header\n\nseed = 7  # trailing\n")
         assert cfg.seed == 7
@@ -90,8 +85,13 @@ class TestParseLrGrid:
         got = parse_lr_grid("0.001:0.003:0.001")
         assert got == pytest.approx([0.001, 0.002, 0.003])
 
+    def test_range_points_exact(self):
+        assert parse_lr_grid("1e-4:1e-3:2e-4") == [1e-4, 3e-4, 5e-4, 7e-4, 9e-4]
+        assert parse_lr_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+
     def test_bad_shapes(self):
-        for text in ("1:2", "a:b:c", "3:1:1", "1:2:0"):
+        for text in ("1:2", "a:b:c", "3:1:1", "1:2:0", "nan:1:1", "1:inf:1",
+                     "1:2:1e-400"):
             with pytest.raises(ConfigError):
                 parse_lr_grid(text)
 
@@ -136,6 +136,31 @@ class TestCommands:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_grad_clip_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "neg.cfg", "optimizer.grad_clip = -1\n")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "optimizer.grad_clip" in capsys.readouterr().err
+
+    def test_adam_gradclip_cli_matches_library(self, tmp_path):
+        cfg = tmp_path / "clip.cfg"
+        cfg.write_text("model.kind = quadratic\n"
+                       "optimizer.name = adam_gradclip\n"
+                       "schedule.total_steps = 30\n"
+                       "schedule.warmup_steps = 3\n")
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "cli")]) == EXIT_OK
+        lib = tmp_path / "lib.csv"
+        result = run(RunConfig(model=ModelConfig(kind="quadratic"),
+                               optimizer=OptimizerConfig(name="adam_gradclip"),
+                               schedule=ScheduleConfig(total_steps=30,
+                                                       warmup_steps=3)),
+                     records_path=str(lib))
+        assert (tmp_path / "cli" / "run.csv").read_bytes() == lib.read_bytes()
+        # the library default threshold of 1.0 is applied
+        assert all(r.grad_norm_post <= 1.0 + 1e-12 < r.grad_norm_pre
+                   for r in result.records)
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
@@ -195,14 +220,37 @@ class TestCommands:
         assert sgd_row.split(",")[3] == "n/a"
 
 
+SELFTEST_CHECKS = [
+    "adam scalar trace vs reference",
+    "sgd decreases quadratic loss",
+    "spam scalar trace vs reference",
+    "stable_spam scalar trace vs reference",
+    "lion scalar trace vs reference",
+    "adam_mini scalar trace vs reference",
+    "adafactor scalar trace vs reference",
+    "adaclip bias-corrected threshold",
+    "adagn output-norm identity",
+    "moret reset periodicity",
+    "quantizer idempotence",
+    "fp4 e1m2 grid values",
+    "quantizer absmax fixed point",
+    "finite differences: quadratic",
+    "finite differences: rmsnorm",
+    "finite differences: swiglu",
+    "finite differences: mlp",
+    "compose stable_spam bitwise vs matrix oracle",
+    "global grad clip norm bound",
+    "lr schedule endpoints",
+]
+
+
 class TestSelftest:
     def test_passes_and_prints_lines(self, capsys):
         code = main(["selftest"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         lines = [l for l in out.splitlines() if l.startswith("[")]
-        assert len(lines) >= 12
-        assert all(l.startswith("[PASS]") for l in lines)
+        assert lines == [f"[PASS] {name}" for name in SELFTEST_CHECKS]
 
     def test_mutation_detected(self, capsys, monkeypatch):
         # corrupt the clipping rule; the selftest must notice
@@ -221,4 +269,4 @@ class TestSelftest:
         report = selftest.run_selftest()
         names = [name for name, _, _ in report]
         assert len(names) == len(set(names))
-        assert len(names) >= 12
+        assert names == SELFTEST_CHECKS

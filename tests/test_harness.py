@@ -1,5 +1,4 @@
 import json
-import math
 import os
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from stablespam import harness
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 OptimizerConfig, RunConfig, ScheduleConfig,
-                                SpikeConfig, detect_loss_spike,
                                 global_grad_norm, lr_schedule, run, sweep,
                                 write_records_csv)
 from stablespam.optim import ConfigError
@@ -87,34 +85,6 @@ class TestLrSchedule:
             lr_schedule(cfg.schedule.total_steps + 1, cfg)
 
 
-class TestDetectLossSpike:
-    def test_too_little_history(self):
-        assert not detect_loss_spike([1.0] * 50, history=50)
-
-    def test_spike_detected(self):
-        assert detect_loss_spike([1.0] * 50 + [3.0], k=2.0, history=50)
-
-    def test_no_spike_below_multiplier(self):
-        assert not detect_loss_spike([1.0] * 50 + [1.9], k=2.0, history=50)
-
-    def test_matches_recomputed_median(self):
-        rng = make_rng(2)
-        losses = list(np.abs(rng.standard_normal(120)) + 0.5)
-        for i in range(len(losses)):
-            window = losses[:i + 1]
-            got = detect_loss_spike(window, k=2.0, history=50)
-            if i < 50:
-                assert not got
-            else:
-                med = float(np.median(window[-51:-1]))
-                assert got == (window[-1] > 2.0 * med)
-
-    def test_ignores_nonfinite_history(self):
-        losses = [1.0] * 30 + [math.inf] * 20 + [2.5]
-        med = 1.0
-        assert detect_loss_spike(losses, k=2.0, history=50) == (2.5 > 2.0 * med)
-
-
 class TestRun:
     def test_zero_steps_empty(self):
         cfg = small_cfg()
@@ -165,18 +135,20 @@ class TestRun:
         assert harness._is_bad(records[0].loss, {})
 
     def test_telemetry_norms_match_callback(self):
-        seen = {}
+        # grad_clip=0.5: on_step sees the raw gradients, clipped only in post
+        for cfg in (small_cfg(optimizer__name="stable_spam"),
+                    small_cfg(optimizer__grad_clip=0.5)):
+            seen = {}
 
-        def on_step(step, pre, post):
-            seen[step] = (global_grad_norm(pre.values()),
-                          global_grad_norm(post.values()))
+            def on_step(step, pre, post):
+                seen[step] = (global_grad_norm(pre.values()),
+                              global_grad_norm(post.values()))
 
-        cfg = small_cfg(optimizer__name="stable_spam")
-        result = run(cfg, on_step=on_step)
-        for r in result.records:
-            pre, post = seen[r.step]
-            assert r.grad_norm_pre == pre
-            assert r.grad_norm_post == post
+            result = run(cfg, on_step=on_step)
+            for r in result.records:
+                pre, post = seen[r.step]
+                assert r.grad_norm_pre == pre
+                assert r.grad_norm_post == post
 
     def test_stable_spam_reset_flag_at_interval(self):
         cfg = small_cfg(optimizer__name="stable_spam",

@@ -1,19 +1,17 @@
+import ast
 import math
 
 import numpy as np
 import pytest
 
-from stablespam import harness, optim
+from stablespam import harness, optim, oracles
+from stablespam.harness import OptimizerConfig, make_optimizer
 from stablespam.optim import (AdaClipState, AdaGnState, AdafactorConfig,
                               AdafactorState, AdamMiniState, AdamMoments,
-                              ConfigError, SpamConfig, StableSpamConfig,
-                              StableSpamState, adaclip, adafactor_step, adagn,
+                              ConfigError, adaclip, adafactor_step, adagn,
                               adam_mini_step, adam_step, compose,
-                              grad_clip_global, lion_step, moret_reset,
-                              spam_step, spike_clip, stable_spam_step)
+                              grad_clip_global, lion_step, spike_clip)
 from stablespam.tensor_core import frobenius_norm, make_rng
-
-import oracles
 
 
 def scalar(x):
@@ -22,6 +20,29 @@ def scalar(x):
 
 def random_trace(n=100, seed=42, scale=2.0):
     return [float(g) for g in make_rng(seed).standard_normal(n) * scale]
+
+
+def named_trace(gs, name, lr=0.01, **options):
+    """Scalar weight trace of a config-built optimizer, plus its telemetry."""
+    opt = make_optimizer(OptimizerConfig(name=name, **options))
+    params = {"w": scalar(0.0)}
+    got, telemetry = [], []
+    for step, g in enumerate(gs, start=1):
+        telemetry.append(opt.step(params, {"w": scalar(g)}, lr, step))
+        got.append(params["w"][0, 0])
+    return got, telemetry, opt
+
+
+def test_oracles_import_only_math_and_numpy():
+    with open(oracles.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported and set(imported) <= {"math", "numpy"}, imported
 
 
 # ---------------------------------------------------------------------------
@@ -137,35 +158,43 @@ class TestAdaGn:
 # ---------------------------------------------------------------------------
 
 class TestMoRet:
+    @staticmethod
+    def _base_with_moments(shape, interval=1000):
+        base = optim.AdamBase(reset_interval=interval)
+        base.state["w"] = AdamMoments.zeros(shape)
+        return base, base.state["w"]
+
     def test_reset_at_multiple(self):
-        moments = AdamMoments.zeros((2, 2))
+        base, moments = self._base_with_moments((2, 2))
         moments.m[...] = 1.0
         moments.v[...] = 2.0
         moments.step_in_cycle = 999
-        assert moret_reset(moments, 1000, 1000)
+        reset, _ = base.begin_step(1000)
+        assert reset
         assert np.all(moments.m == 0) and np.all(moments.v == 0)
         assert moments.step_in_cycle == 0
 
     def test_no_reset_off_multiple(self):
-        moments = AdamMoments.zeros((1, 1))
+        base, moments = self._base_with_moments((1, 1))
         moments.m[...] = 1.0
-        assert not moret_reset(moments, 999, 1000)
+        reset, _ = base.begin_step(999)
+        assert not reset
         assert moments.m[0, 0] == 1.0
 
     def test_interval_one_degenerates_to_sign_step(self):
         # every step resets, so the update is always -lr * g/(|g| + eps)
-        cfg = StableSpamConfig(reset_interval=1, gamma1=0.7, gamma2=0.9)
-        state = StableSpamState.zeros((1, 1))
-        w = scalar(0.0)
+        opt = make_optimizer(OptimizerConfig(name="stable_spam",
+                                             reset_interval=1))
+        params = {"w": scalar(0.0)}
         lr = 0.01
         prev = 0.0
         for step, g in enumerate(random_trace(20, seed=5), start=1):
-            w = stable_spam_step(w, scalar(g), state, cfg, step, lr=lr)
+            opt.step(params, {"w": scalar(g)}, lr, step)
             # reconstruct the transformed gradient that Adam consumed
-            moments_g = state.moments.m[0, 0] / (1 - 0.9)
+            moments_g = opt.base.state["w"].m[0, 0] / (1 - 0.9)
             expected = prev - lr * moments_g / (abs(moments_g) + 1e-6)
-            assert w[0, 0] == pytest.approx(expected, abs=1e-12)
-            prev = w[0, 0]
+            assert params["w"][0, 0] == pytest.approx(expected, abs=1e-12)
+            prev = params["w"][0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +285,15 @@ class TestSpam:
 
     def test_disabled_components_equal_adam(self):
         gs = random_trace(60, seed=9)
-        cfg = SpamConfig(gss_threshold=math.inf, reset_interval=0,
-                         warmup_steps=0)
-        moments = AdamMoments.zeros((1, 1))
-        w = scalar(0.0)
-        got = []
-        for step, g in enumerate(gs, start=1):
-            w = spam_step(w, scalar(g), moments, cfg, step, lr=0.01)
-            got.append(w[0, 0])
+        got, _, _ = named_trace(gs, "spam", gss_threshold=math.inf,
+                                spam_reset_interval=0, spam_warmup_steps=0)
         ref = oracles.adam_trace(gs, 0.01)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
 
     def test_trace_matches_oracle(self):
         gs = random_trace(100, seed=10)
-        cfg = SpamConfig(gss_threshold=2.0, reset_interval=25, warmup_steps=10)
-        moments = AdamMoments.zeros((1, 1))
-        w = scalar(0.0)
-        got = []
-        for step, g in enumerate(gs, start=1):
-            w = spam_step(w, scalar(g), moments, cfg, step, lr=0.01)
-            got.append(w[0, 0])
+        got, _, _ = named_trace(gs, "spam", gss_threshold=2.0,
+                                spam_reset_interval=25, spam_warmup_steps=10)
         ref = oracles.spam_trace(gs, 0.01, theta=2.0, reset_interval=25,
                                  warmup=10)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
@@ -379,43 +397,29 @@ class TestAdamMini:
 
 class TestStableSpam:
     def test_first_step_closed_form(self):
-        cfg = StableSpamConfig()
-        state = StableSpamState.zeros((1, 1))
-        w = stable_spam_step(scalar(0.0), scalar(2.0), state, cfg, 1, lr=0.05)
+        (w,), _, _ = named_trace([2.0], "stable_spam", lr=0.05)
         # AdaClip no-op; AdaGN gives norm 2/(2+eps); Adam t=1 divides it out
         g_hat = 2.0 / (2.0 + 1e-6)
-        assert w[0, 0] == pytest.approx(-0.05 * g_hat / (g_hat + 1e-6),
-                                        rel=1e-9)
+        assert w == pytest.approx(-0.05 * g_hat / (g_hat + 1e-6), rel=1e-9)
 
     def test_trace_matches_oracle(self):
         gs = random_trace(100, seed=15)
-        cfg = StableSpamConfig(reset_interval=10)
-        state = StableSpamState.zeros((1, 1))
-        w = scalar(0.0)
-        got = []
-        for step, g in enumerate(gs, start=1):
-            w = stable_spam_step(w, scalar(g), state, cfg, step, lr=0.01)
-            got.append(w[0, 0])
+        got, _, _ = named_trace(gs, "stable_spam", reset_interval=10)
         ref = oracles.stable_spam_trace(gs, 0.01, interval=10)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
 
     def test_reset_observable_and_moments_zeroed(self):
-        cfg = StableSpamConfig(reset_interval=5)
-        state = StableSpamState.zeros((1, 1))
-        w = scalar(0.0)
-        for step in range(1, 5):
-            w = stable_spam_step(w, scalar(1.0), state, cfg, step)
-            assert not state.last_reset
-        assert state.moments.m[0, 0] != 0
-        w = stable_spam_step(w, scalar(1.0), state, cfg, 5)
-        assert state.last_reset
-        assert state.moments.step_in_cycle == 1  # zeroed, then one update
+        _, telemetry, opt = named_trace([1.0] * 4, "stable_spam",
+                                        reset_interval=5)
+        assert not any(t.reset for t in telemetry)
+        moments = opt.base.state["w"]
+        assert moments.m[0, 0] != 0
+        assert opt.step({"w": scalar(0.0)}, {"w": scalar(1.0)}, 1e-3, 5).reset
+        assert moments.step_in_cycle == 1  # zeroed, then one update
 
     def test_bias_corrected_constants(self):
         # constant gradient c: m_hat == c, v_hat == c^2, T_hat == |c|
         c = -2.5
-        cfg = StableSpamConfig(reset_interval=7)
-        state = StableSpamState.zeros((1, 1))
         clip_state = AdaClipState()
         gn_state = AdaGnState()
         mom = AdamMoments.zeros((1, 1))
@@ -464,11 +468,8 @@ class TestCompose:
         composed = compose(["adaclip", "adagn"],
                            optim.AdamBase(reset_interval=10))
         got = self._trace(composed, gs)
-        cfg = StableSpamConfig(reset_interval=10)
-        state = StableSpamState.zeros((4, 4))
-        w = np.zeros((4, 4))
-        for i, g in enumerate(gs):
-            w = stable_spam_step(w, g, state, cfg, i + 1, lr=0.01)
+        ref = oracles.stable_spam_matrix_trace(gs, 0.01, interval=10)
+        for i, w in enumerate(ref):
             assert np.array_equal(got[i], w), f"trace diverges at step {i + 1}"
 
     def test_order_sensitivity_on_spike_trace(self):

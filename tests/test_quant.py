@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from stablespam.quant import QuantFormat, QuantSpec, grid, qdq, qdq_idempotent_check
 from stablespam.tensor_core import make_rng
 
-from oracles import nearest_grid_even
+from stablespam.oracles import nearest_grid_even
 
 ALL_FORMATS = [QuantFormat.INT2, QuantFormat.INT3, QuantFormat.INT4,
                QuantFormat.FP4_E1M2]
