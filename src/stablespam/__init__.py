@@ -1,7 +1,7 @@
 """Stable-SPAM optimizer family, 4-bit fake quantization, and a desk-scale
 training-stability harness."""
 
-from . import cli, harness, models, optim, quant, selftest, tensor_core
+from . import harness, models, optim, quant, tensor_core
 from .harness import RunConfig, run, sweep
 from .optim import compose
 from .quant import QuantFormat, QuantSpec, qdq
@@ -9,7 +9,7 @@ from .quant import QuantFormat, QuantSpec, qdq
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli", "harness", "models", "optim", "quant", "selftest", "tensor_core",
+    "harness", "models", "optim", "quant", "tensor_core",
     "RunConfig", "run", "sweep", "compose",
     "QuantFormat", "QuantSpec", "qdq", "__version__",
 ]

@@ -7,9 +7,13 @@ allowed); sections are expressed with dotted keys, e.g.::
     quant.format = int4
     schedule.total_steps = 2000
 
-Every key is optional; unset keys take the documented defaults (Adam, no
-quantization, peak LR 1e-3). Unknown keys, type mismatches, and constraint
-violations are reported with the key name and line number.
+The keys are the fields of the ``harness`` config dataclasses, named
+``section.field`` (``seed`` at top level, ``quant.format`` for
+``RunConfig.quant_format``), and each declares the values it accepts. Every
+key is optional; unset keys take the documented defaults (Adam, no
+quantization, peak LR 1e-3). Unknown keys and unparsable values are reported
+with the key name and line number, a value outside its key's range with the
+key name.
 
 Exit codes: 0 success, 1 config error, 2 divergence-only (every run
 diverged), 3 internal error.
@@ -20,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 
 from . import harness, selftest
@@ -36,50 +40,17 @@ EXIT_INTERNAL = 3
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-# key -> ((section, attr), converter); section None means top-level RunConfig.
-_SCHEMA = {
-    "seed": (("", "seed"), int),
-    "model.kind": (("model", "kind"), str),
-    "model.input_dim": (("model", "input_dim"), int),
-    "model.hidden_dim": (("model", "hidden_dim"), int),
-    "model.depth": (("model", "depth"), int),
-    "model.classes": (("model", "classes"), int),
-    "model.quad_dim": (("model", "quad_dim"), int),
-    "data.samples": (("data", "samples"), int),
-    "data.batch_size": (("data", "batch_size"), int),
-    "quant.format": (("", "quant_format"), str),
-    "schedule.lr_peak": (("schedule", "lr_peak"), float),
-    "schedule.total_steps": (("schedule", "total_steps"), int),
-    "schedule.warmup_steps": (("schedule", "warmup_steps"), int),
-    "spike.probability": (("spike", "probability"), float),
-    "spike.severity": (("spike", "severity"), float),
-    "optimizer.name": (("optimizer", "name"), str),
-    "optimizer.beta1": (("optimizer", "beta1"), float),
-    "optimizer.beta2": (("optimizer", "beta2"), float),
-    "optimizer.eps": (("optimizer", "eps"), float),
-    "optimizer.gamma1": (("optimizer", "gamma1"), float),
-    "optimizer.gamma2": (("optimizer", "gamma2"), float),
-    "optimizer.gamma3": (("optimizer", "gamma3"), float),
-    "optimizer.reset_interval": (("optimizer", "reset_interval"), int),
-    "optimizer.spam_reset_interval": (("optimizer", "spam_reset_interval"), int),
-    "optimizer.spam_warmup_steps": (("optimizer", "spam_warmup_steps"), int),
-    "optimizer.gss_threshold": (("optimizer", "gss_threshold"), float),
-    "optimizer.grad_clip": (("optimizer", "grad_clip"), float),
-    "optimizer.transforms": (("optimizer", "transforms"), _str_list),
-    "optimizer.weight_decay": (("optimizer", "weight_decay"), float),
-    "optimizer.lion_beta1": (("optimizer", "lion_beta1"), float),
-    "optimizer.lion_beta2": (("optimizer", "lion_beta2"), float),
-    "optimizer.adafactor_eps1": (("optimizer", "adafactor_eps1"), float),
-    "optimizer.adafactor_d": (("optimizer", "adafactor_d"), float),
+# A config field's annotation -> the parser of its value text.
+_PARSERS = {
+    "int": int, "float": float, "str": str,
+    "list[str]": lambda text: [part.strip() for part in text.split(",")
+                               if part.strip()],
 }
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     cfg = RunConfig()
+    table = {key: (owner, f) for key, owner, f in cfg.keys()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,16 +61,15 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in table:
             raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'")
-        (section, attr), conv = _SCHEMA[key]
+        owner, f = table[key]
         try:
-            parsed = conv(value)
+            parsed = _PARSERS[f.type](value)
         except ValueError:
             raise ConfigError(f"{origin}:{lineno}: bad value for '{key}': "
                               f"{value!r}") from None
-        target = cfg if section == "" else getattr(cfg, section)
-        setattr(target, attr, parsed)
+        setattr(owner, f.name, parsed)
     cfg.validate()
     return cfg
 
@@ -185,23 +155,13 @@ def _optimizer_label(cfg: RunConfig) -> str:
 
 def compare_configs(cfgs: list[RunConfig]):
     """Check the configs differ only in the optimizer block."""
-    def non_optimizer(cfg):
-        d = asdict(cfg)
-        d.pop("optimizer")
-        return d
+    def task(cfg):
+        return {key: getattr(owner, f.name) for key, owner, f in cfg.keys()
+                if not key.startswith("optimizer.")}
 
-    def flatten(d, prefix=""):
-        out = {}
-        for k, v in d.items():
-            if isinstance(v, dict):
-                out.update(flatten(v, f"{prefix}{k}."))
-            else:
-                out[f"{prefix}{k}"] = v
-        return out
-
-    reference = flatten(non_optimizer(cfgs[0]))
+    reference = task(cfgs[0])
     for cfg in cfgs[1:]:
-        other = flatten(non_optimizer(cfg))
+        other = task(cfg)
         bad = sorted(k for k in reference if reference[k] != other[k])
         if bad:
             raise ConfigError("compare configs may differ only in the "

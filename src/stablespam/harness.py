@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,55 +49,85 @@ OPTIMIZER_NAMES = ("sgd", "adam", "adam_gradclip", "adafactor", "lion",
                    "adam_mini", "spam", "stable_spam")
 
 
+def _key(default, accepts):
+    """A config field and the values it accepts: an interval such as
+    ``"[0, 1)"`` (an infinite bound is always open, so a float must be
+    finite), or a tuple of choices, which a list field applies to each entry.
+    ``metadata["fault"]`` says why a value is rejected, or returns None.
+    """
+    if isinstance(accepts, str):
+        lo, hi = (float(bound) for bound in accepts[1:-1].split(","))
+        above = operator.le if accepts[0] == "[" else operator.lt
+        below = operator.le if accepts[-1] == "]" else operator.lt
+
+        def fault(value):
+            if not (above(lo, value) and below(value, hi)):
+                return f"{value!r} is outside {accepts}"
+    else:
+        def fault(value):
+            entries = value if isinstance(value, list) else [value]
+            for entry in entries:
+                if entry not in accepts:
+                    return (f"unknown value {entry!r}; "
+                            f"choose from {', '.join(accepts)}")
+            if len(set(entries)) != len(entries):
+                return f"repeated entry in {value}"
+    metadata = {"accepts": accepts, "fault": fault}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class ModelConfig:
-    kind: str = "mlp"          # "mlp" | "quadratic"
-    input_dim: int = 16
-    hidden_dim: int = 32
-    depth: int = 2
-    classes: int = 4
-    quad_dim: int = 8
+    kind: str = _key("mlp", ("mlp", "quadratic"))
+    input_dim: int = _key(16, "[1, inf)")
+    hidden_dim: int = _key(32, "[1, inf)")
+    depth: int = _key(2, "[1, inf)")
+    classes: int = _key(4, "[2, inf)")
+    quad_dim: int = _key(8, "[1, inf)")
 
 
 @dataclass
 class DataConfig:
-    samples: int = 256
-    batch_size: int = 32
+    samples: int = _key(256, "[1, inf)")
+    batch_size: int = _key(32, "[1, inf)")
 
 
 @dataclass
 class OptimizerConfig:
-    name: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-6
-    gamma1: float = 0.7
-    gamma2: float = 0.9
-    gamma3: float = 0.999
-    reset_interval: int = 1000         # Stable-SPAM MoRet interval
-    spam_reset_interval: int = 500
-    spam_warmup_steps: int = 150
-    gss_threshold: float = 5000.0
-    grad_clip: float = 0.0             # 0: off, except adam_gradclip clips at 1
-    transforms: list[str] = field(default_factory=list)
-    weight_decay: float = 0.0
-    lion_beta1: float = 0.9
-    lion_beta2: float = 0.99
-    adafactor_eps1: float = 1e-30
-    adafactor_d: float = 1.0
+    name: str = _key("adam", OPTIMIZER_NAMES)
+    beta1: float = _key(0.9, "[0, 1)")
+    beta2: float = _key(0.999, "[0, 1)")
+    eps: float = _key(1e-6, "(0, inf)")
+    gamma1: float = _key(0.7, "[0, 1)")
+    gamma2: float = _key(0.9, "[0, 1)")
+    gamma3: float = _key(0.999, "[0, 1)")
+    reset_interval: int = _key(1000, "[0, inf)")  # Stable-SPAM MoRet; 0: off
+    spam_reset_interval: int = _key(500, "[0, inf)")
+    spam_warmup_steps: int = _key(150, "[0, inf)")
+    gss_threshold: float = _key(5000.0, "(0, inf)")
+    # 0: off, except adam_gradclip clips at 1
+    grad_clip: float = _key(0.0, "[0, inf)")
+    transforms: list[str] = _key([], optim.TRANSFORM_KINDS)
+    weight_decay: float = _key(0.0, "[0, inf)")
+    lion_beta1: float = _key(0.9, "[0, 1]")
+    lion_beta2: float = _key(0.99, "[0, 1)")
+    adafactor_eps1: float = _key(1e-30, "(0, inf)")
+    adafactor_d: float = _key(1.0, "(0, inf)")
 
 
 @dataclass
 class ScheduleConfig:
-    lr_peak: float = 1e-3
-    total_steps: int = 2000
-    warmup_steps: int = -1   # -1: 10% of total_steps
+    lr_peak: float = _key(1e-3, "(0, inf)")
+    total_steps: int = _key(2000, "[0, inf)")
+    warmup_steps: int = _key(-1, "[-1, inf)")  # -1: 10% of total_steps
 
 
 @dataclass
 class SpikeConfig:
-    probability: float = 0.0
-    severity: float = 0.0
+    probability: float = _key(0.0, "[0, 1]")
+    severity: float = _key(0.0, "[0, inf)")
 
 
 @dataclass
@@ -106,8 +137,16 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     spike: SpikeConfig = field(default_factory=SpikeConfig)
-    quant_format: str = "none"
-    seed: int = 0
+    quant_format: str = _key("none", tuple(f.value for f in QuantFormat))
+    seed: int = _key(0, "[0, inf)")
+
+    def keys(self):
+        """Yield ``(key, owner, field)`` for every config key, where the
+        value is ``getattr(owner, field.name)``. A key is ``section.field``,
+        or the field name at top level; ``quant_format`` is ``quant.format``.
+        """
+        for key, section, f, _ in _KEYS:
+            yield key, self if section is None else getattr(self, section), f
 
     def resolved_warmup(self) -> int:
         if self.schedule.warmup_steps >= 0:
@@ -115,34 +154,40 @@ class RunConfig:
         return self.schedule.total_steps // 10
 
     def validate(self) -> None:
-        if self.model.kind not in ("mlp", "quadratic"):
-            raise ConfigError(f"model.kind: unknown value '{self.model.kind}'")
-        if self.optimizer.name not in OPTIMIZER_NAMES:
-            raise ConfigError(f"optimizer.name: unknown value '{self.optimizer.name}'")
-        try:
-            QuantFormat(self.quant_format)
-        except ValueError:
-            raise ConfigError(f"quant.format: unknown value '{self.quant_format}'") from None
-        if self.schedule.lr_peak <= 0:
-            raise ConfigError("schedule.lr_peak: must be > 0")
-        if self.schedule.total_steps < 0:
-            raise ConfigError("schedule.total_steps: must be >= 0")
+        for key, section, f, fault in _KEYS:
+            owner = self if section is None else getattr(self, section)
+            message = fault(getattr(owner, f.name))
+            if message:
+                raise ConfigError(f"{key}: {message}")
         if self.resolved_warmup() > self.schedule.total_steps:
             raise ConfigError("schedule.warmup_steps: must be <= schedule.total_steps")
-        if not 0.0 <= self.spike.probability <= 1.0:
-            raise ConfigError("spike.probability: must be in [0, 1]")
-        if self.spike.severity < 0.0:
-            raise ConfigError("spike.severity: must be >= 0")
-        if self.data.batch_size < 1 or self.data.samples < 1:
-            raise ConfigError("data.batch_size and data.samples must be >= 1")
-        if self.optimizer.grad_clip < 0:
-            raise ConfigError("optimizer.grad_clip: must be >= 0")
-        for kind in self.optimizer.transforms:
-            if kind not in optim.TRANSFORM_KINDS:
-                raise ConfigError(f"optimizer.transforms: unknown transform '{kind}'")
+        if self.model.kind == "quadratic":
+            # The quadratic has no quantized matmuls and no input batches.
+            for key, value, off in (
+                    ("quant.format", self.quant_format, "none"),
+                    ("spike.probability", self.spike.probability, 0.0),
+                    ("spike.severity", self.spike.severity, 0.0)):
+                if value != off:
+                    raise ConfigError(f"{key}: must be {off!r} when "
+                                      "model.kind = quadratic, which ignores it")
 
     def quant_spec(self) -> QuantSpec:
         return QuantSpec.from_name(self.quant_format)
+
+
+def _declared_keys():
+    for f in fields(RunConfig):
+        if f.metadata:  # a top-level key
+            yield "quant.format" if f.name == "quant_format" else f.name, None, f
+        else:
+            for sub in fields(f.default_factory):
+                yield f"{f.name}.{sub.name}", f.name, sub
+
+
+# (key, RunConfig section or None at top level, field, its fault check),
+# built once so validate() does not walk the dataclass fields each call.
+_KEYS = tuple((key, section, f, f.metadata["fault"])
+              for key, section, f in _declared_keys())
 
 
 def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
@@ -165,8 +210,7 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
     elif name == "sgd":
         base = optim.SgdBase()
     elif name == "adafactor":
-        base = optim.AdafactorBase(optim.AdafactorConfig(
-            eps1=ocfg.adafactor_eps1, d=ocfg.adafactor_d))
+        base = optim.AdafactorBase(ocfg.adafactor_eps1, ocfg.adafactor_d)
     elif name == "lion":
         base = optim.LionBase(ocfg.lion_beta1, ocfg.lion_beta2,
                               ocfg.weight_decay)

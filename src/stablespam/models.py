@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import QuantFormat, QuantSpec, qdq
+from .quant import QuantSpec, qdq
 from .tensor_core import as_matrix, make_rng, matmul, max_abs
 
 RMSNORM_EPS = 1e-8
@@ -123,10 +123,7 @@ def swiglu_fwd_bwd(x, w_gate, w_up):
 @dataclass
 class MlpModel:
     params: dict[str, np.ndarray]
-    input_dim: int
-    hidden_dim: int
     depth: int
-    classes: int
     quant: QuantSpec
 
 
@@ -141,8 +138,7 @@ def init_mlp(input_dim: int, hidden_dim: int, depth: int, classes: int,
         params[f"block{i}.w_up"] = rng.standard_normal((din, hidden_dim)) / np.sqrt(din)
         din = hidden_dim
     params["out.w"] = rng.standard_normal((din, classes)) / np.sqrt(din)
-    return MlpModel(params=params, input_dim=input_dim, hidden_dim=hidden_dim,
-                    depth=depth, classes=classes, quant=quant)
+    return MlpModel(params=params, depth=depth, quant=quant)
 
 
 def _softmax(logits):
@@ -151,15 +147,14 @@ def _softmax(logits):
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def mlp_forward_backward(model: MlpModel, inputs, labels,
-                         quant: QuantSpec | None = None):
+def mlp_forward_backward(model: MlpModel, inputs, labels):
     """Cross-entropy loss and gradients for every parameter tensor.
 
     With quantization enabled, matmul operands go through qdq in the forward
     pass; the backward pass is straight-through, assigning the gradients of
     the quantized weights to the unquantized ones.
     """
-    spec = model.quant if quant is None else quant
+    spec = model.quant
     x = as_matrix(inputs)
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
@@ -197,8 +192,8 @@ def mlp_forward_backward(model: MlpModel, inputs, labels,
     return loss, grads
 
 
-def mlp_loss(model: MlpModel, inputs, labels, quant: QuantSpec | None = None) -> float:
-    loss, _ = mlp_forward_backward(model, inputs, labels, quant=quant)
+def mlp_loss(model: MlpModel, inputs, labels) -> float:
+    loss, _ = mlp_forward_backward(model, inputs, labels)
     return loss
 
 

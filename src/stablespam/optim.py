@@ -98,17 +98,6 @@ class AdafactorState:
 
 
 # ---------------------------------------------------------------------------
-# Configs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AdafactorConfig:
-    eps1: float = 1e-30
-    d: float = 1.0
-    decay_power: float = 0.8
-
-
-# ---------------------------------------------------------------------------
 # Gradient transforms
 # ---------------------------------------------------------------------------
 
@@ -216,8 +205,11 @@ def spam_warmup_scale(global_step: int, reset_interval: int, warmup_steps: int) 
     return min(1.0, k / warmup_steps)
 
 
-def adafactor_step(w, g, state: AdafactorState, cfg: AdafactorConfig,
-                   lr: float):
+ADAFACTOR_DECAY_POWER = 0.8
+
+
+def adafactor_step(w, g, state: AdafactorState, lr: float,
+                   eps1: float = 1e-30, d: float = 1.0):
     """Simplified Adafactor: factored second moment for matrices (row/column
     mean accumulators, decay 1 - t^-0.8), unfactored for vectors, update
     clipped so rms(update) <= d."""
@@ -226,8 +218,8 @@ def adafactor_step(w, g, state: AdafactorState, cfg: AdafactorConfig,
     _require_finite(g)
     t = state.step + 1
     state.step = t
-    beta = 1.0 - t ** (-cfg.decay_power)
-    sq = g * g + cfg.eps1
+    beta = 1.0 - t ** (-ADAFACTOR_DECAY_POWER)
+    sq = g * g + eps1
     if min(g.shape) == 1:
         if state.v is None:
             state.v = np.zeros_like(g)
@@ -244,7 +236,7 @@ def adafactor_step(w, g, state: AdafactorState, cfg: AdafactorConfig,
         v_hat = state.row * state.col / np.mean(state.row)
     u = g / np.sqrt(v_hat)
     rms_u = math.sqrt(float(np.mean(u * u)))
-    u = u / max(1.0, rms_u / cfg.d)
+    u = u / max(1.0, rms_u / d)
     return w - lr * u
 
 
@@ -376,14 +368,14 @@ class AdamMiniBase(_Base):
 
 
 class AdafactorBase(_Base):
-    def __init__(self, cfg: AdafactorConfig | None = None):
-        self.cfg = cfg or AdafactorConfig()
+    def __init__(self, eps1=1e-30, d=1.0):
+        self.eps1, self.d = eps1, d
         self.state: dict[str, AdafactorState] = {}
 
     def update(self, name, w, g, lr):
         if name not in self.state:
             self.state[name] = AdafactorState()
-        return adafactor_step(w, g, self.state[name], self.cfg, lr)
+        return adafactor_step(w, g, self.state[name], lr, self.eps1, self.d)
 
 
 TRANSFORM_KINDS = ("adaclip", "adagn", "spike_clip", "grad_clip")

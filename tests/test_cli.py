@@ -1,6 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stablespam import cli, optim, selftest
 from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
@@ -72,8 +82,136 @@ class TestParseConfig:
         assert cfg.optimizer.transforms == ["adaclip", "adagn"]
 
     def test_unknown_transform_rejected(self):
-        with pytest.raises(ConfigError, match="unknown transform"):
+        with pytest.raises(ConfigError,
+                           match=r"optimizer\.transforms: unknown value 'sparsify'"):
             parse_config_text("optimizer.transforms = sparsify")
+
+
+KEYS = {key: field for key, _, field in RunConfig().keys()}
+
+
+def set_key(cfg, key, value):
+    owner, field = {k: (o, f) for k, o, f in cfg.keys()}[key]
+    setattr(owner, field.name, value)
+
+
+def config_line(key, value):
+    if isinstance(value, list):
+        return f"{key} = {', '.join(value)}"
+    return f"{key} = {value if isinstance(value, str) else repr(value)}"
+
+
+def outside(field):
+    """Values a key must reject: just past each finite bound and beyond it,
+    NaN and +-inf for a float, or a word that is not one of its choices."""
+    accepts = field.metadata["accepts"]
+    if isinstance(accepts, tuple):
+        choices = accepts
+        word = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1,
+                       max_size=12).filter(lambda w: w not in choices)
+        if field.type == "list[str]":
+            return word.map(lambda w: [w]) | st.sampled_from(choices).map(
+                lambda c: [c, c])
+        return word
+    lo, hi = (float(bound) for bound in accepts[1:-1].split(","))
+    below_closed, above_closed = accepts[0] == "[", accepts[-1] == "]"
+    if field.type == "int":
+        return st.integers(max_value=int(lo) - 1 if below_closed else int(lo))
+    values = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+        max_value=lo, exclude_max=below_closed, allow_nan=False)
+    if hi < math.inf:
+        values |= st.floats(min_value=hi, exclude_min=above_closed,
+                            allow_nan=False)
+    return values
+
+
+class TestKeys:
+    def test_keys_are_the_declared_fields(self):
+        assert set(KEYS) == {
+            "seed", "quant.format", "model.kind", "model.input_dim",
+            "model.hidden_dim", "model.depth", "model.classes",
+            "model.quad_dim", "data.samples", "data.batch_size",
+            "schedule.lr_peak", "schedule.total_steps",
+            "schedule.warmup_steps", "spike.probability", "spike.severity",
+            "optimizer.name", "optimizer.beta1", "optimizer.beta2",
+            "optimizer.eps", "optimizer.gamma1", "optimizer.gamma2",
+            "optimizer.gamma3", "optimizer.reset_interval",
+            "optimizer.spam_reset_interval", "optimizer.spam_warmup_steps",
+            "optimizer.gss_threshold", "optimizer.grad_clip",
+            "optimizer.transforms", "optimizer.weight_decay",
+            "optimizer.lion_beta1", "optimizer.lion_beta2",
+            "optimizer.adafactor_eps1", "optimizer.adafactor_d"}
+        for key, field in KEYS.items():
+            accepts = field.metadata["accepts"]
+            if isinstance(accepts, tuple):
+                assert accepts, key
+            else:
+                assert re.fullmatch(r"[(\[]-?\d+, (\d+|inf)[)\]]", accepts), key
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(KEYS)).flatmap(
+        lambda key: st.tuples(st.just(key), outside(KEYS[key]))))
+    @example(("optimizer.gamma1", 1.0))
+    @example(("optimizer.gamma3", 1.0))
+    @example(("seed", -1))
+    @example(("optimizer.gss_threshold", -1.0))
+    @example(("optimizer.adafactor_d", 0.0))
+    @example(("optimizer.beta2", 1.0))
+    @example(("schedule.lr_peak", math.nan))
+    @example(("schedule.lr_peak", math.inf))
+    @example(("spike.severity", math.inf))
+    @example(("model.input_dim", 0))
+    @example(("model.hidden_dim", 0))
+    @example(("model.depth", 0))
+    @example(("model.quad_dim", 0))
+    @example(("model.classes", 1))
+    @example(("optimizer.reset_interval", -5))
+    @example(("optimizer.eps", 0.0))
+    @example(("optimizer.spam_warmup_steps", -3))
+    @example(("optimizer.lion_beta1", 2.0))
+    def test_value_outside_range_is_config_error(self, case):
+        key, value = case
+        cfg = RunConfig()
+        set_key(cfg, key, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            run(cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.cfg")
+            with open(path, "w") as fh:
+                fh.write(config_line(key, value) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", path,
+                             "--out", os.path.join(tmp, "o")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}: " in err.getvalue()
+
+    @pytest.mark.parametrize("key, value", [("quant.format", "int4"),
+                                            ("spike.probability", 0.1),
+                                            ("spike.severity", 0.5)])
+    def test_quadratic_rejects_keys_it_ignores(self, key, value, tmp_path,
+                                               capsys):
+        cfg = RunConfig(model=ModelConfig(kind="quadratic"))
+        set_key(cfg, key, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            run(cfg)
+        path = tmp_path / "quad.cfg"
+        path.write_text("model.kind = quadratic\n" + config_line(key, value))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+    def test_package_import_loads_only_the_library(self):
+        code = ("import sys, stablespam; "
+                "print(sorted(m for m in sys.modules if m.startswith('stablespam.')))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert "stablespam.harness" in out
+        for name in ("stablespam.cli", "stablespam.selftest",
+                     "stablespam.oracles"):
+            assert name not in out
 
 
 class TestParseLrGrid:
@@ -199,7 +337,7 @@ class TestCommands:
         code = main(["compare", a, b, "--out", str(tmp_path / "cmp")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "quant_format" in err and "seed" in err
+        assert "quant.format" in err and "seed" in err
 
     def test_compare_needs_two_configs(self, tmp_path):
         a = write_cfg(tmp_path, "a.cfg")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,15 +188,15 @@ class TestMlp:
         x.ravel()[0] = 7 * (1.25 / 7.0)
         labels = np.arange(6) % 2
         quantized = mlp_loss(m, x, labels)
-        plain = mlp_loss(m, x, labels, quant=QuantSpec())
+        plain = mlp_loss(replace(m, quant=QuantSpec()), x, labels)
         assert quantized == plain
 
     def test_quantization_changes_loss_off_grid(self):
         m = self._model(seed=13, quant=QuantSpec(format=QuantFormat.INT4))
         x = make_rng(14).standard_normal((8, 6))
         labels = np.arange(8) % 3
-        assert mlp_loss(m, x, labels) != mlp_loss(m, x, labels,
-                                                  quant=QuantSpec())
+        assert mlp_loss(m, x, labels) != mlp_loss(replace(m, quant=QuantSpec()),
+                                                  x, labels)
 
     def test_straight_through_gradient_shapes_and_finiteness(self):
         m = self._model(seed=15, quant=QuantSpec(format=QuantFormat.FP4_E1M2))

@@ -6,11 +6,11 @@ import pytest
 
 from stablespam import harness, optim, oracles
 from stablespam.harness import OptimizerConfig, make_optimizer
-from stablespam.optim import (AdaClipState, AdaGnState, AdafactorConfig,
-                              AdafactorState, AdamMiniState, AdamMoments,
-                              ConfigError, adaclip, adafactor_step, adagn,
-                              adam_mini_step, adam_step, compose,
-                              grad_clip_global, lion_step, spike_clip)
+from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
+                              AdamMiniState, AdamMoments, ConfigError,
+                              adaclip, adafactor_step, adagn, adam_mini_step,
+                              adam_step, compose, grad_clip_global, lion_step,
+                              spike_clip)
 from stablespam.tensor_core import frobenius_norm, make_rng
 
 
@@ -306,19 +306,17 @@ class TestAdafactor:
         c = np.array([[9.0, 16.0]])
         g = np.sqrt(r * c)
         state = AdafactorState()
-        cfg = AdafactorConfig()
-        w = adafactor_step(np.zeros((2, 2)), g, state, cfg, lr=0.01)
+        w = adafactor_step(np.zeros((2, 2)), g, state, lr=0.01)
         v_hat = state.row * state.col / np.mean(state.row)
         assert np.allclose(v_hat, g * g, rtol=1e-9)
 
     def test_update_rms_bounded_by_d(self):
         rng = make_rng(11)
         state = AdafactorState()
-        cfg = AdafactorConfig(d=1.0)
         w = np.zeros((3, 3))
         for _ in range(20):
             g = rng.standard_normal((3, 3)) * 10
-            new_w = adafactor_step(w, g, state, cfg, lr=1.0)
+            new_w = adafactor_step(w, g, state, lr=1.0, d=1.0)
             u = (w - new_w) / 1.0
             assert math.sqrt(float(np.mean(u * u))) <= 1.0 + 1e-12
             w = new_w
@@ -326,11 +324,10 @@ class TestAdafactor:
     def test_scalar_trace_matches_oracle(self):
         gs = random_trace(30, seed=12)
         state = AdafactorState()
-        cfg = AdafactorConfig()
         w = scalar(0.0)
         got = []
         for g in gs:
-            w = adafactor_step(w, scalar(g), state, cfg, lr=0.01)
+            w = adafactor_step(w, scalar(g), state, lr=0.01)
             got.append(w[0, 0])
         ref = oracles.adafactor_trace(gs, 0.01)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-10
