@@ -27,7 +27,7 @@ import sys
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 
-from . import harness, selftest
+from . import harness
 from .harness import ConfigError, LR_GRID_PRESETS, RunConfig, run, sweep
 
 EXIT_OK = 0
@@ -215,6 +215,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # loads the oracles, which only this command uses
+
     report = selftest.run_selftest()
     for name, ok, detail in report:
         status = "PASS" if ok else "FAIL"

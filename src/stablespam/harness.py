@@ -170,6 +170,7 @@ class RunConfig:
                 if value != off:
                     raise ConfigError(f"{key}: must be {off!r} when "
                                       "model.kind = quadratic, which ignores it")
+        make_optimizer(self.optimizer)  # rejects transforms it cannot run
 
     def quant_spec(self) -> QuantSpec:
         return QuantSpec.from_name(self.quant_format)
@@ -198,6 +199,9 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
     where ``optimizer.transforms`` lists it, or else first whenever
     ``grad_clip > 0`` or the optimizer is ``adam_gradclip``. Its threshold
     is ``grad_clip`` when positive, else 1.0.
+
+    A transform list that repeats a built-in transform, or that the base
+    rule cannot run, is a ``ConfigError`` naming ``optimizer.transforms``.
     """
     name = ocfg.name
     transforms = list(ocfg.transforms)
@@ -229,11 +233,18 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
         builtin = ["adaclip", "adagn"]
     else:
         raise ConfigError(f"optimizer.name: unknown value '{name}'")
-    return optim.compose(
-        transforms + builtin, base,
-        gamma1=ocfg.gamma1, gamma2=ocfg.gamma2, gamma3=ocfg.gamma3,
-        eps=ocfg.eps, gss_threshold=ocfg.gss_threshold,
-        grad_clip_threshold=ocfg.grad_clip if ocfg.grad_clip > 0 else 1.0)
+    for kind in builtin:
+        if kind in transforms:
+            raise ConfigError(f"optimizer.transforms: {name} already "
+                              f"applies {kind!r}")
+    try:
+        return optim.compose(
+            transforms + builtin, base,
+            gamma1=ocfg.gamma1, gamma2=ocfg.gamma2, gamma3=ocfg.gamma3,
+            eps=ocfg.eps, gss_threshold=ocfg.gss_threshold,
+            grad_clip_threshold=ocfg.grad_clip if ocfg.grad_clip > 0 else 1.0)
+    except ConfigError as exc:
+        raise ConfigError(f"optimizer.transforms: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -282,14 +282,11 @@ class StepTelemetry:
 
 
 class _Base:
-    """Per-tensor base update rule with lazily created state."""
+    """Per-tensor base update rule with lazily created state. A rule that
+    keeps a second moment exposes it as ``second_moment(name, shape)``."""
 
     def begin_step(self, global_step: int):
         return False, 1.0  # (reset_happened, lr_scale)
-
-    def second_moment(self, name: str, shape) -> np.ndarray:
-        raise ConfigError(f"{type(self).__name__} exposes no second moment "
-                          "(required by spike_clip)")
 
     def update(self, name, w, g, lr):
         raise NotImplementedError
@@ -397,6 +394,9 @@ class ComposedOptimizer:
                 raise ConfigError(f"unknown transform '{kind}'")
         if len(set(transforms)) != len(transforms):
             raise ConfigError(f"duplicate transform in {transforms}")
+        if "spike_clip" in transforms and not hasattr(base, "second_moment"):
+            raise ConfigError(f"spike_clip needs a second moment, which "
+                              f"{type(base).__name__} does not keep")
         self.transforms = transforms
         self.base = base
         self.gamma1, self.gamma2, self.gamma3, self.eps = gamma1, gamma2, gamma3, eps

@@ -186,32 +186,59 @@ class TestKeys:
         assert code == EXIT_CONFIG
         assert f"config error: {key}: " in err.getvalue()
 
-    @pytest.mark.parametrize("key, value", [("quant.format", "int4"),
-                                            ("spike.probability", 0.1),
-                                            ("spike.severity", 0.5)])
-    def test_quadratic_rejects_keys_it_ignores(self, key, value, tmp_path,
-                                               capsys):
-        cfg = RunConfig(model=ModelConfig(kind="quadratic"))
-        set_key(cfg, key, value)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
-            run(cfg)
-        path = tmp_path / "quad.cfg"
-        path.write_text("model.kind = quadratic\n" + config_line(key, value))
+    @pytest.mark.parametrize("base, key, value", [
+        pytest.param({"model.kind": "quadratic"}, key, value, id=f"{key}-{value}")
+        for key, value in (("quant.format", "int4"), ("spike.probability", 0.1),
+                           ("spike.severity", 0.5))
+    ] + [
+        pytest.param({"optimizer.name": name}, "optimizer.transforms", [kind],
+                     id=f"{name}-{kind}")
+        for name, kind in (("stable_spam", "adaclip"), ("stable_spam", "adagn"),
+                           ("spam", "spike_clip"), ("sgd", "spike_clip"),
+                           ("lion", "spike_clip"), ("adafactor", "spike_clip"),
+                           ("adam_mini", "spike_clip"))
+    ])
+    def test_key_combination_is_config_error(self, base, key, value, tmp_path,
+                                             capsys):
+        """Values each key accepts alone but not together: the quadratic
+        ignores the quant and spike keys, and an optimizer can neither repeat
+        a transform it applies itself nor run spike_clip without a second
+        moment."""
+        settings = {**base, key: value}
+        cfg = RunConfig()
+        for k, v in settings.items():
+            set_key(cfg, k, v)
+        for check in (cfg.validate, lambda: run(cfg)):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+                check()
+        path = tmp_path / "combination.cfg"
+        path.write_text("".join(config_line(k, v) + "\n"
+                                for k, v in settings.items()))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert f"config error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["adam", "adam_gradclip", "stable_spam"])
+    def test_spike_clip_runs_on_adam_moments(self, name):
+        cfg = RunConfig(optimizer=OptimizerConfig(name=name,
+                                                  transforms=["spike_clip"]),
+                        schedule=ScheduleConfig(total_steps=3))
+        assert len(run(cfg).records) == 3
+
     def test_package_import_loads_only_the_library(self):
-        code = ("import sys, stablespam; "
-                "print(sorted(m for m in sys.modules if m.startswith('stablespam.')))")
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}).stdout
-        assert "stablespam.harness" in out
-        for name in ("stablespam.cli", "stablespam.selftest",
-                     "stablespam.oracles"):
-            assert name not in out
+        for module, absent in (
+                ("stablespam", ("cli", "selftest", "oracles")),
+                # only the selftest command needs the oracles
+                ("stablespam.cli", ("selftest", "oracles"))):
+            code = (f"import sys, {module}; print(sorted(m for m in "
+                    "sys.modules if m.startswith('stablespam.')))")
+            out = subprocess.run([sys.executable, "-c", code], check=True,
+                                 capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src}).stdout
+            assert "'stablespam.harness'" in out, module
+            for name in absent:
+                assert f"'stablespam.{name}'" not in out, module
 
 
 class TestParseLrGrid:

@@ -486,6 +486,5 @@ class TestCompose:
             compose(["sparsify"], optim.AdamBase())
 
     def test_spike_clip_requires_second_moment(self):
-        opt = compose(["spike_clip"], optim.LionBase())
         with pytest.raises(ConfigError):
-            opt.step({"w": np.zeros((1, 1))}, {"w": scalar(1.0)}, 0.01, 1)
+            compose(["spike_clip"], optim.LionBase())

@@ -61,8 +61,15 @@ class TestQdq:
         rng = make_rng(17)
         spec = QuantSpec(format=fmt)
         g = grid(fmt)
-        for _ in range(10):
-            x = rng.standard_normal((4, 5)) * 3.0
+        inputs = [rng.standard_normal((4, 5)) * 3.0 for _ in range(10)]
+        # Exact ties: every midpoint between grid neighbours, at scales where
+        # the code-space transform keeps it exact, with the absmax entry pinned.
+        ties = (g[:-1] + g[1:]) / 2
+        for k in (-30, 0, 3, 40):
+            x = np.append(ties, g[-1])[None, :] * 2.0 ** k
+            assert np.array_equal((x / np.max(x) * g[-1])[0, :-1], ties)
+            inputs.append(x)
+        for x in inputs:
             out = qdq(x, spec)
             amax = float(np.max(np.abs(x)))
             scale = amax / g[-1]
@@ -97,6 +104,10 @@ class TestProperties:
         amax = float(np.max(np.abs(x)))
         assert np.all(np.abs(out) <= amax)
         assert np.all((out == 0) | (np.sign(out) == np.sign(x)))
+        assert not np.any((out == 0) & np.signbit(out))  # zero is +0.0
+        # E1M2's grid is 0.25 x INT4's codes, so absmax scaling cancels it.
+        assert qdq(x, QuantSpec(format=QuantFormat.FP4_E1M2)).tobytes() == \
+            qdq(x, QuantSpec(format=QuantFormat.INT4)).tobytes()
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_absmax_exact_fixed_point(self, fmt):
