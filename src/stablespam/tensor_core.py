@@ -1,9 +1,20 @@
 """Dense float64 matrix kernel with deterministic reductions.
 
 All numeric state in this package is carried by plain 2-D ``numpy.float64``
-arrays. The one non-obvious piece is ``matmul``: it accumulates strictly in
-ascending-k order so the result is bit-identical to a naive triple loop,
-which keeps the trace-equality tests exact.
+arrays. The one non-obvious piece is ``matmul``: every output element is
+``((0.0 + p0) + p1) + ...`` with ``pk = a[i, k] * b[k, j]`` added in
+ascending k, so the result is bit-identical to a naive triple loop, which
+keeps the trace-equality tests exact.
+
+``matmul`` forms the products for a block of k at once, as one C-ordered
+``(k, n, m)`` tensor, then adds its slices into a +0.0-initialised output
+one k at a time with in-place ``np.add``. The order is fixed by that loop.
+BLAS (``@``, ``einsum``) is not used because it blocks and vectorises the
+sum. ``np.add.reduce``/``np.sum`` over k is not used because numpy sums
+pairwise whenever k ends up the innermost axis it iterates: on a 1x1 output
+with k >= 8, and on a one-column output whose product is not C-ordered, as
+the default ``order="K"`` gives when ``a`` is C-ordered (the quadratic's
+8x8x1 matrix-vector product).
 
 Random streams come from ``make_rng`` (PCG64). A given seed produces the
 same stream on every platform numpy supports; Gaussian draws use numpy's
@@ -13,6 +24,11 @@ ziggurat sampler on top of that stream.
 from __future__ import annotations
 
 import numpy as np
+
+# Most products one multiply in ``matmul`` forms (256 KiB of float64). The
+# 32-row training shapes take one block. Larger shapes split along k, not
+# along rows, so the Python loop still runs k adds rather than k per row block.
+_BLOCK = 1 << 15
 
 
 def as_matrix(x) -> np.ndarray:
@@ -31,16 +47,28 @@ def matmul(a, b) -> np.ndarray:
     """Matrix product with sequential ascending-k accumulation.
 
     Each output element is the sum of a[i, k] * b[k, j] added one k at a
-    time starting from 0.0, so the result matches a naive triple loop
-    bit-for-bit.
+    time starting from +0.0, so the result matches a naive triple loop
+    bit-for-bit (an all-(-0.0) sum is +0.0, and inf and nan land where
+    they do there). The products of up to ``_BLOCK // (n * m)``
+    consecutive k are formed in one broadcast multiply, so the Python loop
+    does one in-place add per k. The product buffer is allocated once per
+    call and holds at most ``max(_BLOCK, n * m)`` elements.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    n, inner = a.shape
+    m = b.shape[1]
+    out = np.zeros((n, m))
+    step = max(1, min(inner, _BLOCK // max(1, n * m)))
+    prod = np.empty((step, n, m))
+    for k0 in range(0, inner, step):
+        a_blk = a[:, k0 : k0 + step].T
+        p = prod[: len(a_blk)]
+        np.multiply(a_blk[:, :, None], b[k0 : k0 + step, None, :], out=p)
+        for pk in p:
+            np.add(out, pk, out=out)
     return out
 
 

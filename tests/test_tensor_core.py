@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stablespam.tensor_core import (as_matrix, frobenius_norm, make_rng,
@@ -20,6 +22,26 @@ def naive_matmul(a, b):
     return out
 
 
+def operand(rng, rows, cols, layout):
+    """A (rows, cols) matrix of signed entries with magnitudes 1e-8..1e8,
+    laid out C-ordered, Fortran-ordered, as a transposed view (as SwiGLU's
+    backward passes ``w.T``) or as a strided slice of a larger array."""
+    def draw(r, c):
+        sign = rng.choice([-1.0, 1.0], size=(r, c))
+        return sign * 10.0 ** rng.uniform(-8.0, 8.0, size=(r, c))
+    if layout == "F":
+        return np.asfortranarray(draw(rows, cols))
+    if layout == "T":
+        return draw(cols, rows).T
+    if layout == "slice":
+        return draw(2 * rows, cols + 2)[::2, 1:-1]
+    return draw(rows, cols)
+
+
+LAYOUTS = st.sampled_from(["C", "F", "T", "slice"])
+INF, NAN = np.inf, np.nan
+
+
 class TestMatmul:
     def test_identity(self):
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
@@ -30,11 +52,66 @@ class TestMatmul:
         assert out.shape == (1, 1)
         assert out[0, 0] == 11.0
 
-    def test_matches_naive_triple_loop_exactly(self):
-        rng = make_rng(0)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+    # A 1x1 output with k >= 8 is where numpy's reduction over k turns
+    # pairwise (seeds 2 and 3 draw sums whose pairwise order rounds
+    # differently); (40, 37, 40) ends on a partial block of k, and
+    # (192, 3, 192) has more outputs than a block holds, so k goes singly.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), k=st.integers(0, 40), m=st.integers(1, 40),
+           la=LAYOUTS, lb=LAYOUTS, seed=st.integers(0, 2**32 - 1))
+    @example(n=5, k=7, m=3, la="C", lb="C", seed=0)
+    @example(n=1, k=8, m=1, la="C", lb="C", seed=2)
+    @example(n=8, k=8, m=1, la="C", lb="C", seed=1)
+    @example(n=1, k=9, m=1, la="slice", lb="F", seed=3)
+    @example(n=40, k=7, m=1, la="T", lb="C", seed=4)
+    @example(n=1, k=1, m=1, la="C", lb="C", seed=5)
+    @example(n=3, k=0, m=5, la="C", lb="C", seed=6)
+    @example(n=32, k=32, m=32, la="C", lb="T", seed=7)
+    @example(n=40, k=37, m=40, la="F", lb="slice", seed=8)
+    @example(n=192, k=3, m=192, la="T", lb="C", seed=9)
+    def test_matches_naive_triple_loop_exactly(self, n, k, m, la, lb, seed):
+        rng = make_rng(seed)
+        a = operand(rng, n, k, la)
+        b = operand(rng, k, m, lb)
+        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("a, b", [
+        # every product is -0.0: the naive sum starts at +0.0 and stays there
+        ([[-0.0, -0.0, 0.0]] * 2, [[1.0, 2.0], [3.0, 4.0], [-1.0, -5.0]]),
+        ([[INF, 1.0, NAN], [-INF, INF, 2.0], [1.0, 2.0, 3.0]],
+         [[0.0, 1.0], [-1.0, -INF], [2.0, 3.0]]),
+        ([[1.0, INF]], [[INF], [-INF]]),
+        (np.ones((3, 0)), np.ones((0, 5))),
+    ], ids=["negative-zero", "inf-nan", "inf-minus-inf", "empty-k"])
+    def test_special_values_match_naive(self, a, b):
+        # Where two NaNs meet, which one's sign bit survives depends on the
+        # operand order the compiled add picks, and numpy's scalar and array
+        # loops pick differently; so NaN is compared by position only.
+        a, b = np.array(a), np.array(b)
+        with np.errstate(invalid="ignore"):
+            out = matmul(a, b)
+            want = naive_matmul(a, b)
+        nan = np.isnan(want)
+        assert out.shape == (a.shape[0], b.shape[1])
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("n, k, m", [(256, 4, 32), (256, 32, 32),
+                                         (256, 32, 8)])
+    def test_validation_pass_bounds_the_temporary(self, n, k, m):
+        # The 256-sample validation shapes. A 256 KiB product block, the
+        # output and numpy's ufunc buffers (at most 128 KiB) fit; one
+        # (k, n, m) product tensor would take 2 MiB at 256x32x32.
+        rng = make_rng(4)
+        a = rng.standard_normal((n, k))
+        b = rng.standard_normal((k, m))
+        tracemalloc.start()
+        try:
+            matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_dimension_mismatch_reports_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 3\)"):
