@@ -357,7 +357,9 @@ def run(cfg: RunConfig, records_path: str | None = None,
 
         norm_pre = global_grad_norm(grads.values())
         telemetry = opt.step(params, grads, lr, step)
-        norm_post = global_grad_norm(telemetry.grads_post.values())
+        # Without transforms grads_post holds the very arrays measured above.
+        norm_post = (global_grad_norm(telemetry.grads_post.values())
+                     if opt.transforms else norm_pre)
         if on_step is not None:
             on_step(step, grads, telemetry.grads_post)
         records.append(StepRecord(step, loss, norm_pre, norm_post,

@@ -57,12 +57,13 @@ def quadratic_loss_grad(p: QuadraticProblem):
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Both branches of the stable logistic at once: with e = exp(-|z|),
+    1 / (1 + e) where z >= 0 and e / (1 + e) below. e <= 1 never overflows."""
+    ez = np.abs(z)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    num = np.where(z >= 0, 1.0, ez)
+    return np.divide(num, 1.0 + ez, out=num)
 
 
 def _silu(z):
@@ -147,18 +148,11 @@ def _softmax(logits):
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def mlp_forward_backward(model: MlpModel, inputs, labels):
-    """Cross-entropy loss and gradients for every parameter tensor.
-
-    With quantization enabled, matmul operands go through qdq in the forward
-    pass; the backward pass is straight-through, assigning the gradients of
-    the quantized weights to the unquantized ones.
-    """
+def _mlp_forward(model: MlpModel, x, labels):
+    """The forward pass: (loss, probs, head input, head weight, caches),
+    where ``caches`` holds each block's (RMSNorm, SwiGLU) backward."""
     spec = model.quant
-    x = as_matrix(inputs)
-    labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
-
     caches = []
     for i in range(model.depth):
         gain = model.params[f"block{i}.gain"]
@@ -175,9 +169,23 @@ def mlp_forward_backward(model: MlpModel, inputs, labels):
     probs = _softmax(logits)
     eps = 1e-300  # guards log(0); never active for finite logits
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + eps)))
+    return loss, probs, xq, w_out_q, caches
+
+
+def mlp_forward_backward(model: MlpModel, inputs, labels):
+    """Cross-entropy loss and gradients for every parameter tensor.
+
+    With quantization enabled, matmul operands go through qdq in the forward
+    pass; the backward pass is straight-through, assigning the gradients of
+    the quantized weights to the unquantized ones.
+    """
+    x = as_matrix(inputs)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = x.shape[0]
+    loss, probs, xq, w_out_q, caches = _mlp_forward(model, x, labels)
 
     grads: dict[str, np.ndarray] = {}
-    dlogits = probs.copy()
+    dlogits = probs  # the forward is done with probs
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     grads["out.w"] = matmul(xq.T, dlogits)
@@ -193,8 +201,9 @@ def mlp_forward_backward(model: MlpModel, inputs, labels):
 
 
 def mlp_loss(model: MlpModel, inputs, labels) -> float:
-    loss, _ = mlp_forward_backward(model, inputs, labels)
-    return loss
+    """The loss of ``mlp_forward_backward`` from its forward pass alone."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return _mlp_forward(model, as_matrix(inputs), labels)[0]
 
 
 # ---------------------------------------------------------------------------

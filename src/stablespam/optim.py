@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import as_matrix, frobenius_norm, max_abs
+from .tensor_core import as_matrix, frobenius_norm
 
 
 class ConfigError(ValueError):
@@ -113,13 +113,15 @@ def adaclip(g, state: AdaClipState, gamma3: float):
     the new gradient and the fraction of entries clipped. State is mutated.
     """
     g = as_matrix(g)
-    _require_finite(g)
+    abs_g = np.abs(g)
+    g_max = float(np.max(abs_g))
+    if not math.isfinite(g_max):  # inf or nan exactly when some entry is
+        raise ValueError("non-finite gradient")
     t = state.step + 1
-    g_max = max_abs(g)
     state.t_threshold = gamma3 * state.t_threshold + (1.0 - gamma3) * g_max
     state.step = t
     t_hat = state.t_threshold / (1.0 - gamma3 ** t)
-    mask = np.abs(g) > t_hat
+    mask = abs_g > t_hat
     out = g.copy()
     if mask.any():
         out[mask] = g[mask] / g_max * t_hat
@@ -182,10 +184,13 @@ def adam_step(w, g, moments: AdamMoments, lr: float,
     _require_finite(g)
     t = moments.step_in_cycle + 1
     moments.step_in_cycle = t
-    moments.m[...] = beta1 * moments.m + (1.0 - beta1) * g
-    moments.v[...] = beta2 * moments.v + (1.0 - beta2) * (g * g)
-    m_hat = moments.m / (1.0 - beta1 ** t)
-    v_hat = moments.v / (1.0 - beta2 ** t)
+    m, v = moments.m, moments.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
     return w - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 

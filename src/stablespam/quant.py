@@ -19,6 +19,7 @@ Grid conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,23 +65,20 @@ def grid(fmt: QuantFormat) -> np.ndarray:
     return np.arange(-top, top + 1) * step
 
 
-def _check_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        i, j = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"non-finite value at index ({i}, {j})")
-
-
 def qdq(x, spec: QuantSpec) -> np.ndarray:
     """Quantize-dequantize with per-tensor absmax scaling.
 
     The entry attaining the absmax maps to exactly +-max_abs(x): codes
     +-top are pinned to +-absmax, which also makes qdq exactly idempotent.
+    A non-finite entry is an error naming its index.
     """
     x = as_matrix(x)
     if spec.format is QuantFormat.NONE:
         return x.copy()
-    _check_finite(x)
-    amax = max_abs(x)
+    amax = max_abs(x)  # inf or nan exactly when some entry is
+    if not math.isfinite(amax):
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"non-finite value at index ({i}, {j})")
     if amax == 0.0:
         return np.zeros_like(x)
     top = _CODES[spec.format][0]

@@ -9,12 +9,21 @@ keeps the trace-equality tests exact.
 ``matmul`` forms the products for a block of k at once, as one C-ordered
 ``(k, n, m)`` tensor, then adds its slices into a +0.0-initialised output
 one k at a time with in-place ``np.add``. The order is fixed by that loop.
-BLAS (``@``, ``einsum``) is not used because it blocks and vectorises the
-sum. ``np.add.reduce``/``np.sum`` over k is not used because numpy sums
-pairwise whenever k ends up the innermost axis it iterates: on a 1x1 output
-with k >= 8, and on a one-column output whose product is not C-ordered, as
-the default ``order="K"`` gives when ``a`` is C-ordered (the quadratic's
-8x8x1 matrix-vector product).
+Blocks of at least ``_EINSUM_MIN`` products are formed by
+``np.einsum("ki,kj->kij")``, smaller ones by a broadcast ``np.multiply``,
+whose set-up is cheaper. No index is summed in that einsum, so each entry
+is one product, written as ``0.0 + a[i, k] * b[k, j]``: only the sign of a
+zero product can differ from the multiply's, and that cannot change a sum
+that starts at +0.0.
+
+BLAS (``@``, or an einsum that sums over k) is not used because it blocks
+and vectorises the sum. ``np.add.reduce``/``np.sum`` over k is not used
+because numpy sums pairwise whenever k ends up the innermost axis it
+iterates: on a 1x1 output with k >= 8, and on a one-column output whose
+product is not C-ordered, as the default ``order="K"`` gives when ``a`` is
+C-ordered (the quadratic's 8x8x1 matrix-vector product).
+``np.add.accumulate`` over k adds in order but stores every partial sum,
+k outputs' worth, and is not used either.
 
 Random streams come from ``make_rng`` (PCG64). A given seed produces the
 same stream on every platform numpy supports; Gaussian draws use numpy's
@@ -25,10 +34,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# Most products one multiply in ``matmul`` forms (256 KiB of float64). The
+# Most products one block in ``matmul`` holds (256 KiB of float64). The
 # 32-row training shapes take one block. Larger shapes split along k, not
 # along rows, so the Python loop still runs k adds rather than k per row block.
 _BLOCK = 1 << 15
+# Fewest products for which ``np.einsum`` forms a block faster than a
+# broadcast ``np.multiply``: its set-up costs about 1 us more per call, but
+# its loop runs up to twice as fast per product. The MLP's blocks (4096
+# products and up) take einsum, the quadratic's (64 and 8) the multiply.
+_EINSUM_MIN = 1 << 11
 
 
 def as_matrix(x) -> np.ndarray:
@@ -50,9 +64,11 @@ def matmul(a, b) -> np.ndarray:
     time starting from +0.0, so the result matches a naive triple loop
     bit-for-bit (an all-(-0.0) sum is +0.0, and inf and nan land where
     they do there). The products of up to ``_BLOCK // (n * m)``
-    consecutive k are formed in one broadcast multiply, so the Python loop
-    does one in-place add per k. The product buffer is allocated once per
-    call and holds at most ``max(_BLOCK, n * m)`` elements.
+    consecutive k are formed in one ``np.einsum`` (or, for a block under
+    ``_EINSUM_MIN`` products, one broadcast ``np.multiply``), so the Python
+    loop does one in-place add per k. The product buffer is allocated once
+    per call and holds at most ``max(_BLOCK, n * m)`` elements. The result
+    is a new C-ordered array.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -63,12 +79,17 @@ def matmul(a, b) -> np.ndarray:
     out = np.zeros((n, m))
     step = max(1, min(inner, _BLOCK // max(1, n * m)))
     prod = np.empty((step, n, m))
+    einsum = prod.size >= _EINSUM_MIN
     for k0 in range(0, inner, step):
         a_blk = a[:, k0 : k0 + step].T
+        b_blk = b[k0 : k0 + step]
         p = prod[: len(a_blk)]
-        np.multiply(a_blk[:, :, None], b[k0 : k0 + step, None, :], out=p)
+        if einsum:
+            np.einsum("ki,kj->kij", a_blk, b_blk, out=p)
+        else:
+            np.multiply(a_blk[:, :, None], b_blk[:, None, :], out=p)
         for pk in p:
-            np.add(out, pk, out=out)
+            np.add(out, pk, out)
     return out
 
 

@@ -136,8 +136,12 @@ class TestRun:
 
     def test_telemetry_norms_match_callback(self):
         # grad_clip=0.5: on_step sees the raw gradients, clipped only in post
-        for cfg in (small_cfg(optimizer__name="stable_spam"),
-                    small_cfg(optimizer__grad_clip=0.5)):
+        # (or not, in steps under the threshold). Plain adam has no
+        # transforms, so its post norm is its pre norm; stable_spam's
+        # transforms change the norm in every step.
+        for cfg, post_is_pre in ((small_cfg(optimizer__name="stable_spam"), False),
+                                 (small_cfg(optimizer__grad_clip=0.5), None),
+                                 (small_cfg(optimizer__name="adam"), True)):
             seen = {}
 
             def on_step(step, pre, post):
@@ -149,6 +153,8 @@ class TestRun:
                 pre, post = seen[r.step]
                 assert r.grad_norm_pre == pre
                 assert r.grad_norm_post == post
+                if post_is_pre is not None:
+                    assert (r.grad_norm_post == r.grad_norm_pre) is post_is_pre
 
     def test_stable_spam_reset_flag_at_interval(self):
         cfg = small_cfg(optimizer__name="stable_spam",

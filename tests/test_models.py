@@ -1,10 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stablespam.models import (MlpModel, QuadraticProblem, init_mlp,
+from stablespam.models import (MlpModel, QuadraticProblem, _sigmoid, init_mlp,
                                inject_spikes, make_dataset, make_quadratic,
                                mlp_forward_backward, mlp_loss,
                                quadratic_loss_grad, rmsnorm_fwd_bwd,
@@ -100,6 +101,30 @@ class TestRmsNorm:
 # ---------------------------------------------------------------------------
 # SwiGLU
 # ---------------------------------------------------------------------------
+
+def two_branch_sigmoid(z):
+    """The stable logistic, one masked branch per sign of z."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_two_branch_formula_bitwise(self):
+        # Signed zeros, subnormals, the ends of exp's range (e^-745 is the
+        # least subnormal, e^-800 underflows to 0) and ordinary values.
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                 745.0, -745.0, 800.0, -800.0]
+        z = np.concatenate([edges, make_rng(17).standard_normal(246) * 8.0])
+        z = z.reshape(16, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid(z)
+        assert got.tobytes() == two_branch_sigmoid(z).tobytes()
+
 
 class TestSwiGlu:
     def test_zero_up_projection_gives_zero(self):

@@ -93,8 +93,11 @@ class TestAdaClip:
         assert t_hat == pytest.approx(3.0, rel=1e-12)
 
     def test_nonfinite_errors(self):
-        with pytest.raises(ValueError):
-            adaclip(scalar(math.nan), AdaClipState(), 0.999)
+        for bad in (math.nan, math.inf, -math.inf):
+            g = np.ones((2, 3))
+            g[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite gradient"):
+                adaclip(g, AdaClipState(), 0.999)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# Traced, a workload also checks its span counts: 3 matmuls per quadratic
+# step, 15 matmuls and 8 qdq per MLP forward-backward.
 @pytest.mark.parametrize("workload, trace", [("quadratic_all_opt", "1"),
-                                             ("mlp_int4_spike", "0")])
+                                             ("mlp_int4_spike", "0"),
+                                             ("mlp_int4_spike", "1")])
 def test_workload_runs_correct(workload, trace, tmp_path):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))

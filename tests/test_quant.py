@@ -80,10 +80,11 @@ class TestQdq:
                 assert ov == expected
 
     def test_nonfinite_errors_with_index(self):
-        x = np.zeros((2, 2))
-        x[1, 0] = np.inf
-        with pytest.raises(ValueError, match=r"\(1, 0\)"):
-            qdq(x, QuantSpec(format=QuantFormat.INT4))
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.zeros((2, 2))
+            x[1, 0] = bad
+            with pytest.raises(ValueError, match=r"\(1, 0\)"):
+                qdq(x, QuantSpec(format=QuantFormat.INT4))
 
 
 class TestProperties:

@@ -42,6 +42,16 @@ LAYOUTS = st.sampled_from(["C", "F", "T", "slice"])
 INF, NAN = np.inf, np.nan
 
 
+def special_block():
+    """A 16x8 @ 8x16 product (2048 products, so einsum forms them) of
+    signed zeros with an inf, a -inf, a nan and a row of ones."""
+    a = np.full((16, 8), -0.0)
+    a[3, 2], a[5, 1], a[7, 4] = INF, NAN, -INF
+    a[9] = 1.0
+    b = np.tile([0.0, -1.0, INF, -0.0], (8, 4))
+    return a, b
+
+
 class TestMatmul:
     def test_identity(self):
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
@@ -56,6 +66,8 @@ class TestMatmul:
     # pairwise (seeds 2 and 3 draw sums whose pairwise order rounds
     # differently); (40, 37, 40) ends on a partial block of k, and
     # (192, 3, 192) has more outputs than a block holds, so k goes singly.
+    # The benchmark's shapes and (8, 31, 8) / (8, 32, 8) sit on both sides
+    # of the block size where einsum takes over the products from multiply.
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), k=st.integers(0, 40), m=st.integers(1, 40),
            la=LAYOUTS, lb=LAYOUTS, seed=st.integers(0, 2**32 - 1))
@@ -69,11 +81,21 @@ class TestMatmul:
     @example(n=32, k=32, m=32, la="C", lb="T", seed=7)
     @example(n=40, k=37, m=40, la="F", lb="slice", seed=8)
     @example(n=192, k=3, m=192, la="T", lb="C", seed=9)
+    @example(n=32, k=32, m=4, la="C", lb="T", seed=10)
+    @example(n=4, k=32, m=32, la="T", lb="C", seed=11)
+    @example(n=32, k=32, m=8, la="C", lb="C", seed=12)
+    @example(n=32, k=4, m=32, la="C", lb="C", seed=13)
+    @example(n=8, k=31, m=8, la="C", lb="C", seed=14)
+    @example(n=8, k=32, m=8, la="C", lb="C", seed=15)
     def test_matches_naive_triple_loop_exactly(self, n, k, m, la, lb, seed):
+        # numpy's mean and sum pick pairwise or sequential summation by
+        # memory layout, so callers need the result C-ordered, not just equal.
         rng = make_rng(seed)
         a = operand(rng, n, k, la)
         b = operand(rng, k, m, lb)
-        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+        out = matmul(a, b)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == naive_matmul(a, b).tobytes()
 
     @pytest.mark.parametrize("a, b", [
         # every product is -0.0: the naive sum starts at +0.0 and stays there
@@ -82,7 +104,10 @@ class TestMatmul:
          [[0.0, 1.0], [-1.0, -INF], [2.0, 3.0]]),
         ([[1.0, INF]], [[INF], [-INF]]),
         (np.ones((3, 0)), np.ones((0, 5))),
-    ], ids=["negative-zero", "inf-nan", "inf-minus-inf", "empty-k"])
+        (np.full((16, 8), -0.0), np.arange(-64.0, 64.0).reshape(8, 16)),
+        special_block(),
+    ], ids=["negative-zero", "inf-nan", "inf-minus-inf", "empty-k",
+            "negative-zero-einsum", "inf-nan-einsum"])
     def test_special_values_match_naive(self, a, b):
         # Where two NaNs meet, which one's sign bit survives depends on the
         # operand order the compiled add picks, and numpy's scalar and array
