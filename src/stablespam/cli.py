@@ -219,9 +219,7 @@ def cmd_selftest(args) -> int:
 
     report = selftest.run_selftest()
     for name, ok, detail in report:
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"[{status}] {name}{suffix}")
+        print(f"[PASS] {name}" if ok else f"[FAIL] {name} ({detail})")
     failed = sum(1 for _, ok, _ in report if not ok)
     print(f"{len(report) - failed}/{len(report)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_INTERNAL

@@ -33,7 +33,7 @@ DIVERGENCE_LOSS_CAP = 1e100
 CSV_HEADER = ("step,loss,grad_norm_pre,grad_norm_post,"
               "clipped_fraction,effective_lr,reset,diverged")
 
-# Fig-style LR grid presets: "wide" spans 1e-4..3e-3, "step" is 1e-4..1e-3
+# Fig-style LR grid presets: "wide" spans 1e-4..3e-3, "step" is 1e-4..9e-4
 # in 2e-4 increments.
 LR_GRID_PRESETS = {
     "wide": (1e-4, 3e-4, 1e-3, 3e-3),

@@ -66,10 +66,6 @@ def _sigmoid(z):
     return np.divide(num, 1.0 + ez, out=num)
 
 
-def _silu(z):
-    return z * _sigmoid(z)
-
-
 def rmsnorm_fwd_bwd(x, gain):
     """y = x / sqrt(mean(x^2) + eps) * gain, rowwise; returns (y, backward).
 
@@ -221,24 +217,23 @@ def make_dataset(samples: int, dim: int, classes: int, seed: int) -> SyntheticDa
     """Gaussian-mixture classification set: unit-variance clusters at random
     centers, classes balanced within one sample, reproducible from seed."""
     rng = make_rng(seed)
-    centers = 2.0 * rng.standard_normal((classes, dim))
-    labels = np.arange(samples, dtype=np.int64) % classes
-    labels = labels[rng.permutation(samples)]
-    inputs = centers[labels] + rng.standard_normal((samples, dim))
-    return SyntheticDataset(inputs=inputs, labels=labels, centers=centers)
+    return _sample(2.0 * rng.standard_normal((classes, dim)), samples, rng)
 
 
 def resample_dataset(dataset: SyntheticDataset, samples: int,
                      seed: int) -> SyntheticDataset:
     """Held-out split: same mixture centers, fresh labels and noise."""
-    rng = make_rng(seed)
-    classes = dataset.centers.shape[0]
+    return _sample(dataset.centers, samples, make_rng(seed))
+
+
+def _sample(centers, samples: int, rng) -> SyntheticDataset:
+    """Balanced labels in a random order, each input its center plus unit
+    noise; draws the permutation, then the noise."""
+    classes, dim = centers.shape
     labels = np.arange(samples, dtype=np.int64) % classes
     labels = labels[rng.permutation(samples)]
-    inputs = dataset.centers[labels] + rng.standard_normal(
-        (samples, dataset.centers.shape[1]))
-    return SyntheticDataset(inputs=inputs, labels=labels,
-                            centers=dataset.centers)
+    inputs = centers[labels] + rng.standard_normal((samples, dim))
+    return SyntheticDataset(inputs=inputs, labels=labels, centers=centers)
 
 
 def inject_spikes(batch, probability: float, severity: float, rng) -> np.ndarray:

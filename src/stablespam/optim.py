@@ -26,7 +26,9 @@ plus a base update rule, and is the only way the package runs an optimizer:
 Stable-SPAM is ``compose(["adaclip", "adagn"], Adam-with-MoRet)``, SPAM is
 ``compose(["spike_clip"], Adam-with-reset-and-warmup)`` and Adam+GradClip is
 ``compose(["grad_clip"], Adam)``. ``stablespam.oracles`` holds independent
-references that the tests and ``selftest`` compare these against.
+references that the unit tests compare these against, and so does the check
+table in ``stablespam.selftest``, which serves both ``stablespam selftest``
+and acceptance criteria 1-6 and 10.
 
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 """

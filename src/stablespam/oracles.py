@@ -1,10 +1,11 @@
 """Independent straight-line references for the optimizers and quantizer.
 
-Both the pytest suite and ``stablespam selftest`` compare the library against
-these. They are written directly from the update rules with plain Python
-floats (and numpy arrays for the matrix trace) and import nothing from the
-package, so they stay independent of the code paths they check; a test
-enforces that this module imports only ``math`` and ``numpy``.
+The unit tests and the check table in ``stablespam.selftest``, which serves
+both ``stablespam selftest`` and acceptance criteria 1-6 and 10, compare the
+library against these. They are written directly from the update rules with
+plain Python floats (and numpy arrays for the matrix trace) and import nothing
+from the package, so they stay independent of the code paths they check; a
+test enforces that this module imports only ``math`` and ``numpy``.
 """
 
 import math

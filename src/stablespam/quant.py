@@ -88,8 +88,3 @@ def qdq(x, spec: QuantSpec) -> np.ndarray:
     out[codes == top] = amax
     out[codes == -top] = -amax
     return out
-
-
-def qdq_idempotent_check(x, spec: QuantSpec) -> bool:
-    once = qdq(x, spec)
-    return np.array_equal(qdq(once, spec), once)

@@ -1,27 +1,18 @@
 """Acceptance suite: ten criteria, one printed pass/fail line each.
 
-Criteria 7 and 8 are deterministic desk-scale phenomenology checks (seeded
-runs on the spike-injected INT4 MLP task); the rest are exact property and
-oracle checks.
+Criteria 1-6 and 10 are exact property and oracle checks: each runs entries
+of the check table in ``stablespam.selftest``, the same functions
+``stablespam selftest`` runs. Criteria 7 and 8 are deterministic desk-scale
+phenomenology checks (seeded runs on the spike-injected INT4 MLP task), and
+criterion 9 checks harness determinism.
 """
 
 import math
 import time
 
-import numpy as np
-
-from stablespam import harness, optim, oracles
+from stablespam import selftest
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
-                                ScheduleConfig, SpikeConfig, make_optimizer,
-                                run)
-from stablespam.models import (QuadraticProblem, init_mlp, make_quadratic,
-                               mlp_forward_backward, mlp_loss,
-                               quadratic_loss_grad, rmsnorm_fwd_bwd,
-                               swiglu_fwd_bwd)
-from stablespam.optim import (AdaClipState, AdaGnState, AdamMoments, adaclip,
-                              adagn, adam_step, compose, grad_clip_global)
-from stablespam.quant import QuantFormat, QuantSpec, grid, qdq
-from stablespam.tensor_core import frobenius_norm, make_rng
+                                ScheduleConfig, SpikeConfig, run)
 
 
 def report(num, name, ok, detail=""):
@@ -31,235 +22,51 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num}: {name}{suffix}"
 
 
-def scalar(x):
-    return np.array([[float(x)]])
-
-
-def named_trace(gs, lr, name, **options):
-    """Scalar weight trace of the optimizer that training builds for a
-    config: ``make_optimizer(OptimizerConfig(name=...))``."""
-    opt = make_optimizer(OptimizerConfig(name=name, **options))
-    params = {"w": scalar(0.0)}
-    out = []
-    for step, g in enumerate(gs, start=1):
-        opt.step(params, {"w": scalar(g)}, lr, step)
-        out.append(params["w"][0, 0])
-    return out
+def report_checks(num, name, checks, limit=math.inf):
+    """Criterion ``num`` passes when every ``selftest`` check it names
+    passes, all of them within ``limit`` seconds."""
+    t0 = time.time()
+    results = [check() for check in checks]
+    elapsed = time.time() - t0
+    details = "; ".join(detail for _, detail in results if detail)
+    report(num, name, all(ok for ok, _ in results) and elapsed < limit,
+           f"{details}, {elapsed:.2f}s")
 
 
 def test_criterion_01_oracle_equivalence():
-    gs = [float(g) for g in make_rng(101).standard_normal(100) * 2.0]
-    lr = 0.01
-    t0 = time.time()
-    runs = {
-        "adam": (named_trace(gs, lr, "adam"), oracles.adam_trace(gs, lr)),
-        # the library's default threshold for adam_gradclip is 1.0
-        "adam_gradclip": (named_trace(gs, lr, "adam_gradclip"),
-                          oracles.adam_gradclip_trace(gs, lr, threshold=1.0)),
-        "adafactor": (named_trace(gs, lr, "adafactor"),
-                      oracles.adafactor_trace(gs, lr)),
-        "lion": (named_trace(gs, lr, "lion"), oracles.lion_trace(gs, lr)),
-        "adam_mini": (named_trace(gs, lr, "adam_mini"),
-                      oracles.adam_mini_trace(gs, lr)),
-        "spam": (named_trace(gs, lr, "spam", gss_threshold=2.0,
-                             spam_reset_interval=25, spam_warmup_steps=10),
-                 oracles.spam_trace(gs, lr, theta=2.0, reset_interval=25,
-                                    warmup=10)),
-        "stable_spam": (named_trace(gs, lr, "stable_spam", reset_interval=20),
-                        oracles.stable_spam_trace(gs, lr, interval=20)),
-    }
-    worst = max(max(abs(a - b) for a, b in zip(got, ref))
-                for got, ref in runs.values())
-    elapsed = time.time() - t0
-    report(1, "oracle equivalence for all 7 optimizers",
-           worst <= 1e-12 and elapsed < 1.0,
-           f"max dev {worst:.2e}, {elapsed:.2f}s")
+    report_checks(1, "oracle equivalence for all 7 optimizers", [
+        selftest.check_adam_trace, selftest.check_adafactor_trace,
+        selftest.check_lion_trace, selftest.check_adam_mini_trace,
+        selftest.check_spam_trace, selftest.check_stable_spam_trace],
+        limit=1.0)
 
 
 def test_criterion_02_algorithm_fidelity():
-    rng = make_rng(102)
-    gs = [rng.standard_normal((4, 4)) * (10.0 if i % 17 == 0 else 1.0)
-          for i in range(100)]
-
-    composed = compose(["adaclip", "adagn"], optim.AdamBase(reset_interval=10))
-    params = {"w": np.zeros((4, 4))}
-    reference = oracles.stable_spam_matrix_trace(gs, 0.01, interval=10)
-    identical = True
-    reset_steps = []
-    for step, (g, w) in enumerate(zip(gs, reference), start=1):
-        telemetry = composed.step(params, {"w": g}, 0.01, step)
-        if telemetry.reset:
-            reset_steps.append(step)
-        if not np.array_equal(params["w"], w):
-            identical = False
-            break
-
-    # MoRet zeroing exactly at multiples of the interval
-    resets_ok = reset_steps == list(range(10, 101, 10))
-
-    # bias-corrected constants under a constant gradient
-    c = -2.5
-    clip_state = AdaClipState()
-    mom = AdamMoments.zeros((1, 1))
-    for _ in range(40):
-        adaclip(scalar(c), clip_state, 0.999)
-        adam_step(scalar(0.0), scalar(c), mom, lr=0.01)
-    t_hat = clip_state.t_threshold / (1 - 0.999 ** clip_state.step)
-    m_hat = mom.m[0, 0] / (1 - 0.9 ** mom.step_in_cycle)
-    v_hat = mom.v[0, 0] / (1 - 0.999 ** mom.step_in_cycle)
-    constants_ok = (abs(t_hat - abs(c)) <= 1e-12 * abs(c)
-                    and abs(m_hat - c) <= 1e-12 * abs(c)
-                    and abs(v_hat - c * c) <= 1e-12 * c * c)
-
-    report(2, "compose([adaclip, adagn], Adam+MoRet) == Stable-SPAM oracle",
-           identical and resets_ok and constants_ok,
-           f"bitwise={identical}, resets={reset_steps}")
+    report_checks(
+        2, "compose([adaclip, adagn], Adam+MoRet) == Stable-SPAM oracle",
+        [selftest.check_compose_identity, selftest.check_moret_periodicity])
 
 
 def test_criterion_03_adaclip_worked_trace():
-    state = AdaClipState()
-    adaclip(np.array([[1.0, 0.5]]), state, 0.999)
-    out, _ = adaclip(np.array([[10.0, 0.1]]), state, 0.999)
-    expected = 0.010999 / 0.001999
-    err = abs(out[0, 0] - expected)
-    report(3, "AdaClip two-step worked trace", err <= 1e-9,
-           f"T_hat2 dev {err:.2e}")
+    report_checks(3, "AdaClip two-step worked trace",
+                  [selftest.check_adaclip_bias_correction])
 
 
 def test_criterion_04_adagn_norm_law():
-    rng = make_rng(104)
-    state = AdaGnState()
-    worst = 0.0
-    for step in range(1, 1001):
-        g = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-4, 5)
-        out = adagn(g, state, 0.7, 0.9)
-        mh = state.m_norm / (1 - 0.7 ** step)
-        vh = state.v_norm / (1 - 0.9 ** step)
-        want = mh / (math.sqrt(vh) + 1e-6)
-        worst = max(worst, abs(frobenius_norm(out) - want) / want)
-    law_ok = worst <= 1e-12
-
-    spike_state = AdaGnState()
-    base = make_rng(105).standard_normal((3, 3))
-    base = base / frobenius_norm(base)
-    for _ in range(20):
-        adagn(base, spike_state, 0.7, 0.9)
-    spiked = adagn(10.0 * base, spike_state, 0.7, 0.9)
-    attenuated = frobenius_norm(spiked) < 10.0
-
-    report(4, "AdaGN norm law and spike attenuation", law_ok and attenuated,
-           f"max rel dev {worst:.2e}, spike norm {frobenius_norm(spiked):.3f}")
+    report_checks(4, "AdaGN norm law and spike attenuation",
+                  [selftest.check_adagn_norm_identity])
 
 
 def test_criterion_05_quantizer_properties():
-    t0 = time.time()
-    formats = [QuantFormat.INT2, QuantFormat.INT3, QuantFormat.INT4,
-               QuantFormat.FP4_E1M2]
-    ok = True
-    rng = make_rng(106)
-    for fmt in formats:
-        spec = QuantSpec(format=fmt)
-        xs = rng.standard_normal((10_000, 3, 3)) * \
-            10.0 ** rng.integers(-3, 4, size=(10_000, 1, 1))
-        for x in xs:
-            out = qdq(x, spec)
-            amax = float(np.max(np.abs(x)))
-            if not (np.array_equal(qdq(out, spec), out)
-                    and np.all(np.abs(out) <= amax)
-                    and np.all((out == 0) | (np.sign(out) == np.sign(x)))
-                    and np.max(np.abs(out)) == amax):
-                ok = False
-                break
-        if not ok:
-            break
-    g = list(grid(QuantFormat.FP4_E1M2))
-    mags = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
-    grid_ok = g == sorted([-m for m in mags] + [0.0] + mags)
-    elapsed = time.time() - t0
-    report(5, "quantizer properties on 1e4 matrices per format",
-           ok and grid_ok and elapsed < 10.0, f"{elapsed:.1f}s")
-
-
-def _fd(f, x, h=1e-6):
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy(); xp[idx] += h
-        xm = x.copy(); xm[idx] -= h
-        g[idx] = (f(xp) - f(xm)) / (2 * h)
-    return g
-
-
-def _rel_err(analytic, numeric):
-    scale = max(float(np.max(np.abs(numeric))), 1e-8)
-    return float(np.max(np.abs(analytic - numeric))) / scale
+    report_checks(5, "quantizer properties on 1e4 matrices per format", [
+        selftest.check_quant_idempotence, selftest.check_quant_fp4_grid,
+        selftest.check_quant_absmax_fixed_point], limit=10.0)
 
 
 def test_criterion_06_gradient_checks():
-    t0 = time.time()
-    rng = make_rng(107)
-    worst = 0.0
-
-    for _ in range(5):  # quadratic
-        dim = int(rng.integers(2, 7))
-        p = make_quadratic(dim, rng)
-        _, grad = quadratic_loss_grad(p)
-        fd = _fd(lambda w: quadratic_loss_grad(
-            QuadraticProblem(p.a, p.b, w))[0], p.w)
-        worst = max(worst, _rel_err(grad, fd))
-
-    for _ in range(5):  # rmsnorm
-        rows, cols = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-        x = rng.standard_normal((rows, cols))
-        gain = rng.standard_normal((1, cols))
-        dy = rng.standard_normal((rows, cols))
-        _, bwd = rmsnorm_fwd_bwd(x, gain)
-        dx, dgain = bwd(dy)
-        worst = max(worst, _rel_err(dx, _fd(
-            lambda v: float(np.sum(rmsnorm_fwd_bwd(v, gain)[0] * dy)), x)))
-        worst = max(worst, _rel_err(dgain, _fd(
-            lambda v: float(np.sum(rmsnorm_fwd_bwd(x, v)[0] * dy)), gain)))
-
-    for _ in range(5):  # swiglu
-        rows, din, dout = (int(rng.integers(1, 4)), int(rng.integers(2, 5)),
-                           int(rng.integers(2, 5)))
-        x = rng.standard_normal((rows, din))
-        wg = rng.standard_normal((din, dout))
-        wu = rng.standard_normal((din, dout))
-        dy = rng.standard_normal((rows, dout))
-        _, bwd = swiglu_fwd_bwd(x, wg, wu)
-        dx, dwg, dwu = bwd(dy)
-        worst = max(worst, _rel_err(dx, _fd(
-            lambda v: float(np.sum(swiglu_fwd_bwd(v, wg, wu)[0] * dy)), x)))
-        worst = max(worst, _rel_err(dwg, _fd(
-            lambda v: float(np.sum(swiglu_fwd_bwd(x, v, wu)[0] * dy)), wg)))
-        worst = max(worst, _rel_err(dwu, _fd(
-            lambda v: float(np.sum(swiglu_fwd_bwd(x, wg, v)[0] * dy)), wu)))
-
-    for _ in range(5):  # full MLP, no quantization
-        din = int(rng.integers(3, 6))
-        hidden = int(rng.integers(4, 8))
-        depth = int(rng.integers(1, 3))
-        classes = int(rng.integers(2, 5))
-        model = init_mlp(din, hidden, depth, classes, rng)
-        x = rng.standard_normal((4, din))
-        labels = rng.integers(0, classes, size=4)
-        _, grads = mlp_forward_backward(model, x, labels)
-        for name in model.params:
-            def f(v, name=name):
-                saved = model.params[name]
-                model.params[name] = v
-                out = mlp_loss(model, x, labels)
-                model.params[name] = saved
-                return out
-            worst = max(worst,
-                        _rel_err(grads[name], _fd(f, model.params[name])))
-
-    elapsed = time.time() - t0
-    report(6, "gradient checks vs central finite differences",
-           worst < 1e-5 and elapsed < 30.0,
-           f"max rel err {worst:.2e}, {elapsed:.1f}s")
+    report_checks(6, "gradient checks vs central finite differences", [
+        selftest.check_fd_quadratic, selftest.check_fd_rmsnorm,
+        selftest.check_fd_swiglu, selftest.check_fd_mlp], limit=30.0)
 
 
 SEEDS = (0, 1, 2)
@@ -358,14 +165,5 @@ def test_criterion_09_harness_determinism(tmp_path):
 
 
 def test_criterion_10_gradclip_contract():
-    rng = make_rng(110)
-    worst = 0.0
-    for _ in range(100):
-        n_layers = int(rng.integers(1, 6))
-        layers = [rng.standard_normal((int(rng.integers(1, 5)),
-                                       int(rng.integers(1, 5)))) * 5.0
-                  for _ in range(n_layers)]
-        clipped = grad_clip_global(layers, 1.0)
-        worst = max(worst, harness.global_grad_norm(clipped))
-    report(10, "global gradient norm <= 1 + 1e-12 after clipping",
-           worst <= 1.0 + 1e-12, f"max post-clip norm {worst!r}")
+    report_checks(10, "global gradient norm <= 1 + 1e-12 after clipping",
+                  [selftest.check_grad_clip_norm_bound])

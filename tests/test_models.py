@@ -11,19 +11,8 @@ from stablespam.models import (MlpModel, QuadraticProblem, _sigmoid, init_mlp,
                                quadratic_loss_grad, rmsnorm_fwd_bwd,
                                swiglu_fwd_bwd)
 from stablespam.quant import QuantFormat, QuantSpec, grid
+from stablespam.selftest import finite_difference
 from stablespam.tensor_core import make_rng, matmul
-
-
-def finite_difference(f, x, h=1e-6):
-    """Central differences of a scalar function over a matrix argument."""
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy(); xp[idx] += h
-        xm = x.copy(); xm[idx] -= h
-        g[idx] = (f(xp) - f(xm)) / (2 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,26 @@ class TestMoRet:
             prev = params["w"][0, 0]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("update", [
+    lambda g: adam_step(np.zeros((2, 3)), g, AdamMoments.zeros((2, 3)), 0.01),
+    lambda g: lion_step(np.zeros((2, 3)), g, np.zeros((2, 3)), 0.01),
+    lambda g: adam_mini_step(np.zeros((2, 3)), g, AdamMiniState.zeros((2, 3)),
+                             0.01),
+    lambda g: adafactor_step(np.zeros((2, 3)), g, AdafactorState(), 0.01),
+    lambda g: adagn(g, AdaGnState(), 0.7, 0.9),
+], ids=["adam_step", "lion_step", "adam_mini_step", "adafactor_step", "adagn"])
+def test_nonfinite_gradient_rejected(update, bad):
+    """Public step functions reject a non-finite gradient from a direct
+    caller. ``harness.run`` never passes one: it records a diverged step
+    instead."""
+    g = np.ones((2, 3))
+    g[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        update(g)
+
+
 # ---------------------------------------------------------------------------
 # Step rules vs scalar oracles
 # ---------------------------------------------------------------------------
