@@ -33,15 +33,17 @@ QUANT_FORMATS = (QuantFormat.INT2, QuantFormat.INT3, QuantFormat.INT4,
 def _trace_check(*cases):
     """Scalar weight traces against their references, each case a tuple
     ``(name, options, reference)``. The optimizer ``name`` is built from a
-    config with ``options`` and steps one weight from zero at ``LR`` through
-    100 gradients drawn as N(0, 4) from each trace seed; ``reference(gs, LR)``
+    config with ``options``, which must pass ``RunConfig.validate`` as the
+    CLI's configs do, and steps one weight from zero at ``LR`` through 100
+    gradients drawn as N(0, 4) from each trace seed; ``reference(gs, LR)``
     gives the weights it must reach, to ``TRACE_TOL``."""
     devs = []
     for name, options, reference in cases:
+        ocfg = harness.OptimizerConfig(name=name, **options)
+        harness.RunConfig(optimizer=ocfg).validate()
         for seed in TRACE_SEEDS:
             gs = [float(g) for g in make_rng(seed).standard_normal(100) * 2.0]
-            opt = harness.make_optimizer(
-                harness.OptimizerConfig(name=name, **options))
+            opt = harness.make_optimizer(ocfg)
             params = {"w": np.zeros((1, 1))}
             got = []
             for step, g in enumerate(gs, start=1):
@@ -66,22 +68,32 @@ def check_adam_trace():
 
 
 def check_sgd_quadratic_descent():
-    rng = make_rng(3)
-    problem = models.make_quadratic(6, rng)
+    """50 steps of the config-built ``sgd`` at lr 1e-3 lower the loss of a
+    6-dim quadratic (seed 3)."""
+    problem = models.make_quadratic(6, make_rng(3))
+    opt = harness.make_optimizer(harness.OptimizerConfig(name="sgd"))
+    params = {"w": problem.w}
     loss0, _ = models.quadratic_loss_grad(problem)
-    for _ in range(50):
-        loss, grad = models.quadratic_loss_grad(problem)
-        problem.w = problem.w - 1e-3 * grad
+    for step in range(1, 51):
+        problem.w = params["w"]
+        _, grad = models.quadratic_loss_grad(problem)
+        opt.step(params, {"w": grad}, 1e-3, step)
+    problem.w = params["w"]
     loss1, _ = models.quadratic_loss_grad(problem)
     return loss1 < loss0, f"loss {loss0:.4f} -> {loss1:.4f}"
 
 
 def check_spam_trace():
+    """SPAM with spike threshold 2, warmup 10 and reset 20 or 25; with reset
+    and warmup off and the threshold at 1e300, which nothing reaches, it is
+    Adam. (An infinite threshold is not a valid config.)"""
     return _trace_check(*(
         ("spam", {"spam_reset_interval": k, "spam_warmup_steps": 10,
                   "gss_threshold": 2.0},
          partial(oracles.spam_trace, theta=2.0, reset_interval=k, warmup=10))
-        for k in (20, 25)))
+        for k in (20, 25)), (
+        "spam", {"spam_reset_interval": 0, "spam_warmup_steps": 0,
+                 "gss_threshold": 1e300}, oracles.adam_trace))
 
 
 def check_stable_spam_trace():
@@ -104,26 +116,31 @@ def check_adafactor_trace():
 
 
 def check_adaclip_bias_correction():
-    """AdaClip's worked two-step trace: the second step's bias-corrected
-    threshold is 0.010999 / 0.001999 (to 1e-9), and it clips 1 of 2 entries."""
+    """AdaClip's worked two-step trace: the second step clips its 10.0 to
+    the bias-corrected threshold 0.010999 / 0.001999 (to 1e-12), passes its
+    0.1 through unchanged, and so clips 1 of 2 entries."""
     state = optim.AdaClipState()
     optim.adaclip(np.array([[1.0, 0.5]]), state, 0.999)
     out, frac = optim.adaclip(np.array([[10.0, 0.1]]), state, 0.999)
     err = abs(out[0, 0] - 0.010999 / 0.001999)
-    return err <= 1e-9 and frac == 0.5, f"T_hat2 dev {err:.2e}, clipped {frac}"
+    return (err <= 1e-12 and out[0, 1] == 0.1 and frac == 0.5,
+            f"T_hat2 dev {err:.2e}, clipped {frac}")
 
 
 def check_adagn_norm_identity():
     """AdaGN's output norm equals m_hat / (sqrt(v_hat) + eps) to 1e-12
-    relative on 3x4 gradients whose scale jumps by powers of ten (seed 11:
-    59 steps at 10^-3..10^3; seed 104: 1000 steps at 10^-4..10^4). After 20
-    unit-norm steps, a 10x spike leaves with a norm below 10."""
+    relative on gradients whose scale jumps by powers of ten (3x4, seed 11:
+    59 steps at 10^-3..10^3; 3x4, seed 104: 1000 steps at 10^-4..10^4; 2x5,
+    seed 3: 199 steps at 10^-4..10^4). After 20 unit-norm steps, a 10x spike
+    leaves with a norm below 10."""
     devs = []
-    for seed, steps, exponents in ((11, 59, (-3, 4)), (104, 1000, (-4, 5))):
+    for seed, shape, steps, exponents in ((11, (3, 4), 59, (-3, 4)),
+                                          (104, (3, 4), 1000, (-4, 5)),
+                                          (3, (2, 5), 199, (-4, 5))):
         rng = make_rng(seed)
         state = optim.AdaGnState()
         for step in range(1, steps + 1):
-            g = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(*exponents)
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(*exponents)
             out = optim.adagn(g, state, 0.7, 0.9)
             m_hat = state.m_norm / (1 - 0.7 ** step)
             v_hat = state.v_norm / (1 - 0.9 ** step)
@@ -142,25 +159,33 @@ def check_adagn_norm_identity():
 
 
 def check_moret_periodicity():
-    """AdamBase(reset_interval=10) resets at steps 10, 20 and 30 of 30, and a
-    reset leaves the first moment zero."""
-    base = optim.AdamBase(reset_interval=10)
-    moments = base.state["w"] = optim.AdamMoments.zeros((2, 2))
+    """AdamBase(reset_interval=10) resets at steps 10, 20 and 30 of 30, and
+    AdamBase(reset_interval=1000) at step 1000 of 1000. A reset zeroes both
+    moments and the step count of the cycle; any other step leaves the
+    moments as they were."""
     resets = []
-    for step in range(1, 31):
-        moments.m[...] = 1.0
-        if base.begin_step(step)[0]:
-            resets.append(step)
-            if moments.m.any():
-                return False, f"first moment not zeroed at step {step}"
-    return resets == [10, 20, 30], f"resets at {resets}"
+    for interval, steps in ((10, 30), (1000, 1000)):
+        base = optim.AdamBase(reset_interval=interval)
+        moments = base.state["w"] = optim.AdamMoments.zeros((2, 2))
+        for step in range(1, steps + 1):
+            moments.m[...], moments.v[...] = 1.0, 2.0
+            moments.step_in_cycle = step - 1
+            if base.begin_step(step)[0]:
+                resets.append(step)
+                if moments.m.any() or moments.v.any() or moments.step_in_cycle:
+                    return False, f"moments not zeroed at step {step}"
+            elif not (np.all(moments.m == 1.0) and np.all(moments.v == 2.0)):
+                return False, f"moments changed without a reset at step {step}"
+    return resets == [10, 20, 30, 1000], f"resets at {resets}"
 
 
 def _quant_batches():
     """(format, stacked matrices) for every quantizer check: per format 20
     6x6 N(0, 9) draws (seed 5); for INT4 and E1M2, 20 5x5 N(0, 1) draws
     (seed 6); per format 10^4 3x3 N(0, 1) draws, each scaled by 10^-3..10^3
-    (seed 106)."""
+    (seed 106); per format the same 20 16x16 N(0, 1) draws (seed 23) and a
+    4x4 zero matrix; per format the same 50 5x5 N(0, 1) draws, each scaled
+    by 10^-6..10^6 (seed 29)."""
     rng = make_rng(5)
     for fmt in QUANT_FORMATS:
         yield fmt, rng.standard_normal((20, 6, 6)) * 3.0
@@ -171,6 +196,12 @@ def _quant_batches():
     for fmt in QUANT_FORMATS:
         xs = rng.standard_normal((10_000, 3, 3))
         yield fmt, xs * 10.0 ** rng.integers(-3, 4, size=(10_000, 1, 1))
+    for fmt in QUANT_FORMATS:
+        yield fmt, make_rng(23).standard_normal((20, 16, 16))
+        yield fmt, np.zeros((1, 4, 4))
+        rng = make_rng(29)
+        yield fmt, np.stack([rng.standard_normal((5, 5))
+                             * 10.0 ** rng.integers(-6, 7) for _ in range(50)])
 
 
 def check_quant_idempotence():
@@ -328,11 +359,12 @@ def check_compose_identity():
     """compose(["adaclip", "adagn"], AdamBase(reset_interval=10)) equals
     ``oracles.stable_spam_matrix_trace`` bit for bit on 4x4 N(0, 1) streams
     with a 10x spike every 17th step (seed 20, 60 steps; seed 102, 100
-    steps), and its telemetry reports a reset exactly at multiples of 10.
+    steps; seed 21, 100 steps), and its telemetry reports a reset exactly at
+    multiples of 10.
     After 40 steps of a constant gradient c, AdaClip's bias-corrected
     threshold is |c| and Adam's bias-corrected moments are c and c^2, each
     to 1e-12 relative."""
-    for seed, steps in ((20, 60), (102, 100)):
+    for seed, steps in ((20, 60), (102, 100), (21, 100)):
         rng = make_rng(seed)
         gs = [rng.standard_normal((4, 4)) * (10.0 if i % 17 == 0 else 1.0)
               for i in range(steps)]
@@ -366,10 +398,14 @@ def check_compose_identity():
 
 def check_grad_clip_norm_bound():
     """After grad_clip_global(layers, 1.0) the global norm is at most
-    1 + 1e-12: three 4x4 layers of N(0, 25) (seed 13), and 100 stacks of 1-5
-    layers of random shape up to 4x4, N(0, 25) (seed 110)."""
+    1 + 1e-12: three 4x4 layers of N(0, 25) (seed 13), 100 stacks of four
+    3x3 layers of N(0, 25) (seed 8), and 100 stacks of 1-5 layers of random
+    shape up to 4x4, N(0, 25) (seed 110)."""
     rng = make_rng(13)
     stacks = [[rng.standard_normal((4, 4)) * 5 for _ in range(3)]]
+    rng = make_rng(8)
+    stacks += [[rng.standard_normal((3, 3)) * 5 for _ in range(4)]
+               for _ in range(100)]
     rng = make_rng(110)
     for _ in range(100):
         n_layers = int(rng.integers(1, 6))
@@ -383,13 +419,22 @@ def check_grad_clip_norm_bound():
 
 
 def check_lr_schedule_endpoints():
-    cfg = harness.RunConfig()
-    cfg.schedule.total_steps = 1000
-    cfg.schedule.warmup_steps = 100
-    peak = cfg.schedule.lr_peak
-    got = [harness.lr_schedule(step, cfg) for step in (100, 50, 1000)]
-    return (got[0] == peak and abs(got[1] - 0.5 * peak) < 1e-15
-            and abs(got[2] - 0.1 * peak) <= 1e-12), f"lr at 100/50/1000: {got}"
+    """With warmup w of n steps (100 of 1000, and 10 of 100) at the default
+    peak, the LR is 0 at step 0, half the peak at w/2, exactly the peak at
+    w, and 10% of the peak at n to 1e-12 relative."""
+    details = []
+    ok = True
+    for total, warmup in ((1000, 100), (100, 10)):
+        cfg = harness.RunConfig(schedule=harness.ScheduleConfig(
+            total_steps=total, warmup_steps=warmup))
+        peak = cfg.schedule.lr_peak
+        got = [harness.lr_schedule(step, cfg)
+               for step in (0, warmup // 2, warmup, total)]
+        ok = ok and (got[0] == 0.0 and abs(got[1] - 0.5 * peak) < 1e-15
+                     and got[2] == peak
+                     and abs(got[3] - 0.1 * peak) <= 1e-12 * 0.1 * peak)
+        details.append(f"lr at 0/{warmup // 2}/{warmup}/{total}: {got}")
+    return ok, "; ".join(details)
 
 
 CHECKS = [

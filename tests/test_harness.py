@@ -50,14 +50,6 @@ class TestGlobalGradNorm:
 
 
 class TestLrSchedule:
-    def test_endpoints(self):
-        cfg = small_cfg()
-        cfg.schedule = ScheduleConfig(lr_peak=1e-3, total_steps=100,
-                                      warmup_steps=10)
-        assert lr_schedule(0, cfg) == 0.0
-        assert lr_schedule(10, cfg) == pytest.approx(1e-3, rel=1e-15)
-        assert lr_schedule(100, cfg) == pytest.approx(1e-4, rel=1e-12)
-
     def test_warmup_linear(self):
         cfg = small_cfg()
         cfg.schedule = ScheduleConfig(lr_peak=2e-3, total_steps=100,
@@ -96,7 +88,6 @@ class TestRun:
         assert not result.diverged
 
     def test_deterministic_byte_identical_csv(self, tmp_path):
-        cfg = small_cfg()
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         run(small_cfg(), records_path=str(p1))
@@ -130,9 +121,7 @@ class TestRun:
         assert result.final_val_loss is None
 
     def test_divergence_cap_triggers_before_inf(self):
-        records = [harness.StepRecord(1, DIVERGENCE_LOSS_CAP * 10, 1.0, 1.0,
-                                      0.0, 1e-3, False, False)]
-        assert harness._is_bad(records[0].loss, {})
+        assert harness._is_bad(DIVERGENCE_LOSS_CAP * 10, {})
 
     def test_telemetry_norms_match_callback(self):
         # grad_clip=0.5: on_step sees the raw gradients, clipped only in post

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stablespam import harness, optim, oracles
+from stablespam import harness, optim, oracles, selftest
 from stablespam.harness import OptimizerConfig, make_optimizer
 from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               AdamMiniState, AdamMoments, ConfigError,
@@ -16,21 +16,6 @@ from stablespam.tensor_core import frobenius_norm, make_rng
 
 def scalar(x):
     return np.array([[float(x)]])
-
-
-def random_trace(n=100, seed=42, scale=2.0):
-    return [float(g) for g in make_rng(seed).standard_normal(n) * scale]
-
-
-def named_trace(gs, name, lr=0.01, **options):
-    """Scalar weight trace of a config-built optimizer, plus its telemetry."""
-    opt = make_optimizer(OptimizerConfig(name=name, **options))
-    params = {"w": scalar(0.0)}
-    got, telemetry = [], []
-    for step, g in enumerate(gs, start=1):
-        telemetry.append(opt.step(params, {"w": scalar(g)}, lr, step))
-        got.append(params["w"][0, 0])
-    return got, telemetry, opt
 
 
 def test_oracles_import_only_math_and_numpy():
@@ -45,6 +30,15 @@ def test_oracles_import_only_math_and_numpy():
     assert imported and set(imported) <= {"math", "numpy"}, imported
 
 
+def test_trace_check_fails_on_a_late_nan(monkeypatch):
+    # Python's max() skips a NaN that follows a number; the table must not
+    adam_trace = oracles.adam_trace
+    monkeypatch.setattr(oracles, "adam_trace", lambda gs, *args: (
+        adam_trace(gs, *args)[:1] + [math.nan] * (len(gs) - 1)))
+    ok, _ = selftest.check_adam_trace()
+    assert not ok
+
+
 # ---------------------------------------------------------------------------
 # AdaClip
 # ---------------------------------------------------------------------------
@@ -55,15 +49,6 @@ class TestAdaClip:
         out, frac = adaclip(scalar(2.0), state, 0.999)
         assert out[0, 0] == 2.0
         assert frac == 0.0
-
-    def test_two_step_worked_trace(self):
-        state = AdaClipState()
-        adaclip(np.array([[1.0, 0.5]]), state, 0.999)
-        out, frac = adaclip(np.array([[10.0, 0.1]]), state, 0.999)
-        t_hat = 0.010999 / 0.001999
-        assert out[0, 0] == pytest.approx(t_hat, abs=1e-12)
-        assert out[0, 1] == 0.1
-        assert frac == 0.5
 
     def test_zero_gradient_unchanged(self):
         state = AdaClipState()
@@ -129,17 +114,6 @@ class TestAdaGn:
         assert frobenius_norm(out) == pytest.approx(expected[-1], rel=1e-12)
         assert frobenius_norm(out) < 10.0
 
-    def test_norm_identity_random_scales(self):
-        rng = make_rng(3)
-        state = AdaGnState()
-        for step in range(1, 200):
-            g = rng.standard_normal((2, 5)) * 10.0 ** rng.integers(-4, 5)
-            out = adagn(g, state, 0.7, 0.9)
-            mh = state.m_norm / (1 - 0.7 ** step)
-            vh = state.v_norm / (1 - 0.9 ** step)
-            want = mh / (math.sqrt(vh) + 1e-6)
-            assert frobenius_norm(out) == pytest.approx(want, rel=1e-12)
-
     def test_step1_scale_invariance(self):
         # invariance is only up to the eps term in the denominator
         g = make_rng(4).standard_normal((3, 3))
@@ -161,29 +135,6 @@ class TestAdaGn:
 # ---------------------------------------------------------------------------
 
 class TestMoRet:
-    @staticmethod
-    def _base_with_moments(shape, interval=1000):
-        base = optim.AdamBase(reset_interval=interval)
-        base.state["w"] = AdamMoments.zeros(shape)
-        return base, base.state["w"]
-
-    def test_reset_at_multiple(self):
-        base, moments = self._base_with_moments((2, 2))
-        moments.m[...] = 1.0
-        moments.v[...] = 2.0
-        moments.step_in_cycle = 999
-        reset, _ = base.begin_step(1000)
-        assert reset
-        assert np.all(moments.m == 0) and np.all(moments.v == 0)
-        assert moments.step_in_cycle == 0
-
-    def test_no_reset_off_multiple(self):
-        base, moments = self._base_with_moments((1, 1))
-        moments.m[...] = 1.0
-        reset, _ = base.begin_step(999)
-        assert not reset
-        assert moments.m[0, 0] == 1.0
-
     def test_interval_one_degenerates_to_sign_step(self):
         # every step resets, so the update is always -lr * g/(|g| + eps)
         opt = make_optimizer(OptimizerConfig(name="stable_spam",
@@ -191,7 +142,8 @@ class TestMoRet:
         params = {"w": scalar(0.0)}
         lr = 0.01
         prev = 0.0
-        for step, g in enumerate(random_trace(20, seed=5), start=1):
+        gs = make_rng(5).standard_normal(20) * 2.0
+        for step, g in enumerate(gs, start=1):
             opt.step(params, {"w": scalar(g)}, lr, step)
             # reconstruct the transformed gradient that Adam consumed
             moments_g = opt.base.state["w"].m[0, 0] / (1 - 0.9)
@@ -233,27 +185,15 @@ class TestAdam:
     def test_constant_gradient_magnitude_approaches_lr(self):
         moments = AdamMoments.zeros((1, 1))
         w = scalar(0.0)
-        prev = 0.0
         for _ in range(100):
             w = adam_step(w, scalar(0.5), moments, lr=0.01)
-        assert abs(w[0, 0] - prev * 0) > 0  # moved
+        assert w[0, 0] != 0.0  # moved
         last_update = None
         for _ in range(3):
             before = w[0, 0]
             w = adam_step(w, scalar(0.5), moments, lr=0.01)
             last_update = abs(w[0, 0] - before)
         assert last_update == pytest.approx(0.01, rel=1e-3)
-
-    def test_trace_matches_oracle(self):
-        gs = random_trace(50, seed=6)
-        moments = AdamMoments.zeros((1, 1))
-        w = scalar(0.0)
-        got = []
-        for g in gs:
-            w = adam_step(w, scalar(g), moments, lr=0.01)
-            got.append(w[0, 0])
-        ref = oracles.adam_trace(gs, 0.01)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
 
 
 class TestSpikeClip:
@@ -292,34 +232,12 @@ class TestGradClipGlobal:
         out = grad_clip_global(layers, 1.0)
         assert out[0][0, 0] == 0.5
 
-    def test_norm_bound_random(self):
-        rng = make_rng(8)
-        for _ in range(100):
-            layers = [rng.standard_normal((3, 3)) * 5 for _ in range(4)]
-            out = grad_clip_global(layers, 1.0)
-            assert harness.global_grad_norm(out) <= 1.0 + 1e-12
-
 
 class TestSpam:
     def test_warmup_scale_after_reset(self):
         assert optim.spam_warmup_scale(501, 500, 150) == pytest.approx(1 / 150)
         assert optim.spam_warmup_scale(650, 500, 150) == 1.0
         assert optim.spam_warmup_scale(900, 500, 150) == 1.0
-
-    def test_disabled_components_equal_adam(self):
-        gs = random_trace(60, seed=9)
-        got, _, _ = named_trace(gs, "spam", gss_threshold=math.inf,
-                                spam_reset_interval=0, spam_warmup_steps=0)
-        ref = oracles.adam_trace(gs, 0.01)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
-
-    def test_trace_matches_oracle(self):
-        gs = random_trace(100, seed=10)
-        got, _, _ = named_trace(gs, "spam", gss_threshold=2.0,
-                                spam_reset_interval=25, spam_warmup_steps=10)
-        ref = oracles.spam_trace(gs, 0.01, theta=2.0, reset_interval=25,
-                                 warmup=10)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
 
 
 class TestAdafactor:
@@ -344,17 +262,6 @@ class TestAdafactor:
             assert math.sqrt(float(np.mean(u * u))) <= 1.0 + 1e-12
             w = new_w
 
-    def test_scalar_trace_matches_oracle(self):
-        gs = random_trace(30, seed=12)
-        state = AdafactorState()
-        w = scalar(0.0)
-        got = []
-        for g in gs:
-            w = adafactor_step(w, scalar(g), state, lr=0.01)
-            got.append(w[0, 0])
-        ref = oracles.adafactor_trace(gs, 0.01)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-10
-
 
 class TestLion:
     def test_positive_gradient_moves_down_by_lr(self):
@@ -366,17 +273,6 @@ class TestLion:
         m = np.zeros((1, 1))
         w = lion_step(scalar(1.0), scalar(0.0), m, lr=0.01)
         assert w[0, 0] == 1.0
-
-    def test_trace_matches_oracle(self):
-        gs = random_trace(20, seed=13)
-        m = np.zeros((1, 1))
-        w = scalar(0.0)
-        got = []
-        for g in gs:
-            w = lion_step(w, scalar(g), m, lr=0.01)
-            got.append(w[0, 0])
-        ref = oracles.lion_trace(gs, 0.01)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
 
 
 class TestAdamMini:
@@ -399,17 +295,6 @@ class TestAdamMini:
         expected = -0.1 * g / (math.sqrt(12.5) + 1e-6)
         assert np.allclose(w, expected, rtol=1e-12)
 
-    def test_scalar_trace_matches_oracle(self):
-        gs = random_trace(20, seed=14)
-        state = AdamMiniState.zeros((1, 1))
-        w = scalar(0.0)
-        got = []
-        for g in gs:
-            w = adam_mini_step(w, scalar(g), state, lr=0.01)
-            got.append(w[0, 0])
-        ref = oracles.adam_mini_trace(gs, 0.01)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Stable-SPAM and compose
@@ -417,47 +302,29 @@ class TestAdamMini:
 
 class TestStableSpam:
     def test_first_step_closed_form(self):
-        (w,), _, _ = named_trace([2.0], "stable_spam", lr=0.05)
+        opt = make_optimizer(OptimizerConfig(name="stable_spam"))
+        params = {"w": scalar(0.0)}
+        opt.step(params, {"w": scalar(2.0)}, 0.05, 1)
         # AdaClip no-op; AdaGN gives norm 2/(2+eps); Adam t=1 divides it out
         g_hat = 2.0 / (2.0 + 1e-6)
-        assert w == pytest.approx(-0.05 * g_hat / (g_hat + 1e-6), rel=1e-9)
-
-    def test_trace_matches_oracle(self):
-        gs = random_trace(100, seed=15)
-        got, _, _ = named_trace(gs, "stable_spam", reset_interval=10)
-        ref = oracles.stable_spam_trace(gs, 0.01, interval=10)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
+        assert params["w"][0, 0] == pytest.approx(
+            -0.05 * g_hat / (g_hat + 1e-6), rel=1e-9)
 
     def test_reset_observable_and_moments_zeroed(self):
-        _, telemetry, opt = named_trace([1.0] * 4, "stable_spam",
-                                        reset_interval=5)
-        assert not any(t.reset for t in telemetry)
+        opt = make_optimizer(OptimizerConfig(name="stable_spam",
+                                             reset_interval=5))
+        params = {"w": scalar(0.0)}
+        resets = [opt.step(params, {"w": scalar(1.0)}, 0.01, step).reset
+                  for step in range(1, 5)]
+        assert not any(resets)
         moments = opt.base.state["w"]
         assert moments.m[0, 0] != 0
-        assert opt.step({"w": scalar(0.0)}, {"w": scalar(1.0)}, 1e-3, 5).reset
+        assert opt.step(params, {"w": scalar(1.0)}, 1e-3, 5).reset
         assert moments.step_in_cycle == 1  # zeroed, then one update
-
-    def test_bias_corrected_constants(self):
-        # constant gradient c: m_hat == c, v_hat == c^2, T_hat == |c|
-        c = -2.5
-        clip_state = AdaClipState()
-        gn_state = AdaGnState()
-        mom = AdamMoments.zeros((1, 1))
-        for step in range(1, 40):
-            out, _ = adaclip(scalar(c), clip_state, 0.999)
-            adagn(out, gn_state, 0.7, 0.9)
-            adam_step(scalar(0.0), scalar(c), mom, lr=0.01)
-        t_hat = clip_state.t_threshold / (1 - 0.999 ** clip_state.step)
-        m_hat = mom.m[0, 0] / (1 - 0.9 ** mom.step_in_cycle)
-        v_hat = mom.v[0, 0] / (1 - 0.999 ** mom.step_in_cycle)
-        assert t_hat == pytest.approx(abs(c), rel=1e-12)
-        assert m_hat == pytest.approx(c, rel=1e-12)
-        assert v_hat == pytest.approx(c * c, rel=1e-12)
 
 
 class TestCompose:
-    def _trace(self, opt, gs, shape=(4, 4), seed=20, lr=0.01):
-        rng = make_rng(seed)
+    def _trace(self, opt, gs, shape=(4, 4), lr=0.01):
         params = {"w": np.zeros(shape)}
         out = []
         for step in range(1, len(gs) + 1):
@@ -482,15 +349,6 @@ class TestCompose:
         for i, g in enumerate(gs):
             w = adam_step(w, g, moments, lr=0.01)
             assert np.array_equal(a[i], w)
-
-    def test_stable_spam_identity_bit_for_bit(self):
-        gs = self._matrix_gradients(100)
-        composed = compose(["adaclip", "adagn"],
-                           optim.AdamBase(reset_interval=10))
-        got = self._trace(composed, gs)
-        ref = oracles.stable_spam_matrix_trace(gs, 0.01, interval=10)
-        for i, w in enumerate(ref):
-            assert np.array_equal(got[i], w), f"trace diverges at step {i + 1}"
 
     def test_order_sensitivity_on_spike_trace(self):
         gs = self._matrix_gradients(40)

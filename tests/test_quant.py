@@ -88,14 +88,6 @@ class TestQdq:
 
 
 class TestProperties:
-    @pytest.mark.parametrize("fmt", ALL_FORMATS)
-    def test_idempotence(self, fmt):
-        rng = make_rng(23)
-        spec = QuantSpec(format=fmt)
-        for x in [*rng.standard_normal((20, 16, 16)), np.zeros((4, 4))]:
-            once = qdq(x, spec)
-            assert np.array_equal(qdq(once, spec), once)
-
     @settings(max_examples=60, deadline=None)
     @given(x=arrays(np.float64, (3, 4),
                     elements=st.floats(-100, 100, allow_nan=False)),
@@ -109,16 +101,6 @@ class TestProperties:
         # E1M2's grid is 0.25 x INT4's codes, so absmax scaling cancels it.
         assert qdq(x, QuantSpec(format=QuantFormat.FP4_E1M2)).tobytes() == \
             qdq(x, QuantSpec(format=QuantFormat.INT4)).tobytes()
-
-    @pytest.mark.parametrize("fmt", ALL_FORMATS)
-    def test_absmax_exact_fixed_point(self, fmt):
-        rng = make_rng(29)
-        spec = QuantSpec(format=fmt)
-        for _ in range(50):
-            x = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-6, 7)
-            out = qdq(x, spec)
-            i, j = np.unravel_index(np.argmax(np.abs(x)), x.shape)
-            assert abs(out[i, j]) == float(np.max(np.abs(x)))
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_error_bound(self, fmt):
