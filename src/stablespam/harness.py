@@ -24,9 +24,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import models, optim
-from .optim import ConfigError
+from .optim import ConfigError, global_grad_norm
 from .quant import QuantFormat, QuantSpec
-from .tensor_core import frobenius_norm
 
 DIVERGENCE_LOSS_CAP = 1e100
 
@@ -250,13 +249,6 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
 # ---------------------------------------------------------------------------
 # Metrics and schedule
 # ---------------------------------------------------------------------------
-
-def global_grad_norm(layers) -> float:
-    layers = list(layers)
-    if not layers:
-        raise ValueError("global_grad_norm needs at least one layer")
-    return math.sqrt(sum(frobenius_norm(g) ** 2 for g in layers))
-
 
 def lr_schedule(step: int, cfg: RunConfig) -> float:
     """Linear warmup 0 -> lr_peak, then cosine decay to 10% of lr_peak."""

@@ -25,10 +25,10 @@ simplified Adam-mini that keeps one shared second-moment scalar per tensor.
 plus a base update rule, and is the only way the package runs an optimizer:
 Stable-SPAM is ``compose(["adaclip", "adagn"], Adam-with-MoRet)``, SPAM is
 ``compose(["spike_clip"], Adam-with-reset-and-warmup)`` and Adam+GradClip is
-``compose(["grad_clip"], Adam)``. ``stablespam.oracles`` holds independent
-references that the unit tests compare these against, and so does the check
-table in ``stablespam.selftest``, which serves both ``stablespam selftest``
-and acceptance criteria 1-6 and 10.
+``compose(["grad_clip"], Adam)``. ``stablespam.oracles`` holds an independent
+reference for each rule, which the check table in ``stablespam.selftest``
+compares these against; the table serves both ``stablespam selftest`` and
+acceptance criteria 1-6 and 10.
 
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 """
@@ -164,11 +164,19 @@ def spike_clip(g, v, theta: float) -> np.ndarray:
     return out
 
 
+def global_grad_norm(layers) -> float:
+    """The norm of all layers taken together as one vector."""
+    layers = list(layers)
+    if not layers:
+        raise ValueError("global_grad_norm needs at least one layer")
+    return math.sqrt(sum(frobenius_norm(g) ** 2 for g in layers))
+
+
 def grad_clip_global(g_layers, threshold: float):
     """Scale all layers by threshold/N when the global norm N exceeds it."""
     if threshold <= 0:
         raise ValueError("grad clip threshold must be positive")
-    total = math.sqrt(sum(frobenius_norm(g) ** 2 for g in g_layers))
+    total = global_grad_norm(g_layers)
     if total <= threshold:
         return [as_matrix(g).copy() for g in g_layers]
     factor = threshold / total
@@ -343,7 +351,7 @@ class AdamBase(_Base):
         return self._moments(name, shape).v
 
     def update(self, name, w, g, lr):
-        moments = self._moments(name, np.shape(w))
+        moments = self._moments(name, np.shape(as_matrix(w)))
         return adam_step(w, g, moments, lr, self.beta1, self.beta2, self.eps)
 
 

@@ -14,7 +14,7 @@ training uses, so a regression in the library shows up as a trace mismatch.
 
 from __future__ import annotations
 
-import math
+import itertools
 from functools import partial
 
 import numpy as np
@@ -25,31 +25,34 @@ from .tensor_core import frobenius_norm, make_rng, max_abs
 
 TRACE_TOL = 1e-12
 TRACE_SEEDS = (7, 101)
+# A scalar, the shape of the MLP's gains, and a non-square matrix
+TRACE_SHAPES = ((1, 1), (1, 4), (3, 4))
 LR = 0.01
 QUANT_FORMATS = (QuantFormat.INT2, QuantFormat.INT3, QuantFormat.INT4,
                  QuantFormat.FP4_E1M2)
 
 
 def _trace_check(*cases):
-    """Scalar weight traces against their references, each case a tuple
-    ``(name, options, reference)``. The optimizer ``name`` is built from a
-    config with ``options``, which must pass ``RunConfig.validate`` as the
-    CLI's configs do, and steps one weight from zero at ``LR`` through 100
-    gradients drawn as N(0, 4) from each trace seed; ``reference(gs, LR)``
-    gives the weights it must reach, to ``TRACE_TOL``."""
+    """Weight traces against their references, each case a tuple ``(name,
+    options, reference)``. The optimizer ``name`` is built from a config
+    with ``options``, which must pass ``RunConfig.validate`` as the CLI's
+    configs do, and steps a weight of each shape in ``TRACE_SHAPES`` from
+    zero at ``LR`` through 100 gradients drawn as N(0, 4) from each trace
+    seed; ``reference(gs, LR)`` gives the weights it must reach, to
+    ``TRACE_TOL``."""
     devs = []
     for name, options, reference in cases:
         ocfg = harness.OptimizerConfig(name=name, **options)
         harness.RunConfig(optimizer=ocfg).validate()
-        for seed in TRACE_SEEDS:
-            gs = [float(g) for g in make_rng(seed).standard_normal(100) * 2.0]
+        for seed, shape in itertools.product(TRACE_SEEDS, TRACE_SHAPES):
+            gs = make_rng(seed).standard_normal((100, *shape)) * 2.0
             opt = harness.make_optimizer(ocfg)
-            params = {"w": np.zeros((1, 1))}
+            params = {"w": np.zeros(shape)}
             got = []
             for step, g in enumerate(gs, start=1):
-                opt.step(params, {"w": np.array([[g]])}, LR, step)
-                got.append(params["w"][0, 0])
-            devs.append(np.abs(np.subtract(got, reference(gs, LR))))
+                opt.step(params, {"w": g}, LR, step)
+                got.append(params["w"])
+            devs.append(np.max(np.abs(np.subtract(got, reference(gs, LR)))))
     worst = float(np.max(devs))  # a NaN anywhere makes it NaN and fails
     names = "/".join(dict.fromkeys(name for name, _, _ in cases))
     return worst <= TRACE_TOL, f"{names} max dev {worst:.2e}"
@@ -128,34 +131,37 @@ def check_adaclip_bias_correction():
 
 
 def check_adagn_norm_identity():
-    """AdaGN's output norm equals m_hat / (sqrt(v_hat) + eps) to 1e-12
-    relative on gradients whose scale jumps by powers of ten (3x4, seed 11:
-    59 steps at 10^-3..10^3; 3x4, seed 104: 1000 steps at 10^-4..10^4; 2x5,
-    seed 3: 199 steps at 10^-4..10^4). After 20 unit-norm steps, a 10x spike
-    leaves with a norm below 10."""
-    devs = []
+    """AdaGN's output norms equal ``oracles.adagn_norm_trace`` over the
+    input norms to 1e-12 relative: on gradients whose scale jumps by powers
+    of ten (3x4, seed 11: 59 steps at 10^-3..10^3; 3x4, seed 104: 1000
+    steps at 10^-4..10^4; 2x5, seed 3: 199 steps at 10^-4..10^4), and on two
+    spikes, each of which must leave with a norm below 10: a 3x3 of unit
+    norm (seed 105) 20 times and then 10 times it, and [[1, 0]] 9 times and
+    then [[10, 0]]."""
+    streams = []
     for seed, shape, steps, exponents in ((11, (3, 4), 59, (-3, 4)),
                                           (104, (3, 4), 1000, (-4, 5)),
                                           (3, (2, 5), 199, (-4, 5))):
         rng = make_rng(seed)
-        state = optim.AdaGnState()
-        for step in range(1, steps + 1):
-            g = rng.standard_normal(shape) * 10.0 ** rng.integers(*exponents)
-            out = optim.adagn(g, state, 0.7, 0.9)
-            m_hat = state.m_norm / (1 - 0.7 ** step)
-            v_hat = state.v_norm / (1 - 0.9 ** step)
-            want = m_hat / (math.sqrt(v_hat) + 1e-6)
-            devs.append(abs(frobenius_norm(out) - want) / want)
-    worst = float(np.max(devs))
-
-    state = optim.AdaGnState()
+        streams.append([rng.standard_normal(shape)
+                        * 10.0 ** rng.integers(*exponents)
+                        for _ in range(steps)])
     unit = make_rng(105).standard_normal((3, 3))
     unit = unit / frobenius_norm(unit)
-    for _ in range(20):
-        optim.adagn(unit, state, 0.7, 0.9)
-    spike = frobenius_norm(optim.adagn(10.0 * unit, state, 0.7, 0.9))
-    return (worst <= 1e-12 and spike < 10.0,
-            f"max rel dev {worst:.2e}, spike norm {spike:.3f}")
+    spikes = [[unit] * 20 + [10.0 * unit],
+              [np.array([[n, 0.0]]) for n in [1.0] * 9 + [10.0]]]
+    devs, spike_norms = [], []
+    for gs in streams + spikes:
+        state = optim.AdaGnState()
+        got = [frobenius_norm(optim.adagn(g, state, 0.7, 0.9)) for g in gs]
+        want = np.array(oracles.adagn_norm_trace(
+            [np.sqrt(np.sum(g * g)) for g in gs], 0.7, 0.9))
+        devs.append(np.max(np.abs(got - want) / want))
+        spike_norms.append(got[-1])
+    worst = float(np.max(devs))
+    spike_norms = spike_norms[len(streams):]
+    return (worst <= 1e-12 and max(spike_norms) < 10.0,
+            f"max rel dev {worst:.2e}, spike norms {np.round(spike_norms, 3)}")
 
 
 def check_moret_periodicity():
@@ -316,12 +322,12 @@ def _random_shapes():
 
 
 def _gradient_check(model, fixed, tol):
-    """Analytic gradients of one model against central differences, on the
-    ``fixed`` arguments and on the model's five random shapes. Each
+    """Analytic gradients of one model against central differences, on each
+    argument tuple in ``fixed`` and on the model's five random shapes. Each
     gradient is checked at steps 1e-6 and 1e-5 * max(1, max|x|); the error
     is relative to the largest numeric entry and must be below ``tol``."""
     errs = []
-    for args in [fixed] + [a for kind, a in _random_shapes() if kind == model]:
+    for args in fixed + [a for kind, a in _random_shapes() if kind == model]:
         for f, x, analytic in _PROBLEMS[model](*args):
             for h in (1e-6, 1e-5 * max(1.0, max_abs(x))):
                 num = finite_difference(f, x, h)
@@ -330,34 +336,48 @@ def _gradient_check(model, fixed, tol):
     return worst < tol, f"{model} max rel err {worst:.2e}"
 
 
+def _layer_args(seed, *shapes):
+    """A layer's arguments and the upstream gradient ``dy``, of the given
+    shapes (``dy``'s last), drawn in that order as N(0, 1) from one seed."""
+    rng = make_rng(seed)
+    *args, dy = [rng.standard_normal(shape) for shape in shapes]
+    return args, dy
+
+
+# Each tolerance also bounds the absolute error at h = 1e-6 on every fixed
+# input, by 1e-6 for the quadratic and 1e-7 for the others: the tolerance
+# times the input's largest numeric gradient entry stays below that bound.
+
 def check_fd_quadratic():
-    return _gradient_check("quadratic",
-                           (models.make_quadratic(5, make_rng(8)),), 1e-7)
+    return _gradient_check("quadratic", [
+        (models.make_quadratic(5, make_rng(8)),),
+        (models.make_quadratic(5, make_rng(2)),)], 1e-7)
 
 
 def check_fd_rmsnorm():
-    rng = make_rng(9)
-    fixed = ([rng.standard_normal((3, 8)), rng.standard_normal((1, 8))],
-             rng.standard_normal((3, 8)))
-    return _gradient_check("rmsnorm", fixed, 1e-6)
+    return _gradient_check("rmsnorm", [
+        _layer_args(9, (3, 8), (1, 8), (3, 8)),
+        _layer_args(4, (3, 5), (1, 5), (3, 5))], 1e-8)
 
 
 def check_fd_swiglu():
-    rng = make_rng(10)
-    fixed = ([rng.standard_normal((4, 5)), rng.standard_normal((5, 6)),
-              rng.standard_normal((5, 6))], rng.standard_normal((4, 6)))
-    return _gradient_check("swiglu", fixed, 1e-6)
+    return _gradient_check("swiglu", [
+        _layer_args(10, (4, 5), (5, 6), (5, 6), (4, 6)),
+        _layer_args(6, (3, 4), (4, 5), (4, 5), (3, 5))], 3e-9)
 
 
 def check_fd_mlp():
-    model = models.init_mlp(5, 6, 2, 3, make_rng(12))
     data = models.make_dataset(8, 5, 3, seed=1)
-    return _gradient_check("mlp", (model, data.inputs, data.labels), 1e-5)
+    return _gradient_check("mlp", [
+        (models.init_mlp(5, 6, 2, 3, make_rng(12)), data.inputs, data.labels),
+        (models.init_mlp(6, 8, 2, 3, make_rng(9)),
+         make_rng(10).standard_normal((5, 6)), np.array([0, 1, 2, 0, 1]))],
+        1e-7)
 
 
 def check_compose_identity():
     """compose(["adaclip", "adagn"], AdamBase(reset_interval=10)) equals
-    ``oracles.stable_spam_matrix_trace`` bit for bit on 4x4 N(0, 1) streams
+    ``oracles.stable_spam_trace`` bit for bit on 4x4 N(0, 1) streams
     with a 10x spike every 17th step (seed 20, 60 steps; seed 102, 100
     steps; seed 21, 100 steps), and its telemetry reports a reset exactly at
     multiples of 10.
@@ -371,7 +391,7 @@ def check_compose_identity():
         composed = optim.compose(["adaclip", "adagn"],
                                  optim.AdamBase(reset_interval=10))
         params = {"w": np.zeros((4, 4))}
-        ref = oracles.stable_spam_matrix_trace(gs, LR, interval=10)
+        ref = oracles.stable_spam_trace(gs, LR, interval=10)
         resets = []
         for step, (g, want) in enumerate(zip(gs, ref), start=1):
             if composed.step(params, {"w": g}, LR, step).reset:
@@ -438,13 +458,13 @@ def check_lr_schedule_endpoints():
 
 
 CHECKS = [
-    ("adam scalar trace vs reference", check_adam_trace),
+    ("adam trace vs reference", check_adam_trace),
     ("sgd decreases quadratic loss", check_sgd_quadratic_descent),
-    ("spam scalar trace vs reference", check_spam_trace),
-    ("stable_spam scalar trace vs reference", check_stable_spam_trace),
-    ("lion scalar trace vs reference", check_lion_trace),
-    ("adam_mini scalar trace vs reference", check_adam_mini_trace),
-    ("adafactor scalar trace vs reference", check_adafactor_trace),
+    ("spam trace vs reference", check_spam_trace),
+    ("stable_spam trace vs reference", check_stable_spam_trace),
+    ("lion trace vs reference", check_lion_trace),
+    ("adam_mini trace vs reference", check_adam_mini_trace),
+    ("adafactor trace vs reference", check_adafactor_trace),
     ("adaclip bias-corrected threshold", check_adaclip_bias_correction),
     ("adagn output-norm identity", check_adagn_norm_identity),
     ("moret reset periodicity", check_moret_periodicity),

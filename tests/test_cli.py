@@ -386,13 +386,13 @@ class TestCommands:
 
 
 SELFTEST_CHECKS = [
-    "adam scalar trace vs reference",
+    "adam trace vs reference",
     "sgd decreases quadratic loss",
-    "spam scalar trace vs reference",
-    "stable_spam scalar trace vs reference",
-    "lion scalar trace vs reference",
-    "adam_mini scalar trace vs reference",
-    "adafactor scalar trace vs reference",
+    "spam trace vs reference",
+    "stable_spam trace vs reference",
+    "lion trace vs reference",
+    "adam_mini trace vs reference",
+    "adafactor trace vs reference",
     "adaclip bias-corrected threshold",
     "adagn output-norm identity",
     "moret reset periodicity",

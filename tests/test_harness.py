@@ -35,14 +35,14 @@ class TestGlobalGradNorm:
     def test_single_layer_is_frobenius(self):
         g = make_rng(0).standard_normal((3, 3))
         assert global_grad_norm([g]) == pytest.approx(
-            float(np.linalg.norm(g)), rel=1e-12)
+            float(np.linalg.norm(g)), rel=1e-12, abs=0)
 
     def test_matches_flattened_oracle(self):
         rng = make_rng(1)
         layers = [rng.standard_normal((2, 3)) for _ in range(5)]
         flat = np.concatenate([g.ravel() for g in layers])
         assert global_grad_norm(layers) == pytest.approx(
-            float(np.linalg.norm(flat)), rel=1e-12)
+            float(np.linalg.norm(flat)), rel=1e-12, abs=0)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -56,13 +56,13 @@ class TestLrSchedule:
                                       warmup_steps=10)
         for step in range(11):
             assert lr_schedule(step, cfg) == pytest.approx(
-                2e-3 * step / 10, rel=1e-15)
+                2e-3 * step / 10, rel=1e-15, abs=0)
 
     def test_default_warmup_is_ten_percent(self):
         cfg = small_cfg()
         cfg.schedule = ScheduleConfig(lr_peak=1e-3, total_steps=500)
         assert cfg.resolved_warmup() == 50
-        assert lr_schedule(50, cfg) == pytest.approx(1e-3, rel=1e-15)
+        assert lr_schedule(50, cfg) == pytest.approx(1e-3, rel=1e-15, abs=0)
 
     def test_monotone_decay_after_warmup(self):
         cfg = small_cfg()
@@ -165,7 +165,7 @@ class TestRun:
         result = run(cfg)
         r11 = result.records[10]  # step 11, first after the reset at 10
         assert r11.effective_lr == pytest.approx(
-            lr_schedule(11, cfg) * (1.0 / 5.0), rel=1e-15)
+            lr_schedule(11, cfg) * (1.0 / 5.0), rel=1e-15, abs=0)
 
     def test_invalid_config_raises_configerror(self):
         cfg = small_cfg()

@@ -31,10 +31,17 @@ def test_oracles_import_only_math_and_numpy():
 
 
 def test_trace_check_fails_on_a_late_nan(monkeypatch):
-    # Python's max() skips a NaN that follows a number; the table must not
+    # Python's max() skips a NaN that follows a number; the table must not.
+    # The NaN comes at the last step, and not in the first (1x1) trace.
     adam_trace = oracles.adam_trace
-    monkeypatch.setattr(oracles, "adam_trace", lambda gs, *args: (
-        adam_trace(gs, *args)[:1] + [math.nan] * (len(gs) - 1)))
+
+    def late_nan(gs, *args):
+        ref = adam_trace(gs, *args)
+        if np.size(gs[0]) > 1:
+            ref[-1] = np.full_like(ref[-1], math.nan)
+        return ref
+
+    monkeypatch.setattr(oracles, "adam_trace", late_nan)
     ok, _ = selftest.check_adam_trace()
     assert not ok
 
@@ -68,14 +75,14 @@ class TestAdaClip:
             assert np.all(np.abs(out[mask]) <= t_hat * (1 + 1e-12))
             if mask.any() and gmax > t_hat:
                 i, j = np.unravel_index(np.argmax(np.abs(g)), g.shape)
-                assert abs(out[i, j]) == pytest.approx(t_hat, rel=1e-12)
+                assert abs(out[i, j]) == pytest.approx(t_hat, rel=1e-12, abs=0)
 
     def test_constant_gradient_threshold_bias_exact(self):
         state = AdaClipState()
         for _ in range(30):
             adaclip(scalar(3.0), state, 0.999)
         t_hat = state.t_threshold / (1 - 0.999 ** state.step)
-        assert t_hat == pytest.approx(3.0, rel=1e-12)
+        assert t_hat == pytest.approx(3.0, rel=1e-12, abs=0)
 
     def test_nonfinite_errors(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -94,7 +101,8 @@ class TestAdaGn:
         g = make_rng(2).standard_normal((3, 3))
         out = adagn(g, AdaGnState(), 0.7, 0.9)
         c = frobenius_norm(g)
-        assert frobenius_norm(out) == pytest.approx(c / (c + 1e-6), rel=1e-12)
+        assert frobenius_norm(out) == pytest.approx(c / (c + 1e-6),
+                                                    rel=1e-12, abs=0)
 
     def test_constant_norm_stream(self):
         state = AdaGnState()
@@ -102,17 +110,7 @@ class TestAdaGn:
         for _ in range(20):
             out = adagn(g, state, 0.7, 0.9)
             assert frobenius_norm(out) == pytest.approx(5.0 / (5.0 + 1e-6),
-                                                        rel=1e-12)
-
-    def test_spike_attenuated_against_scalar_trace(self):
-        norms = [1.0] * 9 + [10.0]
-        expected = oracles.adagn_norm_trace(norms, 0.7, 0.9)
-        state = AdaGnState()
-        base = np.array([[1.0, 0.0]])
-        for n in norms:
-            out = adagn(base * n, state, 0.7, 0.9)
-        assert frobenius_norm(out) == pytest.approx(expected[-1], rel=1e-12)
-        assert frobenius_norm(out) < 10.0
+                                                        rel=1e-12, abs=0)
 
     def test_step1_scale_invariance(self):
         # invariance is only up to the eps term in the denominator
@@ -127,7 +125,8 @@ class TestAdaGn:
         out = adagn(np.zeros((1, 1)), state, 0.7, 0.9)
         assert out[0, 0] == 0.0
         assert state.step == 2
-        assert state.m_norm == pytest.approx(0.7 * (0.3 * 5.0), rel=1e-12)
+        assert state.m_norm == pytest.approx(0.7 * (0.3 * 5.0), rel=1e-12,
+                                             abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +171,25 @@ def test_nonfinite_gradient_rejected(update, bad):
         update(g)
 
 
+@pytest.mark.parametrize("base", [optim.SgdBase, optim.AdamBase,
+                                  optim.LionBase, optim.AdamMiniBase,
+                                  optim.AdafactorBase])
+def test_vector_weight_updates_as_a_row(base):
+    g = np.array([1.0, -2.0, 3.0])
+    row = base().update("w", np.zeros((1, 3)), g[None], 0.1)
+    assert np.array_equal(base().update("w", np.zeros(3), g, 0.1), row)
+
+
 # ---------------------------------------------------------------------------
-# Step rules vs scalar oracles
+# Step rules
 # ---------------------------------------------------------------------------
 
 class TestAdam:
     def test_first_step_closed_form(self):
         moments = AdamMoments.zeros((1, 1))
         w = adam_step(scalar(0.0), scalar(3.0), moments, lr=0.1)
-        assert w[0, 0] == pytest.approx(-0.1 * 3.0 / (3.0 + 1e-6), rel=1e-12)
+        assert w[0, 0] == pytest.approx(-0.1 * 3.0 / (3.0 + 1e-6),
+                                        rel=1e-12, abs=0)
 
     def test_constant_gradient_magnitude_approaches_lr(self):
         moments = AdamMoments.zeros((1, 1))
@@ -199,7 +208,7 @@ class TestAdam:
 class TestSpikeClip:
     def test_worked_example(self):
         out = spike_clip(scalar(100.0), scalar(1.0), 5000.0)
-        assert out[0, 0] == pytest.approx(math.sqrt(5000.0), rel=1e-12)
+        assert out[0, 0] == pytest.approx(math.sqrt(5000.0), rel=1e-12, abs=0)
 
     def test_below_threshold_unchanged(self):
         out = spike_clip(scalar(1.0), scalar(1.0), 5000.0)
@@ -224,8 +233,9 @@ class TestGradClipGlobal:
     def test_three_four_five(self):
         layers = [np.array([[3.0]]), np.array([[4.0]])]
         out = grad_clip_global(layers, 1.0)
-        assert out[0][0, 0] == pytest.approx(0.6, rel=1e-12)
-        assert harness.global_grad_norm(out) == pytest.approx(1.0, rel=1e-12)
+        assert out[0][0, 0] == pytest.approx(0.6, rel=1e-12, abs=0)
+        assert harness.global_grad_norm(out) == pytest.approx(1.0, rel=1e-12,
+                                                              abs=0)
 
     def test_below_threshold_unchanged(self):
         layers = [np.array([[0.5]])]
@@ -267,7 +277,7 @@ class TestLion:
     def test_positive_gradient_moves_down_by_lr(self):
         m = np.zeros((1, 1))
         w = lion_step(scalar(1.0), scalar(0.5), m, lr=0.01)
-        assert w[0, 0] == pytest.approx(1.0 - 0.01, rel=1e-15)
+        assert w[0, 0] == pytest.approx(1.0 - 0.01, rel=1e-15, abs=0)
 
     def test_zero_gradient_zero_momentum_no_move(self):
         m = np.zeros((1, 1))

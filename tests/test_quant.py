@@ -39,8 +39,8 @@ class TestQdq:
         # codes 7, -4 (tie -3.5 to even), 2 (1.75 rounds up)
         scale = 1.0 / 7.0
         assert out[0, 0] == 1.0
-        assert out[0, 1] == pytest.approx(-4 * scale, rel=1e-15)
-        assert out[0, 2] == pytest.approx(2 * scale, rel=1e-15)
+        assert out[0, 1] == pytest.approx(-4 * scale, rel=1e-15, abs=0)
+        assert out[0, 2] == pytest.approx(2 * scale, rel=1e-15, abs=0)
 
     def test_fp4_tie_goes_to_even_code(self):
         out = qdq(np.array([[1.75, 0.875]]), QuantSpec(format=QuantFormat.FP4_E1M2))
