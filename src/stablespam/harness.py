@@ -299,8 +299,9 @@ def run(cfg: RunConfig, records_path: str | None = None,
         on_step=None) -> RunResult:
     """Execute one training run; optionally write the telemetry CSV.
 
-    ``on_step(step, grads_pre, grads_post)`` is an instrumentation hook used
-    by tests to cross-check recorded norms.
+    ``on_step(step, grads_pre, grads_post)`` is an instrumentation hook: the
+    tests use it to cross-check recorded norms, and the benchmark's
+    ``StepClock`` (``perfbench/run.py``) to time each step.
     """
     cfg.validate()
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)

@@ -15,6 +15,15 @@ import math
 import numpy as np
 
 
+def sgd_trace(gs, lr):
+    w = np.zeros(np.shape(gs[0]))
+    out = []
+    for g in gs:
+        w = w - lr * g
+        out.append(w)
+    return out
+
+
 def adam_trace(gs, lr, b1=0.9, b2=0.999, eps=1e-6):
     w = np.zeros(np.shape(gs[0]))
     m, v = np.zeros_like(w), np.zeros_like(w)

@@ -2,9 +2,10 @@
 
 Criteria 1-6 and 10 are exact property and oracle checks: each runs entries
 of the check table in ``stablespam.selftest``, the same functions
-``stablespam selftest`` runs. Criteria 7 and 8 are deterministic desk-scale
-phenomenology checks (seeded runs on the spike-injected INT4 MLP task), and
-criterion 9 checks harness determinism.
+``stablespam selftest`` runs. Between them they run every entry once, but
+for ``lr schedule endpoints`` (``tests/test_harness.py``). Criteria 7 and 8
+are deterministic desk-scale phenomenology checks (seeded runs on the
+spike-injected INT4 MLP task), and criterion 9 checks harness determinism.
 """
 
 import math
@@ -34,8 +35,9 @@ def report_checks(num, name, checks, limit=math.inf):
 
 
 def test_criterion_01_oracle_equivalence():
-    report_checks(1, "oracle equivalence for all 7 optimizers", [
-        selftest.check_adam_trace, selftest.check_adafactor_trace,
+    report_checks(1, "bitwise oracle equivalence for all 8 optimizers", [
+        selftest.check_adam_trace, selftest.check_sgd_trace,
+        selftest.check_adafactor_trace,
         selftest.check_lion_trace, selftest.check_adam_mini_trace,
         selftest.check_spam_trace, selftest.check_stable_spam_trace],
         limit=1.0)
@@ -43,8 +45,9 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_algorithm_fidelity():
     report_checks(
-        2, "compose([adaclip, adagn], Adam+MoRet) == Stable-SPAM oracle",
-        [selftest.check_compose_identity, selftest.check_moret_periodicity])
+        2, "MoRet periodicity and bias correction on a constant gradient",
+        [selftest.check_moret_periodicity,
+         selftest.check_constant_gradient_bias_correction])
 
 
 def test_criterion_03_adaclip_worked_trace():
@@ -60,7 +63,8 @@ def test_criterion_04_adagn_norm_law():
 def test_criterion_05_quantizer_properties():
     report_checks(5, "quantizer properties on 1e4 matrices per format", [
         selftest.check_quant_idempotence, selftest.check_quant_fp4_grid,
-        selftest.check_quant_absmax_fixed_point], limit=10.0)
+        selftest.check_quant_absmax_fixed_point,
+        selftest.check_quant_grid_snap], limit=10.0)
 
 
 def test_criterion_06_gradient_checks():

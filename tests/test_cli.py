@@ -387,7 +387,7 @@ class TestCommands:
 
 SELFTEST_CHECKS = [
     "adam trace vs reference",
-    "sgd decreases quadratic loss",
+    "sgd trace vs reference",
     "spam trace vs reference",
     "stable_spam trace vs reference",
     "lion trace vs reference",
@@ -399,50 +399,58 @@ SELFTEST_CHECKS = [
     "quantizer idempotence",
     "fp4 e1m2 grid values",
     "quantizer absmax fixed point",
+    "quantizer rounds to nearest, ties to even",
     "finite differences: quadratic",
     "finite differences: rmsnorm",
     "finite differences: swiglu",
     "finite differences: mlp",
-    "compose stable_spam bitwise vs matrix oracle",
+    "bias correction on a constant gradient",
     "global grad clip norm bound",
     "lr schedule endpoints",
 ]
 
 
-@pytest.fixture(scope="class")
-def selftest_output():
-    """Exit code and stdout of one ``stablespam selftest`` run, which the
-    tests that expect a pass share."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["selftest"])
-    return code, out.getvalue()
+def run_selftest_on(checks, monkeypatch, capsys):
+    """Exit code and printed lines of ``stablespam selftest`` with ``checks``
+    in place of the real table, whose entries the acceptance criteria run."""
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    code = main(["selftest"])
+    return code, capsys.readouterr().out.splitlines()
 
 
 class TestSelftest:
-    def test_passes_and_prints_lines(self, selftest_output):
-        code, out = selftest_output
+    def test_passes_and_prints_lines(self, monkeypatch, capsys):
+        code, lines = run_selftest_on([("first", lambda: (True, "dev 0")),
+                                       ("second", lambda: (True, ""))],
+                                      monkeypatch, capsys)
         assert code == EXIT_OK
-        lines = [l for l in out.splitlines() if l.startswith("[")]
-        assert lines == [f"[PASS] {name}" for name in SELFTEST_CHECKS]
+        assert lines == ["[PASS] first", "[PASS] second", "2/2 checks passed"]
 
-    def test_mutation_detected(self, capsys, monkeypatch):
-        # corrupt the clipping rule; the selftest must notice
+    def test_failure_or_exception_exits_internal(self, monkeypatch, capsys):
+        code, lines = run_selftest_on([("passes", lambda: (True, "")),
+                                       ("fails", lambda: (False, "dev 1.0")),
+                                       ("raises", lambda: 1 / 0)],
+                                      monkeypatch, capsys)
+        assert code == cli.EXIT_INTERNAL
+        assert lines == ["[PASS] passes", "[FAIL] fails (dev 1.0)",
+                         "[FAIL] raises (ZeroDivisionError: division by zero)",
+                         "1/3 checks passed"]
+
+    def test_mutation_detected(self, monkeypatch):
+        # corrupt the clipping rule; every entry that runs AdaClip must notice
         def broken(g, state, gamma3, eps=1e-6):
             state.step += 1
             state.t_threshold = 1.0
             return g.copy(), 0.0
 
         monkeypatch.setattr(optim, "adaclip", broken)
-        code = main(["selftest"])
-        out = capsys.readouterr().out
-        assert code == cli.EXIT_INTERNAL
-        assert "[FAIL]" in out
+        for check in (selftest.check_stable_spam_trace,
+                      selftest.check_adaclip_bias_correction,
+                      selftest.check_constant_gradient_bias_correction):
+            ok, detail = check()
+            assert not ok, (check.__name__, detail)
 
-    def test_report_names_unique(self, selftest_output):
-        names = [line.split("] ", 1)[1]
-                 for line in selftest_output[1].splitlines()
-                 if line.startswith("[")]
-        assert len(names) == len(set(names))
+    def test_report_names_unique(self):
+        names = [name for name, _ in selftest.CHECKS]
         assert names == SELFTEST_CHECKS
-        assert [name for name, _ in selftest.CHECKS] == SELFTEST_CHECKS
+        assert len(names) == len(set(names))

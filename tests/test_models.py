@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stablespam.models import (MlpModel, QuadraticProblem, _sigmoid, init_mlp,
+from stablespam.models import (QuadraticProblem, _sigmoid, init_mlp,
                                inject_spikes, make_dataset, make_quadratic,
                                mlp_forward_backward, mlp_loss,
                                quadratic_loss_grad, rmsnorm_fwd_bwd,
                                swiglu_fwd_bwd)
 from stablespam.quant import QuantFormat, QuantSpec, grid
-from stablespam.tensor_core import make_rng, matmul
+from stablespam.tensor_core import make_rng
 
 
 # ---------------------------------------------------------------------------
