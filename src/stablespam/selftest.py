@@ -5,7 +5,8 @@ carries its own data and tolerance, and returns ``(ok, detail)``.
 ``stablespam selftest`` runs the whole table. In pytest each entry runs once:
 criteria 1-6 and 10 of the acceptance suite (``tests/test_acceptance.py``)
 call all but ``lr schedule endpoints``, which ``tests/test_harness.py``
-calls. The checks compare every optimizer's trace bit for bit with its
+calls, and ``quantizer rounds to nearest, ties to even``, which
+``tests/test_quant.py`` calls one format at a time. The checks compare every optimizer's trace bit for bit with its
 independent reference in :mod:`stablespam.oracles`, analytic gradients with
 central finite differences, and the quantizer with a brute-force grid snap
 and its stated properties.
@@ -241,13 +242,13 @@ def check_quant_absmax_fixed_point():
     return True, ""
 
 
-def check_quant_grid_snap():
+def check_quant_grid_snap(formats=QUANT_FORMATS):
     """qdq(x) equals byte for byte ``oracles.nearest_grid_even`` of
     x / max|x| * top, scaled back by max|x| / top, with +-top giving +-max|x|
     and zero as +0.0. Per format: 10 4x5 N(0, 9) draws (seed 17), and every
     midpoint between grid neighbours, with the top grid value as the absmax
     entry, times 2^-30, 1, 2^3 and 2^40, where each stays an exact tie."""
-    for fmt in QUANT_FORMATS:
+    for fmt in formats:
         g = quant.grid(fmt)
         top = g[-1]
         ties = (g[:-1] + g[1:]) / 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stablespam import selftest
 from stablespam.quant import QuantFormat, QuantSpec, grid, qdq
 from stablespam.tensor_core import make_rng
 
@@ -53,6 +54,13 @@ class TestQdq:
     def test_none_is_identity(self):
         x = make_rng(0).standard_normal((4, 4))
         assert np.array_equal(qdq(x, QuantSpec()), x)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_matches_bruteforce_grid_snap(self, fmt):
+        # The one pytest home of the selftest entry "quantizer rounds to
+        # nearest, ties to even", one format per id.
+        ok, detail = selftest.check_quant_grid_snap(formats=(fmt,))
+        assert ok, detail
 
     def test_nonfinite_errors_with_index(self):
         for bad in (np.inf, -np.inf, np.nan):
