@@ -11,11 +11,11 @@ The keys are the fields of the ``harness`` config dataclasses, named
 ``section.field`` (``seed`` at top level, ``quant.format`` for
 ``RunConfig.quant_format``), and each declares the values it accepts. Every
 key is optional; unset keys take the documented defaults (Adam, no
-quantization, peak LR 1e-3). Unknown keys and unparsable values are reported
-with the key name and line number, a value outside its key's range with the
-key name.
+quantization, peak LR 1e-3). Unknown keys, keys set twice and unparsable
+values are reported with the key name and line number, a value outside its
+key's range with the key name.
 
-Exit codes: 0 success, 1 config error, 2 divergence-only (every run
+Exit codes: 0 success, 1 config or usage error, 2 divergence-only (every run
 diverged), 3 internal error.
 """
 
@@ -51,6 +51,7 @@ _PARSERS = {
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     cfg = RunConfig()
     table = {key: (owner, f) for key, owner, f in cfg.keys()}
+    seen = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,6 +64,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         value = value.strip()
         if key not in table:
             raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"{origin}:{lineno}: '{key}' already set on "
+                              f"line {seen[key]}")
+        seen[key] = lineno
         owner, f = table[key]
         try:
             parsed = _PARSERS[f.type](value)
@@ -134,6 +139,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     cfg = _load_cfg(args)
     grid = parse_lr_grid(args.lr_grid) if args.lr_grid \
         else list(LR_GRID_PRESETS["step"])
@@ -225,8 +232,17 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_CONFIG on a usage error, where argparse would exit 2, the
+    code for "every run diverged". Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablespam",
         description="Stable-SPAM optimizer experiments at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)

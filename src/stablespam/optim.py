@@ -30,6 +30,10 @@ reference for each rule, which the check table in ``stablespam.selftest``
 compares these against; the table serves both ``stablespam selftest`` and
 acceptance criteria 1-6 and 10.
 
+``ComposedOptimizer.step`` is the one door for input: it makes each weight and
+gradient a 2-D float64 array and rejects a NaN or +-inf gradient before any
+state changes. Behind it, only AdaClip re-checks (free, from its max).
+
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 """
 
@@ -103,18 +107,12 @@ class AdafactorState:
 # Gradient transforms
 # ---------------------------------------------------------------------------
 
-def _require_finite(g: np.ndarray) -> None:
-    if not np.isfinite(g).all():
-        raise ValueError("non-finite gradient")
-
-
 def adaclip(g, state: AdaClipState, gamma3: float):
     """Clip entries above the bias-corrected EMA of historical g_max.
 
     Flagged entries are rescaled by T_hat / g_max (sign preserved); returns
     the new gradient and the fraction of entries clipped. State is mutated.
     """
-    g = as_matrix(g)
     abs_g = np.abs(g)
     g_max = float(np.max(abs_g))
     if not math.isfinite(g_max):  # inf or nan exactly when some entry is
@@ -136,8 +134,6 @@ def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6)
     The output's Frobenius norm is m_hat / (sqrt(v_hat) + eps). A zero
     gradient is returned unchanged but still updates the norm EMAs.
     """
-    g = as_matrix(g)
-    _require_finite(g)
     t = state.step + 1
     g_norm = frobenius_norm(g)
     state.m_norm = gamma1 * state.m_norm + (1.0 - gamma1) * g_norm
@@ -153,8 +149,6 @@ def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6)
 def spike_clip(g, v, theta: float) -> np.ndarray:
     """SPAM's elementwise spike clip: g_i <- sign(g_i) * sqrt(theta * v_i)
     wherever g_i^2 / v_i > theta. Entries with v_i == 0 are left unchanged."""
-    g = as_matrix(g)
-    v = as_matrix(v)
     positive = v > 0
     ratio = np.divide(g * g, v, out=np.zeros_like(g), where=positive)
     mask = positive & (ratio > theta)
@@ -178,9 +172,9 @@ def grad_clip_global(g_layers, threshold: float):
         raise ValueError("grad clip threshold must be positive")
     total = global_grad_norm(g_layers)
     if total <= threshold:
-        return [as_matrix(g).copy() for g in g_layers]
+        return [g.copy() for g in g_layers]
     factor = threshold / total
-    return [as_matrix(g) * factor for g in g_layers]
+    return [g * factor for g in g_layers]
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +183,6 @@ def grad_clip_global(g_layers, threshold: float):
 
 def adam_step(w, g, moments: AdamMoments, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6):
-    w = as_matrix(w)
-    g = as_matrix(g)
-    _require_finite(g)
     t = moments.step_in_cycle + 1
     moments.step_in_cycle = t
     m, v = moments.m, moments.v
@@ -228,9 +219,6 @@ def adafactor_step(w, g, state: AdafactorState, lr: float,
     """Simplified Adafactor: factored second moment for matrices (row/column
     mean accumulators, decay 1 - t^-0.8), unfactored for vectors, update
     clipped so rms(update) <= d."""
-    w = as_matrix(w)
-    g = as_matrix(g)
-    _require_finite(g)
     t = state.step + 1
     state.step = t
     beta = 1.0 - t ** (-ADAFACTOR_DECAY_POWER)
@@ -259,9 +247,6 @@ def lion_step(w, g, m, lr: float, beta1: float = 0.9, beta2: float = 0.99,
               weight_decay: float = 0.0):
     """Lion: sign of the interpolated momentum; m is updated in place.
     sign(0) == 0, so a zero gradient with zero momentum leaves w unchanged."""
-    w = as_matrix(w)
-    g = as_matrix(g)
-    _require_finite(g)
     c = beta1 * m + (1.0 - beta1) * g
     update = np.sign(c) + weight_decay * w
     m[...] = beta2 * m + (1.0 - beta2) * g
@@ -272,9 +257,6 @@ def adam_mini_step(w, g, state: AdamMiniState, lr: float,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6):
     """Per-tensor Adam-mini: full first moment, one shared second-moment
     scalar (EMA of mean(g^2)) per tensor."""
-    w = as_matrix(w)
-    g = as_matrix(g)
-    _require_finite(g)
     t = state.step_in_cycle + 1
     state.step_in_cycle = t
     state.m[...] = beta1 * state.m + (1.0 - beta1) * g
@@ -309,7 +291,7 @@ class _Base:
 
 class SgdBase(_Base):
     def update(self, name, w, g, lr):
-        return as_matrix(w) - lr * as_matrix(g)
+        return w - lr * g
 
 
 class AdamBase(_Base):
@@ -351,7 +333,7 @@ class AdamBase(_Base):
         return self._moments(name, shape).v
 
     def update(self, name, w, g, lr):
-        moments = self._moments(name, np.shape(as_matrix(w)))
+        moments = self._moments(name, w.shape)
         return adam_step(w, g, moments, lr, self.beta1, self.beta2, self.eps)
 
 
@@ -362,7 +344,7 @@ class LionBase(_Base):
 
     def update(self, name, w, g, lr):
         if name not in self.state:
-            self.state[name] = np.zeros(np.shape(as_matrix(w)))
+            self.state[name] = np.zeros(w.shape)
         return lion_step(w, g, self.state[name], lr, self.beta1, self.beta2,
                          self.weight_decay)
 
@@ -374,7 +356,7 @@ class AdamMiniBase(_Base):
 
     def update(self, name, w, g, lr):
         if name not in self.state:
-            self.state[name] = AdamMiniState.zeros(np.shape(as_matrix(w)))
+            self.state[name] = AdamMiniState.zeros(w.shape)
         return adam_mini_step(w, g, self.state[name], lr, self.beta1,
                               self.beta2, self.eps)
 
@@ -422,8 +404,12 @@ class ComposedOptimizer:
 
     def step(self, params: dict, grads: dict, lr: float,
              global_step: int) -> StepTelemetry:
-        reset, lr_scale = self.base.begin_step(global_step)
+        weights = {k: as_matrix(w) for k, w in params.items()}
         grads = {k: as_matrix(g) for k, g in grads.items()}
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for '{name}'")
+        reset, lr_scale = self.base.begin_step(global_step)
         clipped = 0
         total = sum(g.size for g in grads.values())
         for kind in self.transforms:
@@ -447,9 +433,8 @@ class ComposedOptimizer:
                 clipped_list = grad_clip_global([grads[n] for n in names],
                                                 self.grad_clip_threshold)
                 grads = dict(zip(names, clipped_list))
-        for name in params:
-            params[name] = self.base.update(name, params[name], grads[name],
-                                            lr * lr_scale)
+        for name, w in weights.items():
+            params[name] = self.base.update(name, w, grads[name], lr * lr_scale)
         return StepTelemetry(clipped_fraction=clipped / total if total else 0.0,
                              reset=reset, lr_scale=lr_scale, grads_post=grads)
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -72,6 +74,11 @@ class TestParseConfig:
     def test_bad_quant_format_names_key(self):
         with pytest.raises(ConfigError, match=r"quant\.format.*int5"):
             parse_config_text("quant.format = int5")
+
+    def test_key_set_twice_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"^cfg:2: 'seed' already set on line 1$"):
+            parse_config_text("seed = 1\nseed = 2", origin="cfg")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="expected 'key = value'"):
@@ -287,12 +294,13 @@ class TestCommands:
             (tmp_path / "o2" / "run.csv").read_bytes()
 
     def test_run_divergence_exit_code(self, tmp_path):
-        cfg = write_cfg(tmp_path, "div.cfg",
-                        "model.kind = quadratic\n"
-                        "optimizer.name = sgd\n"
-                        "schedule.lr_peak = 1e6\n"
-                        "schedule.warmup_steps = 0\n")
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text("model.kind = quadratic\n"
+                       "optimizer.name = sgd\n"
+                       "schedule.total_steps = 30\n"
+                       "schedule.lr_peak = 1e6\n"
+                       "schedule.warmup_steps = 0\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DIVERGED
 
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -326,6 +334,28 @@ class TestCommands:
         # the library default threshold of 1.0 is applied
         assert all(r.grad_norm_post <= 1.0 + 1e-12 < r.grad_norm_pre
                    for r in result.records)
+
+    @pytest.mark.parametrize("argv", [["run", "--seed", "abc"],
+                                      ["run", "--frobnicate"], ["frobnicate"]],
+                             ids=["bad-seed", "unknown-flag", "unknown-command"])
+    def test_usage_error_is_config_error(self, argv, capsys):
+        # exit 2 is reserved for "every run diverged"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("usage: stablespam")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--seed" in capsys.readouterr().out
+
+    def test_negative_jobs_is_config_error(self, tmp_path, capsys):
+        code = main(["sweep", "--jobs", "-1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
@@ -449,6 +479,20 @@ class TestSelftest:
                       selftest.check_constant_gradient_bias_correction):
             ok, detail = check()
             assert not ok, (check.__name__, detail)
+
+    def test_each_entry_has_one_tier1_home(self):
+        """Each table entry is called from exactly one place in the tests that
+        run the table (the mutation test above re-runs three on purpose)."""
+        calls = []
+        for name in ("test_acceptance.py", "test_quant.py", "test_harness.py"):
+            tree = ast.parse((Path(__file__).parent / name).read_text())
+            calls += [node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "selftest"
+                      and node.attr.startswith("check_")]
+        assert sorted(calls) == sorted(check.__name__
+                                       for _, check in selftest.CHECKS)
 
     def test_report_names_unique(self):
         names = [name for name, _ in selftest.CHECKS]

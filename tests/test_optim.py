@@ -143,22 +143,27 @@ class TestMoRet:
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "+inf", "-inf"])
-@pytest.mark.parametrize("update", [
-    lambda g: adam_step(np.zeros((2, 3)), g, AdamMoments.zeros((2, 3)), 0.01),
-    lambda g: lion_step(np.zeros((2, 3)), g, np.zeros((2, 3)), 0.01),
-    lambda g: adam_mini_step(np.zeros((2, 3)), g, AdamMiniState.zeros((2, 3)),
-                             0.01),
-    lambda g: adafactor_step(np.zeros((2, 3)), g, AdafactorState(), 0.01),
-    lambda g: adagn(g, AdaGnState(), 0.7, 0.9),
-], ids=["adam_step", "lion_step", "adam_mini_step", "adafactor_step", "adagn"])
-def test_nonfinite_gradient_rejected(update, bad):
-    """Public step functions reject a non-finite gradient from a direct
-    caller. ``harness.run`` never passes one: it records a diverged step
-    instead."""
-    g = np.ones((2, 3))
-    g[1, 2] = bad
-    with pytest.raises(ValueError, match="non-finite gradient"):
-        update(g)
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_nonfinite_gradient_rejected(name, bad):
+    """A step with a non-finite gradient raises and changes nothing: the
+    optimizer then goes on exactly like a twin that never saw that step.
+    ``harness.run`` never passes one: it records a diverged step instead."""
+    rng = make_rng(3)
+    steps = [{"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((3, 4))}
+             for _ in range(6)]
+    opt, twin = (make_optimizer(OptimizerConfig(name=name)) for _ in range(2))
+    params, twin_params = ({"a": np.ones((2, 3)), "b": np.ones((3, 4))}
+                           for _ in range(2))
+    for step, grads in enumerate(steps, start=1):
+        if step == 3:
+            spoiled = dict(grads, b=grads["b"].copy())
+            spoiled["b"][1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite gradient for 'b'"):
+                opt.step(params, spoiled, 0.01, step)
+        opt.step(params, grads, 0.01, step)
+        twin.step(twin_params, grads, 0.01, step)
+    for key in params:
+        assert params[key].tobytes() == twin_params[key].tobytes(), key
 
 
 @pytest.mark.parametrize("base", [optim.SgdBase, optim.AdamBase,
@@ -166,8 +171,10 @@ def test_nonfinite_gradient_rejected(update, bad):
                                   optim.AdafactorBase])
 def test_vector_weight_updates_as_a_row(base):
     g = np.array([1.0, -2.0, 3.0])
-    row = base().update("w", np.zeros((1, 3)), g[None], 0.1)
-    assert np.array_equal(base().update("w", np.zeros(3), g, 0.1), row)
+    row, vector = {"w": np.zeros((1, 3))}, {"w": np.zeros(3)}
+    optim.ComposedOptimizer([], base()).step(row, {"w": g[None]}, 0.1, 1)
+    optim.ComposedOptimizer([], base()).step(vector, {"w": g}, 0.1, 1)
+    assert np.array_equal(vector["w"], row["w"])
 
 
 # ---------------------------------------------------------------------------
