@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
     final = result.final_val_loss
     print(f"steps: {len(result.records)}")
     print(f"diverged: {result.diverged}")
-    print(f"final_val_loss: {'diverged' if final is None else final!r}")
+    print(f"final_val_loss: {'diverged' if final is None else repr(final)}")
     print(f"records: {path}")
     return EXIT_DIVERGED if result.diverged else EXIT_OK
 

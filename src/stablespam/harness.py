@@ -2,10 +2,13 @@
 
 Telemetry records the raw gradient norm as consumed by the optimizer (after
 spike injection, before any transform) and a second channel after all
-transforms. Divergence means a NaN/Inf loss or gradient, or a loss beyond
+transforms. Divergence means a NaN/Inf loss, a loss beyond
 ``DIVERGENCE_LOSS_CAP`` (an overflow guard: a run past that bound is a few
-steps from literal Inf, and flagging early keeps blow-up detection prompt).
-A diverged step is always the last record of a run.
+steps from literal Inf, and flagging early keeps blow-up detection prompt),
+or a ``NonFiniteError``: a NaN/Inf that the quantizer meets in the forward
+pass, or a NaN/Inf gradient, which the optimizer rejects before it changes
+any state. A diverged step is always the last record of a run, and the final
+validation loss gets the same test.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
@@ -26,6 +29,7 @@ import numpy as np
 from . import models, optim
 from .optim import ConfigError, global_grad_norm
 from .quant import QuantFormat, QuantSpec
+from .tensor_core import NonFiniteError
 
 DIVERGENCE_LOSS_CAP = 1e100
 
@@ -289,10 +293,8 @@ class RunResult:
     diverged: bool
 
 
-def _is_bad(loss: float, grads: dict) -> bool:
-    if not math.isfinite(loss) or abs(loss) > DIVERGENCE_LOSS_CAP:
-        return True
-    return any(not np.isfinite(g).all() for g in grads.values())
+def _is_bad(loss: float) -> bool:
+    return not math.isfinite(loss) or abs(loss) > DIVERGENCE_LOSS_CAP
 
 
 def run(cfg: RunConfig, records_path: str | None = None,
@@ -329,27 +331,32 @@ def run(cfg: RunConfig, records_path: str | None = None,
 
     for step in range(1, cfg.schedule.total_steps + 1):
         lr = lr_schedule(step, cfg)
-        if cfg.model.kind == "quadratic":
-            problem.w = params["w"]
-            loss, grad = models.quadratic_loss_grad(problem)
-            grads = {"w": grad}
-        else:
-            idx = batch_rng.integers(0, cfg.data.samples, size=cfg.data.batch_size)
-            x = dataset.inputs[idx]
-            y = dataset.labels[idx]
-            if cfg.spike.probability > 0 and cfg.spike.severity > 0:
-                x = models.inject_spikes(x, cfg.spike.probability,
-                                         cfg.spike.severity, spike_rng)
-            loss, grads = models.mlp_forward_backward(model, x, y)
-
-        if _is_bad(loss, grads):
+        loss = math.nan  # what the record keeps if the forward pass raises
+        try:
+            if cfg.model.kind == "quadratic":
+                problem.w = params["w"]
+                loss, grad = models.quadratic_loss_grad(problem)
+                grads = {"w": grad}
+            else:
+                idx = batch_rng.integers(0, cfg.data.samples,
+                                         size=cfg.data.batch_size)
+                x = dataset.inputs[idx]
+                y = dataset.labels[idx]
+                if cfg.spike.probability > 0 and cfg.spike.severity > 0:
+                    x = models.inject_spikes(x, cfg.spike.probability,
+                                             cfg.spike.severity, spike_rng)
+                loss, grads = models.mlp_forward_backward(model, x, y)
+            diverged = _is_bad(loss)
+            if not diverged:
+                norm_pre = global_grad_norm(grads.values())
+                telemetry = opt.step(params, grads, lr, step)
+        except NonFiniteError:
+            diverged = True
+        if diverged:
             records.append(StepRecord(step, loss, math.nan, math.nan, 0.0,
                                       lr, False, True))
-            diverged = True
             break
 
-        norm_pre = global_grad_norm(grads.values())
-        telemetry = opt.step(params, grads, lr, step)
         # Without transforms grads_post holds the very arrays measured above.
         norm_post = (global_grad_norm(telemetry.grads_post.values())
                      if opt.transforms else norm_pre)
@@ -362,14 +369,17 @@ def run(cfg: RunConfig, records_path: str | None = None,
 
     final_val_loss = None
     if not diverged and cfg.schedule.total_steps > 0:
-        if cfg.model.kind == "quadratic":
-            problem.w = params["w"]
-            final_val_loss, _ = models.quadratic_loss_grad(problem)
-        else:
-            val = models.resample_dataset(dataset, cfg.data.samples,
-                                          cfg.seed + 1)
-            final_val_loss = models.mlp_loss(model, val.inputs, val.labels)
-        if not math.isfinite(final_val_loss):
+        try:
+            if cfg.model.kind == "quadratic":
+                problem.w = params["w"]
+                final_val_loss, _ = models.quadratic_loss_grad(problem)
+            else:
+                val = models.resample_dataset(dataset, cfg.data.samples,
+                                              cfg.seed + 1)
+                final_val_loss = models.mlp_loss(model, val.inputs, val.labels)
+        except NonFiniteError:
+            final_val_loss = math.nan
+        if _is_bad(final_val_loss):
             final_val_loss = None
             diverged = True
 

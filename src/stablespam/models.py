@@ -11,6 +11,11 @@ activations feeding the matmul). The backward pass treats each
 quantize-dequantize as identity (straight-through), so gradients are full
 float64 with respect to the unquantized weights. RMSNorm gains stay
 unquantized.
+
+``mlp_forward_backward``, ``mlp_loss`` and ``inject_spikes`` are the model's
+doors: each makes its batch a 2-D float64 array. The layers behind them and
+their backward closures take 2-D float64 arrays as given, as are the
+parameters of an ``MlpModel``.
 """
 
 from __future__ import annotations
@@ -71,18 +76,15 @@ def rmsnorm_fwd_bwd(x, gain):
 
     backward(dy) -> (dx, dgain).
     """
-    x = as_matrix(x)
-    gain = as_matrix(gain)
     n = x.shape[1]
     r = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMSNORM_EPS)
     y = x / r * gain
 
     def backward(dy):
-        dy_ = as_matrix(dy)
-        gdy = dy_ * gain
+        gdy = dy * gain
         dot = np.sum(gdy * x, axis=1, keepdims=True)
         dx = gdy / r - x * dot / (n * r ** 3)
-        dgain = np.sum(dy_ * x / r, axis=0, keepdims=True)
+        dgain = np.sum(dy * x / r, axis=0, keepdims=True)
         return dx, dgain
 
     return y, backward
@@ -93,7 +95,6 @@ def swiglu_fwd_bwd(x, w_gate, w_up):
 
     backward(dy) -> (dx, dw_gate, dw_up).
     """
-    x = as_matrix(x)
     a = matmul(x, w_gate)
     b = matmul(x, w_up)
     sig = _sigmoid(a)
@@ -101,11 +102,10 @@ def swiglu_fwd_bwd(x, w_gate, w_up):
     y = silu_a * b
 
     def backward(dy):
-        dy_ = as_matrix(dy)
         # d silu(a)/da = sigmoid(a) * (1 + a * (1 - sigmoid(a)))
-        da = dy_ * b * sig * (1.0 + a * (1.0 - sig))
-        db = dy_ * silu_a
-        dx = matmul(da, as_matrix(w_gate).T) + matmul(db, as_matrix(w_up).T)
+        da = dy * b * sig * (1.0 + a * (1.0 - sig))
+        db = dy * silu_a
+        dx = matmul(da, w_gate.T) + matmul(db, w_up.T)
         dw_gate = matmul(x.T, da)
         dw_up = matmul(x.T, db)
         return dx, dw_gate, dw_up

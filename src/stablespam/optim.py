@@ -31,8 +31,9 @@ compares these against; the table serves both ``stablespam selftest`` and
 acceptance criteria 1-6 and 10.
 
 ``ComposedOptimizer.step`` is the one door for input: it makes each weight and
-gradient a 2-D float64 array and rejects a NaN or +-inf gradient before any
-state changes. Behind it, only AdaClip re-checks (free, from its max).
+gradient a 2-D float64 array and rejects a NaN or +-inf gradient with a
+``NonFiniteError`` before any state changes. Behind it, only AdaClip
+re-checks (free, from its max).
 
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 """
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import as_matrix, frobenius_norm
+from .tensor_core import NonFiniteError, as_matrix, frobenius_norm
 
 
 class ConfigError(ValueError):
@@ -116,7 +117,7 @@ def adaclip(g, state: AdaClipState, gamma3: float):
     abs_g = np.abs(g)
     g_max = float(np.max(abs_g))
     if not math.isfinite(g_max):  # inf or nan exactly when some entry is
-        raise ValueError("non-finite gradient")
+        raise NonFiniteError("non-finite gradient")
     t = state.step + 1
     state.t_threshold = gamma3 * state.t_threshold + (1.0 - gamma3) * g_max
     state.step = t
@@ -408,7 +409,7 @@ class ComposedOptimizer:
         grads = {k: as_matrix(g) for k, g in grads.items()}
         for name, g in grads.items():
             if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for '{name}'")
+                raise NonFiniteError(f"non-finite gradient for '{name}'")
         reset, lr_scale = self.base.begin_step(global_step)
         clipped = 0
         total = sum(g.size for g in grads.values())

@@ -5,6 +5,9 @@ integer code on a symmetric grid scaled by the tensor's absmax. The compute
 dtype never changes, so all quantizer properties (idempotence, boundedness,
 sign preservation) hold exactly.
 
+``qdq`` takes a 2-D float64 array as given (the model's doors make one) and
+raises ``NonFiniteError`` on a NaN or +-inf entry, naming its index.
+
 One rule serves every format: ``code = rint(x / absmax * top)``, rounding
 half to even on the integer code, and the output is ``code * absmax / top``.
 
@@ -25,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor_core import as_matrix, max_abs
+from .tensor_core import NonFiniteError, max_abs
 
 
 class QuantFormat(Enum):
@@ -65,20 +68,19 @@ def grid(fmt: QuantFormat) -> np.ndarray:
     return np.arange(-top, top + 1) * step
 
 
-def qdq(x, spec: QuantSpec) -> np.ndarray:
+def qdq(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Quantize-dequantize with per-tensor absmax scaling.
 
     The entry attaining the absmax maps to exactly +-max_abs(x): codes
     +-top are pinned to +-absmax, which also makes qdq exactly idempotent.
-    A non-finite entry is an error naming its index.
+    A non-finite entry is a ``NonFiniteError`` naming its index.
     """
-    x = as_matrix(x)
     if spec.format is QuantFormat.NONE:
         return x.copy()
     amax = max_abs(x)  # inf or nan exactly when some entry is
     if not math.isfinite(amax):
         i, j = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"non-finite value at index ({i}, {j})")
+        raise NonFiniteError(f"non-finite value at index ({i}, {j})")
     if amax == 0.0:
         return np.zeros_like(x)
     top = _CODES[spec.format][0]

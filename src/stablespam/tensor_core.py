@@ -1,7 +1,13 @@
 """Dense float64 matrix kernel with deterministic reductions.
 
 All numeric state in this package is carried by plain 2-D ``numpy.float64``
-arrays. The one non-obvious piece is ``matmul``: every output element is
+arrays. Only the doors call ``as_matrix``: ``ComposedOptimizer.step`` for the
+optimizer, ``mlp_forward_backward``, ``mlp_loss`` and ``inject_spikes`` for
+the model. Behind them, ``matmul``, ``frobenius_norm`` and ``max_abs`` take
+2-D float64 arrays as given. ``NonFiniteError`` is the one error for a NaN or
++-inf where a finite value is needed; ``harness.run`` records it as divergence.
+
+The one non-obvious piece is ``matmul``: every output element is
 ``((0.0 + p0) + p1) + ...`` with ``pk = a[i, k] * b[k, j]`` added in
 ascending k, so the result is bit-identical to a naive triple loop, which
 keeps the trace-equality tests exact.
@@ -45,6 +51,10 @@ _BLOCK = 1 << 15
 _EINSUM_MIN = 1 << 11
 
 
+class NonFiniteError(ValueError):
+    """A NaN or +-inf where a finite value is needed."""
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce input to a 2-D float64 array (1-D inputs become a row)."""
     a = np.asarray(x, dtype=np.float64)
@@ -57,7 +67,7 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with sequential ascending-k accumulation.
 
     Each output element is the sum of a[i, k] * b[k, j] added one k at a
@@ -70,8 +80,6 @@ def matmul(a, b) -> np.ndarray:
     per call and holds at most ``max(_BLOCK, n * m)`` elements. The result
     is a new C-ordered array.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     n, inner = a.shape
@@ -93,13 +101,11 @@ def matmul(a, b) -> np.ndarray:
     return out
 
 
-def frobenius_norm(m) -> float:
-    m = as_matrix(m)
+def frobenius_norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(m))))
 
 
-def max_abs(m) -> float:
-    m = as_matrix(m)
+def max_abs(m: np.ndarray) -> float:
     if m.size == 0:
         raise ValueError("max_abs of an empty matrix")
     return float(np.max(np.abs(m)))

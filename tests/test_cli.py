@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -303,6 +304,20 @@ class TestCommands:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DIVERGED
 
+    def test_run_final_loss_above_cap_exit_code(self, tmp_path, capsys):
+        # Every training loss is under the cap; the final one is 5.05e101.
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("model.kind = quadratic\n"
+                       "optimizer.name = sgd\n"
+                       "schedule.total_steps = 13\n"
+                       "schedule.lr_peak = 1000\n"
+                       "schedule.warmup_steps = 0\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DIVERGED
+        out = capsys.readouterr().out
+        assert "steps: 13\n" in out
+        assert "final_val_loss: diverged\n" in out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("quant.format = int5\n")
@@ -371,6 +386,25 @@ class TestCommands:
         data = json.loads((out / "sweep_summary.json").read_text())
         assert data["best_lr"] in [e["lr"] for e in data["runs"]]
         assert "best_lr:" in capsys.readouterr().out
+
+    def test_sweep_records_quantizer_overflow_as_diverged(self, tmp_path):
+        # Criterion 7's INT4 task: at lr 10 the forward pass meets an inf.
+        cfg = tmp_path / "int4.cfg"
+        cfg.write_text("model.input_dim = 4\nmodel.hidden_dim = 32\n"
+                       "model.depth = 2\nmodel.classes = 8\n"
+                       "schedule.total_steps = 250\n"
+                       "schedule.warmup_steps = 25\n"
+                       "spike.probability = 0.1\nspike.severity = 0.5\n"
+                       "optimizer.name = sgd\nquant.format = int4\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--lr-grid", "1:10:9", "--jobs", "1"])
+        assert code == EXIT_OK
+        data = json.loads((out / "sweep_summary.json").read_text())
+        assert data["best_lr"] == 1.0
+        assert [(e["lr"], e["final_loss"] == "diverged")
+                for e in data["runs"]] == [(1.0, False), (10.0, True)]
 
     def test_compare_identical_optimizers(self, tmp_path, capsys):
         a = write_cfg(tmp_path, "a.cfg", "optimizer.name = adam\n")

@@ -1,14 +1,15 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from stablespam import harness, selftest
+from stablespam import harness, models, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 OptimizerConfig, RunConfig, ScheduleConfig,
-                                global_grad_norm, lr_schedule, run, sweep,
-                                write_records_csv)
+                                SpikeConfig, global_grad_norm, lr_schedule,
+                                run, sweep, write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import make_rng
 
@@ -25,6 +26,16 @@ def small_cfg(**kwargs):
             obj = getattr(obj, p)
         setattr(obj, parts[-1], value)
     return cfg
+
+
+def int4_cfg(name, lr, total_steps=250, warmup_steps=25):
+    """Criterion 7's INT4 task at seed 0."""
+    return RunConfig(
+        model=ModelConfig(input_dim=4, hidden_dim=32, depth=2, classes=8),
+        schedule=ScheduleConfig(lr_peak=lr, total_steps=total_steps,
+                                warmup_steps=warmup_steps),
+        spike=SpikeConfig(probability=0.1, severity=0.5),
+        optimizer=OptimizerConfig(name=name), quant_format="int4")
 
 
 class TestGlobalGradNorm:
@@ -117,7 +128,69 @@ class TestRun:
         assert result.final_val_loss is None
 
     def test_divergence_cap_triggers_before_inf(self):
-        assert harness._is_bad(DIVERGENCE_LOSS_CAP * 10, {})
+        assert harness._is_bad(DIVERGENCE_LOSS_CAP * 10)
+
+    def test_quantizer_overflow_is_a_diverged_row(self):
+        # The forward pass of step 9 meets an inf, which qdq rejects; the
+        # row has no loss to keep.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run(int4_cfg("sgd", 10.0))
+        assert result.diverged
+        assert result.final_val_loss is None
+        assert [r.step for r in result.records] == list(range(1, 10))
+        assert [r.diverged for r in result.records] == [False] * 8 + [True]
+        last = result.records[-1]
+        assert math.isnan(last.loss)
+        assert math.isnan(last.grad_norm_pre)
+        assert math.isnan(last.grad_norm_post)
+
+    def test_nonfinite_final_validation_is_divergence(self):
+        # One step at lr 1e99 leaves finite weights whose validation
+        # forward pass overflows, so qdq rejects an inf there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run(int4_cfg("sgd", 1e100, total_steps=1,
+                                  warmup_steps=0))
+        assert [r.diverged for r in result.records] == [False]
+        assert result.diverged
+        assert result.final_val_loss is None
+
+    def test_final_loss_above_cap_is_divergence(self):
+        cfg = small_cfg(model__kind="quadratic", optimizer__name="sgd")
+        cfg.schedule = ScheduleConfig(lr_peak=1000.0, total_steps=13,
+                                      warmup_steps=0)
+        result = run(cfg)
+        assert len(result.records) == 13
+        assert not any(r.diverged for r in result.records)
+        assert all(abs(r.loss) <= DIVERGENCE_LOSS_CAP for r in result.records)
+        assert result.diverged
+        assert result.final_val_loss is None
+
+    def test_nonfinite_gradient_is_a_diverged_row(self, monkeypatch,
+                                                  tmp_path):
+        # A finite loss with an inf gradient at step 3: the optimizer's door
+        # rejects the step, the row keeps the loss, and no weight moves.
+        real = models.mlp_forward_backward
+        seen = []
+
+        def inf_at_step_3(model, x, y):
+            loss, grads = real(model, x, y)
+            seen.append((model, loss,
+                         {k: w.copy() for k, w in model.params.items()}))
+            if len(seen) == 3:
+                grads["block0.w_up"][1, 2] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(models, "mlp_forward_backward", inf_at_step_3)
+        cfg = small_cfg()  # plain Adam: the door is its only check
+        path = tmp_path / "run.csv"
+        result = run(cfg, records_path=str(path))
+        model, loss, weights = seen[-1]
+        assert len(seen) == 3
+        assert result.diverged
+        assert path.read_text().splitlines()[-1] == \
+            f"3,{loss!r},nan,nan,0.0,{lr_schedule(3, cfg)!r},0,1"
+        assert all(model.params[k].tobytes() == w.tobytes()
+                   for k, w in weights.items())
 
     def test_telemetry_norms_match_callback(self):
         # grad_clip=0.5: on_step sees the raw gradients, clipped only in post

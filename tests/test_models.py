@@ -159,6 +159,21 @@ class TestMlp:
             assert g.shape == m.params[name].shape
             assert np.all(np.isfinite(g))
 
+    def test_list_batch_matches_array_batch(self):
+        # mlp_forward_backward and mlp_loss are the model's doors: a batch
+        # given as nested lists gives the bytes the same array gives.
+        m = self._model(seed=17, quant=QuantSpec(format=QuantFormat.INT4))
+        x = make_rng(18).standard_normal((5, 6))
+        labels = np.array([0, 1, 2, 0, 1])
+        loss, grads = mlp_forward_backward(m, x, labels)
+        loss_l, grads_l = mlp_forward_backward(m, x.tolist(), labels.tolist())
+        assert loss_l.hex() == loss.hex()
+        assert grads_l.keys() == grads.keys()
+        assert all(grads_l[k].tobytes() == g.tobytes()
+                   for k, g in grads.items())
+        assert mlp_loss(m, x.tolist(), labels.tolist()).hex() == \
+            mlp_loss(m, x, labels).hex()
+
 
 # ---------------------------------------------------------------------------
 # Data and spikes

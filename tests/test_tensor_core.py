@@ -58,7 +58,7 @@ class TestMatmul:
         assert np.array_equal(matmul(np.eye(2), b), b)
 
     def test_hand_arithmetic(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
+        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
         assert out.shape == (1, 1)
         assert out[0, 0] == 11.0
 
@@ -145,7 +145,7 @@ class TestMatmul:
 
 class TestNorms:
     def test_three_four_five(self):
-        assert frobenius_norm([[3.0, 4.0]]) == 5.0
+        assert frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
 
     def test_zero_matrix(self):
         assert frobenius_norm(np.zeros((4, 4))) == 0.0
@@ -171,7 +171,7 @@ class TestNorms:
 
 class TestMaxAbs:
     def test_examples(self):
-        assert max_abs([[-5.0, 2.0], [1.0, 3.0]]) == 5.0
+        assert max_abs(np.array([[-5.0, 2.0], [1.0, 3.0]])) == 5.0
         assert max_abs(np.zeros((2, 2))) == 0.0
 
     def test_matches_scan(self):
