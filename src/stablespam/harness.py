@@ -8,7 +8,9 @@ steps from literal Inf, and flagging early keeps blow-up detection prompt),
 or a ``NonFiniteError``: a NaN/Inf that the quantizer meets in the forward
 pass, or a NaN/Inf gradient, which the optimizer rejects before it changes
 any state. A diverged step is always the last record of a run, and the final
-validation loss gets the same test.
+validation loss gets the same test. Since divergence is recorded as data,
+``run`` silences numpy's overflow and invalid-value warnings while it trains
+and validates.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
@@ -329,59 +331,62 @@ def run(cfg: RunConfig, records_path: str | None = None,
     records: list[StepRecord] = []
     diverged = False
 
-    for step in range(1, cfg.schedule.total_steps + 1):
-        lr = lr_schedule(step, cfg)
-        loss = math.nan  # what the record keeps if the forward pass raises
-        try:
-            if cfg.model.kind == "quadratic":
-                problem.w = params["w"]
-                loss, grad = models.quadratic_loss_grad(problem)
-                grads = {"w": grad}
-            else:
-                idx = batch_rng.integers(0, cfg.data.samples,
-                                         size=cfg.data.batch_size)
-                x = dataset.inputs[idx]
-                y = dataset.labels[idx]
-                if cfg.spike.probability > 0 and cfg.spike.severity > 0:
-                    x = models.inject_spikes(x, cfg.spike.probability,
-                                             cfg.spike.severity, spike_rng)
-                loss, grads = models.mlp_forward_backward(model, x, y)
-            diverged = _is_bad(loss)
-            if not diverged:
-                norm_pre = global_grad_norm(grads.values())
-                telemetry = opt.step(params, grads, lr, step)
-        except NonFiniteError:
-            diverged = True
-        if diverged:
-            records.append(StepRecord(step, loss, math.nan, math.nan, 0.0,
-                                      lr, False, True))
-            break
+    # Overflow on the way to divergence is recorded as data, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.schedule.total_steps + 1):
+            lr = lr_schedule(step, cfg)
+            loss = math.nan  # what the record keeps if the forward pass raises
+            try:
+                if cfg.model.kind == "quadratic":
+                    problem.w = params["w"]
+                    loss, grad = models.quadratic_loss_grad(problem)
+                    grads = {"w": grad}
+                else:
+                    idx = batch_rng.integers(0, cfg.data.samples,
+                                             size=cfg.data.batch_size)
+                    x = dataset.inputs[idx]
+                    y = dataset.labels[idx]
+                    if cfg.spike.probability > 0 and cfg.spike.severity > 0:
+                        x = models.inject_spikes(x, cfg.spike.probability,
+                                                 cfg.spike.severity, spike_rng)
+                    loss, grads = models.mlp_forward_backward(model, x, y)
+                diverged = _is_bad(loss)
+                if not diverged:
+                    norm_pre = global_grad_norm(grads.values())
+                    telemetry = opt.step(params, grads, lr, step)
+            except NonFiniteError:
+                diverged = True
+            if diverged:
+                records.append(StepRecord(step, loss, math.nan, math.nan, 0.0,
+                                          lr, False, True))
+                break
 
-        # Without transforms grads_post holds the very arrays measured above.
-        norm_post = (global_grad_norm(telemetry.grads_post.values())
-                     if opt.transforms else norm_pre)
-        if on_step is not None:
-            on_step(step, grads, telemetry.grads_post)
-        records.append(StepRecord(step, loss, norm_pre, norm_post,
-                                  telemetry.clipped_fraction,
-                                  lr * telemetry.lr_scale,
-                                  telemetry.reset, False))
+            # Without transforms grads_post holds the arrays measured above.
+            norm_post = (global_grad_norm(telemetry.grads_post.values())
+                         if opt.transforms else norm_pre)
+            if on_step is not None:
+                on_step(step, grads, telemetry.grads_post)
+            records.append(StepRecord(step, loss, norm_pre, norm_post,
+                                      telemetry.clipped_fraction,
+                                      lr * telemetry.lr_scale,
+                                      telemetry.reset, False))
 
-    final_val_loss = None
-    if not diverged and cfg.schedule.total_steps > 0:
-        try:
-            if cfg.model.kind == "quadratic":
-                problem.w = params["w"]
-                final_val_loss, _ = models.quadratic_loss_grad(problem)
-            else:
-                val = models.resample_dataset(dataset, cfg.data.samples,
-                                              cfg.seed + 1)
-                final_val_loss = models.mlp_loss(model, val.inputs, val.labels)
-        except NonFiniteError:
-            final_val_loss = math.nan
-        if _is_bad(final_val_loss):
-            final_val_loss = None
-            diverged = True
+        final_val_loss = None
+        if not diverged and cfg.schedule.total_steps > 0:
+            try:
+                if cfg.model.kind == "quadratic":
+                    problem.w = params["w"]
+                    final_val_loss, _ = models.quadratic_loss_grad(problem)
+                else:
+                    val = models.resample_dataset(dataset, cfg.data.samples,
+                                                  cfg.seed + 1)
+                    final_val_loss = models.mlp_loss(model, val.inputs,
+                                                     val.labels)
+            except NonFiniteError:
+                final_val_loss = math.nan
+            if _is_bad(final_val_loss):
+                final_val_loss = None
+                diverged = True
 
     if records_path is not None:
         write_records_csv(records, records_path)

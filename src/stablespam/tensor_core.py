@@ -13,8 +13,7 @@ ascending k, so the result is bit-identical to a naive triple loop, which
 keeps the trace-equality tests exact.
 
 ``matmul`` forms the products for a block of k at once, as one C-ordered
-``(k, n, m)`` tensor, then adds its slices into a +0.0-initialised output
-one k at a time with in-place ``np.add``. The order is fixed by that loop.
+``(k, n, m)`` tensor, and sums it over k into a +0.0-initialised output.
 Blocks of at least ``_EINSUM_MIN`` products are formed by
 ``np.einsum("ki,kj->kij")``, smaller ones by a broadcast ``np.multiply``,
 whose set-up is cheaper. No index is summed in that einsum, so each entry
@@ -22,12 +21,22 @@ is one product, written as ``0.0 + a[i, k] * b[k, j]``: only the sign of a
 zero product can differ from the multiply's, and that cannot change a sum
 that starts at +0.0.
 
+The sum is one ``np.add.reduce`` over axis 0 of the block when the output
+has more than one element. In a C-ordered block k has the largest stride,
+so numpy iterates it outermost and runs its element-wise add over the
+``n * m`` outputs once per k: ``out[j] = out[j] + p[k, j]``, in ascending
+k, with no pairwise split. Only for a 1x1 output is k the innermost axis
+numpy iterates, and there it sums pairwise; so that shape keeps a Python
+loop of in-place ``np.add``, one per k. Before the reduce, ``p[0]`` is
+replaced by ``out + p[0]``. That carries the sum of earlier blocks into
+this one, and it keeps an all-(-0.0) sum at +0.0 whether numpy starts the
+reduce from its identity or from ``p[0]``.
+
 BLAS (``@``, or an einsum that sums over k) is not used because it blocks
-and vectorises the sum. ``np.add.reduce``/``np.sum`` over k is not used
-because numpy sums pairwise whenever k ends up the innermost axis it
-iterates: on a 1x1 output with k >= 8, and on a one-column output whose
-product is not C-ordered, as the default ``order="K"`` gives when ``a`` is
-C-ordered (the quadratic's 8x8x1 matrix-vector product).
+and vectorises the sum. ``np.sum``, or a reduce over k of a product that
+is not C-ordered, is not used because numpy sums pairwise wherever k ends
+up the innermost axis it iterates, as the default ``order="K"`` can make
+it for a one-column output (the quadratic's 8x8x1 matrix-vector product).
 ``np.add.accumulate`` over k adds in order but stores every partial sum,
 k outputs' worth, and is not used either.
 
@@ -38,11 +47,14 @@ ziggurat sampler on top of that stream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Most products one block in ``matmul`` holds (256 KiB of float64). The
-# 32-row training shapes take one block. Larger shapes split along k, not
-# along rows, so the Python loop still runs k adds rather than k per row block.
+# 32-row training shapes take one block, so one reduce. Larger shapes split
+# along k, not along rows, so each block is still a C-ordered (k, n, m)
+# tensor whose reduce over k runs k adds across all n * m outputs.
 _BLOCK = 1 << 15
 # Fewest products for which ``np.einsum`` forms a block faster than a
 # broadcast ``np.multiply``: its set-up costs about 1 us more per call, but
@@ -75,10 +87,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bit-for-bit (an all-(-0.0) sum is +0.0, and inf and nan land where
     they do there). The products of up to ``_BLOCK // (n * m)``
     consecutive k are formed in one ``np.einsum`` (or, for a block under
-    ``_EINSUM_MIN`` products, one broadcast ``np.multiply``), so the Python
-    loop does one in-place add per k. The product buffer is allocated once
-    per call and holds at most ``max(_BLOCK, n * m)`` elements. The result
-    is a new C-ordered array.
+    ``_EINSUM_MIN`` products, one broadcast ``np.multiply``). Each block
+    is summed into the output by one ``np.add.reduce`` over k, after its
+    first slice has taken the running sum; a 1x1 output, whose reduce
+    numpy would sum pairwise, adds its products one k at a time instead.
+    The product buffer is allocated once per call and holds at most
+    ``max(_BLOCK, n * m)`` elements. The result is a new C-ordered array.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
@@ -96,19 +110,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.einsum("ki,kj->kij", a_blk, b_blk, out=p)
         else:
             np.multiply(a_blk[:, :, None], b_blk[:, None, :], out=p)
-        for pk in p:
-            np.add(out, pk, out)
+        if n * m == 1:
+            for pk in p:
+                np.add(out, pk, out)
+        else:
+            np.add(out, p[0], out=p[0])
+            np.add.reduce(p, axis=0, out=out)
     return out
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.square(m))))
+    return math.sqrt(np.add.reduce(np.square(m), axis=None))
 
 
 def max_abs(m: np.ndarray) -> float:
     if m.size == 0:
         raise ValueError("max_abs of an empty matrix")
-    return float(np.max(np.abs(m)))
+    return float(np.maximum.reduce(np.abs(m), axis=None))
 
 
 def make_rng(seed: int) -> np.random.Generator:

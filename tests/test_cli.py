@@ -8,9 +8,9 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -388,7 +388,8 @@ class TestCommands:
         assert "best_lr:" in capsys.readouterr().out
 
     def test_sweep_records_quantizer_overflow_as_diverged(self, tmp_path):
-        # Criterion 7's INT4 task: at lr 10 the forward pass meets an inf.
+        # Criterion 7's INT4 task: at lr 10 the forward pass meets an inf;
+        # the run diverges quietly, with no overflow warning.
         cfg = tmp_path / "int4.cfg"
         cfg.write_text("model.input_dim = 4\nmodel.hidden_dim = 32\n"
                        "model.depth = 2\nmodel.classes = 8\n"
@@ -397,7 +398,8 @@ class TestCommands:
                        "spike.probability = 0.1\nspike.severity = 0.5\n"
                        "optimizer.name = sgd\nquant.format = int4\n")
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["sweep", "--config", str(cfg), "--out", str(out),
                          "--lr-grid", "1:10:9", "--jobs", "1"])
         assert code == EXIT_OK

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -132,8 +133,9 @@ class TestRun:
 
     def test_quantizer_overflow_is_a_diverged_row(self):
         # The forward pass of step 9 meets an inf, which qdq rejects; the
-        # row has no loss to keep.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # row has no loss to keep, and no overflow warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run(int4_cfg("sgd", 10.0))
         assert result.diverged
         assert result.final_val_loss is None
@@ -147,7 +149,8 @@ class TestRun:
     def test_nonfinite_final_validation_is_divergence(self):
         # One step at lr 1e99 leaves finite weights whose validation
         # forward pass overflows, so qdq rejects an inf there.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run(int4_cfg("sgd", 1e100, total_steps=1,
                                   warmup_steps=0))
         assert [r.diverged for r in result.records] == [False]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from stablespam import tensor_core
 from stablespam.tensor_core import (as_matrix, frobenius_norm, make_rng,
                                     matmul, max_abs)
 
@@ -64,7 +66,10 @@ class TestMatmul:
 
     # A 1x1 output with k >= 8 is where numpy's reduction over k turns
     # pairwise (seeds 2 and 3 draw sums whose pairwise order rounds
-    # differently); (40, 37, 40) ends on a partial block of k, and
+    # differently); (2, 9, 1), (1, 9, 2) and (1, 8, 1) sit on both sides of
+    # n * m == 1, where matmul switches from one reduce per block to one add
+    # per k. (40, 37, 40) ends on a partial block of k, (2, 17000, 1) and
+    # (1, 33000, 1) run past _BLOCK // (n * m) into a second block, and
     # (192, 3, 192) has more outputs than a block holds, so k goes singly.
     # The benchmark's shapes and (8, 31, 8) / (8, 32, 8) sit on both sides
     # of the block size where einsum takes over the products from multiply.
@@ -87,6 +92,11 @@ class TestMatmul:
     @example(n=32, k=4, m=32, la="C", lb="C", seed=13)
     @example(n=8, k=31, m=8, la="C", lb="C", seed=14)
     @example(n=8, k=32, m=8, la="C", lb="C", seed=15)
+    @example(n=2, k=9, m=1, la="C", lb="C", seed=16)
+    @example(n=1, k=9, m=2, la="T", lb="C", seed=17)
+    @example(n=1, k=8, m=1, la="C", lb="F", seed=18)
+    @example(n=2, k=17000, m=1, la="C", lb="C", seed=19)
+    @example(n=1, k=33000, m=1, la="slice", lb="C", seed=20)
     def test_matches_naive_triple_loop_exactly(self, n, k, m, la, lb, seed):
         # numpy's mean and sum pick pairwise or sequential summation by
         # memory layout, so callers need the result C-ordered, not just equal.
@@ -96,6 +106,22 @@ class TestMatmul:
         out = matmul(a, b)
         assert out.flags.c_contiguous
         assert out.tobytes() == naive_matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("einsum_min", [1 << 62, 0],
+                             ids=["multiply", "einsum"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (32, 32)])
+    def test_sums_in_ascending_k(self, monkeypatch, n, m, einsum_min):
+        # Added in ascending k, 2**53 absorbs each 1 and -2**53 cancels it:
+        # the sum is exactly 0.0. Any other order keeps some of the ones
+        # (np.sum's pairwise order, a blocked BLAS sum, a reduce that drops
+        # an earlier block's partial sum). At 32x32 the column spans two
+        # blocks of k. einsum_min forces the product path.
+        monkeypatch.setattr(tensor_core, "_EINSUM_MIN", einsum_min)
+        column = np.array([2.0**53] + [1.0] * 32 + [-(2.0**53)])
+        assert np.sum(column) != 0.0
+        a = np.ones((n, len(column)))
+        b = np.tile(column[:, None], (1, m))
+        assert matmul(a, b).tobytes() == np.zeros((n, m)).tobytes()
 
     @pytest.mark.parametrize("a, b", [
         # every product is -0.0: the naive sum starts at +0.0 and stays there
@@ -169,10 +195,36 @@ class TestNorms:
             abs(c) * frobenius_norm(m), rel=1e-12, abs=0.0)
 
 
+    def test_returns_python_float(self):
+        assert type(frobenius_norm(np.ones((2, 3)))) is float
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 40), layout=LAYOUTS,
+           scale=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_wrappers_bytewise(self, rows, cols, layout, scale,
+                                             seed):
+        # frobenius_norm and max_abs call numpy's reduce ufuncs directly; the
+        # results must be the very bytes of np.sum / np.max on any layout.
+        m = operand(make_rng(seed), rows, cols, layout) * 10.0**scale
+        fro = np.float64(np.sqrt(np.sum(np.square(m))))
+        assert np.float64(frobenius_norm(m)).tobytes() == fro.tobytes()
+        assert np.float64(max_abs(m)).tobytes() == np.max(np.abs(m)).tobytes()
+
+
 class TestMaxAbs:
     def test_examples(self):
         assert max_abs(np.array([[-5.0, 2.0], [1.0, 3.0]])) == 5.0
         assert max_abs(np.zeros((2, 2))) == 0.0
+
+    @pytest.mark.parametrize("special", [NAN, INF, -INF])
+    def test_non_finite_propagates(self, special):
+        # qdq's NonFiniteError relies on a NaN or +-inf showing in the max.
+        m = np.arange(12.0).reshape(3, 4)
+        m[1, 2] = special
+        if math.isnan(special):
+            assert math.isnan(max_abs(m))
+        else:
+            assert max_abs(m) == INF
 
     def test_matches_scan(self):
         rng = make_rng(3)
