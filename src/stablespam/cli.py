@@ -189,24 +189,20 @@ def cmd_compare(args) -> int:
         path = os.path.join(args.out, f"compare_run{i}.csv")
         results.append((cfg, run(cfg, records_path=path), path))
 
-    finals = [res.records[-1].loss for _, res, _ in results
-              if res.records and not res.diverged]
-    target = max(finals) if finals else None
+    # Every run that did not diverge reaches the worst of their final losses.
+    target = max((res.records[-1].loss for _, res, _ in results
+                  if not res.diverged), default=None)
 
     rows = []
     for cfg, res, path in results:
-        if res.diverged or not res.records:
+        if res.diverged:
             final_train = final_val = "diverged"
             to_target = "n/a"
         else:
             final_train = repr(res.records[-1].loss)
             final_val = repr(res.final_val_loss)
-            to_target = "n/a"
-            if target is not None:
-                for rec in res.records:
-                    if rec.loss <= target:
-                        to_target = str(rec.step)
-                        break
+            to_target = next(str(rec.step) for rec in res.records
+                             if rec.loss <= target)
         rows.append((_optimizer_label(cfg), final_train, final_val,
                      to_target, path))
 

@@ -10,7 +10,8 @@ pass, or a NaN/Inf gradient, which the optimizer rejects before it changes
 any state. A diverged step is always the last record of a run, and the final
 validation loss gets the same test. Since divergence is recorded as data,
 ``run`` silences numpy's overflow and invalid-value warnings while it trains
-and validates.
+and validates. A run has at least one step, so its ``final_val_loss`` is
+None exactly when it diverged.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
@@ -125,7 +126,7 @@ class OptimizerConfig:
 @dataclass
 class ScheduleConfig:
     lr_peak: float = _key(1e-3, "(0, inf)")
-    total_steps: int = _key(2000, "[0, inf)")
+    total_steps: int = _key(2000, "[1, inf)")
     warmup_steps: int = _key(-1, "[-1, inf)")  # -1: 10% of total_steps
 
 
@@ -243,7 +244,7 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
             raise ConfigError(f"optimizer.transforms: {name} already "
                               f"applies {kind!r}")
     try:
-        return optim.compose(
+        return optim.ComposedOptimizer(
             transforms + builtin, base,
             gamma1=ocfg.gamma1, gamma2=ocfg.gamma2, gamma3=ocfg.gamma3,
             eps=ocfg.eps, gss_threshold=ocfg.gss_threshold,
@@ -316,7 +317,7 @@ def run(cfg: RunConfig, records_path: str | None = None,
     spec = cfg.quant_spec()
     if cfg.model.kind == "quadratic":
         problem = models.make_quadratic(cfg.model.quad_dim, init_rng)
-        params = {"w": problem.w}
+        params = {"w": problem.w0}
         dataset = None
         model = None
     else:
@@ -338,17 +339,16 @@ def run(cfg: RunConfig, records_path: str | None = None,
             loss = math.nan  # what the record keeps if the forward pass raises
             try:
                 if cfg.model.kind == "quadratic":
-                    problem.w = params["w"]
-                    loss, grad = models.quadratic_loss_grad(problem)
+                    loss, grad = models.quadratic_loss_grad(problem,
+                                                            params["w"])
                     grads = {"w": grad}
                 else:
                     idx = batch_rng.integers(0, cfg.data.samples,
                                              size=cfg.data.batch_size)
                     x = dataset.inputs[idx]
                     y = dataset.labels[idx]
-                    if cfg.spike.probability > 0 and cfg.spike.severity > 0:
-                        x = models.inject_spikes(x, cfg.spike.probability,
-                                                 cfg.spike.severity, spike_rng)
+                    x = models.inject_spikes(x, cfg.spike.probability,
+                                             cfg.spike.severity, spike_rng)
                     loss, grads = models.mlp_forward_backward(model, x, y)
                 diverged = _is_bad(loss)
                 if not diverged:
@@ -372,11 +372,11 @@ def run(cfg: RunConfig, records_path: str | None = None,
                                       telemetry.reset, False))
 
         final_val_loss = None
-        if not diverged and cfg.schedule.total_steps > 0:
+        if not diverged:
             try:
                 if cfg.model.kind == "quadratic":
-                    problem.w = params["w"]
-                    final_val_loss, _ = models.quadratic_loss_grad(problem)
+                    final_val_loss, _ = models.quadratic_loss_grad(
+                        problem, params["w"])
                 else:
                     val = models.resample_dataset(dataset, cfg.data.samples,
                                                   cfg.seed + 1)

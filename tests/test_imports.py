@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +66,50 @@ def test_as_matrix_called_only_at_the_doors():
              for path in sorted(ROOT.glob("src/**/*.py"))
              if (callers := as_matrix_callers(path))}
     assert found == DOORS
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def references(path):
+    """``(name, owner)`` for each name a module refers to: names, attributes,
+    imported names and the identifiers inside string constants other than
+    docstrings (``perfbench`` names its targets in strings). ``owner`` is the
+    top-level function or class the reference sits in, or None."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef,
+                                             ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                found.append((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                found.append((node.name.split(".")[-1], owner))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                found += [(word, owner)
+                          for word in IDENTIFIER.findall(node.value)]
+    return found
+
+
+def test_every_definition_is_referenced():
+    """Each top-level function and class in the package is named somewhere
+    other than its own definition: in ``src/``, ``tests/``, ``perfbench/``
+    or ``pyproject.toml``. A comment or docstring does not count."""
+    used = set(IDENTIFIER.findall((ROOT / "pyproject.toml").read_text()))
+    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(
+            ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py")):
+        used |= {name for name, owner in references(path) if name != owner}
+    unreferenced = [
+        f"{path.relative_to(ROOT)}: {node.name}"
+        for path in sorted(ROOT.glob("src/stablespam/*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used]
+    assert not unreferenced, unreferenced

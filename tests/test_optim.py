@@ -9,9 +9,9 @@ from stablespam.harness import OptimizerConfig, make_optimizer
 from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               AdamMiniState, AdamMoments, ConfigError,
                               adaclip, adafactor_step, adagn, adam_mini_step,
-                              adam_step, compose, grad_clip_global, lion_step,
+                              adam_step, grad_clip_global, lion_step,
                               spike_clip)
-from stablespam.tensor_core import frobenius_norm, make_rng
+from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
 
 
 def scalar(x):
@@ -50,25 +50,26 @@ def test_trace_check_fails_on_a_late_nan():
 class TestAdaClip:
     def test_first_step_threshold_equals_gmax(self):
         state = AdaClipState()
-        out, frac = adaclip(scalar(2.0), state, 0.999)
+        out, clipped = adaclip(scalar(2.0), state, 0.999)
         assert out[0, 0] == 2.0
-        assert frac == 0.0
+        assert clipped == 0
 
     def test_zero_gradient_unchanged(self):
         state = AdaClipState()
-        out, frac = adaclip(np.zeros((2, 2)), state, 0.999)
+        out, clipped = adaclip(np.zeros((2, 2)), state, 0.999)
         assert np.array_equal(out, np.zeros((2, 2)))
-        assert frac == 0.0
+        assert clipped == 0
 
     def test_clipped_entries_bounded_by_threshold(self):
         rng = make_rng(1)
         state = AdaClipState()
         for step in range(1, 40):
             g = rng.standard_normal((4, 4)) * (10.0 if step % 7 == 0 else 1.0)
-            out, _ = adaclip(g, state, 0.99)
+            out, clipped = adaclip(g, state, 0.99)
             t_hat = state.t_threshold / (1 - 0.99 ** step)
             gmax = float(np.max(np.abs(g)))
             mask = np.abs(g) > t_hat
+            assert clipped == np.count_nonzero(mask)
             assert np.all(np.abs(out[mask]) <= t_hat * (1 + 1e-12))
             if mask.any() and gmax > t_hat:
                 i, j = np.unravel_index(np.argmax(np.abs(g)), g.shape)
@@ -141,13 +142,10 @@ class TestMoRet:
             prev = params["w"][0, 0]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
-                         ids=["nan", "+inf", "-inf"])
-@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
-def test_nonfinite_gradient_rejected(name, bad):
-    """A step with a non-finite gradient raises and changes nothing: the
-    optimizer then goes on exactly like a twin that never saw that step.
-    ``harness.run`` never passes one: it records a diverged step instead."""
+def rejected_step_changes_nothing(name, spoil, match):
+    """Step 3 of six gets ``spoil(grads)`` and must raise a ValueError
+    matching ``match``, which is returned. The optimizer then goes on exactly
+    like a twin that never saw that step."""
     rng = make_rng(3)
     steps = [{"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((3, 4))}
              for _ in range(6)]
@@ -156,14 +154,39 @@ def test_nonfinite_gradient_rejected(name, bad):
                            for _ in range(2))
     for step, grads in enumerate(steps, start=1):
         if step == 3:
-            spoiled = dict(grads, b=grads["b"].copy())
-            spoiled["b"][1, 2] = bad
-            with pytest.raises(ValueError, match="non-finite gradient for 'b'"):
-                opt.step(params, spoiled, 0.01, step)
+            with pytest.raises(ValueError, match=match) as raised:
+                opt.step(params, spoil(grads), 0.01, step)
         opt.step(params, grads, 0.01, step)
         twin.step(twin_params, grads, 0.01, step)
     for key in params:
         assert params[key].tobytes() == twin_params[key].tobytes(), key
+    return raised.value
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_nonfinite_gradient_rejected(name, bad):
+    """A step with a non-finite gradient raises and changes nothing.
+    ``harness.run`` never passes one: it records a diverged step instead."""
+    def spoil(grads):
+        spoiled = dict(grads, b=grads["b"].copy())
+        spoiled["b"][1, 2] = bad
+        return spoiled
+
+    rejected_step_changes_nothing(name, spoil, "non-finite gradient for 'b'")
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda grads: {"a": grads["a"]}, r"missing \['b'\], extra \[\]$"),
+    (lambda grads: dict(grads, c=grads["a"]), r"missing \[\], extra \['c'\]$"),
+], ids=["missing", "extra"])
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_mismatched_gradients_rejected(name, spoil, match):
+    """Gradients named unlike the weights raise a plain ValueError, which
+    ``harness.run`` does not record as divergence, and change nothing."""
+    error = rejected_step_changes_nothing(name, spoil, match)
+    assert not isinstance(error, NonFiniteError)
 
 
 @pytest.mark.parametrize("base", [optim.SgdBase, optim.AdamBase,
@@ -242,9 +265,15 @@ class TestGradClipGlobal:
 
 class TestSpam:
     def test_warmup_scale_after_reset(self):
-        assert optim.spam_warmup_scale(501, 500, 150) == pytest.approx(1 / 150)
-        assert optim.spam_warmup_scale(650, 500, 150) == 1.0
-        assert optim.spam_warmup_scale(900, 500, 150) == 1.0
+        base = optim.AdamBase(reset_interval=500, reset_style="after",
+                              warmup_steps=150)
+        assert base.begin_step(501)[1] == pytest.approx(1 / 150)
+        assert base.begin_step(650)[1] == 1.0
+        assert base.begin_step(900)[1] == 1.0
+
+    def test_unknown_reset_style_rejected(self):
+        with pytest.raises(ValueError, match="unknown reset_style 'before'"):
+            optim.AdamBase(reset_interval=10, reset_style="before")
 
 
 class TestAdafactor:
@@ -304,7 +333,7 @@ class TestAdamMini:
 
 
 # ---------------------------------------------------------------------------
-# Stable-SPAM and compose
+# Stable-SPAM and ComposedOptimizer
 # ---------------------------------------------------------------------------
 
 class TestStableSpam:
@@ -337,7 +366,8 @@ class TestCompose:
               for i in range(40)]
         traces = []
         for order in (["adaclip", "adagn"], ["adagn", "adaclip"]):
-            opt = compose(order, optim.AdamBase(reset_interval=10))
+            opt = optim.ComposedOptimizer(order,
+                                          optim.AdamBase(reset_interval=10))
             params = {"w": np.zeros((4, 4))}
             traces.append([])
             for step, g in enumerate(gs, start=1):
@@ -347,12 +377,12 @@ class TestCompose:
 
     def test_duplicate_transforms_rejected(self):
         with pytest.raises(ConfigError):
-            compose(["adaclip", "adaclip"], optim.AdamBase())
+            optim.ComposedOptimizer(["adaclip", "adaclip"], optim.AdamBase())
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ConfigError):
-            compose(["sparsify"], optim.AdamBase())
+            optim.ComposedOptimizer(["sparsify"], optim.AdamBase())
 
     def test_spike_clip_requires_second_moment(self):
         with pytest.raises(ConfigError):
-            compose(["spike_clip"], optim.LionBase())
+            optim.ComposedOptimizer(["spike_clip"], optim.LionBase())
