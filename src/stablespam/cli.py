@@ -13,7 +13,10 @@ The keys are the fields of the ``harness`` config dataclasses, named
 key is optional; unset keys take the documented defaults (Adam, no
 quantization, peak LR 1e-3). Unknown keys, keys set twice and unparsable
 values are reported with the key name and line number, a value outside its
-key's range with the key name.
+key's range with the key name. ``--seed`` replaces the file's ``seed`` in
+``run``, ``sweep`` and ``compare`` alike; the library checks it, and a
+sweep's learning rates, before any run starts, so a config error writes
+nothing.
 
 Exit codes: 0 success, 1 config or usage error, 2 divergence-only (every run
 diverged), 3 internal error.
@@ -79,14 +82,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     return cfg
 
 
-def parse_config(path: str) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        text = fh.read()
-    return parse_config_text(text, origin=path)
-
-
 def parse_lr_grid(text: str) -> list[float]:
     """``a:b:step`` inclusive grid, or a named preset.
 
@@ -117,17 +112,20 @@ def parse_lr_grid(text: str) -> list[float]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _load_cfg(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    cfg.validate()
-    return cfg
+def _load_cfg(path: str | None, seed: int | None) -> RunConfig:
+    """The config file at ``path`` (the defaults without one), checked as
+    it is parsed, with ``--seed`` applied."""
+    cfg = RunConfig()
+    if path is not None:
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
+        with open(path) as fh:
+            cfg = parse_config_text(fh.read(), origin=path)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def cmd_run(args) -> int:
-    cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
+    cfg = _load_cfg(args.config, args.seed)
     path = os.path.join(args.out, "run.csv")
     result = run(cfg, records_path=path)
     final = result.final_val_loss
@@ -141,7 +139,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 0:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args.config, args.seed)
     grid = parse_lr_grid(args.lr_grid) if args.lr_grid \
         else list(LR_GRID_PRESETS["step"])
     jobs = args.jobs if args.jobs else min(len(grid), os.cpu_count() or 1)
@@ -178,11 +176,8 @@ def compare_configs(cfgs: list[RunConfig]):
 def cmd_compare(args) -> int:
     if len(args.configs) < 2:
         raise ConfigError("compare needs at least two config files")
-    cfgs = [parse_config(p) for p in args.configs]
-    if args.seed is not None:
-        cfgs = [replace(c, seed=args.seed) for c in cfgs]
+    cfgs = [_load_cfg(p, args.seed) for p in args.configs]
     compare_configs(cfgs)
-    os.makedirs(args.out, exist_ok=True)
 
     results = []
     for i, cfg in enumerate(cfgs):

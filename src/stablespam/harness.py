@@ -13,6 +13,10 @@ validation loss gets the same test. Since divergence is recorded as data,
 and validates. A run has at least one step, so its ``final_val_loss`` is
 None exactly when it diverged.
 
+``_OPTIMIZERS`` is the one table of optimizers. ``run`` checks its config and
+switches on the model kind once, at set-up. ``sweep`` checks every grid
+point's config before any run starts, so a config error writes nothing.
+
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
 ``numpy.random.SeedSequence``; the validation split uses seed + 1.
@@ -51,8 +55,29 @@ LR_GRID_PRESETS = {
 # Configuration
 # ---------------------------------------------------------------------------
 
-OPTIMIZER_NAMES = ("sgd", "adam", "adam_gradclip", "adafactor", "lion",
-                   "adam_mini", "spam", "stable_spam")
+# Each optimizer: its base update rule, built from the OptimizerConfig, and
+# the transforms it always applies (see make_optimizer).
+_OPTIMIZERS = {
+    "sgd": (lambda o: optim.SgdBase(), ()),
+    "adam": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps), ()),
+    "adam_gradclip": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps),
+                      ("grad_clip",)),
+    "adafactor": (lambda o: optim.AdafactorBase(o.adafactor_eps1,
+                                                o.adafactor_d), ()),
+    "lion": (lambda o: optim.LionBase(o.lion_beta1, o.lion_beta2,
+                                      o.weight_decay), ()),
+    "adam_mini": (lambda o: optim.AdamMiniBase(o.beta1, o.beta2, o.eps), ()),
+    "spam": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps,
+                                      reset_interval=o.spam_reset_interval,
+                                      reset_style="after",
+                                      warmup_steps=o.spam_warmup_steps),
+             ("spike_clip",)),
+    "stable_spam": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps,
+                                             reset_interval=o.reset_interval,
+                                             reset_style="multiple"),
+                    ("adaclip", "adagn")),
+}
+OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 
 
 def _key(default, accepts):
@@ -198,54 +223,32 @@ _KEYS = tuple((key, section, f, f.metadata["fault"])
 
 
 def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
-    """Build the composed optimizer for a config; ``optimizer.transforms``
-    are applied in listed order before any built-in transforms.
+    """Build a config's optimizer from its ``_OPTIMIZERS`` row: the base
+    rule, and ``optimizer.transforms`` in listed order before the row's own.
 
     Global gradient clipping is the ``grad_clip`` transform and runs once:
     where ``optimizer.transforms`` lists it, or else first whenever
-    ``grad_clip > 0`` or the optimizer is ``adam_gradclip``. Its threshold
+    ``grad_clip > 0`` or the row names it (``adam_gradclip``). Its threshold
     is ``grad_clip`` when positive, else 1.0.
 
-    A transform list that repeats a built-in transform, or that the base
+    A transform list that repeats the row's own transforms, or that the base
     rule cannot run, is a ``ConfigError`` naming ``optimizer.transforms``.
     """
-    name = ocfg.name
+    if ocfg.name not in _OPTIMIZERS:
+        raise ConfigError(f"optimizer.name: unknown value '{ocfg.name}'")
+    make_base, builtin = _OPTIMIZERS[ocfg.name]
     transforms = list(ocfg.transforms)
     if "grad_clip" not in transforms and (ocfg.grad_clip > 0
-                                          or name == "adam_gradclip"):
+                                          or "grad_clip" in builtin):
         transforms.insert(0, "grad_clip")
-    builtin: list[str] = []
-    if name in ("adam", "adam_gradclip"):
-        base = optim.AdamBase(ocfg.beta1, ocfg.beta2, ocfg.eps)
-    elif name == "sgd":
-        base = optim.SgdBase()
-    elif name == "adafactor":
-        base = optim.AdafactorBase(ocfg.adafactor_eps1, ocfg.adafactor_d)
-    elif name == "lion":
-        base = optim.LionBase(ocfg.lion_beta1, ocfg.lion_beta2,
-                              ocfg.weight_decay)
-    elif name == "adam_mini":
-        base = optim.AdamMiniBase(ocfg.beta1, ocfg.beta2, ocfg.eps)
-    elif name == "spam":
-        base = optim.AdamBase(ocfg.beta1, ocfg.beta2, ocfg.eps,
-                              reset_interval=ocfg.spam_reset_interval,
-                              reset_style="after",
-                              warmup_steps=ocfg.spam_warmup_steps)
-        builtin = ["spike_clip"]
-    elif name == "stable_spam":
-        base = optim.AdamBase(ocfg.beta1, ocfg.beta2, ocfg.eps,
-                              reset_interval=ocfg.reset_interval,
-                              reset_style="multiple")
-        builtin = ["adaclip", "adagn"]
-    else:
-        raise ConfigError(f"optimizer.name: unknown value '{name}'")
     for kind in builtin:
-        if kind in transforms:
-            raise ConfigError(f"optimizer.transforms: {name} already "
+        if kind in transforms and kind != "grad_clip":
+            raise ConfigError(f"optimizer.transforms: {ocfg.name} already "
                               f"applies {kind!r}")
+    transforms += [kind for kind in builtin if kind not in transforms]
     try:
         return optim.ComposedOptimizer(
-            transforms + builtin, base,
+            transforms, make_base(ocfg),
             gamma1=ocfg.gamma1, gamma2=ocfg.gamma2, gamma3=ocfg.gamma3,
             eps=ocfg.eps, gss_threshold=ocfg.gss_threshold,
             grad_clip_threshold=ocfg.grad_clip if ocfg.grad_clip > 0 else 1.0)
@@ -314,19 +317,38 @@ def run(cfg: RunConfig, records_path: str | None = None,
     batch_rng = np.random.Generator(np.random.PCG64(seeds[1]))
     spike_rng = np.random.Generator(np.random.PCG64(seeds[2]))
 
-    spec = cfg.quant_spec()
+    # The one switch on the model kind. loss_grad() draws a batch (indices,
+    # then spikes) and returns (loss, grads); val_loss() validates.
     if cfg.model.kind == "quadratic":
         problem = models.make_quadratic(cfg.model.quad_dim, init_rng)
         params = {"w": problem.w0}
-        dataset = None
-        model = None
+
+        def loss_grad():
+            loss, grad = models.quadratic_loss_grad(problem, params["w"])
+            return loss, {"w": grad}
+
+        def val_loss():
+            return models.quadratic_loss_grad(problem, params["w"])[0]
     else:
         model = models.init_mlp(cfg.model.input_dim, cfg.model.hidden_dim,
                                 cfg.model.depth, cfg.model.classes,
-                                init_rng, quant=spec)
+                                init_rng, quant=cfg.quant_spec())
         params = model.params
         dataset = models.make_dataset(cfg.data.samples, cfg.model.input_dim,
                                       cfg.model.classes, cfg.seed)
+
+        def loss_grad():
+            idx = batch_rng.integers(0, cfg.data.samples,
+                                     size=cfg.data.batch_size)
+            x = models.inject_spikes(dataset.inputs[idx],
+                                     cfg.spike.probability,
+                                     cfg.spike.severity, spike_rng)
+            return models.mlp_forward_backward(model, x, dataset.labels[idx])
+
+        def val_loss():
+            val = models.resample_dataset(dataset, cfg.data.samples,
+                                          cfg.seed + 1)
+            return models.mlp_loss(model, val.inputs, val.labels)
 
     opt = make_optimizer(cfg.optimizer)
     records: list[StepRecord] = []
@@ -338,18 +360,7 @@ def run(cfg: RunConfig, records_path: str | None = None,
             lr = lr_schedule(step, cfg)
             loss = math.nan  # what the record keeps if the forward pass raises
             try:
-                if cfg.model.kind == "quadratic":
-                    loss, grad = models.quadratic_loss_grad(problem,
-                                                            params["w"])
-                    grads = {"w": grad}
-                else:
-                    idx = batch_rng.integers(0, cfg.data.samples,
-                                             size=cfg.data.batch_size)
-                    x = dataset.inputs[idx]
-                    y = dataset.labels[idx]
-                    x = models.inject_spikes(x, cfg.spike.probability,
-                                             cfg.spike.severity, spike_rng)
-                    loss, grads = models.mlp_forward_backward(model, x, y)
+                loss, grads = loss_grad()
                 diverged = _is_bad(loss)
                 if not diverged:
                     norm_pre = global_grad_norm(grads.values())
@@ -374,14 +385,7 @@ def run(cfg: RunConfig, records_path: str | None = None,
         final_val_loss = None
         if not diverged:
             try:
-                if cfg.model.kind == "quadratic":
-                    final_val_loss, _ = models.quadratic_loss_grad(
-                        problem, params["w"])
-                else:
-                    val = models.resample_dataset(dataset, cfg.data.samples,
-                                                  cfg.seed + 1)
-                    final_val_loss = models.mlp_loss(model, val.inputs,
-                                                     val.labels)
+                final_val_loss = val_loss()
             except NonFiniteError:
                 final_val_loss = math.nan
             if _is_bad(final_val_loss):
@@ -444,31 +448,31 @@ class SweepResult:
     best_lr: float | None
 
 
-def _sweep_one(args):
-    cfg, lr, records_path = args
-    run_cfg = replace(cfg, schedule=replace(cfg.schedule, lr_peak=lr))
-    result = run(run_cfg, records_path=records_path)
-    return SweepEntry(lr=lr, final_loss=result.final_val_loss,
+def _sweep_one(cfg, records_path):
+    result = run(cfg, records_path=records_path)
+    return SweepEntry(lr=cfg.schedule.lr_peak, final_loss=result.final_val_loss,
                       records_path=records_path)
 
 
 def sweep(base_cfg: RunConfig, lr_grid, out_dir: str | None = None,
           jobs: int = 1) -> SweepResult:
-    """Run the grid with identical seeds, pick the best finite final loss."""
-    lr_grid = list(lr_grid)
-    if not lr_grid:
+    """Run the grid with identical seeds, pick the best finite final loss.
+    Every grid point's config is checked before any run starts."""
+    cfgs = [replace(base_cfg, schedule=replace(base_cfg.schedule,
+                                               lr_peak=lr))
+            for lr in lr_grid]
+    if not cfgs:
         raise ValueError("empty learning-rate grid")
-    base_cfg.validate()
-    tasks = []
-    for i, lr in enumerate(lr_grid):
-        path = os.path.join(out_dir, f"run_lr{i}.csv") if out_dir else None
-        tasks.append((base_cfg, lr, path))
-    if jobs > 1 and len(tasks) > 1:
+    for cfg in cfgs:
+        cfg.validate()
+    paths = [os.path.join(out_dir, f"run_lr{i}.csv") if out_dir else None
+             for i in range(len(cfgs))]
+    if jobs > 1 and len(cfgs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_sweep_one, tasks))
+            entries = list(pool.map(_sweep_one, cfgs, paths))
     else:
-        entries = [_sweep_one(t) for t in tasks]
+        entries = list(map(_sweep_one, cfgs, paths))
     finite = [e for e in entries if e.final_loss is not None]
     best_lr = min(finite, key=lambda e: e.final_loss).lr if finite else None
     result = SweepResult(entries=entries, best_lr=best_lr)

@@ -372,6 +372,32 @@ class TestCommands:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{a}"],
+        ["sweep", "--config", "{a}", "--lr-grid", "0.001:0.002:0.001"],
+        ["compare", "{a}", "{b}"],
+    ], ids=["run", "sweep", "compare"])
+    def test_negative_seed_writes_nothing(self, argv, tmp_path, capsys):
+        paths = {"a": write_cfg(tmp_path, "a.cfg"),
+                 "b": write_cfg(tmp_path, "b.cfg", "optimizer.name = sgd\n")}
+        out = tmp_path / "o"
+        code = main([arg.format(**paths) for arg in argv]
+                    + ["--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed: -1 is outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_bad_lr_writes_nothing(self, tmp_path, capsys):
+        # The grid's first point, -1e-3, is out of range; the later points
+        # would have run and written their CSVs before it was checked.
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", write_cfg(tmp_path, "a.cfg"),
+                     "--lr-grid=-1e-3:2e-3:1e-3", "--jobs", "2",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "schedule.lr_peak" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])

@@ -321,3 +321,11 @@ class TestSweep:
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):
             sweep(small_cfg(), [])
+
+    def test_bad_lr_rejected_before_any_run(self, tmp_path):
+        # Every grid point is checked first: the good LRs before the NaN
+        # leave no CSV behind.
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match=r"schedule\.lr_peak"):
+            sweep(small_cfg(), [1e-3, 2e-3, math.nan], out_dir=str(out))
+        assert not out.exists()

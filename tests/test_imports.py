@@ -39,10 +39,10 @@ DOORS = {"src/stablespam/optim.py": {"ComposedOptimizer.step"},
                                       "inject_spikes"}}
 
 
-def as_matrix_callers(path):
-    """The qualified names of the functions in a module that call
-    ``as_matrix`` or ``<module>.as_matrix``; a call at module level is
-    reported as ``<module>``."""
+def callers_of(path, name):
+    """The qualified names of the functions in a module that call ``name``
+    or ``<object>.name``; a call at module level is reported as
+    ``<module>``."""
     callers = set()
 
     def visit(node, scope):
@@ -51,7 +51,7 @@ def as_matrix_callers(path):
                                   ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and "as_matrix" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None),
                     getattr(child.func, "attr", None)):
                 callers.add(".".join(scope) or "<module>")
@@ -64,8 +64,22 @@ def as_matrix_callers(path):
 def test_as_matrix_called_only_at_the_doors():
     found = {str(path.relative_to(ROOT)): callers
              for path in sorted(ROOT.glob("src/**/*.py"))
-             if (callers := as_matrix_callers(path))}
+             if (callers := callers_of(path, "as_matrix"))}
     assert found == DOORS
+
+
+# The doors a config is checked at: the config file, the library's run, and
+# a sweep's grid points before any run; the selftest checks its own.
+VALIDATE_CALLERS = {"src/stablespam/cli.py": {"parse_config_text"},
+                    "src/stablespam/harness.py": {"run", "sweep"},
+                    "src/stablespam/selftest.py": {"_trace_check"}}
+
+
+def test_validate_called_only_at_the_doors():
+    found = {str(path.relative_to(ROOT)): callers
+             for path in sorted(ROOT.glob("src/**/*.py"))
+             if (callers := callers_of(path, "validate"))}
+    assert found == VALIDATE_CALLERS
 
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

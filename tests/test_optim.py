@@ -386,3 +386,27 @@ class TestCompose:
     def test_spike_clip_requires_second_moment(self):
         with pytest.raises(ConfigError):
             optim.ComposedOptimizer(["spike_clip"], optim.LionBase())
+
+
+@pytest.mark.parametrize("name, transforms, grad_clip, expected", [
+    ("adam", [], 0.0, []),
+    ("adam", ["adagn"], 0.5, ["grad_clip", "adagn"]),
+    ("adam_gradclip", [], 0.0, ["grad_clip"]),
+    ("adam_gradclip", ["adaclip"], 0.0, ["grad_clip", "adaclip"]),
+    ("adam_gradclip", ["adaclip", "grad_clip"], 0.0, ["adaclip", "grad_clip"]),
+    ("spam", ["grad_clip"], 0.0, ["grad_clip", "spike_clip"]),
+    ("stable_spam", ["spike_clip"], 2.0,
+     ["grad_clip", "spike_clip", "adaclip", "adagn"]),
+])
+def test_make_optimizer_transform_order(name, transforms, grad_clip, expected):
+    """Listed transforms keep their order; global clipping runs once, where
+    listed or else first; the optimizer's own transforms come last."""
+    opt = make_optimizer(OptimizerConfig(name=name, transforms=transforms,
+                                         grad_clip=grad_clip))
+    assert opt.transforms == expected
+    assert opt.grad_clip_threshold == (grad_clip or 1.0)
+
+
+def test_make_optimizer_unknown_name():
+    with pytest.raises(ConfigError, match=r"^optimizer\.name: unknown value"):
+        make_optimizer(OptimizerConfig(name="adamw"))
