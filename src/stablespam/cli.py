@@ -223,6 +223,17 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
+def _out_dir(text: str) -> str:
+    """An ``--out`` path whose nearest existing ancestor, or itself, is a
+    directory; anything else is a usage error before any run starts."""
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is not a directory")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits EXIT_CONFIG on a usage error, where argparse would exit 2, the
     code for "every run diverged". Subparsers inherit the class."""
@@ -240,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", type=_out_dir, default="out",
+                       help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p_run = sub.add_parser("run", help="single training run")
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="run configs differing only in optimizer")
     p_cmp.add_argument("configs", nargs="+", help="config files")
-    p_cmp.add_argument("--out", default="out")
+    p_cmp.add_argument("--out", type=_out_dir, default="out")
     p_cmp.add_argument("--seed", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 

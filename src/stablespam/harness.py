@@ -1,17 +1,18 @@
 """Experiment runner: configs, LR schedule, training loop, sweeps, telemetry.
 
-Telemetry records the raw gradient norm as consumed by the optimizer (after
-spike injection, before any transform) and a second channel after all
-transforms. Divergence means a NaN/Inf loss, a loss beyond
-``DIVERGENCE_LOSS_CAP`` (an overflow guard: a run past that bound is a few
-steps from literal Inf, and flagging early keeps blow-up detection prompt),
-or a ``NonFiniteError``: a NaN/Inf that the quantizer meets in the forward
-pass, or a NaN/Inf gradient, which the optimizer rejects before it changes
-any state. A diverged step is always the last record of a run, and the final
-validation loss gets the same test. Since divergence is recorded as data,
-``run`` silences numpy's overflow and invalid-value warnings while it trains
-and validates. A run has at least one step, so its ``final_val_loss`` is
-None exactly when it diverged.
+Telemetry: ``run.csv``'s columns are ``StepRecord``'s fields, which its
+header and rows are derived from. It records the raw gradient norm as
+consumed by the optimizer (after spike injection, before any transform) and
+a second channel after all transforms. Divergence means a NaN/Inf loss, a
+loss beyond ``DIVERGENCE_LOSS_CAP`` (an overflow guard: a run past that
+bound is a few steps from literal Inf, and flagging early keeps blow-up
+detection prompt), or a ``NonFiniteError``: a NaN/Inf that the quantizer
+meets in the forward pass, or a NaN/Inf gradient, which the optimizer
+rejects before it changes any state. A diverged step is always the last
+record of a run, and the final validation loss gets the same test. Since
+divergence is recorded as data, ``run`` silences numpy's overflow and
+invalid-value warnings while it trains and validates. A run has at least one
+step, so its ``final_val_loss`` is None exactly when it diverged.
 
 ``_OPTIMIZERS`` is the one table of optimizers. ``run`` checks its config and
 switches on the model kind once, at set-up. ``sweep`` checks every grid
@@ -35,13 +36,10 @@ import numpy as np
 
 from . import models, optim
 from .optim import ConfigError, global_grad_norm
-from .quant import QuantFormat, QuantSpec
+from .quant import QuantSpec
 from .tensor_core import NonFiniteError
 
 DIVERGENCE_LOSS_CAP = 1e100
-
-CSV_HEADER = ("step,loss,grad_norm_pre,grad_norm_post,"
-              "clipped_fraction,effective_lr,reset,diverged")
 
 # Fig-style LR grid presets: "wide" spans 1e-4..3e-3, "step" is 1e-4..9e-4
 # in 2e-4 increments.
@@ -168,7 +166,7 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     spike: SpikeConfig = field(default_factory=SpikeConfig)
-    quant_format: str = _key("none", tuple(f.value for f in QuantFormat))
+    quant_format: str = _key("none", tuple(f.value for f in QuantSpec))
     seed: int = _key(0, "[0, inf)")
 
     def keys(self):
@@ -270,8 +268,6 @@ def lr_schedule(step: int, cfg: RunConfig) -> float:
     if warmup > 0 and step <= warmup:
         return peak * step / warmup
     floor = 0.1 * peak
-    if total == warmup:
-        return peak
     progress = (step - warmup) / (total - warmup)
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
@@ -282,6 +278,7 @@ def lr_schedule(step: int, cfg: RunConfig) -> float:
 
 @dataclass
 class StepRecord:
+    """One row of ``run.csv``, whose columns are these fields in order."""
     step: int
     loss: float
     grad_norm_pre: float
@@ -290,6 +287,9 @@ class StepRecord:
     effective_lr: float
     reset: bool
     diverged: bool
+
+
+CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 
 
 @dataclass
@@ -416,18 +416,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Each column's field and how its cells are written: a float as
+# repr(float(x)), the step and the two flags as str(int(x)).
+_COLUMNS = [(operator.attrgetter(f.name), float, repr) if f.type == "float"
+            else (operator.attrgetter(f.name), int, str)
+            for f in fields(StepRecord)]
 
 
-def write_records_csv(records, path: str) -> None:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.step), _fmt(r.loss), _fmt(r.grad_norm_pre),
-            _fmt(r.grad_norm_post), _fmt(r.clipped_fraction),
-            _fmt(r.effective_lr), str(int(r.reset)), str(int(r.diverged)),
-        ]))
+def write_records_csv(records: list[StepRecord], path: str) -> None:
+    cells = [map(text, map(number, map(get, records)))
+             for get, number, text in _COLUMNS]
+    lines = [CSV_HEADER, *map(",".join, zip(*cells))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

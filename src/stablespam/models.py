@@ -6,12 +6,12 @@ Two models:
   * a small classifier MLP whose hidden blocks are RMSNorm -> SwiGLU, with a
     plain linear head and cross-entropy loss.
 
-Quantization-aware training: when a non-NONE QuantSpec is set, every matmul
-in the MLP forward runs on quantize-dequantized operands (weights and the
-activations feeding the matmul). The backward pass treats each
-quantize-dequantize as identity (straight-through), so gradients are full
-float64 with respect to the unquantized weights. RMSNorm gains stay
-unquantized.
+Quantization-aware training: unless ``init_mlp``'s ``quant=`` is
+``QuantSpec.NONE`` (the default), every matmul in the MLP forward runs on
+quantize-dequantized operands (weights and the activations feeding it).
+The backward pass treats each quantize-dequantize as identity
+(straight-through), so gradients are full float64 with respect to the
+unquantized weights. RMSNorm gains stay unquantized.
 
 ``mlp_forward_backward``, ``mlp_loss`` and ``inject_spikes`` are the model's
 doors: each makes its batch a 2-D float64 array, and ``inject_spikes`` alone
@@ -30,6 +30,7 @@ from .quant import QuantSpec, qdq
 from .tensor_core import as_matrix, make_rng, matmul, max_abs
 
 RMSNORM_EPS = 1e-8
+QUADRATIC_DELTA = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +44,10 @@ class QuadraticProblem:
     w0: np.ndarray  # (n, 1) initial parameters
 
 
-def make_quadratic(dim: int, rng, delta: float = 0.1) -> QuadraticProblem:
-    """A = M'M + delta*I with random M; exactly symmetric by construction."""
+def make_quadratic(dim: int, rng) -> QuadraticProblem:
+    """A = M'M + QUADRATIC_DELTA*I with random M: exactly symmetric."""
     m = rng.standard_normal((dim, dim))
-    a = matmul(m.T, m) + delta * np.eye(dim)
+    a = matmul(m.T, m) + QUADRATIC_DELTA * np.eye(dim)
     b = rng.standard_normal((dim, 1))
     w = rng.standard_normal((dim, 1))
     return QuadraticProblem(a=a, b=b, w0=w)
@@ -128,8 +129,7 @@ class MlpModel:
 
 
 def init_mlp(input_dim: int, hidden_dim: int, depth: int, classes: int,
-             rng, quant: QuantSpec | None = None) -> MlpModel:
-    quant = quant or QuantSpec()
+             rng, quant: QuantSpec = QuantSpec.NONE) -> MlpModel:
     params: dict[str, np.ndarray] = {}
     din = input_dim
     for i in range(depth):

@@ -19,7 +19,7 @@ state is never zeroed.
 Baselines: SGD, Adam, Adam+GradClip (global threshold clip), Adafactor
 (factored second moment with RMS update clipping), SPAM (elementwise
 SpikeClip + periodic reset + post-reset linear LR warmup), Lion, and a
-simplified Adam-mini that keeps one shared second-moment scalar per tensor.
+simplified Adam-mini whose ``AdamMoments`` keep one (1, 1) second moment.
 
 ``ComposedOptimizer`` runs an ordered list of gradient transforms plus a base
 update rule, and is the only way the package runs an optimizer: Stable-SPAM
@@ -83,17 +83,6 @@ class AdaGnState:
 class AdaClipState:
     t_threshold: float = 0.0
     step: int = 0
-
-
-@dataclass
-class AdamMiniState:
-    m: np.ndarray
-    v: float = 0.0
-    step_in_cycle: int = 0
-
-    @classmethod
-    def zeros(cls, shape) -> "AdamMiniState":
-        return cls(m=np.zeros(shape))
 
 
 @dataclass
@@ -238,16 +227,17 @@ def lion_step(w, g, m, lr: float, beta1: float = 0.9, beta2: float = 0.99,
     return w - lr * update
 
 
-def adam_mini_step(w, g, state: AdamMiniState, lr: float,
+def adam_mini_step(w, g, moments: AdamMoments, lr: float,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6):
-    """Per-tensor Adam-mini: full first moment, one shared second-moment
-    scalar (EMA of mean(g^2)) per tensor."""
-    t = state.step_in_cycle + 1
-    state.step_in_cycle = t
-    state.m[...] = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * float(np.mean(g * g))
-    m_hat = state.m / (1.0 - beta1 ** t)
-    v_hat = state.v / (1.0 - beta2 ** t)
+    """Per-tensor Adam-mini: full first moment, one shared second moment
+    (EMA of mean(g^2)) in the (1, 1) ``moments.v``, updated as a float."""
+    t = moments.step_in_cycle + 1
+    moments.step_in_cycle = t
+    moments.m[...] = beta1 * moments.m + (1.0 - beta1) * g
+    v = beta2 * float(moments.v[0, 0]) + (1.0 - beta2) * float(np.mean(g * g))
+    moments.v[0, 0] = v
+    m_hat = moments.m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
     return w - lr * m_hat / (math.sqrt(v_hat) + eps)
 
 
@@ -339,11 +329,11 @@ class LionBase(_Base):
 class AdamMiniBase(_Base):
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-6):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state: dict[str, AdamMiniState] = {}
+        self.state: dict[str, AdamMoments] = {}
 
     def update(self, name, w, g, lr):
         if name not in self.state:
-            self.state[name] = AdamMiniState.zeros(w.shape)
+            self.state[name] = AdamMoments(np.zeros(w.shape), np.zeros((1, 1)))
         return adam_mini_step(w, g, self.state[name], lr, self.beta1,
                               self.beta2, self.eps)
 

@@ -3,7 +3,8 @@
 Quantization is simulated entirely in float64 by rounding each value to an
 integer code on a symmetric grid scaled by the tensor's absmax. The compute
 dtype never changes, so all quantizer properties (idempotence, boundedness,
-sign preservation) hold exactly.
+sign preservation) hold exactly. A format is a member of the one enum
+``QuantSpec``, valued by its ``quant.format`` name; ``NONE`` quantizes nothing.
 
 ``qdq`` takes a 2-D float64 array as given (the model's doors make one) and
 raises ``NonFiniteError`` on a NaN or +-inf entry, naming its index.
@@ -23,7 +24,6 @@ Grid conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,38 +31,33 @@ import numpy as np
 from .tensor_core import NonFiniteError, max_abs
 
 
-class QuantFormat(Enum):
+class QuantSpec(Enum):
     NONE = "none"
     INT2 = "int2"
     INT3 = "int3"
     INT4 = "int4"
     FP4_E1M2 = "fp4_e1m2"
 
-
-@dataclass(frozen=True)
-class QuantSpec:
-    format: QuantFormat = QuantFormat.NONE
-
     @classmethod
     def from_name(cls, name: str) -> "QuantSpec":
-        return cls(format=QuantFormat(name))
+        return cls(name)
 
 
 # Each format's top code and the value of one code step on its grid().
 _CODES = {
-    QuantFormat.INT2: (1, 1.0),
-    QuantFormat.INT3: (3, 1.0),
-    QuantFormat.INT4: (7, 1.0),
-    QuantFormat.FP4_E1M2: (7, 0.25),
+    QuantSpec.INT2: (1, 1.0),
+    QuantSpec.INT3: (3, 1.0),
+    QuantSpec.INT4: (7, 1.0),
+    QuantSpec.FP4_E1M2: (7, 0.25),
 }
 
 
-def grid(fmt: QuantFormat) -> np.ndarray:
+def grid(fmt: QuantSpec) -> np.ndarray:
     """Sorted array of representable values for a (non-NONE) format.
 
     E1M2 is uniform: its subnormals 0..0.75 run on into its normals 1.0..1.75.
     """
-    if fmt is QuantFormat.NONE:
+    if fmt is QuantSpec.NONE:
         raise ValueError("NONE format has no grid")
     top, step = _CODES[fmt]
     return np.arange(-top, top + 1) * step
@@ -75,7 +70,7 @@ def qdq(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     +-top are pinned to +-absmax, which also makes qdq exactly idempotent.
     A non-finite entry is a ``NonFiniteError`` naming its index.
     """
-    if spec.format is QuantFormat.NONE:
+    if spec is QuantSpec.NONE:
         return x.copy()
     amax = max_abs(x)  # inf or nan exactly when some entry is
     if not math.isfinite(amax):
@@ -83,7 +78,7 @@ def qdq(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
         raise NonFiniteError(f"non-finite value at index ({i}, {j})")
     if amax == 0.0:
         return np.zeros_like(x)
-    top = _CODES[spec.format][0]
+    top = _CODES[spec][0]
     # rint rounds half to even; adding 0.0 turns its -0.0 into +0.0.
     codes = np.rint(x / amax * top) + 0.0
     out = codes * (amax / top)

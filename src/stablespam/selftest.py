@@ -23,15 +23,14 @@ from functools import partial
 import numpy as np
 
 from . import harness, models, optim, oracles, quant
-from .quant import QuantFormat, QuantSpec
+from .quant import QuantSpec
 from .tensor_core import frobenius_norm, make_rng, max_abs
 
 TRACE_SEEDS = (7, 101)
 # A scalar, the shape of the MLP's gains, and a non-square matrix
 TRACE_SHAPES = ((1, 1), (1, 4), (3, 4))
 LR = 0.01
-QUANT_FORMATS = (QuantFormat.INT2, QuantFormat.INT3, QuantFormat.INT4,
-                 QuantFormat.FP4_E1M2)
+QUANT_FORMATS = tuple(fmt for fmt in QuantSpec if fmt is not QuantSpec.NONE)
 
 
 def _trace_check(*cases):
@@ -189,7 +188,7 @@ def _quant_batches():
     for fmt in QUANT_FORMATS:
         yield fmt, rng.standard_normal((20, 6, 6)) * 3.0
     rng = make_rng(6)
-    for fmt in (QuantFormat.INT4, QuantFormat.FP4_E1M2):
+    for fmt in (QuantSpec.INT4, QuantSpec.FP4_E1M2):
         yield fmt, rng.standard_normal((20, 5, 5))
     rng = make_rng(106)
     for fmt in QUANT_FORMATS:
@@ -206,10 +205,9 @@ def _quant_batches():
 def check_quant_idempotence():
     """qdq(qdq(x)) == qdq(x) bit for bit."""
     for fmt, xs in _quant_batches():
-        spec = QuantSpec(format=fmt)
         for x in xs:
-            once = quant.qdq(x, spec)
-            if not np.array_equal(quant.qdq(once, spec), once):
+            once = quant.qdq(x, fmt)
+            if not np.array_equal(quant.qdq(once, fmt), once):
                 return False, f"{fmt.value}: not idempotent at {x.tolist()}"
     return True, ""
 
@@ -217,7 +215,7 @@ def check_quant_idempotence():
 def check_quant_fp4_grid():
     expected = sorted({0.0} | {s * v for s in (-1.0, 1.0)
                                for v in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)})
-    got = quant.grid(QuantFormat.FP4_E1M2).tolist()
+    got = quant.grid(QuantSpec.FP4_E1M2).tolist()
     return got == expected, "" if got == expected else f"grid {got}"
 
 
@@ -226,8 +224,7 @@ def check_quant_absmax_fixed_point():
     output entry is at most max|x| in size and is zero or has its input's
     sign. Together these give max|qdq(x)| == max|x|."""
     for fmt, xs in _quant_batches():
-        spec = QuantSpec(format=fmt)
-        outs = np.stack([quant.qdq(x, spec) for x in xs])
+        outs = np.stack([quant.qdq(x, fmt) for x in xs])
         mags = np.abs(xs).reshape(len(xs), -1)
         amax = mags.max(axis=1)
         at_max = np.abs(outs).reshape(len(xs), -1)[np.arange(len(xs)),
@@ -265,13 +262,13 @@ def check_quant_grid_snap(formats=QUANT_FORMATS):
             want = np.reshape([(amax * np.sign(c) if abs(c) == top
                                 else c * (amax / top)) + 0.0 for c in codes],
                               x.shape)
-            got = quant.qdq(x, QuantSpec(format=fmt))
+            got = quant.qdq(x, fmt)
             if got.tobytes() != want.tobytes():
                 return False, f"{fmt.value}: {got.tolist()} != {want.tolist()}"
     return True, ""
 
 
-def finite_difference(f, x, h=1e-6):
+def finite_difference(f, x, h):
     """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h of a scalar
     function over each entry of a matrix argument; ``x`` is left as is."""
     num = np.zeros_like(x)

@@ -37,6 +37,14 @@ def write_cfg(tmp_path, name, extra=""):
     return str(path)
 
 
+# The three commands that write under --out; "{a}" and "{b}" are configs.
+WRITING_COMMANDS = pytest.mark.parametrize("argv", [
+    ["run", "--config", "{a}"],
+    ["sweep", "--config", "{a}", "--lr-grid", "0.001:0.002:0.001"],
+    ["compare", "{a}", "{b}"],
+], ids=["run", "sweep", "compare"])
+
+
 class TestParseConfig:
     def test_empty_gives_documented_defaults(self):
         cfg = parse_config_text("")
@@ -372,11 +380,7 @@ class TestCommands:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--config", "{a}"],
-        ["sweep", "--config", "{a}", "--lr-grid", "0.001:0.002:0.001"],
-        ["compare", "{a}", "{b}"],
-    ], ids=["run", "sweep", "compare"])
+    @WRITING_COMMANDS
     def test_negative_seed_writes_nothing(self, argv, tmp_path, capsys):
         paths = {"a": write_cfg(tmp_path, "a.cfg"),
                  "b": write_cfg(tmp_path, "b.cfg", "optimizer.name = sgd\n")}
@@ -386,6 +390,24 @@ class TestCommands:
         assert code == EXIT_CONFIG
         assert "seed: -1 is outside" in capsys.readouterr().err
         assert not out.exists()
+
+    @WRITING_COMMANDS
+    @pytest.mark.parametrize("out", ["f", os.path.join("f", "sub")],
+                             ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_is_usage_error(
+            self, argv, out, tmp_path, capsys):
+        # Checked as the arguments are parsed: nothing is run or written.
+        paths = {"a": write_cfg(tmp_path, "a.cfg"),
+                 "b": write_cfg(tmp_path, "b.cfg", "optimizer.name = sgd\n")}
+        (tmp_path / "f").write_bytes(b"not a directory\n")
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv]
+                 + ["--out", str(tmp_path / out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --out" in capsys.readouterr().err
+        assert (tmp_path / "f").read_bytes() == b"not a directory\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_sweep_bad_lr_writes_nothing(self, tmp_path, capsys):
         # The grid's first point, -1e-3, is out of range; the later points

@@ -258,7 +258,10 @@ class TestCsv:
         path = tmp_path / "r.csv"
         result = run(small_cfg(), records_path=str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == CSV_HEADER
+        # The literal header: CSV_HEADER is derived from StepRecord's fields,
+        # so comparing with it would not catch reordered fields.
+        assert lines[0] == ("step,loss,grad_norm_pre,grad_norm_post,"
+                            "clipped_fraction,effective_lr,reset,diverged")
         assert len(lines) == len(result.records) + 1
         first = lines[1].split(",")
         assert len(first) == 8

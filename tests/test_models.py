@@ -9,7 +9,7 @@ from stablespam.models import (QuadraticProblem, _sigmoid, init_mlp,
                                mlp_forward_backward, mlp_loss,
                                quadratic_loss_grad, rmsnorm_fwd_bwd,
                                swiglu_fwd_bwd)
-from stablespam.quant import QuantFormat, QuantSpec, grid
+from stablespam.quant import QuantSpec, grid
 from stablespam.tensor_core import make_rng
 
 
@@ -102,7 +102,7 @@ class TestSwiGlu:
 # ---------------------------------------------------------------------------
 
 class TestMlp:
-    def _model(self, seed=7, quant=None, depth=2):
+    def _model(self, seed=7, quant=QuantSpec.NONE, depth=2):
         return init_mlp(6, 8, depth, 3, make_rng(seed), quant=quant)
 
     def test_param_shapes(self):
@@ -124,10 +124,9 @@ class TestMlp:
         # depth 0: logits = qdq(x) @ qdq(w). With x and w already on an
         # absmax-scaled grid the quantizer is exact, so the quantized loss
         # equals the unquantized one bit for bit.
-        m = init_mlp(4, 8, 0, 2, make_rng(11),
-                     quant=QuantSpec(format=QuantFormat.INT4))
+        m = init_mlp(4, 8, 0, 2, make_rng(11), quant=QuantSpec.INT4)
         scale = 0.5 / 7.0
-        g = grid(QuantFormat.INT4)
+        g = grid(QuantSpec.INT4)
         rng = make_rng(12)
         m.params["out.w"] = rng.choice(g, size=(4, 2)) * scale
         m.params["out.w"].ravel()[0] = 7 * scale  # pin absmax to a grid point
@@ -135,18 +134,18 @@ class TestMlp:
         x.ravel()[0] = 7 * (1.25 / 7.0)
         labels = np.arange(6) % 2
         quantized = mlp_loss(m, x, labels)
-        plain = mlp_loss(replace(m, quant=QuantSpec()), x, labels)
+        plain = mlp_loss(replace(m, quant=QuantSpec.NONE), x, labels)
         assert quantized == plain
 
     def test_quantization_changes_loss_off_grid(self):
-        m = self._model(seed=13, quant=QuantSpec(format=QuantFormat.INT4))
+        m = self._model(seed=13, quant=QuantSpec.INT4)
         x = make_rng(14).standard_normal((8, 6))
         labels = np.arange(8) % 3
-        assert mlp_loss(m, x, labels) != mlp_loss(replace(m, quant=QuantSpec()),
-                                                  x, labels)
+        plain = replace(m, quant=QuantSpec.NONE)
+        assert mlp_loss(m, x, labels) != mlp_loss(plain, x, labels)
 
     def test_straight_through_gradient_shapes_and_finiteness(self):
-        m = self._model(seed=15, quant=QuantSpec(format=QuantFormat.FP4_E1M2))
+        m = self._model(seed=15, quant=QuantSpec.FP4_E1M2)
         x = make_rng(16).standard_normal((5, 6))
         labels = np.array([0, 1, 2, 0, 1])
         _, grads = mlp_forward_backward(m, x, labels)
@@ -158,7 +157,7 @@ class TestMlp:
     def test_list_batch_matches_array_batch(self):
         # mlp_forward_backward and mlp_loss are the model's doors: a batch
         # given as nested lists gives the bytes the same array gives.
-        m = self._model(seed=17, quant=QuantSpec(format=QuantFormat.INT4))
+        m = self._model(seed=17, quant=QuantSpec.INT4)
         x = make_rng(18).standard_normal((5, 6))
         labels = np.array([0, 1, 2, 0, 1])
         loss, grads = mlp_forward_backward(m, x, labels)

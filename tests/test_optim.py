@@ -7,8 +7,8 @@ import pytest
 from stablespam import harness, optim, oracles, selftest
 from stablespam.harness import OptimizerConfig, make_optimizer
 from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
-                              AdamMiniState, AdamMoments, ConfigError,
-                              adaclip, adafactor_step, adagn, adam_mini_step,
+                              AdamMoments, ConfigError, adaclip,
+                              adafactor_step, adagn, adam_mini_step,
                               adam_step, grad_clip_global, lion_step,
                               spike_clip)
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
@@ -313,7 +313,7 @@ class TestLion:
 
 class TestAdamMini:
     def test_uniform_gradient_equals_adam(self):
-        mini = AdamMiniState.zeros((2, 3))
+        mini = AdamMoments(m=np.zeros((2, 3)), v=np.zeros((1, 1)))
         adam = AdamMoments.zeros((2, 3))
         w1 = np.zeros((2, 3))
         w2 = np.zeros((2, 3))
@@ -324,7 +324,7 @@ class TestAdamMini:
         assert np.allclose(w1, w2, atol=1e-12)
 
     def test_first_step_closed_form(self):
-        state = AdamMiniState.zeros((1, 2))
+        state = AdamMoments(m=np.zeros((1, 2)), v=np.zeros((1, 1)))
         g = np.array([[3.0, 4.0]])
         w = adam_mini_step(np.zeros((1, 2)), g, state, lr=0.1)
         # shared v = mean(g^2) = 12.5; m_hat = g
