@@ -9,11 +9,12 @@ allowed); sections are expressed with dotted keys, e.g.::
 
 The keys are the fields of the ``harness`` config dataclasses, named
 ``section.field`` (``seed`` at top level, ``quant.format`` for
-``RunConfig.quant_format``), and each declares the values it accepts. Every
-key is optional; unset keys take the documented defaults (Adam, no
-quantization, peak LR 1e-3). Unknown keys, keys set twice and unparsable
-values are reported with the key name and line number, a value outside its
-key's range with the key name. ``--seed`` replaces the file's ``seed`` in
+``RunConfig.quant_format``). Each key's declaration gives the parser of its
+value text (its default's type) and the values it accepts. Every key is
+optional; unset keys take the documented defaults (Adam, no quantization,
+peak LR 1e-3). Unknown keys, keys set twice and unparsable values are
+reported with the key name and line number, a value outside its key's range
+with the key name. ``--seed`` replaces the file's ``seed`` in
 ``run``, ``sweep`` and ``compare`` alike; the library checks it, and a
 sweep's learning rates, before any run starts, so a config error writes
 nothing.
@@ -43,14 +44,6 @@ EXIT_INTERNAL = 3
 # Config parsing
 # ---------------------------------------------------------------------------
 
-# A config field's annotation -> the parser of its value text.
-_PARSERS = {
-    "int": int, "float": float, "str": str,
-    "list[str]": lambda text: [part.strip() for part in text.split(",")
-                               if part.strip()],
-}
-
-
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     cfg = RunConfig()
     table = {key: (owner, f) for key, owner, f in cfg.keys()}
@@ -73,7 +66,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         seen[key] = lineno
         owner, f = table[key]
         try:
-            parsed = _PARSERS[f.type](value)
+            parsed = f.metadata["parse"](value)
         except ValueError:
             raise ConfigError(f"{origin}:{lineno}: bad value for '{key}': "
                               f"{value!r}") from None
@@ -140,8 +133,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 0:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     cfg = _load_cfg(args.config, args.seed)
-    grid = parse_lr_grid(args.lr_grid) if args.lr_grid \
-        else list(LR_GRID_PRESETS["step"])
+    grid = parse_lr_grid(args.lr_grid)
     jobs = args.jobs if args.jobs else min(len(grid), os.cpu_count() or 1)
     result = sweep(cfg, grid, out_dir=args.out, jobs=jobs)
     for entry in result.entries:
@@ -261,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="learning-rate sweep")
     common(p_sweep)
-    p_sweep.add_argument("--lr-grid", default=None,
-                         help="a:b:step or preset name (wide, step)")
+    p_sweep.add_argument("--lr-grid", default="step",
+                         help="a:b:step or a preset: wide, step (default)")
     p_sweep.add_argument("--jobs", type=int, default=0,
                          help="parallel runs (default: grid size, capped)")
     p_sweep.set_defaults(func=cmd_sweep)

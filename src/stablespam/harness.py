@@ -14,9 +14,11 @@ divergence is recorded as data, ``run`` silences numpy's overflow and
 invalid-value warnings while it trains and validates. A run has at least one
 step, so its ``final_val_loss`` is None exactly when it diverged.
 
-``_OPTIMIZERS`` is the one table of optimizers. ``run`` checks its config and
-switches on the model kind once, at set-up. ``sweep`` checks every grid
-point's config before any run starts, so a config error writes nothing.
+``_key`` declares each config key: its type (its default's), the parser of
+its config-file text and the values it accepts. ``_OPTIMIZERS`` is the one
+table of optimizers. ``run`` checks its config and switches on the model
+kind once, at set-up. ``sweep`` checks every grid point's config before any
+run starts, so a config error writes nothing.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
@@ -78,22 +80,37 @@ _OPTIMIZERS = {
 OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 
 
+# A key's type is its default's. Each type: the values that have it (no bool
+# does), its name in messages and the parser of its config-file text.
+_TYPES = {int: ((int, np.integer), "an int", int),
+          float: ((int, float, np.integer), "a float", float),
+          str: (str, "a str", str),
+          list: (list, "a list", lambda text: [
+              part.strip() for part in text.split(",") if part.strip()])}
+
+
 def _key(default, accepts):
-    """A config field and the values it accepts: an interval such as
-    ``"[0, 1)"`` (an infinite bound is always open, so a float must be
-    finite), or a tuple of choices, which a list field applies to each entry.
+    """A config field, typed by its default, and the values it accepts: an
+    interval such as ``"[0, 1)"`` (an infinite bound is always open, so a
+    float must be finite), or a tuple of choices, which a list field applies
+    to each entry. ``metadata["parse"]`` reads the key's text, and
     ``metadata["fault"]`` says why a value is rejected, or returns None.
     """
+    types, named, parse = _TYPES[type(default)]
     if isinstance(accepts, str):
         lo, hi = (float(bound) for bound in accepts[1:-1].split(","))
         above = operator.le if accepts[0] == "[" else operator.lt
         below = operator.le if accepts[-1] == "]" else operator.lt
 
         def fault(value):
+            if not isinstance(value, types) or value is True or value is False:
+                return f"{value!r} is not {named}"
             if not (above(lo, value) and below(value, hi)):
                 return f"{value!r} is outside {accepts}"
     else:
         def fault(value):
+            if not isinstance(value, types):
+                return f"{value!r} is not {named}"
             entries = value if isinstance(value, list) else [value]
             for entry in entries:
                 if entry not in accepts:
@@ -101,7 +118,7 @@ def _key(default, accepts):
                             f"choose from {', '.join(accepts)}")
             if len(set(entries)) != len(entries):
                 return f"repeated entry in {value}"
-    metadata = {"accepts": accepts, "fault": fault}
+    metadata = {"accepts": accepts, "parse": parse, "fault": fault}
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=metadata)
     return field(default=default, metadata=metadata)

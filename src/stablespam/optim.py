@@ -17,9 +17,10 @@ after a reset), while the AdaGN/AdaClip counters are monotone because their
 state is never zeroed.
 
 Baselines: SGD, Adam, Adam+GradClip (global threshold clip), Adafactor
-(factored second moment with RMS update clipping), SPAM (elementwise
+(factored second moment from zeros, RMS update clipping), SPAM (elementwise
 SpikeClip + periodic reset + post-reset linear LR warmup), Lion, and a
 simplified Adam-mini whose ``AdamMoments`` keep one (1, 1) second moment.
+AdaClip and SpikeClip each return ``(gradient, entries their mask flagged)``.
 
 ``ComposedOptimizer`` runs an ordered list of gradient transforms plus a base
 update rule, and is the only way the package runs an optimizer: Stable-SPAM
@@ -87,9 +88,9 @@ class AdaClipState:
 
 @dataclass
 class AdafactorState:
-    row: np.ndarray | None = None   # (rows, 1) EMA of row means of g^2
-    col: np.ndarray | None = None   # (1, cols) EMA of column means of g^2
-    v: np.ndarray | None = None     # unfactored fallback for vectors
+    row: np.ndarray | float = 0.0   # (rows, 1) EMA of row means of g^2
+    col: np.ndarray | float = 0.0   # (1, cols) EMA of column means of g^2
+    v: np.ndarray | float = 0.0     # unfactored fallback for vectors
     step: int = 0
 
 
@@ -136,16 +137,17 @@ def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6)
     return g / g_norm * (m_hat / (math.sqrt(v_hat) + eps))
 
 
-def spike_clip(g, v, theta: float) -> np.ndarray:
+def spike_clip(g, v, theta: float):
     """SPAM's elementwise spike clip: g_i <- sign(g_i) * sqrt(theta * v_i)
-    wherever g_i^2 / v_i > theta. Entries with v_i == 0 are left unchanged."""
+    wherever g_i^2 / v_i > theta, except where v_i == 0. Returns the new
+    gradient and the number of entries flagged."""
     positive = v > 0
     ratio = np.divide(g * g, v, out=np.zeros_like(g), where=positive)
     mask = positive & (ratio > theta)
     out = g.copy()
     if mask.any():
         out[mask] = np.sign(g[mask]) * np.sqrt(theta * v[mask])
-    return out
+    return out, int(np.count_nonzero(mask))
 
 
 def global_grad_norm(layers) -> float:
@@ -198,16 +200,11 @@ def adafactor_step(w, g, state: AdafactorState, lr: float,
     beta = 1.0 - t ** (-ADAFACTOR_DECAY_POWER)
     sq = g * g + eps1
     if min(g.shape) == 1:
-        if state.v is None:
-            state.v = np.zeros_like(g)
         state.v = beta * state.v + (1.0 - beta) * sq
         v_hat = state.v
     else:
         row = np.mean(sq, axis=1, keepdims=True)
         col = np.mean(sq, axis=0, keepdims=True)
-        if state.row is None:
-            state.row = np.zeros_like(row)
-            state.col = np.zeros_like(col)
         state.row = beta * state.row + (1.0 - beta) * row
         state.col = beta * state.col + (1.0 - beta) * col
         v_hat = state.row * state.col / np.mean(state.row)
@@ -407,9 +404,8 @@ class ComposedOptimizer:
             elif kind == "spike_clip":
                 for name, g in grads.items():
                     v = self.base.second_moment(name, g.shape)
-                    clipped_g = spike_clip(g, v, self.gss_threshold)
-                    clipped += int(np.sum(clipped_g != g))
-                    grads[name] = clipped_g
+                    grads[name], n_clipped = spike_clip(g, v, self.gss_threshold)
+                    clipped += n_clipped
             elif kind == "grad_clip":
                 names = list(grads)
                 clipped_list = grad_clip_global([grads[n] for n in names],

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -156,12 +157,17 @@ class TestKeys:
             "optimizer.transforms", "optimizer.weight_decay",
             "optimizer.lion_beta1", "optimizer.lion_beta2",
             "optimizer.adafactor_eps1", "optimizer.adafactor_d"}
+        defaults = {key: getattr(owner, field.name)
+                    for key, owner, field in RunConfig().keys()}
         for key, field in KEYS.items():
             accepts = field.metadata["accepts"]
             if isinstance(accepts, tuple):
                 assert accepts, key
             else:
                 assert re.fullmatch(r"[(\[]-?\d+, (\d+|inf)[)\]]", accepts), key
+            # The default's type, which gives the parser and the type check,
+            # is the one the annotation names.
+            assert type(defaults[key]).__name__ == field.type.split("[")[0], key
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(KEYS)).flatmap(
@@ -185,6 +191,7 @@ class TestKeys:
     @example(("optimizer.eps", 0.0))
     @example(("optimizer.spam_warmup_steps", -3))
     @example(("optimizer.lion_beta1", 2.0))
+    @example(("optimizer.transforms", ["adagn", "adagn"]))
     def test_value_outside_range_is_config_error(self, case):
         key, value = case
         cfg = RunConfig()
@@ -202,10 +209,41 @@ class TestKeys:
         assert code == EXIT_CONFIG
         assert f"config error: {key}: " in err.getvalue()
 
+    @pytest.mark.parametrize("key, value, named", [
+        pytest.param(key, value, named, id=f"{key}={value!r}")
+        for key, value, named in (
+            ("schedule.total_steps", 2.5, "an int"), ("seed", 1.5, "an int"),
+            ("data.batch_size", 4.0, "an int"), ("model.depth", True, "an int"),
+            ("schedule.lr_peak", "0.1", "a float"),
+            ("optimizer.transforms", "adagn", "a list"))])
+    def test_value_of_another_type_is_config_error(self, key, value, named):
+        cfg = RunConfig()
+        set_key(cfg, key, value)
+        message = rf"^{re.escape(key)}: {re.escape(repr(value))} is not {named}$"
+        for check in (cfg.validate, lambda: run(cfg)):
+            with pytest.raises(ConfigError, match=message):
+                check()
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, value, id=f"{key}={type(value).__name__}")
+        for key, value in (
+            ("seed", np.int64(3)), ("schedule.total_steps", np.int32(2)),
+            ("schedule.lr_peak", np.float64(0.01)), ("schedule.lr_peak", 1),
+            ("spike.severity", np.int64(0)))])
+    def test_numpy_numbers_keep_their_type(self, key, value):
+        """An int key takes a numpy integer; a float key also takes an int
+        and a numpy integer, and np.float64 is a float."""
+        cfg = RunConfig(schedule=ScheduleConfig(total_steps=2, warmup_steps=0))
+        set_key(cfg, key, value)
+        assert len(run(cfg).records) == 2
+
     @pytest.mark.parametrize("base, key, value", [
         pytest.param({"model.kind": "quadratic"}, key, value, id=f"{key}-{value}")
         for key, value in (("quant.format", "int4"), ("spike.probability", 0.1),
                            ("spike.severity", 0.5))
+    ] + [
+        pytest.param({"schedule.total_steps": 10}, "schedule.warmup_steps", 11,
+                     id="schedule.warmup_steps-above-total_steps")
     ] + [
         pytest.param({"optimizer.name": name}, "optimizer.transforms", [kind],
                      id=f"{name}-{kind}")
@@ -217,9 +255,9 @@ class TestKeys:
     def test_key_combination_is_config_error(self, base, key, value, tmp_path,
                                              capsys):
         """Values each key accepts alone but not together: the quadratic
-        ignores the quant and spike keys, and an optimizer can neither repeat
-        a transform it applies itself nor run spike_clip without a second
-        moment."""
+        ignores the quant and spike keys, warmup cannot outlast the run, and
+        an optimizer can neither repeat a transform it applies itself nor run
+        spike_clip without a second moment."""
         settings = {**base, key: value}
         cfg = RunConfig()
         for k, v in settings.items():
@@ -435,6 +473,17 @@ class TestCommands:
         assert data["best_lr"] in [e["lr"] for e in data["runs"]]
         assert "best_lr:" in capsys.readouterr().out
 
+    def test_sweep_without_lr_grid_runs_the_step_preset(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("model.kind = quadratic\nschedule.total_steps = 3\n")
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"])
+        assert code == EXIT_OK
+        data = json.loads((out / "sweep_summary.json").read_text())
+        assert [e["lr"] for e in data["runs"]] == [1e-4, 3e-4, 5e-4, 7e-4,
+                                                  9e-4]
+
     def test_sweep_records_quantizer_overflow_as_diverged(self, tmp_path):
         # Criterion 7's INT4 task: at lr 10 the forward pass meets an inf;
         # the run diverges quietly, with no overflow warning.
@@ -495,6 +544,35 @@ class TestCommands:
         sgd_row = [l for l in lines if l.startswith("sgd,")][0]
         assert "diverged" in sgd_row
         assert sgd_row.split(",")[3] == "n/a"
+
+    def test_compare_every_run_diverged_exits_2(self, tmp_path):
+        # At lr 1e300 the quadratic's loss overflows by step 2 for both; the
+        # second row is labelled with the optimizer's transforms.
+        base = ("model.kind = quadratic\nschedule.total_steps = 5\n"
+                "schedule.warmup_steps = 0\nschedule.lr_peak = 1e300\n")
+        a = tmp_path / "a.cfg"
+        a.write_text(base + "optimizer.name = sgd\n")
+        b = tmp_path / "b.cfg"
+        b.write_text(base + "optimizer.name = adam\n"
+                            "optimizer.transforms = adagn\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", str(a), str(b), "--out", str(out)]) == \
+            EXIT_DIVERGED
+        rows = [line.split(",")
+                for line in (out / "compare.csv").read_text().splitlines()[1:]]
+        assert [row[:4] for row in rows] == [
+            ["sgd", "diverged", "diverged", "n/a"],
+            ["adam+adagn", "diverged", "diverged", "n/a"]]
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def broken_run(cfg, records_path=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run", broken_run)
+        code = main(["run", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: boom\n"
 
 
 SELFTEST_CHECKS = [

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,31 @@ class TestCsv:
         path = tmp_path / "deep" / "nested" / "r.csv"
         write_records_csv([], str(path))
         assert path.read_text() == CSV_HEADER + "\n"
+
+    def test_failed_atomic_write_removes_its_temporary_file(self, tmp_path,
+                                                            monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_records_csv([], str(tmp_path / "r.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed, lr", [(0, 0.01), (1, 0.3)])
+def test_stable_spam_without_reset_is_adam_with_adaclip_and_adagn(
+        seed, lr, tmp_path):
+    """With MoRet off, Stable-SPAM is Adam behind AdaClip then AdaGN: same
+    ``run.csv`` bytes and final loss, on criterion 7's INT4 task."""
+    stable = replace(int4_cfg("stable_spam", lr), seed=seed)
+    stable.optimizer.reset_interval = 0
+    composed = replace(int4_cfg("adam", lr), seed=seed)
+    composed.optimizer.transforms = ["adaclip", "adagn"]
+    results = [run(cfg, records_path=str(tmp_path / f"{i}.csv"))
+               for i, cfg in enumerate((stable, composed))]
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    assert results[0].final_val_loss == results[1].final_val_loss
 
 
 class TestSweep:

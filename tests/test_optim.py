@@ -227,26 +227,47 @@ class TestAdam:
 
 class TestSpikeClip:
     def test_worked_example(self):
-        out = spike_clip(scalar(100.0), scalar(1.0), 5000.0)
+        out, flagged = spike_clip(scalar(100.0), scalar(1.0), 5000.0)
         assert out[0, 0] == pytest.approx(math.sqrt(5000.0), rel=1e-12, abs=0)
+        assert flagged == 1
 
     def test_below_threshold_unchanged(self):
-        out = spike_clip(scalar(1.0), scalar(1.0), 5000.0)
+        out, flagged = spike_clip(scalar(1.0), scalar(1.0), 5000.0)
         assert out[0, 0] == 1.0
+        assert flagged == 0
 
     def test_zero_v_unchanged(self):
         g = np.array([[100.0, 2.0]])
         v = np.array([[0.0, 1.0]])
-        out = spike_clip(g, v, 1.0)
+        out, flagged = spike_clip(g, v, 1.0)
         assert out[0, 0] == 100.0
         assert out[0, 1] == pytest.approx(1.0)
+        assert flagged == 1
+
+    def test_flagged_entry_on_the_boundary_counts(self):
+        # g^2 / v = 2.0000000000000004 > 2 flags the entry, and its clipped
+        # value sqrt(2 * 5) is g itself: the count is the mask's, not the
+        # number of entries that changed.
+        g = scalar(math.sqrt(10.0))
+        out, flagged = spike_clip(g, scalar(5.0), 2.0)
+        assert np.array_equal(out, g)
+        assert flagged == 1
+
+    def test_step_reports_the_flagged_share(self):
+        # The same boundary entry, next to one far below the threshold.
+        base = optim.AdamBase()
+        base.second_moment("w", (1, 2))[...] = 5.0
+        opt = optim.ComposedOptimizer(["spike_clip"], base, gss_threshold=2.0)
+        grads = {"w": np.array([[math.sqrt(10.0), 1.0]])}
+        telemetry = opt.step({"w": np.zeros((1, 2))}, grads, 0.1, 1)
+        assert telemetry.clipped_fraction == 0.5
 
     def test_fixed_point(self):
         rng = make_rng(7)
         g = rng.standard_normal((5, 5)) * 50
         v = np.abs(rng.standard_normal((5, 5)))
-        once = spike_clip(g, v, 10.0)
-        assert np.array_equal(spike_clip(once, v, 10.0), once)
+        once, _ = spike_clip(g, v, 10.0)
+        assert np.array_equal(spike_clip(once, v, 10.0)[0], once)
 
 
 class TestGradClipGlobal:
@@ -261,6 +282,11 @@ class TestGradClipGlobal:
         layers = [np.array([[0.5]])]
         out = grad_clip_global(layers, 1.0)
         assert out[0][0, 0] == 0.5
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_threshold_must_be_positive(self, threshold):
+        with pytest.raises(ValueError, match="must be positive"):
+            grad_clip_global([np.array([[0.5]])], threshold)
 
 
 class TestSpam:

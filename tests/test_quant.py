@@ -23,11 +23,6 @@ class TestGrid:
         assert g[-1] == 7.0
         assert np.array_equal(g, -g[::-1])
 
-    def test_fp4_e1m2(self):
-        g = list(grid(QuantSpec.FP4_E1M2))
-        mags = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
-        assert g == sorted([-m for m in mags] + [0.0] + mags)
-
     def test_none_has_no_grid(self):
         with pytest.raises(ValueError):
             grid(QuantSpec.NONE)

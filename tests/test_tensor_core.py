@@ -250,3 +250,9 @@ class TestRng:
 def test_as_matrix_promotes_vectors():
     assert as_matrix([1.0, 2.0]).shape == (1, 2)
     assert as_matrix(3.0).shape == (1, 1)
+
+
+def test_as_matrix_rejects_three_dimensions():
+    with pytest.raises(ValueError, match=r"expected a 2-D matrix, got shape "
+                                         r"\(2, 1, 3\)"):
+        as_matrix(np.zeros((2, 1, 3)))
