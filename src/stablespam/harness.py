@@ -33,6 +33,7 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -434,10 +435,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # Each column's field and how its cells are written: a float as
-# repr(float(x)), the step and the two flags as str(int(x)).
-_COLUMNS = [(operator.attrgetter(f.name), float, repr) if f.type == "float"
-            else (operator.attrgetter(f.name), int, str)
-            for f in fields(StepRecord)]
+# repr(float(x)), the step and the two flags as str(int(x)). The type is the
+# annotation's value, whether or not annotations are kept as text.
+_COLUMNS = [(operator.attrgetter(name), float, repr) if kind is float
+            else (operator.attrgetter(name), int, str)
+            for name, kind in get_type_hints(StepRecord).items()]
 
 
 def write_records_csv(records: list[StepRecord], path: str) -> None:

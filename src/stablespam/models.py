@@ -18,6 +18,11 @@ doors: each makes its batch a 2-D float64 array, and ``inject_spikes`` alone
 decides when spikes are off. The layers behind them and their backward
 closures take 2-D float64 arrays as given, as are the parameters of an
 ``MlpModel``.
+
+The layers sum, average and take maxima with ``np.add.reduce`` and
+``np.maximum.reduce`` (a mean is the sum divided by the count). That is the
+arithmetic ``np.sum``, ``np.mean`` and ``np.max`` do, bit for bit, without
+their Python wrappers, which cost more than the reductions at these shapes.
 """
 
 from __future__ import annotations
@@ -81,14 +86,17 @@ def rmsnorm_fwd_bwd(x, gain):
     backward(dy) -> (dx, dgain).
     """
     n = x.shape[1]
-    r = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMSNORM_EPS)
+    r = np.add.reduce(x * x, axis=1, keepdims=True)
+    r /= n
+    r += RMSNORM_EPS
+    np.sqrt(r, out=r)
     y = x / r * gain
 
     def backward(dy):
         gdy = dy * gain
-        dot = np.sum(gdy * x, axis=1, keepdims=True)
+        dot = np.add.reduce(gdy * x, axis=1, keepdims=True)
         dx = gdy / r - x * dot / (n * r ** 3)
-        dgain = np.sum(dy * x / r, axis=0, keepdims=True)
+        dgain = np.add.reduce(dy * x / r, axis=0, keepdims=True)
         return dx, dgain
 
     return y, backward
@@ -142,9 +150,10 @@ def init_mlp(input_dim: int, hidden_dim: int, depth: int, classes: int,
 
 
 def _softmax(logits):
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _mlp_forward(model: MlpModel, x, labels):
@@ -167,7 +176,8 @@ def _mlp_forward(model: MlpModel, x, labels):
 
     probs = _softmax(logits)
     eps = 1e-300  # guards log(0); never active for finite logits
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + eps)))
+    log_p = np.log(probs[np.arange(n), labels] + eps)
+    loss = -(float(np.add.reduce(log_p)) / n)
     return loss, probs, xq, w_out_q, caches
 
 

@@ -19,7 +19,7 @@ state is never zeroed.
 Baselines: SGD, Adam, Adam+GradClip (global threshold clip), Adafactor
 (factored second moment from zeros, RMS update clipping), SPAM (elementwise
 SpikeClip + periodic reset + post-reset linear LR warmup), Lion, and a
-simplified Adam-mini whose ``AdamMoments`` keep one (1, 1) second moment.
+simplified Adam-mini whose ``AdamMoments`` keep one second moment per tensor.
 AdaClip and SpikeClip each return ``(gradient, entries their mask flagged)``.
 
 ``ComposedOptimizer`` runs an ordered list of gradient transforms plus a base
@@ -30,11 +30,31 @@ Adam-with-reset-and-warmup)`` and Adam+GradClip is ``(["grad_clip"], Adam)``.
 the check table in ``stablespam.selftest`` compares these against; the table
 serves both ``stablespam selftest`` and acceptance criteria 1-6 and 10.
 
+One pass per step. At its first step ``ComposedOptimizer`` lays the
+parameter set out (``lay_out``): the tensors in the gradient dict's order,
+end to end in one flat float64 vector, each in C order. Every step then
+concatenates the gradients and the weights once, and each rule runs once on
+the flat vectors. Elementwise arithmetic (Adam, SGD, Lion, SpikeClip, the
+global clip's scale) is the same per entry whatever the vector holds. A
+rule's per-tensor statistic (AdaClip's max|g|, AdaGN's norm, Adam-mini's
+mean(g^2)) is reduced over each tensor's segment exactly as over the tensor
+alone, so its EMAs are updated entry by entry as arrays and then spread back
+over the segment's entries; powers such as ``gamma ** t`` stay Python
+floats. So each update is bit for bit what the rule gives each tensor on its
+own, and the global norms keep the gradient dict's order. A ``Layout``
+serves several tensors; ``OneTensor`` serves one (the rules' default, and
+every one-tensor parameter set), whose statistics are Python floats and
+which costs no concatenation. Adafactor alone still updates tensor by
+tensor, since its factoring needs each tensor's shape. A base's state for a
+laid-out set is keyed by its ``Layout``; ``second_moment(name, shape)``
+still returns one tensor's part.
+
 ``ComposedOptimizer.step`` is the one door for input: it rejects gradients
-whose names differ from the weights' with a ``ValueError``, makes each weight
-and gradient a 2-D float64 array, and rejects a NaN or +-inf gradient with a
-``NonFiniteError``, all before any state changes. Behind it, only AdaClip
-re-checks (free, from its max).
+whose names differ from the weights' (or from the first step's) with a
+``ValueError``, makes each weight and gradient a 2-D float64 array of the
+first step's shape, and rejects a NaN or +-inf gradient with a
+``NonFiniteError`` naming the first such tensor, all before any state
+changes. Behind it, only AdaClip re-checks (free, from its max).
 
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 """
@@ -51,6 +71,128 @@ from .tensor_core import NonFiniteError, as_matrix, frobenius_norm
 
 class ConfigError(ValueError):
     pass
+
+
+def _mean(x) -> float:
+    """``np.mean`` of every entry, without its wrapper: the same sum,
+    divided by the count."""
+    return float(np.add.reduce(x, axis=None)) / x.size
+
+
+# ---------------------------------------------------------------------------
+# Layouts: where each tensor lies in the flat vector
+# ---------------------------------------------------------------------------
+
+class OneTensor:
+    """The layout of one tensor, which is its own flat vector: each
+    per-tensor statistic is a Python float, and nothing is concatenated."""
+
+    def __init__(self, name, shape):
+        self.names = {name: shape}.keys()
+        self.shapes = [shape]
+        self.key = name  # a base keeps the tensor's state under its name
+
+    @staticmethod
+    def flatten(parts):
+        return parts[0]
+
+    def split(self, flat):
+        return {self.key: flat}
+
+    @staticmethod
+    def views(flat):
+        return [flat]
+
+    @staticmethod
+    def max(x):
+        return float(np.maximum.reduce(x, axis=None))
+
+    norms = staticmethod(frobenius_norm)
+    means = staticmethod(_mean)
+
+    @staticmethod
+    def spread(stat):
+        return stat
+
+    sqrt = staticmethod(math.sqrt)
+    finite = staticmethod(math.isfinite)
+
+    @staticmethod
+    def where(condition, if_true, if_false):
+        return if_true if condition else if_false
+
+    @staticmethod
+    def read(block):
+        """The statistic held in a (1, 1) state block."""
+        return float(block[0, 0])
+
+
+# The rules' default: one tensor, whatever its name.
+TENSOR = OneTensor(None, None)
+
+
+class Layout:
+    """Several tensors laid end to end in one flat float64 vector, in the
+    order of ``shapes`` (name -> 2-D shape), each in C order. A per-tensor
+    statistic is a float64 array with one entry per tensor."""
+
+    def __init__(self, shapes):
+        self.names = shapes.keys()
+        self.shapes = list(shapes.values())
+        self.sizes = np.array([rows * cols for rows, cols in self.shapes])
+        self.starts = self.sizes.cumsum() - self.sizes
+        self.slices = [slice(start, start + size) for start, size
+                       in zip(self.starts.tolist(), self.sizes.tolist())]
+        self.key = self  # a base keeps the flat state under the layout
+
+    @staticmethod
+    def flatten(parts):
+        return np.concatenate(parts, axis=None)
+
+    def split(self, flat):
+        return {name: flat[s].reshape(shape) for name, s, shape
+                in zip(self.names, self.slices, self.shapes)}
+
+    def views(self, flat):
+        return [flat[s] for s in self.slices]
+
+    def max(self, x):
+        return np.maximum.reduceat(x, self.starts)
+
+    def norms(self, x):
+        return np.array([frobenius_norm(part) for part in self.views(x)])
+
+    def means(self, x):
+        sums = [np.add.reduce(part) for part in self.views(x)]
+        return np.array(sums) / self.sizes
+
+    def spread(self, stat):
+        return np.repeat(stat, self.sizes)
+
+    sqrt = staticmethod(np.sqrt)
+
+    @staticmethod
+    def finite(stat):
+        return np.isfinite(stat).all()
+
+    where = staticmethod(np.where)
+
+    @staticmethod
+    def read(block):
+        """The statistics held in a (1, n) state block."""
+        return block[0]
+
+
+def lay_out(shapes):
+    """The layout of a parameter set, from a dict of its tensors' 2-D shapes
+    in order. A tensor with no entries has no statistics, so it is an
+    error."""
+    for name, (rows, cols) in shapes.items():
+        if rows * cols == 0:
+            raise ValueError(f"tensor '{name}' is empty")
+    if len(shapes) == 1:
+        return OneTensor(*next(iter(shapes.items())))
+    return Layout(shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +215,18 @@ class AdamMoments:
         self.step_in_cycle = 0
 
 
+# A laid-out set keeps one float64 array, with an entry per tensor, where
+# one tensor keeps a float.
 @dataclass
 class AdaGnState:
-    m_norm: float = 0.0
-    v_norm: float = 0.0
+    m_norm: float | np.ndarray = 0.0
+    v_norm: float | np.ndarray = 0.0
     step: int = 0
 
 
 @dataclass
 class AdaClipState:
-    t_threshold: float = 0.0
+    t_threshold: float | np.ndarray = 0.0
     step: int = 0
 
 
@@ -98,43 +242,51 @@ class AdafactorState:
 # Gradient transforms
 # ---------------------------------------------------------------------------
 
-def adaclip(g, state: AdaClipState, gamma3: float):
+def adaclip(g, state: AdaClipState, gamma3: float, layout=TENSOR):
     """Clip entries above the bias-corrected EMA of historical g_max.
 
     Flagged entries are rescaled by T_hat / g_max (sign preserved); returns
     the new gradient and the number of entries clipped. State is mutated.
+    Under a ``layout``, each tensor of the flat ``g`` has its own g_max and
+    threshold, and ``state.t_threshold`` holds one per tensor.
     """
     abs_g = np.abs(g)
-    g_max = float(np.max(abs_g))
-    if not math.isfinite(g_max):  # inf or nan exactly when some entry is
+    g_max = layout.max(abs_g)
+    if not layout.finite(g_max):  # inf or nan exactly when some entry is
         raise NonFiniteError("non-finite gradient")
     t = state.step + 1
     state.t_threshold = gamma3 * state.t_threshold + (1.0 - gamma3) * g_max
     state.step = t
-    t_hat = state.t_threshold / (1.0 - gamma3 ** t)
+    t_hat = layout.spread(state.t_threshold / (1.0 - gamma3 ** t))
     mask = abs_g > t_hat
     out = g.copy()
     if mask.any():
-        out[mask] = g[mask] / g_max * t_hat
+        np.divide(g, layout.spread(g_max), out=out, where=mask)
+        np.multiply(out, t_hat, out=out, where=mask)
     return out, int(np.count_nonzero(mask))
 
 
-def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6):
+def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6,
+          layout=TENSOR):
     """Rescale g to the bias-corrected historical-norm ratio.
 
     The output's Frobenius norm is m_hat / (sqrt(v_hat) + eps). A zero
-    gradient is returned unchanged but still updates the norm EMAs.
+    gradient is returned unchanged but still updates the norm EMAs. Under a
+    ``layout``, each tensor of the flat ``g`` is rescaled by its own norms,
+    and the state's EMAs hold one per tensor.
     """
     t = state.step + 1
-    g_norm = frobenius_norm(g)
+    g_norm = layout.norms(g)
     state.m_norm = gamma1 * state.m_norm + (1.0 - gamma1) * g_norm
     state.v_norm = gamma2 * state.v_norm + (1.0 - gamma2) * g_norm * g_norm
     state.step = t
-    if g_norm == 0.0:
-        return g.copy()
     m_hat = state.m_norm / (1.0 - gamma1 ** t)
     v_hat = state.v_norm / (1.0 - gamma2 ** t)
-    return g / g_norm * (m_hat / (math.sqrt(v_hat) + eps))
+    scale = m_hat / (layout.sqrt(v_hat) + eps)
+    # A zero gradient is divided by 1 and scaled by 1, which leaves it as is.
+    zero = g_norm == 0.0
+    return (g / layout.spread(layout.where(zero, 1.0, g_norm))
+            * layout.spread(layout.where(zero, 1.0, scale)))
 
 
 def spike_clip(g, v, theta: float):
@@ -158,15 +310,18 @@ def global_grad_norm(layers) -> float:
     return math.sqrt(sum(frobenius_norm(g) ** 2 for g in layers))
 
 
-def grad_clip_global(g_layers, threshold: float):
-    """Scale all layers by threshold/N when the global norm N exceeds it."""
+def grad_clip_global(g, threshold: float, layout=None):
+    """Scale all layers by threshold/N when the global norm N exceeds it.
+
+    ``g`` is a flat vector whose tensors ``layout`` places, or a list of
+    layers, which is returned as a list."""
     if threshold <= 0:
         raise ValueError("grad clip threshold must be positive")
-    total = global_grad_norm(g_layers)
+    total = global_grad_norm(g if layout is None else layout.views(g))
     if total <= threshold:
-        return [g.copy() for g in g_layers]
+        return [x.copy() for x in g] if layout is None else g.copy()
     factor = threshold / total
-    return [g * factor for g in g_layers]
+    return [x * factor for x in g] if layout is None else g * factor
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +358,13 @@ def adafactor_step(w, g, state: AdafactorState, lr: float,
         state.v = beta * state.v + (1.0 - beta) * sq
         v_hat = state.v
     else:
-        row = np.mean(sq, axis=1, keepdims=True)
-        col = np.mean(sq, axis=0, keepdims=True)
+        row = np.add.reduce(sq, axis=1, keepdims=True) / sq.shape[1]
+        col = np.add.reduce(sq, axis=0, keepdims=True) / sq.shape[0]
         state.row = beta * state.row + (1.0 - beta) * row
         state.col = beta * state.col + (1.0 - beta) * col
-        v_hat = state.row * state.col / np.mean(state.row)
+        v_hat = state.row * state.col / _mean(state.row)
     u = g / np.sqrt(v_hat)
-    rms_u = math.sqrt(float(np.mean(u * u)))
+    rms_u = math.sqrt(_mean(u * u))
     u = u / max(1.0, rms_u / d)
     return w - lr * u
 
@@ -225,17 +380,20 @@ def lion_step(w, g, m, lr: float, beta1: float = 0.9, beta2: float = 0.99,
 
 
 def adam_mini_step(w, g, moments: AdamMoments, lr: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6):
-    """Per-tensor Adam-mini: full first moment, one shared second moment
-    (EMA of mean(g^2)) in the (1, 1) ``moments.v``, updated as a float."""
+                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6,
+                   layout=TENSOR):
+    """Per-tensor Adam-mini: full first moment, one shared second moment per
+    tensor (EMA of mean(g^2)), kept in the (1, n) block ``moments.v`` for n
+    tensors and, for one tensor, updated as a float."""
     t = moments.step_in_cycle + 1
     moments.step_in_cycle = t
     moments.m[...] = beta1 * moments.m + (1.0 - beta1) * g
-    v = beta2 * float(moments.v[0, 0]) + (1.0 - beta2) * float(np.mean(g * g))
-    moments.v[0, 0] = v
+    v = (beta2 * layout.read(moments.v)
+         + (1.0 - beta2) * layout.means(g * g))
+    moments.v[0] = v
     m_hat = moments.m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
-    return w - lr * m_hat / (math.sqrt(v_hat) + eps)
+    return w - lr * m_hat / layout.spread(layout.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +409,20 @@ class StepTelemetry:
 
 
 class _Base:
-    """Per-tensor base update rule with lazily created state. A rule that
-    keeps a second moment exposes it as ``second_moment(name, shape)``."""
+    """Base update rule with lazily created state. ``update(key, w, g, lr)``
+    updates one tensor, under its name, or a flat vector, under its
+    ``Layout``. A rule that keeps a second moment exposes it as
+    ``second_moment(name, shape)``."""
 
     def begin_step(self, global_step: int):
         return False, 1.0  # (reset_happened, lr_scale)
 
-    def update(self, name, w, g, lr):
+    def update(self, key, w, g, lr):
         raise NotImplementedError
 
 
 class SgdBase(_Base):
-    def update(self, name, w, g, lr):
+    def update(self, key, w, g, lr):
         return w - lr * g
 
 
@@ -280,12 +440,12 @@ class AdamBase(_Base):
         self.reset_interval = reset_interval
         self.reset_style = reset_style
         self.warmup_steps = warmup_steps
-        self.state: dict[str, AdamMoments] = {}
+        self.state: dict[object, AdamMoments] = {}
 
-    def _moments(self, name, shape) -> AdamMoments:
-        if name not in self.state:
-            self.state[name] = AdamMoments.zeros(shape)
-        return self.state[name]
+    def _moments(self, key, shape) -> AdamMoments:
+        if key not in self.state:
+            self.state[key] = AdamMoments.zeros(shape)
+        return self.state[key]
 
     def begin_step(self, global_step):
         # Steps since the last reset boundary: 1 on the step after one.
@@ -303,47 +463,62 @@ class AdamBase(_Base):
             scale = min(1.0, since / self.warmup_steps)
         return reset, scale
 
-    def second_moment(self, name, shape):
-        return self._moments(name, shape).v
+    def second_moment(self, key, shape):
+        """The second moment under ``key``; for the name of a tensor that a
+        ``Layout`` holds, that tensor's view of the flat one."""
+        if key not in self.state:
+            for layout, moments in self.state.items():
+                if isinstance(layout, Layout) and key in layout.names:
+                    return layout.split(moments.v)[key]
+        return self._moments(key, shape).v
 
-    def update(self, name, w, g, lr):
-        moments = self._moments(name, w.shape)
+    def update(self, key, w, g, lr):
+        moments = self._moments(key, w.shape)
         return adam_step(w, g, moments, lr, self.beta1, self.beta2, self.eps)
 
 
 class LionBase(_Base):
     def __init__(self, beta1=0.9, beta2=0.99, weight_decay=0.0):
         self.beta1, self.beta2, self.weight_decay = beta1, beta2, weight_decay
-        self.state: dict[str, np.ndarray] = {}
+        self.state: dict[object, np.ndarray] = {}
 
-    def update(self, name, w, g, lr):
-        if name not in self.state:
-            self.state[name] = np.zeros(w.shape)
-        return lion_step(w, g, self.state[name], lr, self.beta1, self.beta2,
+    def update(self, key, w, g, lr):
+        if key not in self.state:
+            self.state[key] = np.zeros(w.shape)
+        return lion_step(w, g, self.state[key], lr, self.beta1, self.beta2,
                          self.weight_decay)
 
 
 class AdamMiniBase(_Base):
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-6):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state: dict[str, AdamMoments] = {}
+        self.state: dict[object, AdamMoments] = {}
 
-    def update(self, name, w, g, lr):
-        if name not in self.state:
-            self.state[name] = AdamMoments(np.zeros(w.shape), np.zeros((1, 1)))
-        return adam_mini_step(w, g, self.state[name], lr, self.beta1,
-                              self.beta2, self.eps)
+    def update(self, key, w, g, lr):
+        layout = key if isinstance(key, Layout) else TENSOR
+        if key not in self.state:
+            self.state[key] = AdamMoments(np.zeros(w.shape),
+                                          np.zeros((1, len(layout.names))))
+        return adam_mini_step(w, g, self.state[key], lr, self.beta1,
+                              self.beta2, self.eps, layout)
 
 
 class AdafactorBase(_Base):
+    """Adafactor, tensor by tensor: a ``Layout``'s flat vector is split,
+    and each tensor keeps its state under its name."""
+
     def __init__(self, eps1=1e-30, d=1.0):
         self.eps1, self.d = eps1, d
         self.state: dict[str, AdafactorState] = {}
 
-    def update(self, name, w, g, lr):
-        if name not in self.state:
-            self.state[name] = AdafactorState()
-        return adafactor_step(w, g, self.state[name], lr, self.eps1, self.d)
+    def update(self, key, w, g, lr):
+        if isinstance(key, Layout):
+            ws, gs = key.split(w), key.split(g)
+            return np.concatenate([self.update(name, ws[name], gs[name], lr)
+                                   for name in key.names], axis=None)
+        if key not in self.state:
+            self.state[key] = AdafactorState()
+        return adafactor_step(w, g, self.state[key], lr, self.eps1, self.d)
 
 
 TRANSFORM_KINDS = ("adaclip", "adagn", "spike_clip", "grad_clip")
@@ -354,6 +529,8 @@ class ComposedOptimizer:
 
     Transforms run in listed order; ``adaclip``/``adagn``/``spike_clip`` are
     per-tensor, ``grad_clip`` rescales all tensors against the global norm.
+    Each runs once per step on the flat vector of the ``layout`` laid out at
+    the first step.
     """
 
     def __init__(self, transforms, base: _Base, *,
@@ -373,8 +550,9 @@ class ComposedOptimizer:
         self.gamma1, self.gamma2, self.gamma3, self.eps = gamma1, gamma2, gamma3, eps
         self.gss_threshold = gss_threshold
         self.grad_clip_threshold = grad_clip_threshold
-        self._adaclip: dict[str, AdaClipState] = {}
-        self._adagn: dict[str, AdaGnState] = {}
+        self.layout = None  # laid out at the first step
+        self._adaclip = AdaClipState()
+        self._adagn = AdaGnState()
 
     def step(self, params: dict, grads: dict, lr: float,
              global_step: int) -> StepTelemetry:
@@ -383,35 +561,41 @@ class ComposedOptimizer:
                 "gradients do not match the weights: missing "
                 f"{sorted(params.keys() - grads.keys())}, extra "
                 f"{sorted(grads.keys() - params.keys())}")
-        weights = {k: as_matrix(w) for k, w in params.items()}
-        grads = {k: as_matrix(g) for k, g in grads.items()}
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"non-finite gradient for '{name}'")
+        layout = self.layout or lay_out(
+            {name: as_matrix(g).shape for name, g in grads.items()})
+        if grads.keys() != layout.names:
+            raise ValueError(f"the tensors {sorted(grads)} are not the first "
+                             f"step's {sorted(layout.names)}")
+        gs = [as_matrix(grads[name]) for name in layout.names]
+        ws = [as_matrix(params[name]) for name in layout.names]
+        if [x.shape for x in gs + ws] != layout.shapes * 2:
+            raise ValueError(
+                f"the shapes of {list(layout.names)} are {[x.shape for x in gs]}"
+                f" (gradients) and {[x.shape for x in ws]} (weights), not "
+                f"the first step's {layout.shapes}")
+        g, w = layout.flatten(gs), layout.flatten(ws)
+        if not np.isfinite(g).all():
+            bad = next(name for name, part in zip(layout.names, gs)
+                       if not np.isfinite(part).all())
+            raise NonFiniteError(f"non-finite gradient for '{bad}'")
+        self.layout = layout
         reset, lr_scale = self.base.begin_step(global_step)
         clipped = 0
-        total = sum(g.size for g in grads.values())
         for kind in self.transforms:
             if kind == "adaclip":
-                for name, g in grads.items():
-                    st = self._adaclip.setdefault(name, AdaClipState())
-                    grads[name], n_clipped = adaclip(g, st, self.gamma3)
-                    clipped += n_clipped
+                g, n_clipped = adaclip(g, self._adaclip, self.gamma3, layout)
+                clipped += n_clipped
             elif kind == "adagn":
-                for name, g in grads.items():
-                    st = self._adagn.setdefault(name, AdaGnState())
-                    grads[name] = adagn(g, st, self.gamma1, self.gamma2, self.eps)
+                g = adagn(g, self._adagn, self.gamma1, self.gamma2, self.eps,
+                          layout)
             elif kind == "spike_clip":
-                for name, g in grads.items():
-                    v = self.base.second_moment(name, g.shape)
-                    grads[name], n_clipped = spike_clip(g, v, self.gss_threshold)
-                    clipped += n_clipped
+                v = self.base.second_moment(layout.key, g.shape)
+                g, n_clipped = spike_clip(g, v, self.gss_threshold)
+                clipped += n_clipped
             elif kind == "grad_clip":
-                names = list(grads)
-                clipped_list = grad_clip_global([grads[n] for n in names],
-                                                self.grad_clip_threshold)
-                grads = dict(zip(names, clipped_list))
-        for name, w in weights.items():
-            params[name] = self.base.update(name, w, grads[name], lr * lr_scale)
-        return StepTelemetry(clipped_fraction=clipped / total if total else 0.0,
-                             reset=reset, lr_scale=lr_scale, grads_post=grads)
+                g = grad_clip_global(g, self.grad_clip_threshold, layout)
+        params.update(layout.split(
+            self.base.update(layout.key, w, g, lr * lr_scale)))
+        return StepTelemetry(clipped_fraction=clipped / g.size,
+                             reset=reset, lr_scale=lr_scale,
+                             grads_post=layout.split(g))

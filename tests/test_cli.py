@@ -15,12 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablespam import cli, optim, selftest
+from stablespam import cli, optim, quant, selftest
 from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
                             parse_config_text, parse_lr_grid)
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, run)
 from stablespam.optim import ConfigError
+from stablespam.tensor_core import max_abs
 
 SMALL = """
 model.input_dim = 6
@@ -600,6 +601,73 @@ SELFTEST_CHECKS = [
 ]
 
 
+_begin_step = optim.AdamBase.begin_step
+
+
+def reset_one_step_early(base, step):
+    return _begin_step(base, step + 1)
+
+
+def zeroed_a_step_before_the_reset(base, step):
+    _begin_step(base, step + 1)  # zeroes the moments as the next step would
+    return _begin_step(base, step)
+
+
+def reset_keeping_the_moments(moments):
+    moments.step_in_cycle = 0
+
+
+# Broken MoRet rules: (the method replaced, its replacement, the check's
+# detail).
+MORET_MUTANTS = {
+    "reset one step early": (
+        (optim.AdamBase, "begin_step"), reset_one_step_early,
+        "resets at [9, 19, 29, 999]"),
+    "zeroed a step before the reset": (
+        (optim.AdamBase, "begin_step"), zeroed_a_step_before_the_reset,
+        "moments changed without a reset at step 9"),
+    "reset keeps the moments": (
+        (optim.AdamMoments, "reset"), reset_keeping_the_moments,
+        "moments not zeroed at step 10"),
+}
+
+
+def broken_qdq(round_codes=np.rint, plus_zero=True, pin=True,
+               reciprocal=False):
+    """``quant.qdq`` with one rule broken: the rounding, the +0.0 for
+    rint's -0.0, the pin of the +-top codes, or the scale, taken as
+    absmax * (1 / top) instead of absmax / top."""
+    def qdq(x, spec):
+        amax = max_abs(x)
+        if amax == 0.0:
+            return np.zeros_like(x)
+        top = len(quant.grid(spec)) // 2
+        codes = round_codes(x / amax * top) + (0.0 if plus_zero else -0.0)
+        out = codes * (amax * (1.0 / top) if reciprocal else amax / top)
+        if pin:
+            out[codes == top] = amax
+            out[codes == -top] = -amax
+        return out
+    return qdq
+
+
+# Each broken qdq and the quantizer checks that must fail on it, each with
+# a part of its detail.
+QDQ_MUTANTS = {
+    "pin always skipped": (broken_qdq(pin=False), [
+        (selftest.check_quant_absmax_fixed_point, "absmax entry"),
+        (selftest.check_quant_grid_snap, "!=")]),
+    "reciprocal scale, no pin": (broken_qdq(pin=False, reciprocal=True), [
+        (selftest.check_quant_idempotence, "not idempotent"),
+        (selftest.check_quant_absmax_fixed_point, "absmax entry"),
+        (selftest.check_quant_grid_snap, "!=")]),
+    "-0.0 kept": (broken_qdq(plus_zero=False), [
+        (selftest.check_quant_grid_snap, "!=")]),
+    "ties rounded up": (broken_qdq(round_codes=lambda v: np.floor(v + 0.5)), [
+        (selftest.check_quant_grid_snap, "!=")]),
+}
+
+
 def run_selftest_on(checks, monkeypatch, capsys):
     """Exit code and printed lines of ``stablespam selftest`` with ``checks``
     in place of the real table, whose entries the acceptance criteria run."""
@@ -639,6 +707,27 @@ class TestSelftest:
                       selftest.check_constant_gradient_bias_correction):
             ok, detail = check()
             assert not ok, (check.__name__, detail)
+
+    @pytest.mark.parametrize("mutant", list(MORET_MUTANTS))
+    def test_moret_mutation_detected(self, mutant, monkeypatch):
+        (owner, method), broken, detail = MORET_MUTANTS[mutant]
+        monkeypatch.setattr(owner, method, broken)
+        assert selftest.check_moret_periodicity() == (False, detail)
+
+    @pytest.mark.parametrize("mutant", list(QDQ_MUTANTS))
+    def test_quantizer_mutation_detected(self, mutant, monkeypatch):
+        broken, failures = QDQ_MUTANTS[mutant]
+        monkeypatch.setattr(quant, "qdq", broken)
+        for check, detail in failures:
+            ok, got = check()
+            assert not ok and detail in got, (check.__name__, got)
+
+    def test_grid_snap_rejects_inexact_ties(self, monkeypatch):
+        # With a grid step of 0.7, x / max|x| * top moves some midpoints off
+        # the grid's, so the check's tie data are no longer exact ties.
+        monkeypatch.setattr(quant, "grid", lambda fmt: np.arange(-7, 8) * 0.7)
+        ok, detail = selftest.check_quant_grid_snap()
+        assert not ok and detail.endswith("a midpoint is not an exact tie")
 
     def test_each_entry_has_one_tier1_home(self):
         """Each table entry is called from exactly one place in the tests that

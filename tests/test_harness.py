@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import sys
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +273,27 @@ class TestCsv:
         assert float(first[1]) == result.records[0].loss
         # repr round-trips exactly
         assert first[1] == repr(result.records[0].loss)
+
+    def test_columns_do_not_depend_on_annotation_text(self, tmp_path):
+        """A copy of ``harness`` whose annotations are evaluated (no
+        ``from __future__ import annotations``) writes the same bytes."""
+        source = Path(harness.__file__).read_text()
+        eager = source.replace("from __future__ import annotations\n", "")
+        assert eager != source
+        module = types.ModuleType("stablespam._eager_harness")
+        module.__package__ = "stablespam"
+        sys.modules[module.__name__] = module  # dataclasses look it up
+        try:
+            exec(compile(eager, harness.__file__, "exec"), module.__dict__)
+            cfg = RunConfig(model=ModelConfig(kind="quadratic"),
+                            schedule=ScheduleConfig(total_steps=2))
+            run(cfg, records_path=str(tmp_path / "lazy.csv"))
+            records = module.run(cfg).records
+            module.write_records_csv(records, str(tmp_path / "eager.csv"))
+        finally:
+            del sys.modules[module.__name__]
+        assert ((tmp_path / "eager.csv").read_bytes()
+                == (tmp_path / "lazy.csv").read_bytes())
 
     def test_atomic_write_creates_parents(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "r.csv"

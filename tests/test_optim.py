@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from stablespam import harness, optim, oracles, selftest
+from stablespam import harness, models, optim, oracles, selftest
 from stablespam.harness import OptimizerConfig, make_optimizer
 from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               AdamMoments, ConfigError, adaclip,
                               adafactor_step, adagn, adam_mini_step,
-                              adam_step, grad_clip_global, lion_step,
-                              spike_clip)
+                              adam_step, global_grad_norm, grad_clip_global,
+                              lion_step, spike_clip)
+from stablespam.quant import QuantSpec
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
 
 
@@ -180,13 +181,27 @@ def test_nonfinite_gradient_rejected(name, bad):
 @pytest.mark.parametrize("spoil, match", [
     (lambda grads: {"a": grads["a"]}, r"missing \['b'\], extra \[\]$"),
     (lambda grads: dict(grads, c=grads["a"]), r"missing \[\], extra \['c'\]$"),
-], ids=["missing", "extra"])
+    (lambda grads: dict(grads, b=grads["b"].T),
+     r"\(4, 3\)\] \(gradients\) .* not the first step's \[\(2, 3\), \(3, 4\)\]$"),
+], ids=["missing", "extra", "reshaped"])
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
 def test_mismatched_gradients_rejected(name, spoil, match):
     """Gradients named unlike the weights raise a plain ValueError, which
     ``harness.run`` does not record as divergence, and change nothing."""
     error = rejected_step_changes_nothing(name, spoil, match)
     assert not isinstance(error, NonFiniteError)
+
+
+def test_the_parameter_set_is_laid_out_at_the_first_step():
+    """Later steps name the first step's tensors; no tensor may be empty."""
+    opt = make_optimizer(OptimizerConfig(name="adam"))
+    with pytest.raises(ValueError, match=r"^tensor 'e' is empty$"):
+        opt.step({"a": np.ones((1, 2)), "e": np.ones((0, 2))},
+                 {"a": np.ones((1, 2)), "e": np.ones((0, 2))}, 0.1, 1)
+    opt.step({"a": np.ones((1, 2))}, {"a": np.ones((1, 2))}, 0.1, 1)
+    with pytest.raises(ValueError, match=r"^the tensors \['b'\] are not "
+                                         r"the first step's \['a'\]$"):
+        opt.step({"b": np.ones((1, 2))}, {"b": np.ones((1, 2))}, 0.1, 2)
 
 
 @pytest.mark.parametrize("base", [optim.SgdBase, optim.AdamBase,
@@ -436,3 +451,205 @@ def test_make_optimizer_transform_order(name, transforms, grad_clip, expected):
 def test_make_optimizer_unknown_name():
     with pytest.raises(ConfigError, match=r"^optimizer\.name: unknown value"):
         make_optimizer(OptimizerConfig(name="adamw"))
+
+
+# ---------------------------------------------------------------------------
+# The flat step against each tensor alone
+# ---------------------------------------------------------------------------
+
+# A parameter set in gradient order, a (1, 1) tensor among them.
+FLAT_SHAPES = {"out": (3, 4), "bias": (1, 1), "w": (4, 2), "gain": (1, 5)}
+FLAT_STEPS = 12
+
+
+def flat_grads():
+    """The gradients of each step: fixed magnitudes (|N(0, 1)| draws) with
+    random signs, shrinking by 0.8 a step so that nothing is clipped unless
+    spiked. At step 3 the gradient of ``w`` is all zeros (AdaGN's zero-norm
+    branch), and at step 7 one entry of ``out`` is 100, a spike that only
+    ``out`` clips."""
+    rng = make_rng(41)
+    sizes = {name: np.abs(rng.standard_normal(shape))
+             for name, shape in FLAT_SHAPES.items()}
+    steps = [{name: size * rng.choice((-1.0, 1.0), size.shape) * 0.8 ** t
+              for name, size in sizes.items()} for t in range(FLAT_STEPS)]
+    steps[2]["w"][...] = 0.0
+    steps[6]["out"][1, 2] = 100.0
+    return steps
+
+
+def flat_optimizer(name, grad_clip):
+    """``name`` with a MoRet reset at step 8 (Stable-SPAM), and SPAM's reset
+    at step 6 and its 3-step warmup."""
+    return make_optimizer(OptimizerConfig(
+        name=name, reset_interval=8, spam_reset_interval=5,
+        spam_warmup_steps=3, grad_clip=grad_clip))
+
+
+def looped_step(opt, states, params, grads, lr, step):
+    """The step as a loop over the tensors in gradient order, each rule
+    called on one tensor at a time, with AdaClip's and AdaGN's state per
+    tensor in ``states`` and the base's under each tensor's name. Returns
+    the clipped count per tensor and the step's telemetry."""
+    grads = dict(grads)
+    reset, lr_scale = opt.base.begin_step(step)
+    counts = dict.fromkeys(grads, 0)
+    for kind in opt.transforms:
+        if kind == "grad_clip":
+            grads = dict(zip(grads, grad_clip_global(list(grads.values()),
+                                                     opt.grad_clip_threshold)))
+            continue
+        for name, g in grads.items():
+            if kind == "adaclip":
+                state = states[kind].setdefault(name, AdaClipState())
+                grads[name], n = adaclip(g, state, opt.gamma3)
+            elif kind == "adagn":
+                state = states[kind].setdefault(name, AdaGnState())
+                grads[name], n = adagn(g, state, opt.gamma1, opt.gamma2,
+                                       opt.eps), 0
+            else:
+                v = opt.base.second_moment(name, g.shape)
+                grads[name], n = spike_clip(g, v, opt.gss_threshold)
+            counts[name] += n
+    for name, g in grads.items():
+        params[name] = opt.base.update(name, params[name], g, lr * lr_scale)
+    total = sum(g.size for g in grads.values())
+    return counts, optim.StepTelemetry(sum(counts.values()) / total, reset,
+                                       lr_scale, grads)
+
+
+def base_state(base, name, layout):
+    """What ``base`` keeps for tensor ``name``, as arrays: under its name,
+    or (with ``layout``) its part of the flat state."""
+    if isinstance(base, optim.SgdBase):
+        return []
+    if isinstance(base, optim.AdafactorBase):
+        st = base.state[name]
+        return [np.asarray(x) for x in (st.row, st.col, st.v, st.step)]
+    held = base.state[layout if layout else name]
+    part = (lambda a: layout.split(a)[name]) if layout else (lambda a: a)
+    if isinstance(base, optim.LionBase):
+        return [part(held)]
+    if isinstance(base, optim.AdamMiniBase):
+        v = held.v[0, list(layout.names).index(name)] if layout else held.v[0, 0]
+        return [part(held.m), v, held.step_in_cycle]
+    return [part(held.m), part(held.v), base.second_moment(name, None),
+            held.step_in_cycle]
+
+
+def assert_same_bytes(got, want, what):
+    assert len(got) == len(want), what
+    for i, (a, b) in enumerate(zip(got, want)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (what, i)
+
+
+TRANSFORM_STATE = {"adaclip": ("t_threshold", "step"),
+                   "adagn": ("m_norm", "v_norm", "step")}
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 0.5], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_flat_step_matches_each_tensor_alone(name, grad_clip):
+    """Weights, state and telemetry of one step over the whole set equal,
+    byte for byte, a loop of each rule over each tensor alone; and the
+    caller's gradient dict is left as it was."""
+    opt, ref = flat_optimizer(name, grad_clip), flat_optimizer(name, grad_clip)
+    # The weights in another order than the gradients, as the MLP's are.
+    ones = {key: np.ones(FLAT_SHAPES[key]) for key in reversed(FLAT_SHAPES)}
+    params, ref_params = dict(ones), dict(ones)
+    states = {"adaclip": {}, "adagn": {}}
+    seen = set()
+    for step, grads in enumerate(flat_grads(), start=1):
+        before = [(key, g, g.tobytes()) for key, g in grads.items()]
+        telemetry = opt.step(params, grads, 0.01, step)
+        assert [(key, g, g.tobytes()) for key, g in grads.items()] == before
+        counts, want = looped_step(ref, states, ref_params, grads, 0.01, step)
+        assert list(telemetry.grads_post) == list(FLAT_SHAPES)
+        assert list(params) == list(ones)
+        assert (telemetry.clipped_fraction, telemetry.reset,
+                telemetry.lr_scale) == (want.clipped_fraction, want.reset,
+                                        want.lr_scale), step
+        for key in FLAT_SHAPES:
+            assert_same_bytes([params[key], telemetry.grads_post[key]],
+                              [ref_params[key], want.grads_post[key]],
+                              (step, key))
+            assert_same_bytes(base_state(opt.base, key, opt.layout),
+                              base_state(ref.base, key, None), (step, key))
+        for kind, fields in TRANSFORM_STATE.items():
+            if kind in opt.transforms:
+                flat = getattr(opt, f"_{kind}")
+                for field in fields:
+                    per_tensor = [getattr(states[kind][key], field)
+                                  for key in FLAT_SHAPES]
+                    assert_same_bytes(
+                        [np.broadcast_to(getattr(flat, field), len(FLAT_SHAPES))],
+                        [per_tensor], (step, kind, field))
+        if sum(map(bool, counts.values())) == 1:
+            seen.add("clip in one tensor")
+        if telemetry.reset:
+            seen.add("reset")
+        if telemetry.lr_scale < 1.0:
+            seen.add("warmup")
+        if ("grad_clip" in opt.transforms and
+                global_grad_norm(grads.values()) > opt.grad_clip_threshold):
+            seen.add("global clip")
+    wanted = {"spam": {"clip in one tensor", "reset", "warmup"},
+              "stable_spam": {"clip in one tensor", "reset"}}.get(name, set())
+    if "grad_clip" in opt.transforms:
+        wanted.add("global clip")
+    assert wanted <= seen
+
+
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_flat_step_names_the_first_nonfinite_tensor(name):
+    """A step whose second and fourth gradients are not finite names the
+    second, in gradient order, and changes nothing: the optimizer goes on
+    like a twin that never saw it."""
+    opt, twin = flat_optimizer(name, 0.5), flat_optimizer(name, 0.5)
+    ones = {key: np.ones(shape) for key, shape in FLAT_SHAPES.items()}
+    params, twin_params = dict(ones), dict(ones)
+    for step, grads in enumerate(flat_grads(), start=1):
+        if step == 5:
+            spoiled = {key: g.copy() for key, g in grads.items()}
+            spoiled["bias"][0, 0] = math.nan
+            spoiled["gain"][0, 3] = -math.inf
+            with pytest.raises(NonFiniteError,
+                               match=r"^non-finite gradient for 'bias'$"):
+                opt.step(params, spoiled, 0.01, step)
+        opt.step(params, grads, 0.01, step)
+        twin.step(twin_params, grads, 0.01, step)
+    for key in FLAT_SHAPES:
+        assert_same_bytes([params[key]] + base_state(opt.base, key, opt.layout),
+                          [twin_params[key]]
+                          + base_state(twin.base, key, twin.layout), key)
+
+
+@pytest.mark.parametrize("name, rules", [
+    ("adam", {"adam_step": 1}),
+    ("stable_spam", {"adam_step": 1, "adaclip": 1, "adagn": 1}),
+    ("adam_mini", {"adam_mini_step": 1}),
+])
+def test_one_rule_call_per_step_on_the_mlp(name, rules, monkeypatch):
+    """The flat step's structural guard, with no clock: one step over the
+    MLP's 7 tensors calls each rule once, not once per tensor."""
+    rng = make_rng(0)
+    model = models.init_mlp(4, 32, 2, 8, rng, quant=QuantSpec.INT4)
+    _, grads = models.mlp_forward_backward(
+        model, rng.standard_normal((32, 4)), np.arange(32) % 8)
+    assert len(grads) == 7
+    calls = dict.fromkeys(rules, 0)
+
+    def counted(rule):
+        def call(*args):
+            calls[rule] += 1
+            return original(*args)
+        original = getattr(optim, rule)
+        return call
+
+    for rule in rules:
+        monkeypatch.setattr(optim, rule, counted(rule))
+    opt = make_optimizer(OptimizerConfig(name=name))
+    for step in (1, 2):
+        opt.step(model.params, grads, 1e-3, step)
+    assert calls == {rule: 2 * n for rule, n in rules.items()}

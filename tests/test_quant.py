@@ -13,6 +13,28 @@ ALL_FORMATS = [fmt for fmt in QuantSpec if fmt is not QuantSpec.NONE]
 FORMAT_IDS = [f"QuantFormat.{fmt.name}" for fmt in ALL_FORMATS]
 
 
+
+def absmax_with_pin(top, pin_needed):
+    """The first of 1.001, 1.002, ... 1.999 whose +-top codes need the pin
+    to give +-absmax, or do not; None if there is none."""
+    for k in range(1, 1000):
+        amax = 1.0 + k / 1000
+        if (top * (amax / top) != amax) == pin_needed:
+            return amax
+    return None
+
+
+# INT2's top code is 1, so its +-top codes always give +-absmax unpinned.
+def top_code(fmt):
+    return len(grid(fmt)) // 2  # the codes run from -top to top
+
+
+PIN_CASES = [(fmt, needed) for fmt in ALL_FORMATS for needed in (True, False)
+             if absmax_with_pin(top_code(fmt), needed)]
+PIN_IDS = [f"{fmt.value}-{'pinned' if needed else 'unpinned'}"
+           for fmt, needed in PIN_CASES]
+
+
 class TestGrid:
     def test_int2(self):
         assert list(grid(QuantSpec.INT2)) == [-1.0, 0.0, 1.0]
@@ -57,6 +79,14 @@ class TestQdq:
         # nearest, ties to even", one format per id.
         ok, detail = selftest.check_quant_grid_snap(formats=(fmt,))
         assert ok, detail
+
+    @pytest.mark.parametrize("fmt, pin_needed", PIN_CASES, ids=PIN_IDS)
+    def test_top_codes_give_exactly_the_absmax(self, fmt, pin_needed):
+        # qdq pins the +-top codes only where top * (amax / top) != amax.
+        amax = absmax_with_pin(top_code(fmt), pin_needed)
+        out = qdq(np.array([[amax, -amax, 0.3 * amax, 0.0]]), fmt)
+        assert out[0, 0] == amax
+        assert out[0, 1] == -amax
 
     def test_nonfinite_errors_with_index(self):
         for bad in (np.inf, -np.inf, np.nan):
