@@ -40,7 +40,7 @@ import numpy as np
 from . import models, optim
 from .optim import ConfigError, global_grad_norm
 from .quant import QuantSpec
-from .tensor_core import NonFiniteError
+from .tensor_core import NonFiniteError, make_rng
 
 DIVERGENCE_LOSS_CAP = 1e100
 
@@ -330,10 +330,8 @@ def run(cfg: RunConfig, records_path: str | None = None,
     ``StepClock`` (``perfbench/run.py``) to time each step.
     """
     cfg.validate()
-    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    init_rng = np.random.Generator(np.random.PCG64(seeds[0]))
-    batch_rng = np.random.Generator(np.random.PCG64(seeds[1]))
-    spike_rng = np.random.Generator(np.random.PCG64(seeds[2]))
+    init_rng, batch_rng, spike_rng = map(
+        make_rng, np.random.SeedSequence(cfg.seed).spawn(3))
 
     # The one switch on the model kind. loss_grad() draws a batch (indices,
     # then spikes) and returns (loss, grads); val_loss() validates.

@@ -41,13 +41,13 @@ mean(g^2)) is reduced over each tensor's segment exactly as over the tensor
 alone, so its EMAs are updated entry by entry as arrays and then spread back
 over the segment's entries; powers such as ``gamma ** t`` stay Python
 floats. So each update is bit for bit what the rule gives each tensor on its
-own, and the global norms keep the gradient dict's order. A ``Layout``
-serves several tensors; ``OneTensor`` serves one (the rules' default, and
-every one-tensor parameter set), whose statistics are Python floats and
-which costs no concatenation. Adafactor alone still updates tensor by
-tensor, since its factoring needs each tensor's shape. A base's state for a
-laid-out set is keyed by its ``Layout``; ``second_moment(name, shape)``
-still returns one tensor's part.
+own. The global clip also takes the flat vector: its norm is taken over
+the tensors' parts in the gradient dict's order. A ``Layout`` serves several
+tensors; ``OneTensor`` serves one (the rules' default, and every one-tensor
+parameter set), whose statistics are Python floats and which costs no
+concatenation. Adafactor alone still updates tensor by tensor, since its
+factoring needs each tensor's shape. A base keeps a laid-out set's state
+under its ``Layout``.
 
 ``ComposedOptimizer.step`` is the one door for input: it rejects gradients
 whose names differ from the weights' (or from the first step's) with a
@@ -185,8 +185,10 @@ class Layout:
 
 def lay_out(shapes):
     """The layout of a parameter set, from a dict of its tensors' 2-D shapes
-    in order. A tensor with no entries has no statistics, so it is an
-    error."""
+    in order. A set with no tensors, or a tensor with no entries, has no
+    statistics, so it is an error."""
+    if not shapes:
+        raise ValueError("the parameter set has no tensors")
     for name, (rows, cols) in shapes.items():
         if rows * cols == 0:
             raise ValueError(f"tensor '{name}' is empty")
@@ -310,18 +312,15 @@ def global_grad_norm(layers) -> float:
     return math.sqrt(sum(frobenius_norm(g) ** 2 for g in layers))
 
 
-def grad_clip_global(g, threshold: float, layout=None):
-    """Scale all layers by threshold/N when the global norm N exceeds it.
-
-    ``g`` is a flat vector whose tensors ``layout`` places, or a list of
-    layers, which is returned as a list."""
+def grad_clip_global(g, threshold: float, layout=TENSOR):
+    """Scale g by threshold/N when the global norm N of the tensors that
+    ``layout`` places in it exceeds the threshold."""
     if threshold <= 0:
         raise ValueError("grad clip threshold must be positive")
-    total = global_grad_norm(g if layout is None else layout.views(g))
+    total = global_grad_norm(layout.views(g))
     if total <= threshold:
-        return [x.copy() for x in g] if layout is None else g.copy()
-    factor = threshold / total
-    return [x * factor for x in g] if layout is None else g * factor
+        return g.copy()
+    return g * (threshold / total)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +401,20 @@ def adam_mini_step(w, g, moments: AdamMoments, lr: float,
 
 @dataclass
 class StepTelemetry:
-    clipped_fraction: float = 0.0
-    reset: bool = False
-    lr_scale: float = 1.0
-    grads_post: dict | None = None
+    clipped_fraction: float
+    reset: bool
+    lr_scale: float
+    grads_post: dict
 
 
 class _Base:
-    """Base update rule with lazily created state. ``update(key, w, g, lr)``
-    updates one tensor, under its name, or a flat vector, under its
-    ``Layout``. A rule that keeps a second moment exposes it as
-    ``second_moment(name, shape)``."""
+    """Base update rule with lazily created state. Each base's
+    ``update(key, w, g, lr)`` updates one tensor, under its name, or a flat
+    vector, under its ``Layout``. A rule that keeps a second moment exposes
+    it as ``second_moment(key, shape)``."""
 
     def begin_step(self, global_step: int):
         return False, 1.0  # (reset_happened, lr_scale)
-
-    def update(self, key, w, g, lr):
-        raise NotImplementedError
 
 
 class SgdBase(_Base):
@@ -464,12 +460,7 @@ class AdamBase(_Base):
         return reset, scale
 
     def second_moment(self, key, shape):
-        """The second moment under ``key``; for the name of a tensor that a
-        ``Layout`` holds, that tensor's view of the flat one."""
-        if key not in self.state:
-            for layout, moments in self.state.items():
-                if isinstance(layout, Layout) and key in layout.names:
-                    return layout.split(moments.v)[key]
+        """The second moment kept under ``key``."""
         return self._moments(key, shape).v
 
     def update(self, key, w, g, lr):

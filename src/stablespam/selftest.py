@@ -412,10 +412,11 @@ def check_constant_gradient_bias_correction():
 
 
 def check_grad_clip_norm_bound():
-    """After grad_clip_global(layers, 1.0) the global norm is at most
-    1 + 1e-12: three 4x4 layers of N(0, 25) (seed 13), 100 stacks of four
-    3x3 layers of N(0, 25) (seed 8), and 100 stacks of 1-5 layers of random
-    shape up to 4x4, N(0, 25) (seed 110)."""
+    """After grad_clip_global(g, 1.0, layout) on the flat vector g of a stack
+    of layers, their global norm is at most 1 + 1e-12: three 4x4 layers of
+    N(0, 25) (seed 13), 100 stacks of four 3x3 layers of N(0, 25) (seed 8),
+    and 100 stacks of 1-5 layers of random shape up to 4x4, N(0, 25) (seed
+    110)."""
     rng = make_rng(13)
     stacks = [[rng.standard_normal((4, 4)) * 5 for _ in range(3)]]
     rng = make_rng(8)
@@ -427,9 +428,12 @@ def check_grad_clip_norm_bound():
         stacks.append([rng.standard_normal((int(rng.integers(1, 5)),
                                             int(rng.integers(1, 5)))) * 5.0
                        for _ in range(n_layers)])
-    worst = float(np.max([
-        harness.global_grad_norm(optim.grad_clip_global(layers, 1.0))
-        for layers in stacks]))
+    norms = []
+    for layers in stacks:
+        layout = optim.lay_out({i: x.shape for i, x in enumerate(layers)})
+        g = optim.grad_clip_global(layout.flatten(layers), 1.0, layout)
+        norms.append(harness.global_grad_norm(layout.views(g)))
+    worst = float(np.max(norms))
     return worst <= 1.0 + 1e-12, f"max post-clip norm {worst!r}"
 
 

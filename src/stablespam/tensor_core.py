@@ -129,6 +129,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(m), axis=None))
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Seeded generator; identical seeds give identical streams."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -127,3 +127,19 @@ def test_every_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in used]
     assert not unreferenced, unreferenced
+
+
+# Outside its own class, the multi-tensor layout is named only where it is
+# built and by the two bases whose state it shapes: Adam-mini's per-tensor
+# second moment and Adafactor's tensor-by-tensor update. Every other rule
+# takes whatever layout ``ComposedOptimizer.step`` hands it.
+LAYOUT_NAMERS = {"src/stablespam/optim.py": {"lay_out", "AdamMiniBase",
+                                             "AdafactorBase"}}
+
+
+def test_layout_named_only_where_it_is_built_or_shapes_state():
+    found = {str(path.relative_to(ROOT)): owners
+             for path in sorted(ROOT.glob("src/**/*.py"))
+             if (owners := {owner for name, owner in references(path)
+                            if name == "Layout" and owner != "Layout"})}
+    assert found == LAYOUT_NAMERS

@@ -193,8 +193,11 @@ def test_mismatched_gradients_rejected(name, spoil, match):
 
 
 def test_the_parameter_set_is_laid_out_at_the_first_step():
-    """Later steps name the first step's tensors; no tensor may be empty."""
+    """Later steps name the first step's tensors; neither the set nor any
+    tensor in it may be empty."""
     opt = make_optimizer(OptimizerConfig(name="adam"))
+    with pytest.raises(ValueError, match=r"^the parameter set has no tensors$"):
+        opt.step({}, {}, 0.1, 1)
     with pytest.raises(ValueError, match=r"^tensor 'e' is empty$"):
         opt.step({"a": np.ones((1, 2)), "e": np.ones((0, 2))},
                  {"a": np.ones((1, 2)), "e": np.ones((0, 2))}, 0.1, 1)
@@ -287,21 +290,21 @@ class TestSpikeClip:
 
 class TestGradClipGlobal:
     def test_three_four_five(self):
-        layers = [np.array([[3.0]]), np.array([[4.0]])]
-        out = grad_clip_global(layers, 1.0)
-        assert out[0][0, 0] == pytest.approx(0.6, rel=1e-12, abs=0)
-        assert harness.global_grad_norm(out) == pytest.approx(1.0, rel=1e-12,
-                                                              abs=0)
+        layout = optim.lay_out({"a": (1, 1), "b": (1, 1)})
+        out = grad_clip_global(np.array([3.0, 4.0]), 1.0, layout)
+        assert out[0] == pytest.approx(0.6, rel=1e-12, abs=0)
+        assert global_grad_norm(layout.views(out)) == pytest.approx(
+            1.0, rel=1e-12, abs=0)
 
     def test_below_threshold_unchanged(self):
-        layers = [np.array([[0.5]])]
-        out = grad_clip_global(layers, 1.0)
-        assert out[0][0, 0] == 0.5
+        g = np.array([[0.5]])
+        out = grad_clip_global(g, 1.0)
+        assert out[0, 0] == 0.5 and out is not g
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0])
     def test_threshold_must_be_positive(self, threshold):
         with pytest.raises(ValueError, match="must be positive"):
-            grad_clip_global([np.array([[0.5]])], threshold)
+            grad_clip_global(np.array([[0.5]]), threshold)
 
 
 class TestSpam:
@@ -487,17 +490,20 @@ def flat_optimizer(name, grad_clip):
 
 
 def looped_step(opt, states, params, grads, lr, step):
-    """The step as a loop over the tensors in gradient order, each rule
-    called on one tensor at a time, with AdaClip's and AdaGN's state per
-    tensor in ``states`` and the base's under each tensor's name. Returns
-    the clipped count per tensor and the step's telemetry."""
+    """The step as a loop over the tensors in gradient order: the global
+    clip by its own arithmetic, one factor for every tensor, and each other
+    rule called on one tensor at a time, with AdaClip's and AdaGN's state
+    per tensor in ``states`` and the base's under each tensor's name.
+    Returns the clipped count per tensor and the step's telemetry."""
     grads = dict(grads)
     reset, lr_scale = opt.base.begin_step(step)
     counts = dict.fromkeys(grads, 0)
     for kind in opt.transforms:
         if kind == "grad_clip":
-            grads = dict(zip(grads, grad_clip_global(list(grads.values()),
-                                                     opt.grad_clip_threshold)))
+            norm = global_grad_norm(grads.values())
+            if norm > opt.grad_clip_threshold:
+                factor = opt.grad_clip_threshold / norm
+                grads = {name: g * factor for name, g in grads.items()}
             continue
         for name, g in grads.items():
             if kind == "adaclip":
@@ -533,8 +539,7 @@ def base_state(base, name, layout):
     if isinstance(base, optim.AdamMiniBase):
         v = held.v[0, list(layout.names).index(name)] if layout else held.v[0, 0]
         return [part(held.m), v, held.step_in_cycle]
-    return [part(held.m), part(held.v), base.second_moment(name, None),
-            held.step_in_cycle]
+    return [part(held.m), part(held.v), held.step_in_cycle]
 
 
 def assert_same_bytes(got, want, what):
