@@ -33,8 +33,12 @@ serves both ``stablespam selftest`` and acceptance criteria 1-6 and 10.
 One pass per step. At its first step ``ComposedOptimizer`` lays the
 parameter set out (``lay_out``): the tensors in the gradient dict's order,
 end to end in one flat float64 vector, each in C order. Every step then
-concatenates the gradients and the weights once, and each rule runs once on
-the flat vectors. Elementwise arithmetic (Adam, SGD, Lion, SpikeClip, the
+concatenates the gradients once, and each rule runs once on the flat
+vectors. The weights are concatenated too, unless every tensor in
+``params`` is still the view that the last step put there: then that step's
+flat vector is used as it is, so an in-place edit of a view is seen. No
+base writes its weight vector in place, so no array a caller holds is
+ever written. Elementwise arithmetic (Adam, SGD, Lion, SpikeClip, the
 global clip's scale) is the same per entry whatever the vector holds. A
 rule's per-tensor statistic (AdaClip's max|g|, AdaGN's norm, Adam-mini's
 mean(g^2)) is reduced over each tensor's segment exactly as over the tensor
@@ -62,6 +66,7 @@ All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -542,6 +547,8 @@ class ComposedOptimizer:
         self.gss_threshold = gss_threshold
         self.grad_clip_threshold = grad_clip_threshold
         self.layout = None  # laid out at the first step
+        # The last step's flat weight vector and the views it returned.
+        self._weights = None
         self._adaclip = AdaClipState()
         self._adagn = AdaGnState()
 
@@ -558,13 +565,17 @@ class ComposedOptimizer:
             raise ValueError(f"the tensors {sorted(grads)} are not the first "
                              f"step's {sorted(layout.names)}")
         gs = [as_matrix(grads[name]) for name in layout.names]
-        ws = [as_matrix(params[name]) for name in layout.names]
+        ws = [params[name] for name in layout.names]
+        reuse = self._weights and all(map(operator.is_, ws, self._weights[1]))
+        if not reuse:
+            ws = [as_matrix(x) for x in ws]
         if [x.shape for x in gs + ws] != layout.shapes * 2:
             raise ValueError(
                 f"the shapes of {list(layout.names)} are {[x.shape for x in gs]}"
                 f" (gradients) and {[x.shape for x in ws]} (weights), not "
                 f"the first step's {layout.shapes}")
-        g, w = layout.flatten(gs), layout.flatten(ws)
+        g = layout.flatten(gs)
+        w = self._weights[0] if reuse else layout.flatten(ws)
         if not np.isfinite(g).all():
             bad = next(name for name, part in zip(layout.names, gs)
                        if not np.isfinite(part).all())
@@ -585,8 +596,10 @@ class ComposedOptimizer:
                 clipped += n_clipped
             elif kind == "grad_clip":
                 g = grad_clip_global(g, self.grad_clip_threshold, layout)
-        params.update(layout.split(
-            self.base.update(layout.key, w, g, lr * lr_scale)))
+        w = self.base.update(layout.key, w, g, lr * lr_scale)
+        views = layout.split(w)
+        params.update(views)
+        self._weights = w, list(views.values())
         return StepTelemetry(clipped_fraction=clipped / g.size,
                              reset=reset, lr_scale=lr_scale,
                              grads_post=layout.split(g))

@@ -630,6 +630,39 @@ def test_flat_step_names_the_first_nonfinite_tensor(name):
                           + base_state(twin.base, key, twin.layout), key)
 
 
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_step_reuses_only_the_weights_it_returned(name, monkeypatch):
+    """After a step ``params`` holds views of one flat weight vector, which
+    the next step uses without concatenating the weights again. A replaced
+    tensor is the one used, an in-place edit of a returned view is seen,
+    and no array the caller passed in is written: the steps equal a twin's
+    that gets fresh copies every step."""
+    opt, twin = flat_optimizer(name, 0.5), flat_optimizer(name, 0.5)
+    params = {key: np.ones(shape) for key, shape in FLAT_SHAPES.items()}
+    flattened = []
+    for step, grads in enumerate(flat_grads(), start=1):
+        if step == 2:
+            def counted(parts, flatten=opt.layout.flatten):
+                flattened.append(step)
+                return flatten(parts)
+            monkeypatch.setattr(opt.layout, "flatten", counted)
+        if step == 4:
+            params["bias"] = np.full((1, 1), 3.0)
+        if step == 7:
+            params["w"][1, 0] = -2.0
+        passed = [(x, x.tobytes()) for x in params.values()]
+        twin_params = {key: x.copy() for key, x in params.items()}
+        opt.step(params, grads, 0.01, step)
+        twin.step(twin_params, grads, 0.01, step)
+        for x, before in passed:
+            assert x.tobytes() == before, step
+        assert_same_bytes(list(params.values()), list(twin_params.values()),
+                          step)
+    # One flatten per step for the gradients, and one more for the weights
+    # only at step 4, where a tensor was replaced.
+    assert flattened == sorted([4] + list(range(2, FLAT_STEPS + 1)))
+
+
 @pytest.mark.parametrize("name, rules", [
     ("adam", {"adam_step": 1}),
     ("stable_spam", {"adam_step": 1, "adaclip": 1, "adagn": 1}),

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stablespam import tensor_core
+from stablespam import models, tensor_core
+from stablespam.quant import QuantSpec
 from stablespam.tensor_core import (as_matrix, frobenius_norm, make_rng,
                                     matmul, max_abs)
 
@@ -44,13 +50,14 @@ LAYOUTS = st.sampled_from(["C", "F", "T", "slice"])
 INF, NAN = np.inf, np.nan
 
 
-def special_block():
-    """A 16x8 @ 8x16 product (2048 products, so einsum forms them) of
-    signed zeros with an inf, a -inf, a nan and a row of ones."""
-    a = np.full((16, 8), -0.0)
+def special_block(n=16, m=16):
+    """An n x 8 @ 8 x m product (2048 products at 16x16 and 64x4, so einsum
+    forms them) of signed zeros with an inf, a -inf, a nan and a row of
+    ones."""
+    a = np.full((n, 8), -0.0)
     a[3, 2], a[5, 1], a[7, 4] = INF, NAN, -INF
     a[9] = 1.0
-    b = np.tile([0.0, -1.0, INF, -0.0], (8, 4))
+    b = np.tile([0.0, -1.0, INF, -0.0], (8, m // 4))
     return a, b
 
 
@@ -73,6 +80,8 @@ class TestMatmul:
     # (192, 3, 192) has more outputs than a block holds, so k goes singly.
     # The benchmark's shapes and (8, 31, 8) / (8, 32, 8) sit on both sides
     # of the block size where einsum takes over the products from multiply.
+    # With m < n an einsum product is formed as (b.T @ a.T).T: in one block
+    # at (32, 32, 4) and (32, 32, 8), in two at (64, 40, 16) and (256, 32, 8).
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), k=st.integers(0, 40), m=st.integers(1, 40),
            la=LAYOUTS, lb=LAYOUTS, seed=st.integers(0, 2**32 - 1))
@@ -97,6 +106,10 @@ class TestMatmul:
     @example(n=1, k=8, m=1, la="C", lb="F", seed=18)
     @example(n=2, k=17000, m=1, la="C", lb="C", seed=19)
     @example(n=1, k=33000, m=1, la="slice", lb="C", seed=20)
+    @example(n=32, k=32, m=4, la="T", lb="F", seed=21)
+    @example(n=32, k=32, m=8, la="slice", lb="T", seed=22)
+    @example(n=64, k=40, m=16, la="F", lb="T", seed=23)
+    @example(n=256, k=32, m=8, la="T", lb="slice", seed=24)
     def test_matches_naive_triple_loop_exactly(self, n, k, m, la, lb, seed):
         # numpy's mean and sum pick pairwise or sequential summation by
         # memory layout, so callers need the result C-ordered, not just equal.
@@ -109,13 +122,14 @@ class TestMatmul:
 
     @pytest.mark.parametrize("einsum_min", [1 << 62, 0],
                              ids=["multiply", "einsum"])
-    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (32, 32)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (32, 32), (64, 16)])
     def test_sums_in_ascending_k(self, monkeypatch, n, m, einsum_min):
         # Added in ascending k, 2**53 absorbs each 1 and -2**53 cancels it:
         # the sum is exactly 0.0. Any other order keeps some of the ones
         # (np.sum's pairwise order, a blocked BLAS sum, a reduce that drops
-        # an earlier block's partial sum). At 32x32 the column spans two
-        # blocks of k. einsum_min forces the product path.
+        # an earlier block's partial sum). At 32x32 and 64x16 the column
+        # spans two blocks of k; 64x16 on the einsum path is formed as
+        # (b.T @ a.T).T. einsum_min forces the product path.
         monkeypatch.setattr(tensor_core, "_EINSUM_MIN", einsum_min)
         column = np.array([2.0**53] + [1.0] * 32 + [-(2.0**53)])
         assert np.sum(column) != 0.0
@@ -132,8 +146,9 @@ class TestMatmul:
         (np.ones((3, 0)), np.ones((0, 5))),
         (np.full((16, 8), -0.0), np.arange(-64.0, 64.0).reshape(8, 16)),
         special_block(),
+        special_block(64, 4),
     ], ids=["negative-zero", "inf-nan", "inf-minus-inf", "empty-k",
-            "negative-zero-einsum", "inf-nan-einsum"])
+            "negative-zero-einsum", "inf-nan-einsum", "inf-nan-einsum-tall"])
     def test_special_values_match_naive(self, a, b):
         # Where two NaNs meet, which one's sign bit survives depends on the
         # operand order the compiled add picks, and numpy's scalar and array
@@ -167,6 +182,60 @@ class TestMatmul:
     def test_dimension_mismatch_reports_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 3\)"):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def count_matmuls(monkeypatch, call):
+    """The ``matmul`` calls that ``call()`` makes, counted on every module
+    attribute that binds it, as a span tracer wraps it: a ``matmul`` that
+    re-entered itself would count one product twice."""
+    count = 0
+    inner = tensor_core.matmul
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return inner(a, b)
+
+    for module in (tensor_core, models):
+        monkeypatch.setattr(module, "matmul", counted)
+    call()
+    return count
+
+
+def test_one_matmul_per_product(monkeypatch):
+    # The counts the benchmark's span check expects: 6 per SwiGLU block
+    # plus 3 for the head, and 3 per quadratic step.
+    rng = make_rng(0)
+    mlp = models.init_mlp(4, 32, 2, 8, rng, quant=QuantSpec.INT4)
+    x, labels = rng.standard_normal((32, 4)), np.arange(32) % 8
+    quadratic = models.make_quadratic(8, rng)
+    assert count_matmuls(monkeypatch, lambda: models.mlp_forward_backward(
+        mlp, x, labels)) == 15
+    assert count_matmuls(monkeypatch, lambda: models.quadratic_loss_grad(
+        quadratic, quadratic.w0)) == 3
+
+
+# numpy builds its float64 loops for several SIMD targets and picks one at
+# import. TestMatmul runs again in a process that has the AVX-512 targets
+# this host offers disabled, so on the AVX2 loops.
+AVX512_TARGETS = [target for target in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                  if __cpu_features__.get(target)]
+CHECK_AVX2_PATH = f"""
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[f] for f in {AVX512_TARGETS!r})
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
+                      "tests/test_tensor_core.py::TestMatmul"]))
+"""
+
+
+def test_matmul_matches_naive_on_the_avx2_path():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_TARGETS)}
+    proc = subprocess.run([sys.executable, "-c", CHECK_AVX2_PATH], cwd=root,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 class TestNorms:
