@@ -3,11 +3,13 @@
 The check table in ``stablespam.selftest``, which serves both ``stablespam
 selftest`` and acceptance criteria 1-6 and 10, and the unit tests compare the
 library against these. Each optimizer reference steps one weight array that
-starts at zero through a sequence of gradient arrays of its shape and returns
-the weights after each step. They are written directly from the update rules
-with numpy arrays and import nothing from the package, so they stay
-independent of the code paths they check; a test enforces that this module
-imports only ``math`` and ``numpy``.
+starts at zero through a sequence of gradient arrays of its shape and yields
+a record ``(w, g, clipped)`` per step: the weights, the gradient the update
+consumed and the number of entries clipped. On a parameter set, each tensor
+runs on its own stream (``each_tensor``) but for the global clip. They are
+written directly from the update rules with numpy arrays and import nothing
+from the package, so they stay independent of the code paths they check; a
+test enforces that this module imports only ``math`` and ``numpy``.
 """
 
 import math
@@ -15,37 +17,41 @@ import math
 import numpy as np
 
 
+def each_tensor(trace, **options):
+    """A per-tensor rule on a set: ``trace`` on each tensor's stream."""
+    return lambda streams, lr: [list(trace(gs, lr, **options))
+                                for gs in streams]
+
+
 def sgd_trace(gs, lr):
     w = np.zeros(np.shape(gs[0]))
-    out = []
     for g in gs:
         w = w - lr * g
-        out.append(w)
-    return out
+        yield w, g, 0
 
 
 def adam_trace(gs, lr, b1=0.9, b2=0.999, eps=1e-6):
     w = np.zeros(np.shape(gs[0]))
     m, v = np.zeros_like(w), np.zeros_like(w)
-    out = []
     for t, g in enumerate(gs, start=1):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * (g * g)
         mh = m / (1 - b1 ** t)
         vh = v / (1 - b2 ** t)
         w = w - lr * mh / (np.sqrt(vh) + eps)
-        out.append(w)
-    return out
+        yield w, g, 0
 
 
-def adam_gradclip_trace(gs, lr, threshold=1.0, b1=0.9, b2=0.999, eps=1e-6):
-    """Adam on gradients scaled to norm ``threshold`` when their norm is
-    above it; one tensor is the whole model, so its norm is the global one."""
+def adam_gradclip_trace(streams, lr, threshold=1.0, **adam):
+    """Adam on a parameter set whose gradients are scaled by threshold / N
+    on each step where their global norm N is above ``threshold``. N is the
+    root of the sum of the tensors' squared norms, in gradient order."""
     clipped = []
-    for g in gs:
-        norm = math.sqrt(np.sum(g * g))
-        clipped.append(g if norm <= threshold else g * (threshold / norm))
-    return adam_trace(clipped, lr, b1, b2, eps)
+    for step in zip(*streams):
+        norm = math.sqrt(sum(math.sqrt(np.sum(g * g)) ** 2 for g in step))
+        clipped.append([g if norm <= threshold else g * (threshold / norm)
+                        for g in step])
+    return [list(adam_trace(gs, lr, **adam)) for gs in zip(*clipped)]
 
 
 def adafactor_trace(gs, lr, eps1=1e-30, d=1.0):
@@ -53,7 +59,6 @@ def adafactor_trace(gs, lr, eps1=1e-30, d=1.0):
     the plain EMA of g^2 when one side is 1."""
     w = np.zeros(np.shape(gs[0]))
     v, row, col = 0.0, 0.0, 0.0
-    out = []
     for t, g in enumerate(gs, start=1):
         beta = 1.0 - t ** -0.8
         sq = g * g + eps1
@@ -66,42 +71,36 @@ def adafactor_trace(gs, lr, eps1=1e-30, d=1.0):
         u = g / np.sqrt(v)
         u = u / max(1.0, math.sqrt(np.mean(u * u)) / d)
         w = w - lr * u
-        out.append(w)
-    return out
+        yield w, g, 0
 
 
 def lion_trace(gs, lr, b1=0.9, b2=0.99, wd=0.0):
     w = np.zeros(np.shape(gs[0]))
     m = np.zeros_like(w)
-    out = []
     for g in gs:
         c = b1 * m + (1 - b1) * g
         w = w - lr * (np.sign(c) + wd * w)
         m = b2 * m + (1 - b2) * g
-        out.append(w)
-    return out
+        yield w, g, 0
 
 
 def adam_mini_trace(gs, lr, b1=0.9, b2=0.999, eps=1e-6):
     """Adam with one second moment per tensor: the EMA of mean(g^2)."""
     w = np.zeros(np.shape(gs[0]))
     m, v = np.zeros_like(w), 0.0
-    out = []
     for t, g in enumerate(gs, start=1):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * np.mean(g * g)
         mh = m / (1 - b1 ** t)
         vh = v / (1 - b2 ** t)
         w = w - lr * mh / (math.sqrt(vh) + eps)
-        out.append(w)
-    return out
+        yield w, g, 0
 
 
 def spam_trace(gs, lr, theta=5000.0, reset_interval=500, warmup=150,
                b1=0.9, b2=0.999, eps=1e-6):
     w = np.zeros(np.shape(gs[0]))
     m, v, t_cycle = np.zeros_like(w), np.zeros_like(w), 0
-    out = []
     for step, g in enumerate(gs, start=1):
         if reset_interval and step > 1 and (step - 1) % reset_interval == 0:
             m, v, t_cycle = np.zeros_like(w), np.zeros_like(w), 0
@@ -118,8 +117,7 @@ def spam_trace(gs, lr, theta=5000.0, reset_interval=500, warmup=150,
         mh = m / (1 - b1 ** t_cycle)
         vh = v / (1 - b2 ** t_cycle)
         w = w - lr * scale * mh / (np.sqrt(vh) + eps)
-        out.append(w)
-    return out
+        yield w, g, int(np.sum(spike))
 
 
 def stable_spam_trace(gs, lr, g1=0.7, g2=0.9, g3=0.999, interval=1000,
@@ -130,13 +128,14 @@ def stable_spam_trace(gs, lr, g1=0.7, g2=0.9, g3=0.999, interval=1000,
     w = np.zeros(np.shape(gs[0]))
     m, v, t_cycle = np.zeros_like(w), np.zeros_like(w), 0
     thr, mn, vn = 0.0, 0.0, 0.0
-    out = []
     for step, g in enumerate(gs, start=1):
         # AdaClip: entries above the bias-corrected max-abs EMA are rescaled
         gmax = float(np.max(np.abs(g)))
         thr = g3 * thr + (1 - g3) * gmax
         that = thr / (1 - g3 ** step)
-        g = np.where(np.abs(g) > that, g / gmax * that, g)
+        clip = np.abs(g) > that
+        with np.errstate(invalid="ignore"):  # 0 / 0 where g is all zero
+            g = np.where(clip, g / gmax * that, g)
         # AdaGN: the tensor's norm becomes mhat_n / (sqrt(vhat_n) + eps)
         gnorm = float(np.sqrt(np.sum(g * g)))
         mn = g1 * mn + (1 - g1) * gnorm
@@ -154,21 +153,18 @@ def stable_spam_trace(gs, lr, g1=0.7, g2=0.9, g3=0.999, interval=1000,
         mh = m / (1 - b1 ** t_cycle)
         vh = v / (1 - b2 ** t_cycle)
         w = w - lr * mh / (np.sqrt(vh) + eps)
-        out.append(w)
-    return out
+        yield w, g, int(np.sum(clip))
 
 
 def adagn_norm_trace(norms, g1, g2, eps=1e-6):
     """Output norms of the gradient-norm rescaler for a stream of norms."""
     mn, vn = 0.0, 0.0
-    out = []
     for t, n in enumerate(norms, start=1):
         mn = g1 * mn + (1 - g1) * n
         vn = g2 * vn + (1 - g2) * n * n
         mhn = mn / (1 - g1 ** t)
         vhn = vn / (1 - g2 ** t)
-        out.append(mhn / (math.sqrt(vhn) + eps))
-    return out
+        yield mhn / (math.sqrt(vhn) + eps)
 
 
 def nearest_grid_even(value, grid_values):

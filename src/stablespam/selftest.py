@@ -6,58 +6,87 @@ carries its own data and tolerance, and returns ``(ok, detail)``.
 criteria 1-6 and 10 of the acceptance suite (``tests/test_acceptance.py``)
 call all but ``lr schedule endpoints``, which ``tests/test_harness.py``
 calls, and ``quantizer rounds to nearest, ties to even``, which
-``tests/test_quant.py`` calls one format at a time. The checks compare every optimizer's trace bit for bit with its
-independent reference in :mod:`stablespam.oracles`, analytic gradients with
-central finite differences, and the quantizer with a brute-force grid snap
-and its stated properties.
-
-Every optimizer trace is built by ``harness.make_optimizer``, the path
-training uses, so a regression in the library shows up as a trace mismatch.
+``tests/test_quant.py`` calls one format at a time. The checks compare
+every optimizer's trace bit for bit with its independent reference in
+:mod:`stablespam.oracles`, analytic gradients with central finite
+differences, and the quantizer with a brute-force grid snap and its stated
+properties. Every optimizer trace steps a parameter set through
+``harness.make_optimizer``, as training does, and checks each step's
+weights and telemetry: one tensor alone and three laid out together.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 
 import numpy as np
 
 from . import harness, models, optim, oracles, quant
+from .oracles import each_tensor
 from .quant import QuantSpec
 from .tensor_core import frobenius_norm, make_rng, max_abs
 
 TRACE_SEEDS = (7, 101)
 # A scalar, the shape of the MLP's gains, and a non-square matrix
 TRACE_SHAPES = ((1, 1), (1, 4), (3, 4))
+TRACE_STEPS = 100
 LR = 0.01
 QUANT_FORMATS = tuple(fmt for fmt in QuantSpec if fmt is not QuantSpec.NONE)
 
 
+def trace_sets(seed):
+    """The two parameter sets each trace steps, lists of their tensors'
+    gradient streams drawn from one stream of ``seed``: a (3, 4) tensor
+    alone (a quadratic run's path), N(0, 4) with every 17th gradient from
+    the first spiked 10x; and the ``TRACE_SHAPES`` together (an MLP run's
+    path), N(0, 1) times 0.3, 0.1 and 0.25, so that the global clip at 1.0
+    acts on some steps only, with the (1, 4) gradient all zero at step 40
+    and the (3, 4) one alone spiked 10x at step 70."""
+    rng = make_rng(seed)
+    alone = rng.standard_normal((TRACE_STEPS, 3, 4)) * 2.0
+    alone[::17] *= 10.0
+    together = [rng.standard_normal((TRACE_STEPS, *shape)) * scale
+                for shape, scale in zip(TRACE_SHAPES, (0.3, 0.1, 0.25))]
+    together[1][39] = 0.0
+    together[2][69] *= 10.0
+    return [alone], together
+
+
 def _trace_check(*cases):
-    """Weight traces against their references, bit for bit, each case a
-    tuple ``(name, options, reference)``. The optimizer ``name`` is built
-    from a config with ``options``, which must pass ``RunConfig.validate``
-    as the CLI's configs do, and steps a weight of each shape in
-    ``TRACE_SHAPES`` from zero at ``LR`` through 100 gradients drawn as
-    N(0, 4) from each trace seed, every 17th one (from the first) spiked
-    10x; ``reference(gs, LR)`` gives the weights it must reach exactly."""
-    devs = []
+    """Optimizer steps against their references, bit for bit, each case a
+    tuple ``(name, options, reference)``. The optimizer ``name``, built by
+    ``harness.make_optimizer`` from a config with ``options`` that must pass
+    ``RunConfig.validate`` as the CLI's configs do, steps each parameter set
+    of ``trace_sets`` from zero at ``LR``. Per step, each tensor's weights
+    and ``grads_post`` must be the ``w`` and ``g`` of its oracle record
+    ``(w, g, clipped)`` from ``reference(streams, LR)``, and
+    ``clipped_fraction`` the clipped counts over the set's size."""
+    devs = {}
     for name, options, reference in cases:
         ocfg = harness.OptimizerConfig(name=name, **options)
         harness.RunConfig(optimizer=ocfg).validate()
-        for seed, shape in itertools.product(TRACE_SEEDS, TRACE_SHAPES):
-            gs = make_rng(seed).standard_normal((100, *shape)) * 2.0
-            gs[::17] *= 10.0
-            opt = harness.make_optimizer(ocfg)
-            params = {"w": np.zeros(shape)}
-            got = []
-            for step, g in enumerate(gs, start=1):
-                opt.step(params, {"w": g}, LR, step)
-                got.append(params["w"])
-            devs.append(np.max(np.abs(np.subtract(got, reference(gs, LR)))))
-    worst = float(np.max(devs))  # a NaN anywhere makes it NaN and fails
-    names = "/".join(dict.fromkeys(name for name, _, _ in cases))
-    return worst == 0.0, f"{names} max dev {worst:.2e}"
+        for streams in (s for seed in TRACE_SEEDS for s in trace_sets(seed)):
+            names = [f"t{k}" for k in range(len(streams))]
+            # The weights in the reverse of the gradients' order, as the MLP's
+            params = {key: np.zeros(gs.shape[1:])
+                      for key, gs in reversed(list(zip(names, streams)))}
+            opt, got, want = harness.make_optimizer(ocfg), [], []
+            for step, gs in enumerate(zip(*streams), start=1):
+                telemetry = opt.step(params, dict(zip(names, gs)), LR, step)
+                got.append([telemetry.clipped_fraction] + [
+                    x for key in names
+                    for x in (params[key], telemetry.grads_post[key])])
+            size = sum(gs[0].size for gs in streams)
+            for records in zip(*reference(streams, LR)):
+                want.append([sum(c for _, _, c in records) / size] + [
+                    x for w, g, _ in records for x in (w, g)])
+            devs.setdefault(name, []).extend(
+                np.max(np.abs(np.subtract(a, b)))
+                for a, b in zip(zip(*got), zip(*want), strict=True))
+    # np.max, unlike max(), is NaN when any deviation is, and NaN != 0.
+    failed = [f"{name} max dev {np.max(d):.2e}" for name, d in devs.items()
+              if np.max(d) != 0.0]
+    return not failed, "; ".join(failed) or f"{'/'.join(devs)} max dev 0"
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +96,13 @@ def _trace_check(*cases):
 def check_adam_trace():
     # adam_gradclip clips at 1.0, the library's default threshold
     return _trace_check(
-        ("adam", {}, oracles.adam_trace),
+        ("adam", {}, each_tensor(oracles.adam_trace)),
         ("adam_gradclip", {},
          partial(oracles.adam_gradclip_trace, threshold=1.0)))
 
 
 def check_sgd_trace():
-    return _trace_check(("sgd", {}, oracles.sgd_trace))
+    return _trace_check(("sgd", {}, each_tensor(oracles.sgd_trace)))
 
 
 def check_spam_trace():
@@ -83,31 +112,33 @@ def check_spam_trace():
     return _trace_check(*(
         ("spam", {"spam_reset_interval": k, "spam_warmup_steps": 10,
                   "gss_threshold": 2.0},
-         partial(oracles.spam_trace, theta=2.0, reset_interval=k, warmup=10))
+         each_tensor(oracles.spam_trace, theta=2.0, reset_interval=k,
+                     warmup=10))
         for k in (20, 25)), (
         "spam", {"spam_reset_interval": 0, "spam_warmup_steps": 0,
-                 "gss_threshold": 1e300}, oracles.adam_trace))
+                 "gss_threshold": 1e300}, each_tensor(oracles.adam_trace)))
 
 
 def check_stable_spam_trace():
     return _trace_check(*(
         ("stable_spam", {"reset_interval": k},
-         partial(oracles.stable_spam_trace, interval=k))
+         each_tensor(oracles.stable_spam_trace, interval=k))
         for k in (10, 20)))
 
 
 def check_lion_trace():
     return _trace_check(
-        ("lion", {}, oracles.lion_trace),
-        ("lion", {"weight_decay": 0.1}, partial(oracles.lion_trace, wd=0.1)))
+        ("lion", {}, each_tensor(oracles.lion_trace)),
+        ("lion", {"weight_decay": 0.1},
+         each_tensor(oracles.lion_trace, wd=0.1)))
 
 
 def check_adam_mini_trace():
-    return _trace_check(("adam_mini", {}, oracles.adam_mini_trace))
+    return _trace_check(("adam_mini", {}, each_tensor(oracles.adam_mini_trace)))
 
 
 def check_adafactor_trace():
-    return _trace_check(("adafactor", {}, oracles.adafactor_trace))
+    return _trace_check(("adafactor", {}, each_tensor(oracles.adafactor_trace)))
 
 
 def check_adaclip_bias_correction():
@@ -146,8 +177,8 @@ def check_adagn_norm_identity():
     for gs in streams + spikes:
         state = optim.AdaGnState()
         got = [frobenius_norm(optim.adagn(g, state, 0.7, 0.9)) for g in gs]
-        want = np.array(oracles.adagn_norm_trace(
-            [np.sqrt(np.sum(g * g)) for g in gs], 0.7, 0.9))
+        want = np.fromiter(oracles.adagn_norm_trace(
+            [np.sqrt(np.sum(g * g)) for g in gs], 0.7, 0.9), float)
         devs.append(np.max(np.abs(got - want) / want))
         spike_norms.append(got[-1])
     worst = float(np.max(devs))

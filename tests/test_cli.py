@@ -714,6 +714,29 @@ class TestSelftest:
         monkeypatch.setattr(owner, method, broken)
         assert selftest.check_moret_periodicity() == (False, detail)
 
+    @pytest.mark.parametrize("stat, name", [
+        ("norms", "stable_spam"), ("max", "stable_spam"), ("means", "adam_mini")])
+    def test_layout_mutation_detected(self, stat, name, monkeypatch):
+        # Each tensor is handed another tensor's statistic.
+        original = getattr(optim.Layout, stat)
+        monkeypatch.setattr(optim.Layout, stat,
+                            lambda layout, x: original(layout, x)[::-1])
+        ok, detail = getattr(selftest, f"check_{name}_trace")()
+        assert not ok and detail.startswith(f"{name} max dev "), detail
+
+    def test_raw_grads_post_detected(self, monkeypatch):
+        def raw(opt, params, grads, *args, step=optim.ComposedOptimizer.step):
+            telemetry = step(opt, params, grads, *args)
+            telemetry.grads_post = dict(grads)
+            return telemetry
+
+        monkeypatch.setattr(optim.ComposedOptimizer, "step", raw)
+        for check, name in ((selftest.check_stable_spam_trace, "stable_spam"),
+                            (selftest.check_spam_trace, "spam"),
+                            (selftest.check_adam_trace, "adam_gradclip")):
+            ok, detail = check()
+            assert not ok and detail.startswith(f"{name} max dev "), detail
+
     @pytest.mark.parametrize("mutant", list(QDQ_MUTANTS))
     def test_quantizer_mutation_detected(self, mutant, monkeypatch):
         broken, failures = QDQ_MUTANTS[mutant]

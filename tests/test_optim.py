@@ -33,15 +33,64 @@ def test_oracles_import_only_math_and_numpy():
 
 def test_trace_check_fails_on_a_late_nan():
     # Python's max() skips a NaN that follows a number; the table must not.
-    # The NaN comes at the last step, and not in the first (1x1) trace.
-    def late_nan(gs, lr):
-        ref = oracles.adam_trace(gs, lr)
-        if np.size(gs[0]) > 1:
-            ref[-1] = np.full_like(ref[-1], math.nan)
-        return ref
+    # The NaN comes at the set's last step, after the tensor alone's steps.
+    def late_nan(streams, lr):
+        traces = oracles.each_tensor(oracles.adam_trace)(streams, lr)
+        w, g, clipped = traces[-1][-1]
+        traces[-1][-1] = (w * math.nan if len(streams) > 1 else w, g, clipped)
+        return traces
 
-    ok, _ = selftest._trace_check(("adam", {}, late_nan))
-    assert not ok
+    ok, detail = selftest._trace_check(("adam", {}, late_nan))
+    assert not ok and detail == "adam max dev nan", detail
+
+
+def recorded_trace_cases(monkeypatch):
+    """The cases the seven trace entries pass, recorded, not stepped."""
+    cases = []
+    monkeypatch.setattr(selftest, "_trace_check",
+                        lambda *given: cases.extend(given) or (True, ""))
+    ran = [check() for name, check in selftest.CHECKS
+           if name.endswith(" trace vs reference")]
+    assert ran == [(True, "")] * 7
+    return cases
+
+
+def test_the_trace_entries_trace_every_optimizer(monkeypatch):
+    """A new optimizer cannot ship without an oracle trace."""
+    traced = {name for name, _, _ in recorded_trace_cases(monkeypatch)}
+    assert traced == set(harness.OPTIMIZER_NAMES)
+
+
+def test_the_set_covers_each_case(monkeypatch):
+    """The oracle records of the three tensors show, on each seed, AdaClip
+    clipping in one tensor alone, an all-zero gradient (AdaGN's zero-norm
+    branch) and the global clip acting and idle; MoRet and SPAM reset."""
+    cases = recorded_trace_cases(monkeypatch)
+    for seed in selftest.TRACE_SEEDS:
+        streams = selftest.trace_sets(seed)[1]
+        for name, _, reference in cases:
+            records = reference(streams, selftest.LR)
+            if name == "stable_spam":
+                clipping = [[c > 0 for _, _, c in trace] for trace in records]
+                assert 1 in np.sum(clipping, axis=0)
+                assert any(not g.any()
+                           for trace in records for _, g, _ in trace)
+            if name == "adam_gradclip":
+                idle = {all(map(np.array_equal, [g for _, g, _ in step], raw))
+                        for step, raw in zip(zip(*records), zip(*streams))}
+                assert idle == {True, False}
+    first = {name: options for name, options, _ in reversed(cases)}
+    assert 0 < first["stable_spam"]["reset_interval"] < selftest.TRACE_STEPS
+    assert 0 < first["spam"]["spam_reset_interval"] < selftest.TRACE_STEPS
+    assert first["spam"]["spam_warmup_steps"] > 0
+
+
+def test_the_stable_spam_oracle_takes_a_zero_gradient(monkeypatch):
+    """The oracle steps all-zero gradients, at step 1 or later, exactly."""
+    zero = np.zeros((2, 1, 3))
+    monkeypatch.setattr(selftest, "trace_sets", lambda seed: [
+        [zero], [zero, np.concatenate([np.ones((1, 1, 3)), zero[:1]])]])
+    assert selftest.check_stable_spam_trace() == (True, "stable_spam max dev 0")
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +506,7 @@ def test_make_optimizer_unknown_name():
 
 
 # ---------------------------------------------------------------------------
-# The flat step against each tensor alone
+# The flat step's doors: rejected input, reused weights, one call per rule
 # ---------------------------------------------------------------------------
 
 # A parameter set in gradient order, a (1, 1) tensor among them.
@@ -466,11 +515,9 @@ FLAT_STEPS = 12
 
 
 def flat_grads():
-    """The gradients of each step: fixed magnitudes (|N(0, 1)| draws) with
-    random signs, shrinking by 0.8 a step so that nothing is clipped unless
-    spiked. At step 3 the gradient of ``w`` is all zeros (AdaGN's zero-norm
-    branch), and at step 7 one entry of ``out`` is 100, a spike that only
-    ``out`` clips."""
+    """The gradients of each step: fixed |N(0, 1)| magnitudes with random
+    signs, shrinking by 0.8 a step. At step 3 the gradient of ``w`` is all
+    zeros, and at step 7 one entry of ``out`` is 100."""
     rng = make_rng(41)
     sizes = {name: np.abs(rng.standard_normal(shape))
              for name, shape in FLAT_SHAPES.items()}
@@ -481,65 +528,18 @@ def flat_grads():
     return steps
 
 
-def flat_optimizer(name, grad_clip):
-    """``name`` with a MoRet reset at step 8 (Stable-SPAM), and SPAM's reset
-    at step 6 and its 3-step warmup."""
+def flat_optimizer(name):
+    """``name`` with the global clip at 0.5, a MoRet reset at step 8
+    (Stable-SPAM), and SPAM's reset at step 6 and its 3-step warmup."""
     return make_optimizer(OptimizerConfig(
         name=name, reset_interval=8, spam_reset_interval=5,
-        spam_warmup_steps=3, grad_clip=grad_clip))
+        spam_warmup_steps=3, grad_clip=0.5))
 
 
-def looped_step(opt, states, params, grads, lr, step):
-    """The step as a loop over the tensors in gradient order: the global
-    clip by its own arithmetic, one factor for every tensor, and each other
-    rule called on one tensor at a time, with AdaClip's and AdaGN's state
-    per tensor in ``states`` and the base's under each tensor's name.
-    Returns the clipped count per tensor and the step's telemetry."""
-    grads = dict(grads)
-    reset, lr_scale = opt.base.begin_step(step)
-    counts = dict.fromkeys(grads, 0)
-    for kind in opt.transforms:
-        if kind == "grad_clip":
-            norm = global_grad_norm(grads.values())
-            if norm > opt.grad_clip_threshold:
-                factor = opt.grad_clip_threshold / norm
-                grads = {name: g * factor for name, g in grads.items()}
-            continue
-        for name, g in grads.items():
-            if kind == "adaclip":
-                state = states[kind].setdefault(name, AdaClipState())
-                grads[name], n = adaclip(g, state, opt.gamma3)
-            elif kind == "adagn":
-                state = states[kind].setdefault(name, AdaGnState())
-                grads[name], n = adagn(g, state, opt.gamma1, opt.gamma2,
-                                       opt.eps), 0
-            else:
-                v = opt.base.second_moment(name, g.shape)
-                grads[name], n = spike_clip(g, v, opt.gss_threshold)
-            counts[name] += n
-    for name, g in grads.items():
-        params[name] = opt.base.update(name, params[name], g, lr * lr_scale)
-    total = sum(g.size for g in grads.values())
-    return counts, optim.StepTelemetry(sum(counts.values()) / total, reset,
-                                       lr_scale, grads)
-
-
-def base_state(base, name, layout):
-    """What ``base`` keeps for tensor ``name``, as arrays: under its name,
-    or (with ``layout``) its part of the flat state."""
-    if isinstance(base, optim.SgdBase):
-        return []
-    if isinstance(base, optim.AdafactorBase):
-        st = base.state[name]
-        return [np.asarray(x) for x in (st.row, st.col, st.v, st.step)]
-    held = base.state[layout if layout else name]
-    part = (lambda a: layout.split(a)[name]) if layout else (lambda a: a)
-    if isinstance(base, optim.LionBase):
-        return [part(held)]
-    if isinstance(base, optim.AdamMiniBase):
-        v = held.v[0, list(layout.names).index(name)] if layout else held.v[0, 0]
-        return [part(held.m), v, held.step_in_cycle]
-    return [part(held.m), part(held.v), held.step_in_cycle]
+def base_state(base):
+    """Every array and count that ``base`` keeps, in order."""
+    return [np.asarray(x) for held in getattr(base, "state", {}).values()
+            for x in getattr(held, "__dict__", {None: held}).values()]
 
 
 def assert_same_bytes(got, want, what):
@@ -549,69 +549,12 @@ def assert_same_bytes(got, want, what):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), (what, i)
 
 
-TRANSFORM_STATE = {"adaclip": ("t_threshold", "step"),
-                   "adagn": ("m_norm", "v_norm", "step")}
-
-
-@pytest.mark.parametrize("grad_clip", [0.0, 0.5], ids=["no-clip", "clip"])
-@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
-def test_flat_step_matches_each_tensor_alone(name, grad_clip):
-    """Weights, state and telemetry of one step over the whole set equal,
-    byte for byte, a loop of each rule over each tensor alone; and the
-    caller's gradient dict is left as it was."""
-    opt, ref = flat_optimizer(name, grad_clip), flat_optimizer(name, grad_clip)
-    # The weights in another order than the gradients, as the MLP's are.
-    ones = {key: np.ones(FLAT_SHAPES[key]) for key in reversed(FLAT_SHAPES)}
-    params, ref_params = dict(ones), dict(ones)
-    states = {"adaclip": {}, "adagn": {}}
-    seen = set()
-    for step, grads in enumerate(flat_grads(), start=1):
-        before = [(key, g, g.tobytes()) for key, g in grads.items()]
-        telemetry = opt.step(params, grads, 0.01, step)
-        assert [(key, g, g.tobytes()) for key, g in grads.items()] == before
-        counts, want = looped_step(ref, states, ref_params, grads, 0.01, step)
-        assert list(telemetry.grads_post) == list(FLAT_SHAPES)
-        assert list(params) == list(ones)
-        assert (telemetry.clipped_fraction, telemetry.reset,
-                telemetry.lr_scale) == (want.clipped_fraction, want.reset,
-                                        want.lr_scale), step
-        for key in FLAT_SHAPES:
-            assert_same_bytes([params[key], telemetry.grads_post[key]],
-                              [ref_params[key], want.grads_post[key]],
-                              (step, key))
-            assert_same_bytes(base_state(opt.base, key, opt.layout),
-                              base_state(ref.base, key, None), (step, key))
-        for kind, fields in TRANSFORM_STATE.items():
-            if kind in opt.transforms:
-                flat = getattr(opt, f"_{kind}")
-                for field in fields:
-                    per_tensor = [getattr(states[kind][key], field)
-                                  for key in FLAT_SHAPES]
-                    assert_same_bytes(
-                        [np.broadcast_to(getattr(flat, field), len(FLAT_SHAPES))],
-                        [per_tensor], (step, kind, field))
-        if sum(map(bool, counts.values())) == 1:
-            seen.add("clip in one tensor")
-        if telemetry.reset:
-            seen.add("reset")
-        if telemetry.lr_scale < 1.0:
-            seen.add("warmup")
-        if ("grad_clip" in opt.transforms and
-                global_grad_norm(grads.values()) > opt.grad_clip_threshold):
-            seen.add("global clip")
-    wanted = {"spam": {"clip in one tensor", "reset", "warmup"},
-              "stable_spam": {"clip in one tensor", "reset"}}.get(name, set())
-    if "grad_clip" in opt.transforms:
-        wanted.add("global clip")
-    assert wanted <= seen
-
-
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
 def test_flat_step_names_the_first_nonfinite_tensor(name):
     """A step whose second and fourth gradients are not finite names the
     second, in gradient order, and changes nothing: the optimizer goes on
     like a twin that never saw it."""
-    opt, twin = flat_optimizer(name, 0.5), flat_optimizer(name, 0.5)
+    opt, twin = flat_optimizer(name), flat_optimizer(name)
     ones = {key: np.ones(shape) for key, shape in FLAT_SHAPES.items()}
     params, twin_params = dict(ones), dict(ones)
     for step, grads in enumerate(flat_grads(), start=1):
@@ -625,9 +568,8 @@ def test_flat_step_names_the_first_nonfinite_tensor(name):
         opt.step(params, grads, 0.01, step)
         twin.step(twin_params, grads, 0.01, step)
     for key in FLAT_SHAPES:
-        assert_same_bytes([params[key]] + base_state(opt.base, key, opt.layout),
-                          [twin_params[key]]
-                          + base_state(twin.base, key, twin.layout), key)
+        assert_same_bytes([params[key]], [twin_params[key]], key)
+    assert_same_bytes(base_state(opt.base), base_state(twin.base), "state")
 
 
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
@@ -636,9 +578,11 @@ def test_step_reuses_only_the_weights_it_returned(name, monkeypatch):
     the next step uses without concatenating the weights again. A replaced
     tensor is the one used, an in-place edit of a returned view is seen,
     and no array the caller passed in is written: the steps equal a twin's
-    that gets fresh copies every step."""
-    opt, twin = flat_optimizer(name, 0.5), flat_optimizer(name, 0.5)
-    params = {key: np.ones(shape) for key, shape in FLAT_SHAPES.items()}
+    that gets fresh copies every step. The gradients keep their keys, arrays
+    and bytes, ``params`` its key order, and ``grads_post`` the gradients'."""
+    opt, twin = flat_optimizer(name), flat_optimizer(name)
+    order = list(reversed(FLAT_SHAPES))
+    params = {key: np.ones(FLAT_SHAPES[key]) for key in order}
     flattened = []
     for step, grads in enumerate(flat_grads(), start=1):
         if step == 2:
@@ -652,10 +596,14 @@ def test_step_reuses_only_the_weights_it_returned(name, monkeypatch):
             params["w"][1, 0] = -2.0
         passed = [(x, x.tobytes()) for x in params.values()]
         twin_params = {key: x.copy() for key, x in params.items()}
-        opt.step(params, grads, 0.01, step)
+        given = [(key, g, g.tobytes()) for key, g in grads.items()]
+        telemetry = opt.step(params, grads, 0.01, step)
         twin.step(twin_params, grads, 0.01, step)
         for x, before in passed:
             assert x.tobytes() == before, step
+        assert [(key, g, g.tobytes()) for key, g in grads.items()] == given
+        assert list(params) == order
+        assert list(telemetry.grads_post) == list(FLAT_SHAPES)
         assert_same_bytes(list(params.values()), list(twin_params.values()),
                           step)
     # One flatten per step for the gradients, and one more for the weights
