@@ -19,7 +19,7 @@ state is never zeroed.
 Baselines: SGD, Adam, Adam+GradClip (global threshold clip), Adafactor
 (factored second moment from zeros, RMS update clipping), SPAM (elementwise
 SpikeClip + periodic reset + post-reset linear LR warmup), Lion, and a
-simplified Adam-mini whose ``AdamMoments`` keep one second moment per tensor.
+simplified Adam-mini whose second moment is one statistic per tensor.
 AdaClip and SpikeClip each return ``(gradient, entries their mask flagged)``.
 
 ``ComposedOptimizer`` runs an ordered list of gradient transforms plus a base
@@ -49,9 +49,10 @@ own. The global clip also takes the flat vector: its norm is taken over
 the tensors' parts in the gradient dict's order. A ``Layout`` serves several
 tensors; ``OneTensor`` serves one (the rules' default, and every one-tensor
 parameter set), whose statistics are Python floats and which costs no
-concatenation. Adafactor alone still updates tensor by tensor, since its
-factoring needs each tensor's shape. A base keeps a laid-out set's state
-under its ``Layout``.
+concatenation. Each base keeps its one parameter set's state in one field,
+which is ``None`` until the first update. Adafactor alone still updates,
+and keeps its state, tensor by tensor, since its factoring needs each
+tensor's shape.
 
 ``ComposedOptimizer.step`` is the one door for input: it rejects gradients
 whose names differ from the weights' (or from the first step's) with a
@@ -95,14 +96,14 @@ class OneTensor:
     def __init__(self, name, shape):
         self.names = {name: shape}.keys()
         self.shapes = [shape]
-        self.key = name  # a base keeps the tensor's state under its name
 
     @staticmethod
     def flatten(parts):
         return parts[0]
 
     def split(self, flat):
-        return {self.key: flat}
+        [name] = self.names
+        return {name: flat}
 
     @staticmethod
     def views(flat):
@@ -126,11 +127,6 @@ class OneTensor:
     def where(condition, if_true, if_false):
         return if_true if condition else if_false
 
-    @staticmethod
-    def read(block):
-        """The statistic held in a (1, 1) state block."""
-        return float(block[0, 0])
-
 
 # The rules' default: one tensor, whatever its name.
 TENSOR = OneTensor(None, None)
@@ -148,7 +144,6 @@ class Layout:
         self.starts = self.sizes.cumsum() - self.sizes
         self.slices = [slice(start, start + size) for start, size
                        in zip(self.starts.tolist(), self.sizes.tolist())]
-        self.key = self  # a base keeps the flat state under the layout
 
     @staticmethod
     def flatten(parts):
@@ -182,11 +177,6 @@ class Layout:
 
     where = staticmethod(np.where)
 
-    @staticmethod
-    def read(block):
-        """The statistics held in a (1, n) state block."""
-        return block[0]
-
 
 def lay_out(shapes):
     """The layout of a parameter set, from a dict of its tensors' 2-D shapes
@@ -206,24 +196,20 @@ def lay_out(shapes):
 # Per-tensor state
 # ---------------------------------------------------------------------------
 
+# Adam-mini's ``v``, AdaGN's norms and AdaClip's threshold are per-tensor
+# statistics: a laid-out set keeps one float64 array, with an entry per
+# tensor, where one tensor keeps a float.
 @dataclass
 class AdamMoments:
     m: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | float
     step_in_cycle: int = 0
 
     @classmethod
     def zeros(cls, shape) -> "AdamMoments":
         return cls(m=np.zeros(shape), v=np.zeros(shape))
 
-    def reset(self) -> None:
-        self.m[...] = 0.0
-        self.v[...] = 0.0
-        self.step_in_cycle = 0
 
-
-# A laid-out set keeps one float64 array, with an entry per tensor, where
-# one tensor keeps a float.
 @dataclass
 class AdaGnState:
     m_norm: float | np.ndarray = 0.0
@@ -387,16 +373,14 @@ def adam_mini_step(w, g, moments: AdamMoments, lr: float,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6,
                    layout=TENSOR):
     """Per-tensor Adam-mini: full first moment, one shared second moment per
-    tensor (EMA of mean(g^2)), kept in the (1, n) block ``moments.v`` for n
-    tensors and, for one tensor, updated as a float."""
+    tensor (EMA of mean(g^2)). ``moments.v`` starts at 0.0 and holds one
+    per tensor of the ``layout``."""
     t = moments.step_in_cycle + 1
     moments.step_in_cycle = t
     moments.m[...] = beta1 * moments.m + (1.0 - beta1) * g
-    v = (beta2 * layout.read(moments.v)
-         + (1.0 - beta2) * layout.means(g * g))
-    moments.v[0] = v
+    moments.v = beta2 * moments.v + (1.0 - beta2) * layout.means(g * g)
     m_hat = moments.m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
+    v_hat = moments.v / (1.0 - beta2 ** t)
     return w - lr * m_hat / layout.spread(layout.sqrt(v_hat) + eps)
 
 
@@ -413,10 +397,11 @@ class StepTelemetry:
 
 
 class _Base:
-    """Base update rule with lazily created state. Each base's
-    ``update(key, w, g, lr)`` updates one tensor, under its name, or a flat
-    vector, under its ``Layout``. A rule that keeps a second moment exposes
-    it as ``second_moment(key, shape)``."""
+    """Base update rule. Each base's ``update(key, w, g, lr)`` updates the
+    flat vector of the layout ``key``, or one tensor under any other key,
+    and keeps that one parameter set's state in a field, ``None`` until the
+    first update. A rule that keeps a second moment exposes it as
+    ``second_moment(shape)``."""
 
     def begin_step(self, global_step: int):
         return False, 1.0  # (reset_happened, lr_scale)
@@ -441,12 +426,7 @@ class AdamBase(_Base):
         self.reset_interval = reset_interval
         self.reset_style = reset_style
         self.warmup_steps = warmup_steps
-        self.state: dict[object, AdamMoments] = {}
-
-    def _moments(self, key, shape) -> AdamMoments:
-        if key not in self.state:
-            self.state[key] = AdamMoments.zeros(shape)
-        return self.state[key]
+        self.moments: AdamMoments | None = None
 
     def begin_step(self, global_step):
         # Steps since the last reset boundary: 1 on the step after one.
@@ -457,46 +437,44 @@ class AdamBase(_Base):
         else:
             reset = global_step > 1 and since == 1
         if reset:
-            for moments in self.state.values():
-                moments.reset()
+            self.moments = None  # the next step starts from zeros
         scale = 1.0
         if self.warmup_steps > 0:
             scale = min(1.0, since / self.warmup_steps)
         return reset, scale
 
-    def second_moment(self, key, shape):
-        """The second moment kept under ``key``."""
-        return self._moments(key, shape).v
+    def second_moment(self, shape):
+        self.moments = self.moments or AdamMoments.zeros(shape)
+        return self.moments.v
 
     def update(self, key, w, g, lr):
-        moments = self._moments(key, w.shape)
-        return adam_step(w, g, moments, lr, self.beta1, self.beta2, self.eps)
+        self.moments = self.moments or AdamMoments.zeros(w.shape)
+        return adam_step(w, g, self.moments, lr, self.beta1, self.beta2,
+                         self.eps)
 
 
 class LionBase(_Base):
     def __init__(self, beta1=0.9, beta2=0.99, weight_decay=0.0):
         self.beta1, self.beta2, self.weight_decay = beta1, beta2, weight_decay
-        self.state: dict[object, np.ndarray] = {}
+        self.m: np.ndarray | None = None
 
     def update(self, key, w, g, lr):
-        if key not in self.state:
-            self.state[key] = np.zeros(w.shape)
-        return lion_step(w, g, self.state[key], lr, self.beta1, self.beta2,
+        if self.m is None:
+            self.m = np.zeros(w.shape)
+        return lion_step(w, g, self.m, lr, self.beta1, self.beta2,
                          self.weight_decay)
 
 
 class AdamMiniBase(_Base):
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-6):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state: dict[object, AdamMoments] = {}
+        self.moments: AdamMoments | None = None
 
     def update(self, key, w, g, lr):
         layout = key if isinstance(key, Layout) else TENSOR
-        if key not in self.state:
-            self.state[key] = AdamMoments(np.zeros(w.shape),
-                                          np.zeros((1, len(layout.names))))
-        return adam_mini_step(w, g, self.state[key], lr, self.beta1,
-                              self.beta2, self.eps, layout)
+        self.moments = self.moments or AdamMoments(np.zeros(w.shape), v=0.0)
+        return adam_mini_step(w, g, self.moments, lr, self.beta1, self.beta2,
+                              self.eps, layout)
 
 
 class AdafactorBase(_Base):
@@ -512,6 +490,8 @@ class AdafactorBase(_Base):
             ws, gs = key.split(w), key.split(g)
             return np.concatenate([self.update(name, ws[name], gs[name], lr)
                                    for name in key.names], axis=None)
+        if isinstance(key, OneTensor):
+            [key] = key.names
         if key not in self.state:
             self.state[key] = AdafactorState()
         return adafactor_step(w, g, self.state[key], lr, self.eps1, self.d)
@@ -591,12 +571,12 @@ class ComposedOptimizer:
                 g = adagn(g, self._adagn, self.gamma1, self.gamma2, self.eps,
                           layout)
             elif kind == "spike_clip":
-                v = self.base.second_moment(layout.key, g.shape)
+                v = self.base.second_moment(g.shape)
                 g, n_clipped = spike_clip(g, v, self.gss_threshold)
                 clipped += n_clipped
             elif kind == "grad_clip":
                 g = grad_clip_global(g, self.grad_clip_threshold, layout)
-        w = self.base.update(layout.key, w, g, lr * lr_scale)
+        w = self.base.update(layout, w, g, lr * lr_scale)
         views = layout.split(w)
         params.update(views)
         self._weights = w, list(views.values())

@@ -189,21 +189,23 @@ def check_adagn_norm_identity():
 
 def check_moret_periodicity():
     """AdamBase(reset_interval=10) resets at steps 10, 20 and 30 of 30, and
-    AdamBase(reset_interval=1000) at step 1000 of 1000. A reset zeroes both
-    moments and the step count of the cycle; any other step leaves the
-    moments as they were."""
+    AdamBase(reset_interval=1000) at step 1000 of 1000. A reset drops both
+    moments and the step count of the cycle, so the step goes on from zeros;
+    any other step keeps the moments as they were."""
     resets = []
     for interval, steps in ((10, 30), (1000, 1000)):
         base = optim.AdamBase(reset_interval=interval)
-        moments = base.state["w"] = optim.AdamMoments.zeros((2, 2))
         for step in range(1, steps + 1):
-            moments.m[...], moments.v[...] = 1.0, 2.0
-            moments.step_in_cycle = step - 1
+            moments = base.moments = optim.AdamMoments(
+                np.full((2, 2), 1.0), np.full((2, 2), 2.0), step - 1)
             if base.begin_step(step)[0]:
                 resets.append(step)
-                if moments.m.any() or moments.v.any() or moments.step_in_cycle:
+                v = base.second_moment((2, 2))
+                fresh = base.moments
+                if fresh.m.any() or v.any() or fresh.step_in_cycle:
                     return False, f"moments not zeroed at step {step}"
-            elif not (np.all(moments.m == 1.0) and np.all(moments.v == 2.0)):
+            elif not (base.moments is moments and np.all(moments.m == 1.0)
+                      and np.all(moments.v == 2.0)):
                 return False, f"moments changed without a reset at step {step}"
     return resets == [10, 20, 30, 1000], f"resets at {resets}"
 

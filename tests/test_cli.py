@@ -613,8 +613,13 @@ def zeroed_a_step_before_the_reset(base, step):
     return _begin_step(base, step)
 
 
-def reset_keeping_the_moments(moments):
-    moments.step_in_cycle = 0
+def reset_keeping_the_moments(base, step):
+    moments = base.moments
+    reset, scale = _begin_step(base, step)
+    if reset:  # puts the moments back, restarting only the cycle's count
+        base.moments = moments
+        moments.step_in_cycle = 0
+    return reset, scale
 
 
 # Broken MoRet rules: (the method replaced, its replacement, the check's
@@ -627,7 +632,7 @@ MORET_MUTANTS = {
         (optim.AdamBase, "begin_step"), zeroed_a_step_before_the_reset,
         "moments changed without a reset at step 9"),
     "reset keeps the moments": (
-        (optim.AdamMoments, "reset"), reset_keeping_the_moments,
+        (optim.AdamBase, "begin_step"), reset_keeping_the_moments,
         "moments not zeroed at step 10"),
 }
 

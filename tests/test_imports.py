@@ -130,9 +130,9 @@ def test_every_definition_is_referenced():
 
 
 # Outside its own class, the multi-tensor layout is named only where it is
-# built and by the two bases whose state it shapes: Adam-mini's per-tensor
-# second moment and Adafactor's tensor-by-tensor update. Every other rule
-# takes whatever layout ``ComposedOptimizer.step`` hands it.
+# built and by two bases: Adam-mini, to pick its per-tensor statistics, and
+# Adafactor, to split the set for its tensor-by-tensor update. Every other
+# rule takes whatever layout ``ComposedOptimizer.step`` hands it.
 LAYOUT_NAMERS = {"src/stablespam/optim.py": {"lay_out", "AdamMiniBase",
                                              "AdafactorBase"}}
 

@@ -186,7 +186,7 @@ class TestMoRet:
         for step, g in enumerate(gs, start=1):
             opt.step(params, {"w": scalar(g)}, lr, step)
             # reconstruct the transformed gradient that Adam consumed
-            moments_g = opt.base.state["w"].m[0, 0] / (1 - 0.9)
+            moments_g = opt.base.moments.m[0, 0] / (1 - 0.9)
             expected = prev - lr * moments_g / (abs(moments_g) + 1e-6)
             assert params["w"][0, 0] == pytest.approx(expected, abs=1e-12)
             prev = params["w"][0, 0]
@@ -323,7 +323,7 @@ class TestSpikeClip:
     def test_step_reports_the_flagged_share(self):
         # The same boundary entry, next to one far below the threshold.
         base = optim.AdamBase()
-        base.second_moment("w", (1, 2))[...] = 5.0
+        base.second_moment((1, 2))[...] = 5.0
         opt = optim.ComposedOptimizer(["spike_clip"], base, gss_threshold=2.0)
         grads = {"w": np.array([[math.sqrt(10.0), 1.0]])}
         telemetry = opt.step({"w": np.zeros((1, 2))}, grads, 0.1, 1)
@@ -406,7 +406,7 @@ class TestLion:
 
 class TestAdamMini:
     def test_uniform_gradient_equals_adam(self):
-        mini = AdamMoments(m=np.zeros((2, 3)), v=np.zeros((1, 1)))
+        mini = AdamMoments(m=np.zeros((2, 3)), v=0.0)
         adam = AdamMoments.zeros((2, 3))
         w1 = np.zeros((2, 3))
         w2 = np.zeros((2, 3))
@@ -417,7 +417,7 @@ class TestAdamMini:
         assert np.allclose(w1, w2, atol=1e-12)
 
     def test_first_step_closed_form(self):
-        state = AdamMoments(m=np.zeros((1, 2)), v=np.zeros((1, 1)))
+        state = AdamMoments(m=np.zeros((1, 2)), v=0.0)
         g = np.array([[3.0, 4.0]])
         w = adam_mini_step(np.zeros((1, 2)), g, state, lr=0.1)
         # shared v = mean(g^2) = 12.5; m_hat = g
@@ -446,10 +446,9 @@ class TestStableSpam:
         resets = [opt.step(params, {"w": scalar(1.0)}, 0.01, step).reset
                   for step in range(1, 5)]
         assert not any(resets)
-        moments = opt.base.state["w"]
-        assert moments.m[0, 0] != 0
+        assert opt.base.moments.m[0, 0] != 0
         assert opt.step(params, {"w": scalar(1.0)}, 1e-3, 5).reset
-        assert moments.step_in_cycle == 1  # zeroed, then one update
+        assert opt.base.moments.step_in_cycle == 1  # zeroed, then one update
 
 
 class TestCompose:
@@ -537,9 +536,13 @@ def flat_optimizer(name):
 
 
 def base_state(base):
-    """Every array and count that ``base`` keeps, in order."""
-    return [np.asarray(x) for held in getattr(base, "state", {}).values()
-            for x in getattr(held, "__dict__", {None: held}).values()]
+    """Every field of ``base`` in order, with the fields of its moments, or
+    of each tensor's state, in place of the state."""
+    fields = []
+    for held in vars(base).values():
+        for x in held.values() if isinstance(held, dict) else [held]:
+            fields += vars(x).values() if hasattr(x, "__dict__") else [x]
+    return [np.asarray(x) for x in fields]
 
 
 def assert_same_bytes(got, want, what):
@@ -618,7 +621,8 @@ def test_step_reuses_only_the_weights_it_returned(name, monkeypatch):
 ])
 def test_one_rule_call_per_step_on_the_mlp(name, rules, monkeypatch):
     """The flat step's structural guard, with no clock: one step over the
-    MLP's 7 tensors calls each rule once, not once per tensor."""
+    MLP's 7 tensors calls each rule once, not once per tensor, and the base
+    keeps one state for the whole set."""
     rng = make_rng(0)
     model = models.init_mlp(4, 32, 2, 8, rng, quant=QuantSpec.INT4)
     _, grads = models.mlp_forward_backward(
@@ -639,3 +643,8 @@ def test_one_rule_call_per_step_on_the_mlp(name, rules, monkeypatch):
     for step in (1, 2):
         opt.step(model.params, grads, 1e-3, step)
     assert calls == {rule: 2 * n for rule, n in rules.items()}
+    moments = opt.base.moments
+    if name == "adam_mini":
+        assert moments.v.shape == (7,)
+    else:
+        assert moments.m.shape == (sum(g.size for g in grads.values()),)
