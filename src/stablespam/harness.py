@@ -16,9 +16,11 @@ step, so its ``final_val_loss`` is None exactly when it diverged.
 
 ``_key`` declares each config key: its type (its default's), the parser of
 its config-file text and the values it accepts. ``_OPTIMIZERS`` is the one
-table of optimizers. ``run`` checks its config and switches on the model
-kind once, at set-up. ``sweep`` checks every grid point's config before any
-run starts, so a config error writes nothing.
+table of optimizers. ``prepare`` is a run's whole set-up: it checks the
+config, spawns the seed streams, switches on the model kind once and builds
+the optimizer. ``run`` is ``prepare`` plus the one training loop. ``sweep``
+checks every grid point's config before any run starts, so a config error
+writes nothing, and runs each point through the module's ``run``.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
@@ -32,8 +34,9 @@ import math
 import operator
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -314,21 +317,27 @@ CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 class RunResult:
     records: list[StepRecord]
     final_val_loss: float | None
-    diverged: bool
+
+    @property
+    def diverged(self) -> bool:
+        return self.final_val_loss is None
 
 
 def _is_bad(loss: float) -> bool:
     return not math.isfinite(loss) or abs(loss) > DIVERGENCE_LOSS_CAP
 
 
-def run(cfg: RunConfig, records_path: str | None = None,
-        on_step=None) -> RunResult:
-    """Execute one training run; optionally write the telemetry CSV.
+class Prepared(NamedTuple):
+    """What ``run`` needs besides the config, before its first step."""
+    params: dict[str, np.ndarray]
+    optimizer: optim.ComposedOptimizer
+    loss_grad: Callable[[], tuple[float, dict[str, np.ndarray]]]
+    val_loss: Callable[[], float]
 
-    ``on_step(step, grads_pre, grads_post)`` is an instrumentation hook: the
-    tests use it to cross-check recorded norms, and the benchmark's
-    ``StepClock`` (``perfbench/run.py``) to time each step.
-    """
+
+def prepare(cfg: RunConfig) -> Prepared:
+    """Check the config and build its run. Draws nothing from the batch or
+    spike streams: the first ``loss_grad()`` call does."""
     cfg.validate()
     init_rng, batch_rng, spike_rng = map(
         make_rng, np.random.SeedSequence(cfg.seed).spawn(3))
@@ -366,7 +375,18 @@ def run(cfg: RunConfig, records_path: str | None = None,
                                           cfg.seed + 1)
             return models.mlp_loss(model, val.inputs, val.labels)
 
-    opt = make_optimizer(cfg.optimizer)
+    return Prepared(params, make_optimizer(cfg.optimizer), loss_grad, val_loss)
+
+
+def run(cfg: RunConfig, records_path: str | None = None,
+        on_step=None) -> RunResult:
+    """Execute one training run; optionally write the telemetry CSV.
+
+    ``on_step(step, grads_pre, grads_post)`` is an instrumentation hook: the
+    tests use it to cross-check recorded norms, and the benchmark's
+    ``StepClock`` (``perfbench/run.py``) to time each step.
+    """
+    params, opt, loss_grad, val_loss = prepare(cfg)
     records: list[StepRecord] = []
     diverged = False
 
@@ -406,12 +426,10 @@ def run(cfg: RunConfig, records_path: str | None = None,
                 final_val_loss = math.nan
             if _is_bad(final_val_loss):
                 final_val_loss = None
-                diverged = True
 
     if records_path is not None:
         write_records_csv(records, records_path)
-    return RunResult(records=records, final_val_loss=final_val_loss,
-                     diverged=diverged)
+    return RunResult(records=records, final_val_loss=final_val_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +503,8 @@ def sweep(base_cfg: RunConfig, lr_grid, out_dir: str | None = None,
              for i in range(len(cfgs))]
     if jobs > 1 and len(cfgs) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork the pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cfgs))) as pool:
             entries = list(pool.map(_sweep_one, cfgs, paths))
     else:
         entries = list(map(_sweep_one, cfgs, paths))

@@ -15,6 +15,7 @@ import time
 from stablespam import selftest
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SpikeConfig, run)
+from tasks import int4_cfg
 
 
 def report(num, name, ok, detail=""):
@@ -78,14 +79,7 @@ LR_RATIO = 30.0 ** 0.25  # five points spanning exactly 30x
 
 
 def _pheno_run(name, lr, seed, transforms=()):
-    cfg = RunConfig(
-        model=ModelConfig(input_dim=4, hidden_dim=32, depth=2, classes=8),
-        schedule=ScheduleConfig(lr_peak=lr, total_steps=250, warmup_steps=25),
-        spike=SpikeConfig(probability=0.1, severity=0.5),
-        optimizer=OptimizerConfig(name=name, transforms=list(transforms)),
-        quant_format="int4", seed=seed)
-    result = run(cfg)
-    return None if result.diverged else result.final_val_loss
+    return run(int4_cfg(name, lr, seed, transforms)).final_val_loss
 
 
 def _pheno_grid(name, base_lr, transforms=()):

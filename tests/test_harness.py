@@ -1,9 +1,10 @@
+import concurrent.futures
+import contextlib
 import json
 import math
 import os
 import sys
 import types
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 from stablespam import harness, models, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 OptimizerConfig, RunConfig, ScheduleConfig,
-                                SpikeConfig, global_grad_norm, lr_schedule,
-                                run, sweep, write_records_csv)
+                                global_grad_norm, lr_schedule, prepare, run,
+                                sweep, write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import make_rng
+from tasks import int4_cfg
 
 
 def small_cfg(**kwargs):
@@ -30,16 +32,6 @@ def small_cfg(**kwargs):
             obj = getattr(obj, p)
         setattr(obj, parts[-1], value)
     return cfg
-
-
-def int4_cfg(name, lr, total_steps=250, warmup_steps=25):
-    """Criterion 7's INT4 task at seed 0."""
-    return RunConfig(
-        model=ModelConfig(input_dim=4, hidden_dim=32, depth=2, classes=8),
-        schedule=ScheduleConfig(lr_peak=lr, total_steps=total_steps,
-                                warmup_steps=warmup_steps),
-        spike=SpikeConfig(probability=0.1, severity=0.5),
-        optimizer=OptimizerConfig(name=name), quant_format="int4")
 
 
 class TestGlobalGradNorm:
@@ -257,6 +249,31 @@ class TestRun:
         assert plain.records[5].loss != quantized.records[5].loss
 
 
+class TestPrepare:
+    def test_draws_nothing_from_the_batch_or_spike_streams(self, monkeypatch):
+        made = []
+
+        def recording(seed_seq):
+            made.append((seed_seq, make_rng(seed_seq)))
+            return made[-1][1]
+
+        monkeypatch.setattr(harness, "make_rng", recording)
+        cfg = small_cfg(spike__probability=0.2, spike__severity=0.5)
+        prepared = prepare(cfg)
+        streams = made[1:]  # batch order, spike noise
+        assert len(streams) == 2
+        for seed_seq, rng in streams:
+            assert rng.bit_generator.state == \
+                make_rng(seed_seq).bit_generator.state
+        twin = prepare(cfg)
+        assert [(k, w.tobytes()) for k, w in prepared.params.items()] == \
+            [(k, w.tobytes()) for k, w in twin.params.items()]
+        assert prepared.loss_grad()[0] == run(cfg).records[0].loss
+        for seed_seq, rng in streams:  # the first call draws from both
+            assert rng.bit_generator.state != \
+                make_rng(seed_seq).bit_generator.state
+
+
 class TestCsv:
     def test_row_shape_and_roundtrip(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -316,10 +333,9 @@ def test_stable_spam_without_reset_is_adam_with_adaclip_and_adagn(
         seed, lr, tmp_path):
     """With MoRet off, Stable-SPAM is Adam behind AdaClip then AdaGN: same
     ``run.csv`` bytes and final loss, on criterion 7's INT4 task."""
-    stable = replace(int4_cfg("stable_spam", lr), seed=seed)
+    stable = int4_cfg("stable_spam", lr, seed)
     stable.optimizer.reset_interval = 0
-    composed = replace(int4_cfg("adam", lr), seed=seed)
-    composed.optimizer.transforms = ["adaclip", "adagn"]
+    composed = int4_cfg("adam", lr, seed, transforms=["adaclip", "adagn"])
     results = [run(cfg, records_path=str(tmp_path / f"{i}.csv"))
                for i, cfg in enumerate((stable, composed))]
     assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
@@ -370,6 +386,33 @@ class TestSweep:
         a = (tmp_path / "s" / "run_lr0.csv").read_bytes()
         b = (tmp_path / "p" / "run_lr0.csv").read_bytes()
         assert a == b
+
+    def test_each_point_runs_through_harness_run(self, monkeypatch):
+        # The benchmark times a sweep's runs by swapping harness.run.
+        lrs = []
+
+        def recorder(cfg, records_path=None, on_step=None):
+            lrs.append(cfg.schedule.lr_peak)
+            return harness.RunResult(records=[], final_val_loss=1.0)
+
+        monkeypatch.setattr(harness, "run", recorder)
+        sweep(small_cfg(), [3e-3, 3e-4, 1e-3], jobs=1)
+        assert lrs == [3e-3, 3e-4, 1e-3]
+
+    def test_pool_no_larger_than_the_grid(self, monkeypatch):
+        # Under fork the pool starts all its workers at the first submit.
+        # A serial stand-in records the size asked for and starts none.
+        sizes = []
+
+        def serial_pool(max_workers):
+            sizes.append(max_workers)
+            return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            serial_pool)
+        result = sweep(small_cfg(), [3e-4, 1e-3], jobs=64)
+        assert sizes == [2]
+        assert [e.lr for e in result.entries] == [3e-4, 1e-3]
 
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):

@@ -68,10 +68,10 @@ def test_as_matrix_called_only_at_the_doors():
     assert found == DOORS
 
 
-# The doors a config is checked at: the config file, the library's run, and
+# The doors a config is checked at: the config file, a run's set-up, and
 # a sweep's grid points before any run; the selftest checks its own.
 VALIDATE_CALLERS = {"src/stablespam/cli.py": {"parse_config_text"},
-                    "src/stablespam/harness.py": {"run", "sweep"},
+                    "src/stablespam/harness.py": {"prepare", "sweep"},
                     "src/stablespam/selftest.py": {"_trace_check"}}
 
 
@@ -80,6 +80,16 @@ def test_validate_called_only_at_the_doors():
              for path in sorted(ROOT.glob("src/**/*.py"))
              if (callers := callers_of(path, "validate"))}
     assert found == VALIDATE_CALLERS
+
+
+def test_only_prepare_sets_up_a_run():
+    """In the harness, one function spawns the seed streams and builds the
+    model, its data or the quadratic."""
+    harness = ROOT / "src/stablespam/harness.py"
+    found = {name: callers_of(harness, name)
+             for name in ("SeedSequence", "init_mlp", "make_dataset",
+                          "make_quadratic")}
+    assert found == dict.fromkeys(found, {"prepare"})
 
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

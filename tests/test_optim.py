@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from stablespam import harness, models, optim, oracles, selftest
-from stablespam.harness import OptimizerConfig, make_optimizer
+from stablespam import harness, optim, oracles, selftest
+from stablespam.harness import OptimizerConfig, make_optimizer, prepare
 from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               AdamMoments, ConfigError, adaclip,
                               adafactor_step, adagn, adam_mini_step,
                               adam_step, global_grad_norm, grad_clip_global,
                               lion_step, spike_clip)
-from stablespam.quant import QuantSpec
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
+from tasks import int4_cfg
 
 
 def scalar(x):
@@ -623,11 +623,6 @@ def test_one_rule_call_per_step_on_the_mlp(name, rules, monkeypatch):
     """The flat step's structural guard, with no clock: one step over the
     MLP's 7 tensors calls each rule once, not once per tensor, and the base
     keeps one state for the whole set."""
-    rng = make_rng(0)
-    model = models.init_mlp(4, 32, 2, 8, rng, quant=QuantSpec.INT4)
-    _, grads = models.mlp_forward_backward(
-        model, rng.standard_normal((32, 4)), np.arange(32) % 8)
-    assert len(grads) == 7
     calls = dict.fromkeys(rules, 0)
 
     def counted(rule):
@@ -639,9 +634,11 @@ def test_one_rule_call_per_step_on_the_mlp(name, rules, monkeypatch):
 
     for rule in rules:
         monkeypatch.setattr(optim, rule, counted(rule))
-    opt = make_optimizer(OptimizerConfig(name=name))
+    params, opt, loss_grad, _ = prepare(int4_cfg(name, 1e-3))
+    _, grads = loss_grad()
+    assert len(grads) == 7
     for step in (1, 2):
-        opt.step(model.params, grads, 1e-3, step)
+        opt.step(params, grads, 1e-3, step)
     assert calls == {rule: 2 * n for rule, n in rules.items()}
     moments = opt.base.moments
     if name == "adam_mini":

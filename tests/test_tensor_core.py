@@ -12,9 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stablespam import models, tensor_core
-from stablespam.quant import QuantSpec
+from stablespam.harness import ModelConfig, RunConfig, prepare
 from stablespam.tensor_core import (as_matrix, frobenius_norm, make_rng,
                                     matmul, max_abs)
+from tasks import int4_cfg
 
 
 def naive_matmul(a, b):
@@ -205,14 +206,10 @@ def count_matmuls(monkeypatch, call):
 def test_one_matmul_per_product(monkeypatch):
     # The counts the benchmark's span check expects: 6 per SwiGLU block
     # plus 3 for the head, and 3 per quadratic step.
-    rng = make_rng(0)
-    mlp = models.init_mlp(4, 32, 2, 8, rng, quant=QuantSpec.INT4)
-    x, labels = rng.standard_normal((32, 4)), np.arange(32) % 8
-    quadratic = models.make_quadratic(8, rng)
-    assert count_matmuls(monkeypatch, lambda: models.mlp_forward_backward(
-        mlp, x, labels)) == 15
-    assert count_matmuls(monkeypatch, lambda: models.quadratic_loss_grad(
-        quadratic, quadratic.w0)) == 3
+    mlp = prepare(int4_cfg("adam", 1e-3))
+    quadratic = prepare(RunConfig(model=ModelConfig(kind="quadratic")))
+    assert count_matmuls(monkeypatch, mlp.loss_grad) == 15
+    assert count_matmuls(monkeypatch, quadratic.loss_grad) == 3
 
 
 # numpy builds its float64 loops for several SIMD targets and picks one at
