@@ -26,18 +26,29 @@ diverged), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import sys
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 
-from . import harness
-from .harness import ConfigError, LR_GRID_PRESETS, RunConfig, run, sweep
+from .harness import ConfigError, RunConfig, atomic_write, run, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_INTERNAL = 3
+
+# Fig-style LR grid presets: "wide" spans 1e-4..3e-3, "step" is 1e-4..9e-4
+# in 2e-4 increments.
+LR_GRID_PRESETS = {
+    "wide": (1e-4, 3e-4, 1e-3, 3e-3),
+    "step": (1e-4, 3e-4, 5e-4, 7e-4, 9e-4),
+}
+# The most points an ``a:b:step`` grid may have; each point is a whole run.
+LR_GRID_MAX_POINTS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +92,8 @@ def parse_lr_grid(text: str) -> list[float]:
     The bounds are parsed as decimals and each point is ``a + i*step`` in
     decimal arithmetic, rounded to float once, so ``1e-4:1e-3:2e-4`` gives
     exactly ``[1e-4, 3e-4, 5e-4, 7e-4, 9e-4]`` with no accumulated drift.
+    A grid of more than ``LR_GRID_MAX_POINTS`` points is rejected before
+    any point is computed.
     """
     if text in LR_GRID_PRESETS:
         return list(LR_GRID_PRESETS[text])
@@ -97,7 +110,10 @@ def parse_lr_grid(text: str) -> list[float]:
     try:
         count = int((hi - lo) // step) + 1
     except InvalidOperation:  # the count exceeds decimal precision
-        raise ConfigError(f"--lr-grid: too many points in {text!r}") from None
+        count = math.inf
+    if count > LR_GRID_MAX_POINTS:
+        raise ConfigError(f"--lr-grid: too many points in {text!r} "
+                          f"(at most {LR_GRID_MAX_POINTS})")
     return [float(lo + i * step) for i in range(count)]
 
 
@@ -134,7 +150,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     cfg = _load_cfg(args.config, args.seed)
     grid = parse_lr_grid(args.lr_grid)
-    jobs = args.jobs if args.jobs else min(len(grid), os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     result = sweep(cfg, grid, out_dir=args.out, jobs=jobs)
     for entry in result.entries:
         shown = "diverged" if entry.final_loss is None else repr(entry.final_loss)
@@ -193,12 +209,13 @@ def cmd_compare(args) -> int:
         rows.append((_optimizer_label(cfg), final_train, final_val,
                      to_target, path))
 
-    header = "optimizer,final_train_loss,final_val_loss,steps_to_target,records_path"
-    lines = [header] + [",".join(r) for r in rows]
-    harness._atomic_write(os.path.join(args.out, "compare.csv"),
-                          "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(("optimizer", "final_train_loss", "final_val_loss",
+                     "steps_to_target", "records_path"))
+    writer.writerows(rows)
+    atomic_write(os.path.join(args.out, "compare.csv"), table.getvalue())
+    print(table.getvalue(), end="")
     if all(res.diverged for _, res, _ in results):
         return EXIT_DIVERGED
     return EXIT_OK

@@ -33,7 +33,6 @@ import json
 import math
 import operator
 import os
-import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, get_type_hints
@@ -46,13 +45,6 @@ from .quant import QuantSpec
 from .tensor_core import NonFiniteError, make_rng
 
 DIVERGENCE_LOSS_CAP = 1e100
-
-# Fig-style LR grid presets: "wide" spans 1e-4..3e-3, "step" is 1e-4..9e-4
-# in 2e-4 increments.
-LR_GRID_PRESETS = {
-    "wide": (1e-4, 3e-4, 1e-3, 3e-3),
-    "step": (1e-4, 3e-4, 5e-4, 7e-4, 9e-4),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +428,16 @@ def run(cfg: RunConfig, records_path: str | None = None,
 # Output files (atomic writes)
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: into a new file in
+    the same directory, which then replaces ``path``. The new file is
+    created as ``open(path, "w")`` creates one, mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -462,7 +458,7 @@ def write_records_csv(records: list[StepRecord], path: str) -> None:
     cells = [map(text, map(number, map(get, records)))
              for get, number, text in _COLUMNS]
     lines = [CSV_HEADER, *map(",".join, zip(*cells))]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +515,6 @@ def sweep(base_cfg: RunConfig, lr_grid, out_dir: str | None = None,
                       else "diverged",
                       "records_path": e.records_path} for e in entries],
         }
-        _atomic_write(os.path.join(out_dir, "sweep_summary.json"),
-                      json.dumps(summary, indent=2) + "\n")
+        atomic_write(os.path.join(out_dir, "sweep_summary.json"),
+                     json.dumps(summary, indent=2) + "\n")
     return result

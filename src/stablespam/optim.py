@@ -49,9 +49,10 @@ own. The global clip also takes the flat vector: its norm is taken over
 the tensors' parts in the gradient dict's order. A ``Layout`` serves several
 tensors; ``OneTensor`` serves one (the rules' default, and every one-tensor
 parameter set), whose statistics are Python floats and which costs no
-concatenation. Each base keeps its one parameter set's state in one field,
-which is ``None`` until the first update. Adafactor alone still updates,
-and keeps its state, tensor by tensor, since its factoring needs each
+concatenation. Only ``lay_out`` tells them apart: every rule takes the
+layout it is handed. Each base keeps its one parameter set's state in one
+field, which is ``None`` until the first update; Adafactor's is a list
+with one state per tensor, in layout order, since its factoring needs each
 tensor's shape.
 
 ``ComposedOptimizer.step`` is the one door for input: it rejects gradients
@@ -397,10 +398,10 @@ class StepTelemetry:
 
 
 class _Base:
-    """Base update rule. Each base's ``update(key, w, g, lr)`` updates the
-    flat vector of the layout ``key``, or one tensor under any other key,
-    and keeps that one parameter set's state in a field, ``None`` until the
-    first update. A rule that keeps a second moment exposes it as
+    """Base update rule. Each base's ``update(layout, w, g, lr)`` updates
+    the flat vector of ``layout``, where a bare tensor name stands for one
+    tensor, and keeps that one parameter set's state in a field, ``None``
+    until the first update. A rule that keeps a second moment exposes it as
     ``second_moment(shape)``."""
 
     def begin_step(self, global_step: int):
@@ -408,7 +409,7 @@ class _Base:
 
 
 class SgdBase(_Base):
-    def update(self, key, w, g, lr):
+    def update(self, layout, w, g, lr):
         return w - lr * g
 
 
@@ -447,7 +448,7 @@ class AdamBase(_Base):
         self.moments = self.moments or AdamMoments.zeros(shape)
         return self.moments.v
 
-    def update(self, key, w, g, lr):
+    def update(self, layout, w, g, lr):
         self.moments = self.moments or AdamMoments.zeros(w.shape)
         return adam_step(w, g, self.moments, lr, self.beta1, self.beta2,
                          self.eps)
@@ -458,7 +459,7 @@ class LionBase(_Base):
         self.beta1, self.beta2, self.weight_decay = beta1, beta2, weight_decay
         self.m: np.ndarray | None = None
 
-    def update(self, key, w, g, lr):
+    def update(self, layout, w, g, lr):
         if self.m is None:
             self.m = np.zeros(w.shape)
         return lion_step(w, g, self.m, lr, self.beta1, self.beta2,
@@ -470,31 +471,28 @@ class AdamMiniBase(_Base):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.moments: AdamMoments | None = None
 
-    def update(self, key, w, g, lr):
-        layout = key if isinstance(key, Layout) else TENSOR
+    def update(self, layout, w, g, lr):
+        layout = TENSOR if isinstance(layout, str) else layout
         self.moments = self.moments or AdamMoments(np.zeros(w.shape), v=0.0)
         return adam_mini_step(w, g, self.moments, lr, self.beta1, self.beta2,
                               self.eps, layout)
 
 
 class AdafactorBase(_Base):
-    """Adafactor, tensor by tensor: a ``Layout``'s flat vector is split,
-    and each tensor keeps its state under its name."""
+    """Adafactor, tensor by tensor: the layout splits the flat vector, and
+    ``states`` holds one state per tensor, in layout order."""
 
     def __init__(self, eps1=1e-30, d=1.0):
         self.eps1, self.d = eps1, d
-        self.state: dict[str, AdafactorState] = {}
+        self.states: list[AdafactorState] | None = None
 
-    def update(self, key, w, g, lr):
-        if isinstance(key, Layout):
-            ws, gs = key.split(w), key.split(g)
-            return np.concatenate([self.update(name, ws[name], gs[name], lr)
-                                   for name in key.names], axis=None)
-        if isinstance(key, OneTensor):
-            [key] = key.names
-        if key not in self.state:
-            self.state[key] = AdafactorState()
-        return adafactor_step(w, g, self.state[key], lr, self.eps1, self.d)
+    def update(self, layout, w, g, lr):
+        layout = TENSOR if isinstance(layout, str) else layout
+        ws, gs = layout.split(w).values(), layout.split(g).values()
+        self.states = self.states or [AdafactorState() for _ in ws]
+        parts = [adafactor_step(*tensor, lr, self.eps1, self.d)
+                 for tensor in zip(ws, gs, self.states)]
+        return np.concatenate(parts, axis=None).reshape(w.shape)
 
 
 TRANSFORM_KINDS = ("adaclip", "adagn", "spike_clip", "grad_clip")

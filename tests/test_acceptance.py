@@ -5,8 +5,8 @@ of the check table in ``stablespam.selftest``, the same functions
 ``stablespam selftest`` runs. Between them they run every entry once, but
 for ``lr schedule endpoints`` (``tests/test_harness.py``) and
 ``quantizer rounds to nearest, ties to even`` (``tests/test_quant.py``). Criteria 7 and 8
-are deterministic desk-scale phenomenology checks (seeded runs on the
-spike-injected INT4 MLP task), and criterion 9 checks harness determinism.
+are deterministic desk-scale phenomenology checks (one ``harness.sweep`` per
+seed on the spike-injected INT4 MLP task); criterion 9 checks determinism.
 """
 
 import math
@@ -14,7 +14,7 @@ import time
 
 from stablespam import selftest
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
-                                ScheduleConfig, SpikeConfig, run)
+                                ScheduleConfig, SpikeConfig, run, sweep)
 from tasks import int4_cfg
 
 
@@ -78,14 +78,11 @@ SEEDS = (0, 1, 2)
 LR_RATIO = 30.0 ** 0.25  # five points spanning exactly 30x
 
 
-def _pheno_run(name, lr, seed, transforms=()):
-    return run(int4_cfg(name, lr, seed, transforms)).final_val_loss
-
-
 def _pheno_grid(name, base_lr, transforms=()):
     lrs = [base_lr * LR_RATIO ** i for i in range(5)]
-    table = {(seed, lr): _pheno_run(name, lr, seed, transforms)
-             for seed in SEEDS for lr in lrs}
+    table = {(seed, entry.lr): entry.final_loss for seed in SEEDS
+             for entry in sweep(int4_cfg(name, lrs[0], seed, transforms),
+                                lrs).entries}
     return lrs, table
 
 

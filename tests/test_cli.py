@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import math
@@ -315,6 +316,14 @@ class TestParseLrGrid:
             with pytest.raises(ConfigError):
                 parse_lr_grid(text)
 
+    def test_too_many_points_rejected_before_any_is_built(self):
+        assert len(parse_lr_grid(f"1:{cli.LR_GRID_MAX_POINTS}:1")) == \
+            cli.LR_GRID_MAX_POINTS
+        for text in (f"1:{cli.LR_GRID_MAX_POINTS + 1}:1", "1e-9:1:1e-9"):
+            with pytest.raises(ConfigError,
+                               match=r"^--lr-grid: too many points in "):
+                parse_lr_grid(text)
+
 
 class TestCommands:
     def test_run_writes_csv_and_exits_zero(self, tmp_path, capsys):
@@ -459,6 +468,15 @@ class TestCommands:
         assert "schedule.lr_peak" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_grid_of_too_many_points_writes_nothing(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", write_cfg(tmp_path, "a.cfg"),
+                     "--lr-grid", "1e-9:1:1e-9", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--lr-grid: too many points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -519,6 +537,19 @@ class TestCommands:
         # both runs reach the worse of the two final losses
         for line in lines[1:]:
             assert line.split(",")[3] != "n/a"
+
+    def test_compare_csv_quotes_a_path_with_a_comma(self, tmp_path, capsys):
+        a = write_cfg(tmp_path, "a.cfg", "optimizer.name = adam\n")
+        b = write_cfg(tmp_path, "b.cfg", "optimizer.name = sgd\n")
+        out = tmp_path / "x,y"
+        assert main(["compare", a, b, "--out", str(out)]) == EXIT_OK
+        text = (out / "compare.csv").read_text()
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [5, 5, 5]
+        for i, row in enumerate(rows[1:]):
+            assert row[4] == str(out / f"compare_run{i}.csv")
+            assert os.path.exists(row[4])
 
     def test_compare_rejects_non_optimizer_difference(self, tmp_path, capsys):
         a = write_cfg(tmp_path, "a.cfg")

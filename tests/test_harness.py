@@ -3,6 +3,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 import types
 from pathlib import Path
@@ -326,6 +327,20 @@ class TestCsv:
         with pytest.raises(OSError, match="replace refused"):
             write_records_csv([], str(tmp_path / "r.csv"))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_atomic_write_gives_a_plain_creates_mode(self, tmp_path, umask):
+        # The umask is the process's: set for this test and restored.
+        before = os.umask(umask)
+        try:
+            write_records_csv([], str(tmp_path / "r.csv"))
+            sweep(small_cfg(), [1e-3], out_dir=str(tmp_path / "s"))
+            (tmp_path / "plain").write_text("")
+        finally:
+            os.umask(before)
+        modes = {stat.S_IMODE(path.stat().st_mode)
+                 for path in tmp_path.rglob("*") if path.is_file()}
+        assert modes == {0o666 & ~umask}
 
 
 @pytest.mark.parametrize("seed, lr", [(0, 0.01), (1, 0.3)])

@@ -99,15 +99,19 @@ def references(path):
     """``(name, owner)`` for each name a module refers to: names, attributes,
     imported names and the identifiers inside string constants other than
     docstrings (``perfbench`` names its targets in strings). ``owner`` is the
-    top-level function or class the reference sits in, or None."""
+    top-level function or class the reference sits in, the name a top-level
+    assignment binds, or None."""
     tree = ast.parse(path.read_text())
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
     found = []
     for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef,
-                                             ast.ClassDef)) else None
+        owner = None
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            owner = top.name
+        elif isinstance(top, ast.Assign) and len(top.targets) == 1:
+            owner = getattr(top.targets[0], "id", None)
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 found.append((node.id, owner))
@@ -139,17 +143,42 @@ def test_every_definition_is_referenced():
     assert not unreferenced, unreferenced
 
 
-# Outside its own class, the multi-tensor layout is named only where it is
-# built and by two bases: Adam-mini, to pick its per-tensor statistics, and
-# Adafactor, to split the set for its tensor-by-tensor update. Every other
-# rule takes whatever layout ``ComposedOptimizer.step`` hands it.
-LAYOUT_NAMERS = {"src/stablespam/optim.py": {"lay_out", "AdamMiniBase",
-                                             "AdafactorBase"}}
+# Outside its own class, each layout is named only in ``optim`` where it is
+# built, and the one-tensor layout also by the rules' default, ``TENSOR``.
+# Every rule takes whatever layout ``ComposedOptimizer.step`` hands it.
+LAYOUT_NAMERS = {"Layout": {"lay_out"}, "OneTensor": {"lay_out", "TENSOR"}}
 
 
 def test_layout_named_only_where_it_is_built_or_shapes_state():
-    found = {str(path.relative_to(ROOT)): owners
-             for path in sorted(ROOT.glob("src/**/*.py"))
-             if (owners := {owner for name, owner in references(path)
-                            if name == "Layout" and owner != "Layout"})}
-    assert found == LAYOUT_NAMERS
+    for layout, namers in LAYOUT_NAMERS.items():
+        found = {str(path.relative_to(ROOT)): owners
+                 for path in sorted(ROOT.glob("src/**/*.py"))
+                 if (owners := {owner for name, owner in references(path)
+                                if name == layout and owner != layout})}
+        assert found == {"src/stablespam/optim.py": namers}, layout
+
+
+def private_references(path, modules):
+    """``module._name`` for each private name of one of ``modules`` that the
+    module at ``path`` reads as an attribute or imports by name. Dunder
+    names are public."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module, names = node.value.id, [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            module, names = node.module, [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{module}.{name}" for name in names
+                  if module in modules and name.startswith("_")
+                  and not (name.startswith("__") and name.endswith("__"))]
+    return found
+
+
+def test_no_module_reads_another_modules_private_name():
+    paths = sorted(ROOT.glob("src/stablespam/*.py"))
+    modules = {path.stem for path in paths}
+    found = {str(path.relative_to(ROOT)): names for path in paths
+             if (names := private_references(path, modules))}
+    assert not found, found

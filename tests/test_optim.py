@@ -192,55 +192,6 @@ class TestMoRet:
             prev = params["w"][0, 0]
 
 
-def rejected_step_changes_nothing(name, spoil, match):
-    """Step 3 of six gets ``spoil(grads)`` and must raise a ValueError
-    matching ``match``, which is returned. The optimizer then goes on exactly
-    like a twin that never saw that step."""
-    rng = make_rng(3)
-    steps = [{"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((3, 4))}
-             for _ in range(6)]
-    opt, twin = (make_optimizer(OptimizerConfig(name=name)) for _ in range(2))
-    params, twin_params = ({"a": np.ones((2, 3)), "b": np.ones((3, 4))}
-                           for _ in range(2))
-    for step, grads in enumerate(steps, start=1):
-        if step == 3:
-            with pytest.raises(ValueError, match=match) as raised:
-                opt.step(params, spoil(grads), 0.01, step)
-        opt.step(params, grads, 0.01, step)
-        twin.step(twin_params, grads, 0.01, step)
-    for key in params:
-        assert params[key].tobytes() == twin_params[key].tobytes(), key
-    return raised.value
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
-                         ids=["nan", "+inf", "-inf"])
-@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
-def test_nonfinite_gradient_rejected(name, bad):
-    """A step with a non-finite gradient raises and changes nothing.
-    ``harness.run`` never passes one: it records a diverged step instead."""
-    def spoil(grads):
-        spoiled = dict(grads, b=grads["b"].copy())
-        spoiled["b"][1, 2] = bad
-        return spoiled
-
-    rejected_step_changes_nothing(name, spoil, "non-finite gradient for 'b'")
-
-
-@pytest.mark.parametrize("spoil, match", [
-    (lambda grads: {"a": grads["a"]}, r"missing \['b'\], extra \[\]$"),
-    (lambda grads: dict(grads, c=grads["a"]), r"missing \[\], extra \['c'\]$"),
-    (lambda grads: dict(grads, b=grads["b"].T),
-     r"\(4, 3\)\] \(gradients\) .* not the first step's \[\(2, 3\), \(3, 4\)\]$"),
-], ids=["missing", "extra", "reshaped"])
-@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
-def test_mismatched_gradients_rejected(name, spoil, match):
-    """Gradients named unlike the weights raise a plain ValueError, which
-    ``harness.run`` does not record as divergence, and change nothing."""
-    error = rejected_step_changes_nothing(name, spoil, match)
-    assert not isinstance(error, NonFiniteError)
-
-
 def test_the_parameter_set_is_laid_out_at_the_first_step():
     """Later steps name the first step's tensors; neither the set nor any
     tensor in it may be empty."""
@@ -540,7 +491,7 @@ def base_state(base):
     of each tensor's state, in place of the state."""
     fields = []
     for held in vars(base).values():
-        for x in held.values() if isinstance(held, dict) else [held]:
+        for x in held if isinstance(held, list) else [held]:
             fields += vars(x).values() if hasattr(x, "__dict__") else [x]
     return [np.asarray(x) for x in fields]
 
@@ -552,27 +503,70 @@ def assert_same_bytes(got, want, what):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), (what, i)
 
 
-@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
-def test_flat_step_names_the_first_nonfinite_tensor(name):
-    """A step whose second and fourth gradients are not finite names the
-    second, in gradient order, and changes nothing: the optimizer goes on
-    like a twin that never saw it."""
+def rejected_step_changes_nothing(name, spoil, match):
+    """Step 5 gets ``spoil(grads)`` and must raise a ValueError matching
+    ``match``, which is returned. The optimizer then goes on exactly like a
+    twin that never saw that step: the same weights and base state."""
     opt, twin = flat_optimizer(name), flat_optimizer(name)
     ones = {key: np.ones(shape) for key, shape in FLAT_SHAPES.items()}
     params, twin_params = dict(ones), dict(ones)
     for step, grads in enumerate(flat_grads(), start=1):
         if step == 5:
-            spoiled = {key: g.copy() for key, g in grads.items()}
-            spoiled["bias"][0, 0] = math.nan
-            spoiled["gain"][0, 3] = -math.inf
-            with pytest.raises(NonFiniteError,
-                               match=r"^non-finite gradient for 'bias'$"):
-                opt.step(params, spoiled, 0.01, step)
+            with pytest.raises(ValueError, match=match) as raised:
+                opt.step(params, spoil(grads), 0.01, step)
         opt.step(params, grads, 0.01, step)
         twin.step(twin_params, grads, 0.01, step)
-    for key in FLAT_SHAPES:
-        assert_same_bytes([params[key]], [twin_params[key]], key)
+    assert_same_bytes(list(params.values()), list(twin_params.values()),
+                      "weights")
     assert_same_bytes(base_state(opt.base), base_state(twin.base), "state")
+    return raised.value
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_nonfinite_gradient_rejected(name, bad):
+    """A step with a non-finite gradient raises and changes nothing.
+    ``harness.run`` never passes one: it records a diverged step instead."""
+    def spoil(grads):
+        spoiled = dict(grads, w=grads["w"].copy())
+        spoiled["w"][1, 0] = bad
+        return spoiled
+
+    error = rejected_step_changes_nothing(
+        name, spoil, r"^non-finite gradient for 'w'$")
+    assert isinstance(error, NonFiniteError)
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda grads: {key: g for key, g in grads.items() if key != "w"},
+     r"missing \['w'\], extra \[\]$"),
+    (lambda grads: dict(grads, c=grads["w"]), r"missing \[\], extra \['c'\]$"),
+    (lambda grads: dict(grads, w=grads["w"].T),
+     r"\(2, 4\), \(1, 5\)\] \(gradients\) .* not the first step's "
+     r"\[\(3, 4\), \(1, 1\), \(4, 2\), \(1, 5\)\]$"),
+], ids=["missing", "extra", "reshaped"])
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_mismatched_gradients_rejected(name, spoil, match):
+    """Gradients named unlike the weights raise a plain ValueError, which
+    ``harness.run`` does not record as divergence, and change nothing."""
+    error = rejected_step_changes_nothing(name, spoil, match)
+    assert not isinstance(error, NonFiniteError)
+
+
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_flat_step_names_the_first_nonfinite_tensor(name):
+    """A step whose second and fourth gradients are not finite names the
+    second, in gradient order."""
+    def spoil(grads):
+        spoiled = {key: g.copy() for key, g in grads.items()}
+        spoiled["bias"][0, 0] = math.nan
+        spoiled["gain"][0, 3] = -math.inf
+        return spoiled
+
+    error = rejected_step_changes_nothing(
+        name, spoil, r"^non-finite gradient for 'bias'$")
+    assert isinstance(error, NonFiniteError)
 
 
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
