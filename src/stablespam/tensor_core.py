@@ -12,47 +12,32 @@ The one non-obvious piece is ``matmul``: every output element is
 ascending k, so the result is bit-identical to a naive triple loop, which
 keeps the trace-equality tests exact.
 
-``matmul`` forms the products for a block of k at once, as one C-ordered
-``(k, n, m)`` tensor, and sums it over k. Blocks of at least
-``_EINSUM_MIN`` products are formed by ``np.einsum("ki,kj->kij")``, smaller
-ones by a broadcast ``np.multiply``, whose set-up is cheaper. No index is
-summed in that einsum, so each entry is one product, written as
-``0.0 + a[i, k] * b[k, j]``: it is never -0.0, and only the sign of a zero
-product can differ from the multiply's.
+``matmul`` is one summing ``np.einsum("ki,kj->ij", a.T, b)`` on a C-ordered
+copy of ``b``, taken with the longer output axis innermost: for ``m < n``
+it computes ``(b.T @ a.T).T`` and returns that C-ordered. Then j, the
+innermost output axis, is also the right operand's contiguous axis, and
+the left operand does not move along it, so numpy's iterator puts j
+innermost and k outside it. einsum's inner loop
+(``sum_of_products_stride0_contig_outcontig_two``) is then
+``out[j] += a[k, i] * b[k, j]`` over a row of outputs that starts at +0.0.
+Each output gets its products one k at a time, in ascending k: SIMD runs
+across independent outputs, never across k. No product tensor is formed.
+An all-(-0.0) sum stays +0.0, and inf and nan land where the naive loop
+puts them.
 
-On the einsum path ``matmul`` forms each block with its longer output axis
-innermost, where einsum's inner loop runs: for ``m < n`` it computes
-``(b.T @ a.T).T`` and returns it C-ordered. Each output element has the same
-products, added in the same k order, so the bits are the same. The einsum
-path also copies its right operand to C order (``np.ascontiguousarray``,
-about 1 us for 1024 entries), so that inner loop reads it contiguously even
-when the caller passes a transposed weight, as every backward product does.
-The block loop lives in the private ``_ascending_sum``, which both
-orientations call; it must not re-enter ``matmul``, whose module attribute a
-span tracer may wrap, so that one product would count as two.
+A 1x1 output has only the k axis left, where einsum would take its dot
+kernel with several accumulators; so that shape adds its k products with
+one ``np.add`` per k.
 
-The sum is one ``np.add.reduce`` over axis 0 of the block when the output
-has more than one element. In a C-ordered block k has the largest stride,
-so numpy iterates it outermost and runs its element-wise add over the
-``n * m`` outputs once per k: ``out[j] = out[j] + p[k, j]``, in ascending
-k, with no pairwise split. Only for a 1x1 output is k the innermost axis
-numpy iterates, and there it sums pairwise; so that shape keeps a Python
-loop of in-place ``np.add``, one per k. When one einsum block holds all of
-k (every MLP training shape) its reduce is the result: ``p[0]`` is never
--0.0, so a reduce that starts from ``p[0]`` equals the sum that starts from
-+0.0, and no zeroed output or extra add is needed. Otherwise the blocks are
-summed into a +0.0-initialised output, and before each reduce ``p[0]`` is
-replaced by ``out + p[0]``. That carries the sum of earlier blocks into
-this one, and it keeps an all-(-0.0) sum of multiply products at +0.0
-whether numpy starts the reduce from its identity or from ``p[0]``.
-
-BLAS (``@``, or an einsum that sums over k) is not used because it blocks
-and vectorises the sum. ``np.sum``, or a reduce over k of a product that
-is not C-ordered, is not used because numpy sums pairwise wherever k ends
-up the innermost axis it iterates, as the default ``order="K"`` can make
-it for a one-column output (the quadratic's 8x8x1 matrix-vector product).
-``np.add.accumulate`` over k adds in order but stores every partial sum,
-k outputs' worth, and is not used either.
+This holds because einsum's loops are built for numpy's baseline
+instruction set, not dispatched to the host's, and on x86-64 that baseline
+has no fused multiply-add: each product is rounded before it is added. A
+build whose baseline fuses (for example aarch64) or reorders the sum
+breaks the contract, so importing this module runs two probes through the
+same call, ``_check_einsum``, and raises ``RuntimeError`` naming the
+property and numpy's version if either fails. BLAS (``@``) and ``np.sum``
+are not used: BLAS blocks and vectorises the sum over k, and ``np.sum``
+adds pairwise wherever k is the innermost axis it iterates.
 
 Random streams come from ``make_rng`` (PCG64). A given seed produces the
 same stream on every platform numpy supports; Gaussian draws use numpy's
@@ -64,17 +49,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# Most products one block in ``matmul`` holds (256 KiB of float64). The
-# 32-row training shapes take one block, so one reduce. Larger shapes split
-# along k, not along rows, so each block is still a C-ordered (k, n, m)
-# tensor whose reduce over k runs k adds across all n * m outputs.
-_BLOCK = 1 << 15
-# Fewest products for which ``np.einsum`` forms a block faster than a
-# broadcast ``np.multiply``: its set-up costs about 1 us more per call, but
-# its loop runs up to twice as fast per product. The MLP's blocks (4096
-# products and up) take einsum, the quadratic's (64 and 8) the multiply.
-_EINSUM_MIN = 1 << 11
 
 
 class NonFiniteError(ValueError):
@@ -99,59 +73,53 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each output element is the sum of a[i, k] * b[k, j] added one k at a
     time starting from +0.0, so the result matches a naive triple loop
     bit-for-bit (an all-(-0.0) sum is +0.0, and inf and nan land where
-    they do there). The products of up to ``_BLOCK // (n * m)``
-    consecutive k are formed in one ``np.einsum`` (or, for a block under
-    ``_EINSUM_MIN`` products, one broadcast ``np.multiply``). An einsum
-    block is formed from a C-ordered copy of the right operand, with the
-    longer output axis innermost: for ``m < n`` the product is computed as
-    ``(b.T @ a.T).T``, with the same products in the same k order. Each
-    block is summed by one ``np.add.reduce`` over k; a block that holds
-    all of k is the whole sum, since einsum never writes -0.0, and later
-    blocks first take the running sum into their first slice. A 1x1
-    output, whose reduce numpy would sum pairwise, adds its products one k
-    at a time instead. The product buffer is allocated once per call and
-    holds at most ``max(_BLOCK, n * m)`` elements. The result is a new
-    C-ordered array.
+    they do there). The sum is one einsum over k with the longer output
+    axis innermost: for ``m < n`` the product is computed as
+    ``(b.T @ a.T).T``, with the same products in the same k order. A 1x1
+    output adds its products one ``np.add`` at a time instead. The result
+    is a new C-ordered array.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    n, inner = a.shape
-    m = b.shape[1]
-    step = max(1, min(inner, _BLOCK // max(1, n * m)))
-    einsum = step * n * m >= _EINSUM_MIN
-    if einsum and m < n:
-        return np.ascontiguousarray(_ascending_sum(b.T, a.T, step, einsum).T)
-    return _ascending_sum(a, b, step, einsum)
+    n, m = a.shape[0], b.shape[1]
+    if n * m == 1:
+        out = np.zeros((1, 1))
+        for p in a[0] * b[:, 0]:
+            np.add(out, p, out)
+        return out
+    if m < n:
+        return np.ascontiguousarray(_ascending_sum(b.T, a.T).T)
+    return _ascending_sum(a, b)
 
 
-def _ascending_sum(a, b, step, einsum):
-    """``matmul``'s block loop: ``a @ b`` summed in ascending k, ``step`` k
-    per block, formed by einsum or by multiply. It is called by ``matmul``
-    alone and never calls it back."""
-    n, inner = a.shape
-    m = b.shape[1]
-    prod = np.empty((step, n, m))
-    if einsum:
-        b = np.ascontiguousarray(b)
-        if step == inner and n * m > 1:
-            np.einsum("ki,kj->kij", a.T, b, out=prod)
-            return np.add.reduce(prod, axis=0)
-    out = np.zeros((n, m))
-    for k0 in range(0, inner, step):
-        a_blk = a[:, k0 : k0 + step].T
-        b_blk = b[k0 : k0 + step]
-        p = prod[: len(a_blk)]
-        if einsum:
-            np.einsum("ki,kj->kij", a_blk, b_blk, out=p)
-        else:
-            np.multiply(a_blk[:, :, None], b_blk[:, None, :], out=p)
-        if n * m == 1:
-            for pk in p:
-                np.add(out, pk, out)
-        else:
-            np.add(out, p[0], out=p[0])
-            np.add.reduce(p, axis=0, out=out)
-    return out
+def _ascending_sum(a, b):
+    """``a @ b`` summed in ascending k, for ``m >= 2`` and ``m >= n``. It is
+    called by ``matmul`` alone and never calls it back, so a span tracer
+    that wraps ``matmul`` counts one product once."""
+    return np.einsum("ki,kj->ij", a.T, np.ascontiguousarray(b))
+
+
+def _check_einsum(product=_ascending_sum) -> None:
+    """Raise ``RuntimeError`` unless ``product`` rounds each product before
+    adding it and adds them in ascending k. Each probe is two rows of 67
+    outputs, so einsum's vector loop and its scalar tail both run."""
+    x = 1.0 + 2.0**-30
+    # fl(x * x) is 1 + 2**-29 exactly; a fused multiply-add keeps 2**-60.
+    unfused = product(np.array([[1.0, x]] * 2),
+                      np.array([[-(1.0 + 2.0**-29)] * 67, [x] * 67]))
+    # Added in ascending k, 2**53 absorbs each 1 and -2**53 cancels it.
+    column = np.array([2.0**53] + [1.0] * 32 + [-(2.0**53)])
+    ascending = product(np.ones((2, len(column))),
+                        np.tile(column[:, None], (1, 67)))
+    for name, out in (("round each product before adding it", unfused),
+                      ("add the products in ascending k", ascending)):
+        if np.any(out != 0.0):
+            raise RuntimeError(
+                f"numpy {np.__version__}: einsum does not {name}, so matmul "
+                f"cannot match a naive triple loop bit for bit")
+
+
+_check_einsum()
 
 
 def frobenius_norm(m: np.ndarray) -> float:

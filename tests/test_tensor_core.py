@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -52,9 +53,8 @@ INF, NAN = np.inf, np.nan
 
 
 def special_block(n=16, m=16):
-    """An n x 8 @ 8 x m product (2048 products at 16x16 and 64x4, so einsum
-    forms them) of signed zeros with an inf, a -inf, a nan and a row of
-    ones."""
+    """An n x 8 @ 8 x m product of signed zeros with an inf, a -inf, a nan
+    and a row of ones; at 64x4 it is summed as (b.T @ a.T).T."""
     a = np.full((n, 8), -0.0)
     a[3, 2], a[5, 1], a[7, 4] = INF, NAN, -INF
     a[9] = 1.0
@@ -72,17 +72,16 @@ class TestMatmul:
         assert out.shape == (1, 1)
         assert out[0, 0] == 11.0
 
-    # A 1x1 output with k >= 8 is where numpy's reduction over k turns
-    # pairwise (seeds 2 and 3 draw sums whose pairwise order rounds
-    # differently); (2, 9, 1), (1, 9, 2) and (1, 8, 1) sit on both sides of
-    # n * m == 1, where matmul switches from one reduce per block to one add
-    # per k. (40, 37, 40) ends on a partial block of k, (2, 17000, 1) and
-    # (1, 33000, 1) run past _BLOCK // (n * m) into a second block, and
-    # (192, 3, 192) has more outputs than a block holds, so k goes singly.
-    # The benchmark's shapes and (8, 31, 8) / (8, 32, 8) sit on both sides
-    # of the block size where einsum takes over the products from multiply.
-    # With m < n an einsum product is formed as (b.T @ a.T).T: in one block
-    # at (32, 32, 4) and (32, 32, 8), in two at (64, 40, 16) and (256, 32, 8).
+    # A 1x1 output with k >= 8 is where a sum over k alone turns pairwise
+    # or multi-accumulator (seeds 2 and 3 draw sums whose pairwise order
+    # rounds differently); (2, 9, 1), (1, 9, 2) and (1, 8, 1) sit on both
+    # sides of n * m == 1, where matmul switches from one einsum to one add
+    # per k. With m < n the product is summed as (b.T @ a.T).T: at
+    # (32, 32, 4), (32, 32, 8), (64, 40, 16), (2, 17000, 1) and the
+    # validation pass's (256, 32, 8); (256, 4, 32) is that pass's other
+    # tall shape. The benchmark's shapes are here with the operand layouts
+    # the MLP passes (x.T, w.T). Odd widths such as 37 and 67 run einsum's
+    # scalar tail after its vector loop.
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), k=st.integers(0, 40), m=st.integers(1, 40),
            la=LAYOUTS, lb=LAYOUTS, seed=st.integers(0, 2**32 - 1))
@@ -111,6 +110,9 @@ class TestMatmul:
     @example(n=32, k=32, m=8, la="slice", lb="T", seed=22)
     @example(n=64, k=40, m=16, la="F", lb="T", seed=23)
     @example(n=256, k=32, m=8, la="T", lb="slice", seed=24)
+    @example(n=256, k=32, m=8, la="C", lb="T", seed=25)
+    @example(n=256, k=4, m=32, la="C", lb="C", seed=26)
+    @example(n=2, k=5, m=67, la="F", lb="T", seed=27)
     def test_matches_naive_triple_loop_exactly(self, n, k, m, la, lb, seed):
         # numpy's mean and sum pick pairwise or sequential summation by
         # memory layout, so callers need the result C-ordered, not just equal.
@@ -121,21 +123,21 @@ class TestMatmul:
         assert out.flags.c_contiguous
         assert out.tobytes() == naive_matmul(a, b).tobytes()
 
-    @pytest.mark.parametrize("einsum_min", [1 << 62, 0],
-                             ids=["multiply", "einsum"])
-    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (32, 32), (64, 16)])
-    def test_sums_in_ascending_k(self, monkeypatch, n, m, einsum_min):
+    @pytest.mark.parametrize("lb", ["C", "T"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (32, 32), (64, 16),
+                                      (256, 8)])
+    def test_sums_in_ascending_k(self, n, m, lb):
         # Added in ascending k, 2**53 absorbs each 1 and -2**53 cancels it:
         # the sum is exactly 0.0. Any other order keeps some of the ones
-        # (np.sum's pairwise order, a blocked BLAS sum, a reduce that drops
-        # an earlier block's partial sum). At 32x32 and 64x16 the column
-        # spans two blocks of k; 64x16 on the einsum path is formed as
-        # (b.T @ a.T).T. einsum_min forces the product path.
-        monkeypatch.setattr(tensor_core, "_EINSUM_MIN", einsum_min)
+        # (np.sum's pairwise order, a blocked BLAS sum, a vectorised sum
+        # over k). The tall shapes (2x1, 64x16, 256x8) are summed as
+        # (b.T @ a.T).T; lb "T" passes the right operand as a transposed
+        # view, as SwiGLU's backward passes w.T.
         column = np.array([2.0**53] + [1.0] * 32 + [-(2.0**53)])
         assert np.sum(column) != 0.0
         a = np.ones((n, len(column)))
-        b = np.tile(column[:, None], (1, m))
+        b = (np.tile(column[:, None], (1, m)) if lb == "C"
+             else np.tile(column, (m, 1)).T)
         assert matmul(a, b).tobytes() == np.zeros((n, m)).tobytes()
 
     @pytest.mark.parametrize("a, b", [
@@ -145,11 +147,14 @@ class TestMatmul:
          [[0.0, 1.0], [-1.0, -INF], [2.0, 3.0]]),
         ([[1.0, INF]], [[INF], [-INF]]),
         (np.ones((3, 0)), np.ones((0, 5))),
+        (np.ones((0, 3)), np.ones((3, 5))),
+        (np.ones((4, 3)), np.ones((3, 0))),
         (np.full((16, 8), -0.0), np.arange(-64.0, 64.0).reshape(8, 16)),
         special_block(),
         special_block(64, 4),
     ], ids=["negative-zero", "inf-nan", "inf-minus-inf", "empty-k",
-            "negative-zero-einsum", "inf-nan-einsum", "inf-nan-einsum-tall"])
+            "empty-rows", "empty-columns", "negative-zero-einsum",
+            "inf-nan-einsum", "inf-nan-einsum-tall"])
     def test_special_values_match_naive(self, a, b):
         # Where two NaNs meet, which one's sign bit survives depends on the
         # operand order the compiled add picks, and numpy's scalar and array
@@ -166,9 +171,10 @@ class TestMatmul:
     @pytest.mark.parametrize("n, k, m", [(256, 4, 32), (256, 32, 32),
                                          (256, 32, 8)])
     def test_validation_pass_bounds_the_temporary(self, n, k, m):
-        # The 256-sample validation shapes. A 256 KiB product block, the
-        # output and numpy's ufunc buffers (at most 128 KiB) fit; one
-        # (k, n, m) product tensor would take 2 MiB at 256x32x32.
+        # The 256-sample validation shapes. matmul keeps no products: it
+        # holds the einsum's output, its C-ordered copy when m < n, and one
+        # C-ordered copy of an operand, with 16 KiB of slack. A (k, n, m)
+        # tensor of the products would take 2 MiB at 256x32x32.
         rng = make_rng(4)
         a = rng.standard_normal((n, k))
         b = rng.standard_normal((k, m))
@@ -178,11 +184,48 @@ class TestMatmul:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 512 * 1024
+        assert peak < 8 * (2 * n * m + k * max(n, m)) + 16 * 1024
 
     def test_dimension_mismatch_reports_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 3\)"):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def reversed_k(a, b):
+    return tensor_core._ascending_sum(a[:, ::-1], b[::-1])
+
+
+def fused(a, b):
+    # long double keeps x * x unrounded, as a fused multiply-add does
+    return np.einsum("ki,kj->ij", a.T.astype(np.longdouble),
+                     b.astype(np.longdouble)).astype(np.float64)
+
+
+@pytest.mark.parametrize("product, prop", [
+    (reversed_k, "add the products in ascending k"),
+    (fused, "round each product before adding it"),
+], ids=["reversed-k", "fused"])
+def test_einsum_guard_names_the_broken_property(product, prop):
+    tensor_core._check_einsum()
+    version = re.escape(np.__version__)
+    with pytest.raises(RuntimeError, match=rf"^numpy {version}: einsum does "
+                                           rf"not {prop},"):
+        tensor_core._check_einsum(product)
+
+
+def test_import_fails_where_einsum_breaks_the_order():
+    # The guard runs at import, through the einsum that matmul calls.
+    code = ("import numpy as np\n"
+            "einsum = np.einsum\n"
+            "np.einsum = lambda s, a, b: einsum(s, a[::-1], b[::-1])\n"
+            "import stablespam.tensor_core\n")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert ("RuntimeError: numpy " + np.__version__ + ": einsum does not add"
+            " the products in ascending k") in proc.stderr
 
 
 def count_matmuls(monkeypatch, call):
