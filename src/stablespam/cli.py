@@ -122,14 +122,17 @@ def parse_lr_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _load_cfg(path: str | None, seed: int | None) -> RunConfig:
-    """The config file at ``path`` (the defaults without one), checked as
-    it is parsed, with ``--seed`` applied."""
+    """The config file at ``path`` (the defaults without one), read as UTF-8
+    and checked as it is parsed, with ``--seed`` applied."""
     cfg = RunConfig()
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            cfg = parse_config_text(fh.read(), origin=path)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"config file {path!r}: {reason}") from None
+        cfg = parse_config_text(text, origin=path)
     return cfg if seed is None else replace(cfg, seed=seed)
 
 

@@ -51,26 +51,27 @@ DIVERGENCE_LOSS_CAP = 1e100
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _adam(o, **reset):
+    """Adam's base, with its three keys and any MoRet ``reset`` options."""
+    return optim.AdamBase(o.beta1, o.beta2, o.eps, **reset)
+
+
 # Each optimizer: its base update rule, built from the OptimizerConfig, and
 # the transforms it always applies (see make_optimizer).
 _OPTIMIZERS = {
     "sgd": (lambda o: optim.SgdBase(), ()),
-    "adam": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps), ()),
-    "adam_gradclip": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps),
-                      ("grad_clip",)),
+    "adam": (_adam, ()),
+    "adam_gradclip": (_adam, ("grad_clip",)),
     "adafactor": (lambda o: optim.AdafactorBase(o.adafactor_eps1,
                                                 o.adafactor_d), ()),
     "lion": (lambda o: optim.LionBase(o.lion_beta1, o.lion_beta2,
                                       o.weight_decay), ()),
     "adam_mini": (lambda o: optim.AdamMiniBase(o.beta1, o.beta2, o.eps), ()),
-    "spam": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps,
-                                      reset_interval=o.spam_reset_interval,
-                                      reset_style="after",
-                                      warmup_steps=o.spam_warmup_steps),
+    "spam": (lambda o: _adam(o, reset_interval=o.spam_reset_interval,
+                             reset_style="after",
+                             warmup_steps=o.spam_warmup_steps),
              ("spike_clip",)),
-    "stable_spam": (lambda o: optim.AdamBase(o.beta1, o.beta2, o.eps,
-                                             reset_interval=o.reset_interval,
-                                             reset_style="multiple"),
+    "stable_spam": (lambda o: _adam(o, reset_interval=o.reset_interval),
                     ("adaclip", "adagn")),
 }
 OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
@@ -112,8 +113,6 @@ def _key(default, accepts):
                 if entry not in accepts:
                     return (f"unknown value {entry!r}; "
                             f"choose from {', '.join(accepts)}")
-            if len(set(entries)) != len(entries):
-                return f"repeated entry in {value}"
     metadata = {"accepts": accepts, "parse": parse, "fault": fault}
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=metadata)
@@ -187,7 +186,7 @@ class RunConfig:
         value is ``getattr(owner, field.name)``. A key is ``section.field``,
         or the field name at top level; ``quant_format`` is ``quant.format``.
         """
-        for key, section, f, _ in _KEYS:
+        for key, section, f in _KEYS:
             yield key, self if section is None else getattr(self, section), f
 
     def resolved_warmup(self) -> int:
@@ -196,9 +195,8 @@ class RunConfig:
         return self.schedule.total_steps // 10
 
     def validate(self) -> None:
-        for key, section, f, fault in _KEYS:
-            owner = self if section is None else getattr(self, section)
-            message = fault(getattr(owner, f.name))
+        for key, owner, f in self.keys():
+            message = f.metadata["fault"](getattr(owner, f.name))
             if message:
                 raise ConfigError(f"{key}: {message}")
         if self.resolved_warmup() > self.schedule.total_steps:
@@ -227,10 +225,9 @@ def _declared_keys():
                 yield f"{f.name}.{sub.name}", f.name, sub
 
 
-# (key, RunConfig section or None at top level, field, its fault check),
-# built once so validate() does not walk the dataclass fields each call.
-_KEYS = tuple((key, section, f, f.metadata["fault"])
-              for key, section, f in _declared_keys())
+# (key, RunConfig section or None at top level, field), built once so
+# keys() does not walk the dataclass fields each call.
+_KEYS = tuple(_declared_keys())
 
 
 def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
@@ -242,8 +239,8 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
     ``grad_clip > 0`` or the row names it (``adam_gradclip``). Its threshold
     is ``grad_clip`` when positive, else 1.0.
 
-    A transform list that repeats the row's own transforms, or that the base
-    rule cannot run, is a ``ConfigError`` naming ``optimizer.transforms``.
+    A transform list that repeats a transform or the row's own, or that the
+    base rule cannot run, is a ``ConfigError`` naming ``optimizer.transforms``.
     """
     if ocfg.name not in _OPTIMIZERS:
         raise ConfigError(f"optimizer.name: unknown value '{ocfg.name}'")

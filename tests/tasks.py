@@ -1,7 +1,45 @@
-"""Criterion 7's task, declared once for the tests that run or prepare it."""
+"""The tests' configs, each key named by its dotted name as a config file
+names it, and criterion 7's task, declared once."""
 
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SpikeConfig)
+
+# The 6 -> 8 -> 3 MLP of one block, 40 steps.
+SMALL = {"model.input_dim": 6, "model.hidden_dim": 8, "model.depth": 1,
+         "model.classes": 3, "schedule.total_steps": 40,
+         "schedule.warmup_steps": 4}
+
+
+def set_key(cfg, key, value):
+    """Set the config key ``key``, unchecked: ``validate`` judges it."""
+    owner, f = {k: (o, f) for k, o, f in cfg.keys()}[key]
+    setattr(owner, f.name, value)
+
+
+def config_line(key, value):
+    if isinstance(value, list):
+        return f"{key} = {', '.join(value)}"
+    return f"{key} = {value if isinstance(value, str) else repr(value)}"
+
+
+def key_values(cfg):
+    return {key: getattr(owner, f.name) for key, owner, f in cfg.keys()}
+
+
+def config_text(cfg):
+    """A config file of ``cfg``: a line for each key off its default."""
+    defaults = key_values(RunConfig())
+    return "".join(config_line(key, value) + "\n"
+                   for key, value in key_values(cfg).items()
+                   if value != defaults[key])
+
+
+def small_cfg(keys=()):
+    """The ``SMALL`` MLP with ``keys`` (a dict of key to value) set."""
+    cfg = RunConfig()
+    for key, value in {**SMALL, **dict(keys)}.items():
+        set_key(cfg, key, value)
+    return cfg
 
 
 def int4_cfg(name, lr, seed=0, transforms=(), total_steps=250,

@@ -13,9 +13,8 @@ import math
 import time
 
 from stablespam import selftest
-from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
-                                ScheduleConfig, SpikeConfig, run, sweep)
-from tasks import int4_cfg
+from stablespam.harness import run, sweep
+from tasks import int4_cfg, small_cfg
 
 
 def report(num, name, ok, detail=""):
@@ -146,15 +145,12 @@ def test_criterion_08_lion_composition_benefit():
 
 
 def test_criterion_09_harness_determinism(tmp_path):
-    cfg_kwargs = dict(
-        model=ModelConfig(input_dim=6, hidden_dim=8, depth=1, classes=3),
-        schedule=ScheduleConfig(lr_peak=1e-3, total_steps=60, warmup_steps=6),
-        spike=SpikeConfig(probability=0.1, severity=0.5),
-        optimizer=OptimizerConfig(name="stable_spam"),
-        quant_format="int4", seed=3)
+    keys = {"schedule.total_steps": 60, "schedule.warmup_steps": 6,
+            "spike.probability": 0.1, "spike.severity": 0.5,
+            "optimizer.name": "stable_spam", "quant.format": "int4", "seed": 3}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(RunConfig(**cfg_kwargs), records_path=str(p1))
-    run(RunConfig(**cfg_kwargs), records_path=str(p2))
+    run(small_cfg(keys), records_path=str(p1))
+    run(small_cfg(keys), records_path=str(p2))
     identical = p1.read_bytes() == p2.read_bytes()
     report(9, "byte-identical CSV for repeated (config, seed)", identical)
 

@@ -23,20 +23,14 @@ from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, run)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import max_abs
-
-SMALL = """
-model.input_dim = 6
-model.hidden_dim = 8
-model.depth = 1
-model.classes = 3
-schedule.total_steps = 30
-schedule.warmup_steps = 3
-"""
+from tasks import config_text, int4_cfg, key_values, set_key, small_cfg
 
 
-def write_cfg(tmp_path, name, extra=""):
+def write_cfg(tmp_path, name, keys=()):
+    """A config file of the small MLP, 30 steps, with ``keys`` set."""
     path = tmp_path / name
-    path.write_text(SMALL + extra)
+    path.write_text(config_text(small_cfg({
+        "schedule.total_steps": 30, "schedule.warmup_steps": 3, **dict(keys)})))
     return str(path)
 
 
@@ -108,17 +102,6 @@ class TestParseConfig:
 KEYS = {key: field for key, _, field in RunConfig().keys()}
 
 
-def set_key(cfg, key, value):
-    owner, field = {k: (o, f) for k, o, f in cfg.keys()}[key]
-    setattr(owner, field.name, value)
-
-
-def config_line(key, value):
-    if isinstance(value, list):
-        return f"{key} = {', '.join(value)}"
-    return f"{key} = {value if isinstance(value, str) else repr(value)}"
-
-
 def outside(field):
     """Values a key must reject: just past each finite bound and beyond it,
     NaN and +-inf for a float, or a word that is not one of its choices."""
@@ -159,8 +142,7 @@ class TestKeys:
             "optimizer.transforms", "optimizer.weight_decay",
             "optimizer.lion_beta1", "optimizer.lion_beta2",
             "optimizer.adafactor_eps1", "optimizer.adafactor_d"}
-        defaults = {key: getattr(owner, field.name)
-                    for key, owner, field in RunConfig().keys()}
+        defaults = key_values(RunConfig())
         for key, field in KEYS.items():
             accepts = field.metadata["accepts"]
             if isinstance(accepts, tuple):
@@ -203,7 +185,7 @@ class TestKeys:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "bad.cfg")
             with open(path, "w") as fh:
-                fh.write(config_line(key, value) + "\n")
+                fh.write(config_text(cfg))
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(["run", "--config", path,
@@ -268,8 +250,7 @@ class TestKeys:
             with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
                 check()
         path = tmp_path / "combination.cfg"
-        path.write_text("".join(config_line(k, v) + "\n"
-                                for k, v in settings.items()))
+        path.write_text(config_text(cfg))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert f"config error: {key}: " in capsys.readouterr().err
@@ -382,25 +363,21 @@ class TestCommands:
         assert "config error" in capsys.readouterr().err
 
     def test_negative_grad_clip_is_config_error(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "neg.cfg", "optimizer.grad_clip = -1\n")
+        cfg = write_cfg(tmp_path, "neg.cfg", {"optimizer.grad_clip": -1})
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "optimizer.grad_clip" in capsys.readouterr().err
 
     def test_adam_gradclip_cli_matches_library(self, tmp_path):
-        cfg = tmp_path / "clip.cfg"
-        cfg.write_text("model.kind = quadratic\n"
-                       "optimizer.name = adam_gradclip\n"
-                       "schedule.total_steps = 30\n"
-                       "schedule.warmup_steps = 3\n")
-        assert main(["run", "--config", str(cfg),
+        cfg = RunConfig(model=ModelConfig(kind="quadratic"),
+                        optimizer=OptimizerConfig(name="adam_gradclip"),
+                        schedule=ScheduleConfig(total_steps=30, warmup_steps=3))
+        path = tmp_path / "clip.cfg"
+        path.write_text(config_text(cfg))
+        assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "cli")]) == EXIT_OK
         lib = tmp_path / "lib.csv"
-        result = run(RunConfig(model=ModelConfig(kind="quadratic"),
-                               optimizer=OptimizerConfig(name="adam_gradclip"),
-                               schedule=ScheduleConfig(total_steps=30,
-                                                       warmup_steps=3)),
-                     records_path=str(lib))
+        result = run(cfg, records_path=str(lib))
         assert (tmp_path / "cli" / "run.csv").read_bytes() == lib.read_bytes()
         # the library default threshold of 1.0 is applied
         assert all(r.grad_norm_post <= 1.0 + 1e-12 < r.grad_norm_pre
@@ -431,7 +408,7 @@ class TestCommands:
     @WRITING_COMMANDS
     def test_negative_seed_writes_nothing(self, argv, tmp_path, capsys):
         paths = {"a": write_cfg(tmp_path, "a.cfg"),
-                 "b": write_cfg(tmp_path, "b.cfg", "optimizer.name = sgd\n")}
+                 "b": write_cfg(tmp_path, "b.cfg", {"optimizer.name": "sgd"})}
         out = tmp_path / "o"
         code = main([arg.format(**paths) for arg in argv]
                     + ["--seed", "-1", "--out", str(out)])
@@ -446,7 +423,7 @@ class TestCommands:
             self, argv, out, tmp_path, capsys):
         # Checked as the arguments are parsed: nothing is run or written.
         paths = {"a": write_cfg(tmp_path, "a.cfg"),
-                 "b": write_cfg(tmp_path, "b.cfg", "optimizer.name = sgd\n")}
+                 "b": write_cfg(tmp_path, "b.cfg", {"optimizer.name": "sgd"})}
         (tmp_path / "f").write_bytes(b"not a directory\n")
         before = sorted(tmp_path.iterdir())
         with pytest.raises(SystemExit) as exc:
@@ -482,6 +459,24 @@ class TestCommands:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    @WRITING_COMMANDS
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"seed = 1\n\xff\n"),
+         "'utf-8' codec can't decode byte 0xff in position 9")],
+        ids=["directory", "not-utf-8"])
+    def test_unreadable_config_file_is_config_error(self, argv, make, reason,
+                                                    tmp_path, capsys):
+        # Read once, as UTF-8: an error there names the file, and nothing runs.
+        paths = {"a": str(tmp_path / "a.cfg"), "b": write_cfg(tmp_path, "b.cfg")}
+        make(tmp_path / "a.cfg")
+        out = tmp_path / "o"
+        code = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: config file {paths['a']!r}: {reason}")
+        assert not out.exists()
+
     def test_sweep_writes_summary(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "a.cfg")
         out = tmp_path / "out"
@@ -507,12 +502,7 @@ class TestCommands:
         # Criterion 7's INT4 task: at lr 10 the forward pass meets an inf;
         # the run diverges quietly, with no overflow warning.
         cfg = tmp_path / "int4.cfg"
-        cfg.write_text("model.input_dim = 4\nmodel.hidden_dim = 32\n"
-                       "model.depth = 2\nmodel.classes = 8\n"
-                       "schedule.total_steps = 250\n"
-                       "schedule.warmup_steps = 25\n"
-                       "spike.probability = 0.1\nspike.severity = 0.5\n"
-                       "optimizer.name = sgd\nquant.format = int4\n")
+        cfg.write_text(config_text(int4_cfg("sgd", 1e-3)))
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg), "--out", str(out),
                      "--lr-grid", "1:10:9", "--jobs", "1"])
@@ -523,8 +513,8 @@ class TestCommands:
                 for e in data["runs"]] == [(1.0, False), (10.0, True)]
 
     def test_compare_identical_optimizers(self, tmp_path, capsys):
-        a = write_cfg(tmp_path, "a.cfg", "optimizer.name = adam\n")
-        b = write_cfg(tmp_path, "b.cfg", "optimizer.name = stable_spam\n")
+        a = write_cfg(tmp_path, "a.cfg", {"optimizer.name": "adam"})
+        b = write_cfg(tmp_path, "b.cfg", {"optimizer.name": "stable_spam"})
         out = tmp_path / "cmp"
         code = main(["compare", a, b, "--out", str(out)])
         assert code == EXIT_OK
@@ -539,8 +529,8 @@ class TestCommands:
             assert line.split(",")[3] != "n/a"
 
     def test_compare_csv_quotes_a_path_with_a_comma(self, tmp_path, capsys):
-        a = write_cfg(tmp_path, "a.cfg", "optimizer.name = adam\n")
-        b = write_cfg(tmp_path, "b.cfg", "optimizer.name = sgd\n")
+        a = write_cfg(tmp_path, "a.cfg", {"optimizer.name": "adam"})
+        b = write_cfg(tmp_path, "b.cfg", {"optimizer.name": "sgd"})
         out = tmp_path / "x,y"
         assert main(["compare", a, b, "--out", str(out)]) == EXIT_OK
         text = (out / "compare.csv").read_text()
@@ -553,7 +543,7 @@ class TestCommands:
 
     def test_compare_rejects_non_optimizer_difference(self, tmp_path, capsys):
         a = write_cfg(tmp_path, "a.cfg")
-        b = write_cfg(tmp_path, "b.cfg", "seed = 3\nquant.format = int4\n")
+        b = write_cfg(tmp_path, "b.cfg", {"seed": 3, "quant.format": "int4"})
         code = main(["compare", a, b, "--out", str(tmp_path / "cmp")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -13,26 +13,12 @@ import pytest
 
 from stablespam import harness, models, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
-                                OptimizerConfig, RunConfig, ScheduleConfig,
-                                global_grad_norm, lr_schedule, prepare, run,
-                                sweep, write_records_csv)
+                                RunConfig, ScheduleConfig, global_grad_norm,
+                                lr_schedule, prepare, run, sweep,
+                                write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import make_rng
-from tasks import int4_cfg
-
-
-def small_cfg(**kwargs):
-    cfg = RunConfig(
-        model=ModelConfig(input_dim=6, hidden_dim=8, depth=1, classes=3),
-        schedule=ScheduleConfig(lr_peak=1e-3, total_steps=40, warmup_steps=4),
-    )
-    for key, value in kwargs.items():
-        obj = cfg
-        parts = key.split("__")
-        for p in parts[:-1]:
-            obj = getattr(obj, p)
-        setattr(obj, parts[-1], value)
-    return cfg
+from tasks import int4_cfg, small_cfg
 
 
 class TestGlobalGradNorm:
@@ -64,23 +50,21 @@ class TestLrSchedule:
         assert ok, detail
 
     def test_warmup_linear(self):
-        cfg = small_cfg()
-        cfg.schedule = ScheduleConfig(lr_peak=2e-3, total_steps=100,
-                                      warmup_steps=10)
+        cfg = small_cfg({"schedule.lr_peak": 2e-3, "schedule.total_steps": 100,
+                         "schedule.warmup_steps": 10})
         for step in range(11):
             assert lr_schedule(step, cfg) == pytest.approx(
                 2e-3 * step / 10, rel=1e-15, abs=0)
 
     def test_default_warmup_is_ten_percent(self):
-        cfg = small_cfg()
-        cfg.schedule = ScheduleConfig(lr_peak=1e-3, total_steps=500)
+        cfg = small_cfg({"schedule.total_steps": 500,
+                         "schedule.warmup_steps": -1})
         assert cfg.resolved_warmup() == 50
         assert lr_schedule(50, cfg) == pytest.approx(1e-3, rel=1e-15, abs=0)
 
     def test_monotone_decay_after_warmup(self):
-        cfg = small_cfg()
-        cfg.schedule = ScheduleConfig(lr_peak=1e-3, total_steps=200,
-                                      warmup_steps=20)
+        cfg = small_cfg({"schedule.total_steps": 200,
+                         "schedule.warmup_steps": 20})
         lrs = [lr_schedule(s, cfg) for s in range(20, 201)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
@@ -94,31 +78,29 @@ class TestRun:
     def test_zero_steps_rejected(self):
         # A run with no steps would have no final loss, which means
         # "diverged"; so the key rejects 0.
-        cfg = small_cfg()
-        cfg.schedule = ScheduleConfig(lr_peak=1e-3, total_steps=0,
-                                      warmup_steps=0)
+        cfg = small_cfg({"schedule.total_steps": 0,
+                         "schedule.warmup_steps": 0})
         with pytest.raises(ConfigError,
                            match=r"^schedule\.total_steps: 0 is outside \[1, inf\)"):
             run(cfg)
 
     def test_different_seeds_differ(self):
-        r0 = run(small_cfg(seed=0))
-        r1 = run(small_cfg(seed=1))
+        r0 = run(small_cfg({"seed": 0}))
+        r1 = run(small_cfg({"seed": 1}))
         assert r0.records[-1].loss != r1.records[-1].loss
 
     def test_quadratic_converges_toward_optimum(self):
-        cfg = small_cfg(model__kind="quadratic")
-        cfg.schedule = ScheduleConfig(lr_peak=5e-2, total_steps=400,
-                                      warmup_steps=10)
+        cfg = small_cfg({"model.kind": "quadratic", "schedule.lr_peak": 5e-2,
+                         "schedule.total_steps": 400,
+                         "schedule.warmup_steps": 10})
         result = run(cfg)
         assert result.records[-1].loss < result.records[0].loss
         assert not result.diverged
 
     def test_divergence_detected_within_ten_steps(self):
-        cfg = small_cfg(model__kind="quadratic")
-        cfg.optimizer = OptimizerConfig(name="sgd")
-        cfg.schedule = ScheduleConfig(lr_peak=1e6, total_steps=100,
-                                      warmup_steps=0)
+        cfg = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
+                         "schedule.lr_peak": 1e6, "schedule.total_steps": 100,
+                         "schedule.warmup_steps": 0})
         result = run(cfg)
         assert result.diverged
         assert result.records[-1].diverged
@@ -150,9 +132,9 @@ class TestRun:
         assert result.final_val_loss is None
 
     def test_final_loss_above_cap_is_divergence(self):
-        cfg = small_cfg(model__kind="quadratic", optimizer__name="sgd")
-        cfg.schedule = ScheduleConfig(lr_peak=1000.0, total_steps=13,
-                                      warmup_steps=0)
+        cfg = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
+                         "schedule.lr_peak": 1000.0,
+                         "schedule.total_steps": 13, "schedule.warmup_steps": 0})
         result = run(cfg)
         assert len(result.records) == 13
         assert not any(r.diverged for r in result.records)
@@ -192,9 +174,10 @@ class TestRun:
         # (or not, in steps under the threshold). Plain adam has no
         # transforms, so its post norm is its pre norm; stable_spam's
         # transforms change the norm in every step.
-        for cfg, post_is_pre in ((small_cfg(optimizer__name="stable_spam"), False),
-                                 (small_cfg(optimizer__grad_clip=0.5), None),
-                                 (small_cfg(optimizer__name="adam"), True)):
+        for cfg, post_is_pre in (
+                (small_cfg({"optimizer.name": "stable_spam"}), False),
+                (small_cfg({"optimizer.grad_clip": 0.5}), None),
+                (small_cfg({"optimizer.name": "adam"}), True)):
             seen = {}
 
             def on_step(step, pre, post):
@@ -210,8 +193,8 @@ class TestRun:
                     assert (r.grad_norm_post == r.grad_norm_pre) is post_is_pre
 
     def test_stable_spam_reset_flag_at_interval(self):
-        cfg = small_cfg(optimizer__name="stable_spam",
-                        optimizer__reset_interval=10)
+        cfg = small_cfg({"optimizer.name": "stable_spam",
+                         "optimizer.reset_interval": 10})
         result = run(cfg)
         flagged = [r.step for r in result.records if r.reset]
         assert flagged == [10, 20, 30, 40]
@@ -223,30 +206,29 @@ class TestRun:
             assert r.effective_lr == lr_schedule(r.step, cfg)
 
     def test_spam_effective_lr_warmup_after_reset(self):
-        cfg = small_cfg(optimizer__name="spam",
-                        optimizer__spam_reset_interval=10,
-                        optimizer__spam_warmup_steps=5)
+        cfg = small_cfg({"optimizer.name": "spam",
+                         "optimizer.spam_reset_interval": 10,
+                         "optimizer.spam_warmup_steps": 5})
         result = run(cfg)
         r11 = result.records[10]  # step 11, first after the reset at 10
         assert r11.effective_lr == pytest.approx(
             lr_schedule(11, cfg) * (1.0 / 5.0), rel=1e-15, abs=0)
 
     def test_invalid_config_raises_configerror(self):
-        cfg = small_cfg()
-        cfg.quant_format = "int5"
         with pytest.raises(ConfigError, match="quant.format"):
-            run(cfg)
+            run(small_cfg({"quant.format": "int5"}))
 
     def test_spikes_change_trajectory_but_stay_deterministic(self):
         base = run(small_cfg())
-        spiked1 = run(small_cfg(spike__probability=0.2, spike__severity=0.5))
-        spiked2 = run(small_cfg(spike__probability=0.2, spike__severity=0.5))
+        spikes = {"spike.probability": 0.2, "spike.severity": 0.5}
+        spiked1 = run(small_cfg(spikes))
+        spiked2 = run(small_cfg(spikes))
         assert spiked1.records[-1].loss == spiked2.records[-1].loss
         assert spiked1.records[-1].loss != base.records[-1].loss
 
     def test_quant_format_changes_losses(self):
         plain = run(small_cfg())
-        quantized = run(small_cfg(quant_format="int4"))
+        quantized = run(small_cfg({"quant.format": "int4"}))
         assert plain.records[5].loss != quantized.records[5].loss
 
 
@@ -259,7 +241,7 @@ class TestPrepare:
             return made[-1][1]
 
         monkeypatch.setattr(harness, "make_rng", recording)
-        cfg = small_cfg(spike__probability=0.2, spike__severity=0.5)
+        cfg = small_cfg({"spike.probability": 0.2, "spike.severity": 0.5})
         prepared = prepare(cfg)
         streams = made[1:]  # batch order, spike noise
         assert len(streams) == 2
@@ -373,9 +355,9 @@ class TestSweep:
         assert result.best_lr == min(finite)[1]
 
     def test_diverged_runs_excluded(self):
-        cfg = small_cfg(model__kind="quadratic", optimizer__name="sgd")
-        cfg.schedule = ScheduleConfig(lr_peak=1.0, total_steps=30,
-                                      warmup_steps=0)
+        cfg = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
+                         "schedule.lr_peak": 1.0, "schedule.total_steps": 30,
+                         "schedule.warmup_steps": 0})
         result = sweep(cfg, [1e-3, 1e6])
         bad = [e for e in result.entries if e.lr == 1e6][0]
         assert bad.final_loss is None

@@ -120,6 +120,16 @@ class TestMlp:
         assert mlp_loss(m, x, labels) == pytest.approx(math.log(3), rel=1e-12,
                                                        abs=0)
 
+    def test_a_probability_of_zero_costs_the_log_guard(self):
+        # depth 0: logits = x @ out.w. A head weight of 1e4 sets label 1's
+        # probability to 0, and the guard makes its loss -log(1e-300):
+        # finite, so a run records it and does not call it a divergence.
+        m = init_mlp(6, 8, 0, 3, make_rng(0))
+        m.params["out.w"][...] = 0.0
+        m.params["out.w"][0, 0] = 1e4
+        loss = mlp_loss(m, np.eye(1, 6), np.array([1]))
+        assert loss == -math.log(1e-300) == 690.7755278982137
+
     def test_quantized_forward_exact_on_grid(self):
         # depth 0: logits = qdq(x) @ qdq(w). With x and w already on an
         # absmax-scaled grid the quantizer is exact, so the quantized loss

@@ -1,11 +1,13 @@
 import ast
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stablespam import harness, optim, oracles, selftest
-from stablespam.harness import OptimizerConfig, make_optimizer, prepare
+from stablespam.harness import (OptimizerConfig, RunConfig, make_optimizer,
+                                prepare)
 from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               AdamMoments, ConfigError, adaclip,
                               adafactor_step, adagn, adam_mini_step,
@@ -453,6 +455,56 @@ def test_make_optimizer_transform_order(name, transforms, grad_clip, expected):
 def test_make_optimizer_unknown_name():
     with pytest.raises(ConfigError, match=r"^optimizer\.name: unknown value"):
         make_optimizer(OptimizerConfig(name="adamw"))
+
+
+# The optimizer keys each optimizer reads, besides its name and transforms,
+# and a valid value of each key that is not its default.
+ADAM_KEYS = ("beta1", "beta2", "eps")
+READS = {
+    "sgd": (),
+    "adam": ADAM_KEYS,
+    "adam_gradclip": ADAM_KEYS + ("grad_clip",),
+    "adafactor": ("adafactor_eps1", "adafactor_d"),
+    "lion": ("lion_beta1", "lion_beta2", "weight_decay"),
+    "adam_mini": ADAM_KEYS,
+    "spam": ADAM_KEYS + ("spam_reset_interval", "spam_warmup_steps",
+                         "gss_threshold"),
+    "stable_spam": ADAM_KEYS + ("reset_interval", "gamma1", "gamma2",
+                                "gamma3"),
+}
+CHANGED = {"beta1": 0.5, "beta2": 0.9, "eps": 1e-3, "grad_clip": 0.5,
+           "adafactor_eps1": 1e-3, "adafactor_d": 0.5, "lion_beta1": 0.5,
+           "lion_beta2": 0.5, "weight_decay": 0.1, "spam_reset_interval": 10,
+           "spam_warmup_steps": 5, "gss_threshold": 2.0, "reset_interval": 10,
+           "gamma1": 0.5, "gamma2": 0.5, "gamma3": 0.5}
+
+
+def test_the_key_table_names_every_optimizer():
+    assert tuple(READS) == harness.OPTIMIZER_NAMES
+
+
+def key_trace(ocfg):
+    """The weights after 30 steps of ``ocfg``'s optimizer on two tensors,
+    N(0, 1) gradients with every 7th spiked 10x, from ones at lr 0.01."""
+    RunConfig(optimizer=ocfg).validate()
+    opt = make_optimizer(ocfg)
+    rng = make_rng(51)
+    params = {"w": np.ones((3, 4)), "gain": np.ones((1, 4))}
+    for step in range(1, 31):
+        scale = 10.0 if step % 7 == 0 else 1.0
+        grads = {key: rng.standard_normal(w.shape) * scale
+                 for key, w in params.items()}
+        opt.step(params, grads, 0.01, step)
+    return [w.tobytes() for w in params.values()]
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name, keys in READS.items() for key in keys])
+def test_every_key_an_optimizer_reads_changes_its_run(name, key):
+    default = OptimizerConfig(name=name)
+    assert getattr(default, key) != CHANGED[key]
+    changed = replace(default, **{key: CHANGED[key]})
+    assert key_trace(changed) != key_trace(default)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ class TestGrid:
     def test_int2(self):
         assert list(grid(QuantSpec.INT2)) == [-1.0, 0.0, 1.0]
 
+    def test_int3(self):
+        assert list(grid(QuantSpec.INT3)) == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0,
+                                               3.0]
+
     def test_int4(self):
         g = grid(QuantSpec.INT4)
         assert len(g) == 15
