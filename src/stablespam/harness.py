@@ -140,6 +140,8 @@ class OptimizerConfig:
     name: str = _key("adam", OPTIMIZER_NAMES)
     beta1: float = _key(0.9, "[0, 1)")
     beta2: float = _key(0.999, "[0, 1)")
+    # Adam's epsilon, and also the one AdaGN adds to its scale's divisor
+    # wherever ``adagn`` runs, whatever the base.
     eps: float = _key(1e-6, "(0, inf)")
     gamma1: float = _key(0.7, "[0, 1)")
     gamma2: float = _key(0.9, "[0, 1)")

@@ -11,7 +11,9 @@ Quantization-aware training: unless ``init_mlp``'s ``quant=`` is
 quantize-dequantized operands (weights and the activations feeding it).
 The backward pass treats each quantize-dequantize as identity
 (straight-through), so gradients are full float64 with respect to the
-unquantized weights. RMSNorm gains stay unquantized.
+unquantized weights. RMSNorm gains stay unquantized. The backward pass
+does not form the gradient of the network's input, which nothing reads:
+the first block's RMSNorm backward forms its gain's gradient alone.
 
 ``mlp_forward_backward``, ``mlp_loss`` and ``inject_spikes`` are the model's
 doors: each makes its batch a 2-D float64 array, and ``inject_spikes`` alone
@@ -83,7 +85,8 @@ def _sigmoid(z):
 def rmsnorm_fwd_bwd(x, gain):
     """y = x / sqrt(mean(x^2) + eps) * gain, rowwise; returns (y, backward).
 
-    backward(dy) -> (dx, dgain).
+    backward(dy) -> (dx, dgain); backward(dy, False) -> (None, dgain), for
+    a block whose input gradient nothing reads.
     """
     n = x.shape[1]
     r = np.add.reduce(x * x, axis=1, keepdims=True)
@@ -92,12 +95,13 @@ def rmsnorm_fwd_bwd(x, gain):
     np.sqrt(r, out=r)
     y = x / r * gain
 
-    def backward(dy):
+    def backward(dy, want_dx=True):
+        dgain = np.add.reduce(dy * x / r, axis=0, keepdims=True)
+        if not want_dx:
+            return None, dgain
         gdy = dy * gain
         dot = np.add.reduce(gdy * x, axis=1, keepdims=True)
-        dx = gdy / r - x * dot / (n * r ** 3)
-        dgain = np.add.reduce(dy * x / r, axis=0, keepdims=True)
-        return dx, dgain
+        return gdy / r - x * dot / (n * r ** 3), dgain
 
     return y, backward
 
@@ -157,10 +161,11 @@ def _softmax(logits):
 
 
 def _mlp_forward(model: MlpModel, x, labels):
-    """The forward pass: (loss, probs, head input, head weight, caches),
-    where ``caches`` holds each block's (RMSNorm, SwiGLU) backward."""
+    """The forward pass: (loss, probs, head input, head weight, caches,
+    rows), where ``caches`` holds each block's (RMSNorm, SwiGLU) backward
+    and ``rows`` indexes the batch's rows, for the label gathers."""
     spec = model.quant
-    n = x.shape[0]
+    rows = np.arange(x.shape[0])
     caches = []
     for i in range(model.depth):
         gain = model.params[f"block{i}.gain"]
@@ -176,9 +181,9 @@ def _mlp_forward(model: MlpModel, x, labels):
 
     probs = _softmax(logits)
     eps = 1e-300  # guards log(0): a probability of 0 costs 690.78, finite
-    log_p = np.log(probs[np.arange(n), labels] + eps)
-    loss = -(float(np.add.reduce(log_p)) / n)
-    return loss, probs, xq, w_out_q, caches
+    log_p = np.log(probs[rows, labels] + eps)
+    loss = -(float(np.add.reduce(log_p)) / len(rows))
+    return loss, probs, xq, w_out_q, caches, rows
 
 
 def mlp_forward_backward(model: MlpModel, inputs, labels):
@@ -190,13 +195,12 @@ def mlp_forward_backward(model: MlpModel, inputs, labels):
     """
     x = as_matrix(inputs)
     labels = np.asarray(labels, dtype=np.int64)
-    n = x.shape[0]
-    loss, probs, xq, w_out_q, caches = _mlp_forward(model, x, labels)
+    loss, probs, xq, w_out_q, caches, rows = _mlp_forward(model, x, labels)
 
     grads: dict[str, np.ndarray] = {}
     dlogits = probs  # the forward is done with probs
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(rows)
     grads["out.w"] = matmul(xq.T, dlogits)
     dx = matmul(dlogits, w_out_q.T)  # straight-through across qdq(x)
     for i in reversed(range(model.depth)):
@@ -204,7 +208,9 @@ def mlp_forward_backward(model: MlpModel, inputs, labels):
         dnq, dw_gate, dw_up = swiglu_bwd(dx)
         grads[f"block{i}.w_gate"] = dw_gate
         grads[f"block{i}.w_up"] = dw_up
-        dx, dgain = rms_bwd(dnq)  # straight-through across qdq(normed)
+        # Straight-through across qdq(normed). Block 0's input gradient
+        # would be the network input's, which nothing reads.
+        dx, dgain = rms_bwd(dnq, i > 0)
         grads[f"block{i}.gain"] = dgain
     return loss, grads
 

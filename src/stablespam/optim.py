@@ -161,14 +161,16 @@ class Layout:
         return np.maximum.reduceat(x, self.starts)
 
     def norms(self, x):
-        return np.array([frobenius_norm(part) for part in self.views(x)])
+        # frobenius_norm of each segment, from one square of the whole
+        return np.array([math.sqrt(np.add.reduce(part))
+                         for part in self.views(np.square(x))])
 
     def means(self, x):
         sums = [np.add.reduce(part) for part in self.views(x)]
         return np.array(sums) / self.sizes
 
     def spread(self, stat):
-        return np.repeat(stat, self.sizes)
+        return stat.repeat(self.sizes)
 
     sqrt = staticmethod(np.sqrt)
 
@@ -492,7 +494,7 @@ class AdafactorBase(_Base):
         self.states = self.states or [AdafactorState() for _ in ws]
         parts = [adafactor_step(*tensor, lr, self.eps1, self.d)
                  for tensor in zip(ws, gs, self.states)]
-        return np.concatenate(parts, axis=None).reshape(w.shape)
+        return layout.flatten(parts)
 
 
 TRANSFORM_KINDS = ("adaclip", "adagn", "spike_clip", "grad_clip")

@@ -12,10 +12,10 @@ The one non-obvious piece is ``matmul``: every output element is
 ascending k, so the result is bit-identical to a naive triple loop, which
 keeps the trace-equality tests exact.
 
-``matmul`` is one summing ``np.einsum("ki,kj->ij", a.T, b)`` on a C-ordered
-copy of ``b``, taken with the longer output axis innermost: for ``m < n``
-it computes ``(b.T @ a.T).T`` and returns that C-ordered. Then j, the
-innermost output axis, is also the right operand's contiguous axis, and
+``matmul`` is one summing einsum, ``"ki,kj->ij"`` over ``a.T`` and a
+C-ordered copy of ``b``, taken with the longer output axis innermost: for
+``m < n`` it computes ``(b.T @ a.T).T`` and returns that C-ordered. Then j,
+the innermost output axis, is also the right operand's contiguous axis, and
 the left operand does not move along it, so numpy's iterator puts j
 innermost and k outside it. einsum's inner loop
 (``sum_of_products_stride0_contig_outcontig_two``) is then
@@ -25,6 +25,13 @@ across independent outputs, never across k. No product tensor is formed.
 An all-(-0.0) sum stays +0.0, and inf and nan land where the naive loop
 puts them.
 
+The einsum is numpy's C entry, ``numpy._core.multiarray.c_einsum``, bound
+once at import: it is what ``np.einsum`` calls when ``optimize`` is False,
+without that function's Python wrapper and array-function dispatch. At the
+MLP's 32-wide shapes those fixed costs are a large part of each call. The
+module lives in ``numpy._core`` from numpy 2 on; importing this module
+under an older numpy fails with an ``ImportError`` naming its version.
+
 A 1x1 output has only the k axis left, where einsum would take its dot
 kernel with several accumulators; so that shape adds its k products with
 one ``np.add`` per k.
@@ -33,11 +40,12 @@ This holds because einsum's loops are built for numpy's baseline
 instruction set, not dispatched to the host's, and on x86-64 that baseline
 has no fused multiply-add: each product is rounded before it is added. A
 build whose baseline fuses (for example aarch64) or reorders the sum
-breaks the contract, so importing this module runs two probes through the
-same call, ``_check_einsum``, and raises ``RuntimeError`` naming the
-property and numpy's version if either fails. BLAS (``@``) and ``np.sum``
-are not used: BLAS blocks and vectorises the sum over k, and ``np.sum``
-adds pairwise wherever k is the innermost axis it iterates.
+breaks the contract, so importing this module runs two probes through
+``matmul`` itself, and so through the C entry, in ``_check_einsum``, and
+raises ``RuntimeError`` naming the property and numpy's version if either
+fails. BLAS (``@``) and ``np.sum`` are not used: BLAS blocks and vectorises
+the sum over k, and ``np.sum`` adds pairwise wherever k is the innermost
+axis it iterates.
 
 Random streams come from ``make_rng`` (PCG64). A given seed produces the
 same stream on every platform numpy supports; Gaussian draws use numpy's
@@ -49,6 +57,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError as exc:
+    raise ImportError(
+        f"numpy {np.__version__}: stablespam needs numpy>=2, whose "
+        f"numpy._core.multiarray holds c_einsum, the C entry of np.einsum "
+        f"that matmul calls") from exc
 
 
 class NonFiniteError(ValueError):
@@ -73,11 +89,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each output element is the sum of a[i, k] * b[k, j] added one k at a
     time starting from +0.0, so the result matches a naive triple loop
     bit-for-bit (an all-(-0.0) sum is +0.0, and inf and nan land where
-    they do there). The sum is one einsum over k with the longer output
-    axis innermost: for ``m < n`` the product is computed as
-    ``(b.T @ a.T).T``, with the same products in the same k order. A 1x1
-    output adds its products one ``np.add`` at a time instead. The result
-    is a new C-ordered array.
+    they do there). The sum is one call of numpy's C einsum entry,
+    ``c_einsum``, over k with the longer output axis innermost: for
+    ``m < n`` the product is computed as ``(b.T @ a.T).T``, with the same
+    products in the same k order, and copied to C order. A 1x1 output adds
+    its products one ``np.add`` at a time instead. The result is a new
+    C-ordered array.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
@@ -88,18 +105,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.add(out, p, out)
         return out
     if m < n:
-        return np.ascontiguousarray(_ascending_sum(b.T, a.T).T)
-    return _ascending_sum(a, b)
+        return np.ascontiguousarray(
+            c_einsum("ki,kj->ij", b, np.ascontiguousarray(a.T)).T)
+    return c_einsum("ki,kj->ij", a.T, np.ascontiguousarray(b))
 
 
-def _ascending_sum(a, b):
-    """``a @ b`` summed in ascending k, for ``m >= 2`` and ``m >= n``. It is
-    called by ``matmul`` alone and never calls it back, so a span tracer
-    that wraps ``matmul`` counts one product once."""
-    return np.einsum("ki,kj->ij", a.T, np.ascontiguousarray(b))
-
-
-def _check_einsum(product=_ascending_sum) -> None:
+def _check_einsum(product=matmul) -> None:
     """Raise ``RuntimeError`` unless ``product`` rounds each product before
     adding it and adds them in ascending k. Each probe is two rows of 67
     outputs, so einsum's vector loop and its scalar tail both run."""

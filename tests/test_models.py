@@ -1,8 +1,11 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablespam.models import (QuadraticProblem, _sigmoid, init_mlp,
                                inject_spikes, make_dataset, make_quadratic,
@@ -54,6 +57,28 @@ class TestRmsNorm:
         y1, _ = rmsnorm_fwd_bwd(x, gain)
         y2, _ = rmsnorm_fwd_bwd(10.0 * x, gain)
         assert np.allclose(y1, y2, rtol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+           x_scale=st.integers(-60, 60), dy_scale=st.integers(-60, 60),
+           zero=st.sampled_from([0.0, -0.0]), zeroed=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gain_only_backward_keeps_dgain_bytes(self, rows, cols, x_scale,
+                                                  dy_scale, zero, zeroed,
+                                                  seed):
+        # The first block asks for dgain alone; it must be the very bytes
+        # the backward returns along with dx. A share of the entries of x
+        # and dy is a signed zero.
+        rng = make_rng(seed)
+        x = rng.standard_normal((rows, cols)) * 10.0**x_scale
+        dy = rng.standard_normal((rows, cols)) * 10.0**dy_scale
+        x[rng.random(x.shape) < zeroed] = zero
+        dy[rng.random(dy.shape) < zeroed] = zero
+        _, backward = rmsnorm_fwd_bwd(x, rng.standard_normal((1, cols)))
+        _, dgain = backward(dy)
+        dx, dgain_only = backward(dy, False)
+        assert dx is None
+        assert dgain_only.tobytes() == dgain.tobytes()
 
 
 
@@ -163,6 +188,19 @@ class TestMlp:
         for name, g in grads.items():
             assert g.shape == m.params[name].shape
             assert np.all(np.isfinite(g))
+
+    def test_depth_three_int4_gradients_keep_their_bytes(self):
+        # Only block 0 skips its input gradient: blocks 1 and 2 must pass
+        # theirs down. The loss and every gradient hash to the bytes of a
+        # backward that formed block 0's input gradient too.
+        m = self._model(seed=19, quant=QuantSpec.INT4, depth=3)
+        x = make_rng(20).standard_normal((16, 6))
+        loss, grads = mlp_forward_backward(m, x, np.arange(16) % 3)
+        digest = hashlib.sha256(loss.hex().encode())
+        for name in sorted(grads):
+            digest.update(name.encode() + grads[name].tobytes())
+        assert digest.hexdigest() == (
+            "a8b37c58244f55c397248a6b781425ae00ac42d772408a997a55f20b13843ad4")
 
     def test_list_batch_matches_array_batch(self):
         # mlp_forward_backward and mlp_loss are the model's doors: a batch

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablespam import harness, optim, oracles, selftest
 from stablespam.harness import (OptimizerConfig, RunConfig, make_optimizer,
@@ -290,6 +292,24 @@ class TestSpikeClip:
         assert np.array_equal(spike_clip(once, v, 10.0)[0], once)
 
 
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 40)),
+                       min_size=2, max_size=6),
+       scales=st.lists(st.integers(-30, 30), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_layout_norms_are_each_tensors_frobenius_norm(shapes, scales, seed):
+    # Layout.norms squares the flat vector once and reduces each segment;
+    # each norm must be the bytes frobenius_norm gives the tensor alone,
+    # at any segment offset and at magnitudes 1e-30..1e30.
+    rng = make_rng(seed)
+    parts = [rng.standard_normal(shape) * 10.0**scale
+             for shape, scale in zip(shapes, scales)]
+    layout = optim.lay_out({str(i): p.shape for i, p in enumerate(parts)})
+    flat = layout.flatten(parts)
+    want = np.array([frobenius_norm(p) for p in parts])
+    assert layout.norms(flat).tobytes() == want.tobytes()
+
+
 class TestGradClipGlobal:
     def test_three_four_five(self):
         layout = optim.lay_out({"a": (1, 1), "b": (1, 1)})
@@ -498,10 +518,16 @@ def key_trace(ocfg):
     return [w.tobytes() for w in params.values()]
 
 
+# "base+transform" is a base behind one transform: AdaGN reads
+# ``optimizer.eps`` whatever the base, so ``eps`` also changes SGD's run
+# there. (Lion's sign update would hide it.)
 @pytest.mark.parametrize("name, key", [
-    (name, key) for name, keys in READS.items() for key in keys])
+    (name, key) for name, keys in READS.items() for key in keys]
+    + [("sgd+adagn", "eps")])
 def test_every_key_an_optimizer_reads_changes_its_run(name, key):
-    default = OptimizerConfig(name=name)
+    name, _, transform = name.partition("+")
+    default = OptimizerConfig(name=name,
+                              transforms=[transform] if transform else [])
     assert getattr(default, key) != CHANGED[key]
     changed = replace(default, **{key: CHANGED[key]})
     assert key_trace(changed) != key_trace(default)
@@ -656,8 +682,11 @@ def test_step_reuses_only_the_weights_it_returned(name, monkeypatch):
         assert_same_bytes(list(params.values()), list(twin_params.values()),
                           step)
     # One flatten per step for the gradients, and one more for the weights
-    # only at step 4, where a tensor was replaced.
-    assert flattened == sorted([4] + list(range(2, FLAT_STEPS + 1)))
+    # only at step 4, where a tensor was replaced. Adafactor's base joins
+    # its per-tensor updates with one more each step.
+    steps = list(range(2, FLAT_STEPS + 1))
+    joins = steps if name == "adafactor" else []
+    assert flattened == sorted([4] + steps + joins)
 
 
 @pytest.mark.parametrize("name, rules", [

@@ -192,7 +192,7 @@ class TestMatmul:
 
 
 def reversed_k(a, b):
-    return tensor_core._ascending_sum(a[:, ::-1], b[::-1])
+    return matmul(a[:, ::-1], b[::-1])
 
 
 def fused(a, b):
@@ -214,10 +214,12 @@ def test_einsum_guard_names_the_broken_property(product, prop):
 
 
 def test_import_fails_where_einsum_breaks_the_order():
-    # The guard runs at import, through the einsum that matmul calls.
-    code = ("import numpy as np\n"
-            "einsum = np.einsum\n"
-            "np.einsum = lambda s, a, b: einsum(s, a[::-1], b[::-1])\n"
+    # The guard runs at import, through the C einsum entry that matmul
+    # binds: a c_einsum that adds in reversed k must fail the import.
+    code = ("import numpy._core.multiarray as multiarray\n"
+            "c_einsum = multiarray.c_einsum\n"
+            "multiarray.c_einsum = (lambda s, a, b:\n"
+            "                       c_einsum(s, a[::-1], b[::-1]))\n"
             "import stablespam.tensor_core\n")
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
