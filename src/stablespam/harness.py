@@ -1,18 +1,23 @@
 """Experiment runner: configs, LR schedule, training loop, sweeps, telemetry.
 
 Telemetry: ``run.csv``'s columns are ``StepRecord``'s fields, which its
-header and rows are derived from. It records the raw gradient norm as
-consumed by the optimizer (after spike injection, before any transform) and
-a second channel after all transforms. Divergence means a NaN/Inf loss, a
-loss beyond ``DIVERGENCE_LOSS_CAP`` (an overflow guard: a run past that
-bound is a few steps from literal Inf, and flagging early keeps blow-up
-detection prompt), or a ``NonFiniteError``: a NaN/Inf that the quantizer
-meets in the forward pass, or a NaN/Inf gradient, which the optimizer
-rejects before it changes any state. A diverged step is always the last
-record of a run, and the final validation loss gets the same test. Since
-divergence is recorded as data, ``run`` silences numpy's overflow and
-invalid-value warnings while it trains and validates. A run has at least one
-step, so its ``final_val_loss`` is None exactly when it diverged.
+header and rows are derived from. ``run`` records the loss and what the
+optimizer's ``StepTelemetry`` says; it measures nothing itself. The two
+norm columns combine, with ``global_grad_norm``, the per-tensor gradient
+norms the optimizer took: as it consumed the gradient (after spike
+injection, before any transform) and after all transforms.
+``effective_lr`` is the LR the optimizer's base applied.
+
+Divergence means a NaN/Inf loss, a loss beyond ``DIVERGENCE_LOSS_CAP`` (an
+overflow guard: a run past that bound is a few steps from literal Inf, and
+flagging early keeps blow-up detection prompt), or a ``NonFiniteError``: a
+NaN/Inf that the quantizer meets in the forward pass, or a NaN/Inf
+gradient, which the optimizer rejects before it changes any state. A
+diverged step is always the last record of a run, and the final validation
+loss gets the same test. Since divergence is recorded as data, ``run``
+silences numpy's overflow and invalid-value warnings while it trains and
+validates. A run has at least one step, so its ``final_val_loss`` is None
+exactly when it diverged.
 
 ``_key`` declares each config key: its type (its default's), the parser of
 its config-file text and the values it accepts. ``_OPTIMIZERS`` is the one
@@ -373,7 +378,8 @@ def run(cfg: RunConfig, records_path: str | None = None,
         on_step=None) -> RunResult:
     """Execute one training run; optionally write the telemetry CSV.
 
-    ``on_step(step, grads_pre, grads_post)`` is an instrumentation hook: the
+    ``on_step(step, grads_pre, grads_post)`` is an instrumentation hook,
+    handed the model's gradients and the optimizer's transformed ones: the
     tests use it to cross-check recorded norms, and the benchmark's
     ``StepClock`` (``perfbench/run.py``) to time each step.
     """
@@ -390,7 +396,6 @@ def run(cfg: RunConfig, records_path: str | None = None,
                 loss, grads = loss_grad()
                 diverged = _is_bad(loss)
                 if not diverged:
-                    norm_pre = global_grad_norm(grads.values())
                     telemetry = opt.step(params, grads, lr, step)
             except NonFiniteError:
                 diverged = True
@@ -399,14 +404,12 @@ def run(cfg: RunConfig, records_path: str | None = None,
                                           lr, False, True))
                 break
 
-            # Without transforms grads_post holds the arrays measured above.
-            norm_post = (global_grad_norm(telemetry.grads_post.values())
-                         if opt.transforms else norm_pre)
             if on_step is not None:
                 on_step(step, grads, telemetry.grads_post)
-            records.append(StepRecord(step, loss, norm_pre, norm_post,
-                                      telemetry.clipped_fraction,
-                                      lr * telemetry.lr_scale,
+            records.append(StepRecord(step, loss,
+                                      global_grad_norm(telemetry.norms_pre),
+                                      global_grad_norm(telemetry.norms_post),
+                                      telemetry.clipped_fraction, telemetry.lr,
                                       telemetry.reset, False))
 
         final_val_loss = None

@@ -45,8 +45,11 @@ mean(g^2)) is reduced over each tensor's segment exactly as over the tensor
 alone, so its EMAs are updated entry by entry as arrays and then spread back
 over the segment's entries; powers such as ``gamma ** t`` stay Python
 floats. So each update is bit for bit what the rule gives each tensor on its
-own. The global clip also takes the flat vector: its norm is taken over
-the tensors' parts in the gradient dict's order. A ``Layout`` serves several
+own. A tensor's gradient norm has one home, the layout's
+``tensor_norms``: one square of the flat vector, then one reduce per
+tensor's segment, as Python floats in layout order (``norms`` is the same
+norms as a rule's statistic). ``global_grad_norm`` only combines such
+norms; the global clip takes its norm that way. A ``Layout`` serves several
 tensors; ``OneTensor`` serves one (the rules' default, and every one-tensor
 parameter set), whose statistics are Python floats and which costs no
 concatenation. Only ``lay_out`` tells them apart: every rule takes the
@@ -57,10 +60,15 @@ tensor's shape.
 
 ``ComposedOptimizer.step`` is the one door for input: it rejects gradients
 whose names differ from the weights' (or from the first step's) with a
-``ValueError``, makes each weight and gradient a 2-D float64 array of the
-first step's shape, and rejects a NaN or +-inf gradient with a
-``NonFiniteError`` naming the first such tensor, all before any state
-changes. Behind it, only AdaClip re-checks (free, from its max).
+``ValueError``, makes each weight and gradient a C-ordered 2-D float64
+array of the first step's shape (so a tensor's bits do not depend on its
+memory order, or on whether it is laid out alone or with others), and
+rejects a NaN or +-inf gradient with a ``NonFiniteError`` naming the first
+such tensor, all before any state changes. Behind it, only AdaClip
+re-checks (free, from its max).
+
+Each step returns a ``StepTelemetry``, what it measured and did, for its
+caller to record rather than measure again.
 
 All epsilon divisors are placed as (sqrt(v_hat) + eps), never sqrt(v + eps).
 """
@@ -115,6 +123,11 @@ class OneTensor:
         return float(np.maximum.reduce(x, axis=None))
 
     norms = staticmethod(frobenius_norm)
+
+    @staticmethod
+    def tensor_norms(x):
+        return [frobenius_norm(x)]
+
     means = staticmethod(_mean)
 
     @staticmethod
@@ -160,10 +173,13 @@ class Layout:
     def max(self, x):
         return np.maximum.reduceat(x, self.starts)
 
-    def norms(self, x):
+    def tensor_norms(self, x):
         # frobenius_norm of each segment, from one square of the whole
-        return np.array([math.sqrt(np.add.reduce(part))
-                         for part in self.views(np.square(x))])
+        return [math.sqrt(np.add.reduce(part))
+                for part in self.views(np.square(x))]
+
+    def norms(self, x):
+        return np.array(self.tensor_norms(x))
 
     def means(self, x):
         sums = [np.add.reduce(part) for part in self.views(x)]
@@ -298,12 +314,14 @@ def spike_clip(g, v, theta: float):
     return out, int(np.count_nonzero(mask))
 
 
-def global_grad_norm(layers) -> float:
-    """The norm of all layers taken together as one vector."""
-    layers = list(layers)
-    if not layers:
-        raise ValueError("global_grad_norm needs at least one layer")
-    return math.sqrt(sum(frobenius_norm(g) ** 2 for g in layers))
+def global_grad_norm(norms) -> float:
+    """The norm of several tensors taken together as one vector, combined
+    from each tensor's norm (Python floats, as ``tensor_norms`` gives
+    them): the root of the sum of their squares, in the order given."""
+    norms = list(norms)
+    if not norms:
+        raise ValueError("global_grad_norm needs at least one norm")
+    return math.sqrt(sum(n ** 2 for n in norms))
 
 
 def grad_clip_global(g, threshold: float, layout=TENSOR):
@@ -311,7 +329,7 @@ def grad_clip_global(g, threshold: float, layout=TENSOR):
     ``layout`` places in it exceeds the threshold."""
     if threshold <= 0:
         raise ValueError("grad clip threshold must be positive")
-    total = global_grad_norm(layout.views(g))
+    total = global_grad_norm(layout.tensor_norms(g))
     if total <= threshold:
         return g.copy()
     return g * (threshold / total)
@@ -393,9 +411,15 @@ def adam_mini_step(w, g, moments: AdamMoments, lr: float,
 
 @dataclass
 class StepTelemetry:
+    """What one step measured and did. ``norms_pre`` holds each tensor's
+    gradient norm as the gradient entered, and ``norms_post`` each one after
+    the transforms (the same list when none ran): one Python float per
+    tensor, in layout order. ``lr`` is the LR the base applied."""
     clipped_fraction: float
     reset: bool
-    lr_scale: float
+    lr: float
+    norms_pre: list[float]
+    norms_post: list[float]
     grads_post: dict
 
 
@@ -560,6 +584,7 @@ class ComposedOptimizer:
             bad = next(name for name, part in zip(layout.names, gs)
                        if not np.isfinite(part).all())
             raise NonFiniteError(f"non-finite gradient for '{bad}'")
+        norms_pre = layout.tensor_norms(g)
         self.layout = layout
         reset, lr_scale = self.base.begin_step(global_step)
         clipped = 0
@@ -576,10 +601,12 @@ class ComposedOptimizer:
                 clipped += n_clipped
             elif kind == "grad_clip":
                 g = grad_clip_global(g, self.grad_clip_threshold, layout)
-        w = self.base.update(layout, w, g, lr * lr_scale)
+        norms_post = layout.tensor_norms(g) if self.transforms else norms_pre
+        lr = lr * lr_scale
+        w = self.base.update(layout, w, g, lr)
         views = layout.split(w)
         params.update(views)
         self._weights = w, list(views.values())
-        return StepTelemetry(clipped_fraction=clipped / g.size,
-                             reset=reset, lr_scale=lr_scale,
-                             grads_post=layout.split(g))
+        return StepTelemetry(clipped_fraction=clipped / g.size, reset=reset,
+                             lr=lr, norms_pre=norms_pre,
+                             norms_post=norms_post, grads_post=layout.split(g))

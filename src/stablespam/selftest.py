@@ -465,7 +465,7 @@ def check_grad_clip_norm_bound():
     for layers in stacks:
         layout = optim.lay_out({i: x.shape for i, x in enumerate(layers)})
         g = optim.grad_clip_global(layout.flatten(layers), 1.0, layout)
-        norms.append(harness.global_grad_norm(layout.views(g)))
+        norms.append(harness.global_grad_norm(layout.tensor_norms(g)))
     worst = float(np.max(norms))
     return worst <= 1.0 + 1e-12, f"max post-clip norm {worst!r}"
 

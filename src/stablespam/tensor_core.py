@@ -3,9 +3,13 @@
 All numeric state in this package is carried by plain 2-D ``numpy.float64``
 arrays. Only the doors call ``as_matrix``: ``ComposedOptimizer.step`` for the
 optimizer, ``mlp_forward_backward``, ``mlp_loss`` and ``inject_spikes`` for
-the model. Behind them, ``matmul``, ``frobenius_norm`` and ``max_abs`` take
-2-D float64 arrays as given. ``NonFiniteError`` is the one error for a NaN or
-+-inf where a finite value is needed; ``harness.run`` records it as divergence.
+the model. ``as_matrix`` also fixes the memory order: its result is always
+C-ordered, because a reduction (a norm, a mean, einsum's sum) adds in the
+order it walks memory, so an F-ordered or strided copy of the same values
+would give other bits. Behind the doors, ``matmul``, ``frobenius_norm`` and
+``max_abs`` take C-ordered 2-D float64 arrays as given. ``NonFiniteError``
+is the one error for a NaN or +-inf where a finite value is needed;
+``harness.run`` records it as divergence.
 
 The one non-obvious piece is ``matmul``: every output element is
 ``((0.0 + p0) + p1) + ...`` with ``pk = a[i, k] * b[k, j]`` added in
@@ -72,11 +76,11 @@ class NonFiniteError(ValueError):
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce input to a 2-D float64 array (1-D inputs become a row)."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
+    """Coerce input to a C-ordered 2-D float64 array (a scalar or a 1-D
+    input becomes a row). A C-ordered float64 matrix is returned as is;
+    any other memory order is copied, so no result depends on it."""
+    a = np.ascontiguousarray(x, dtype=np.float64)  # at least 1-D
+    if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")

@@ -1,5 +1,8 @@
 """The tests' configs, each key named by its dotted name as a config file
-names it, and criterion 7's task, declared once."""
+names it, and criterion 7's task, declared once; and the memory orders the
+doors' tests pass a matrix in."""
+
+import numpy as np
 
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SpikeConfig)
@@ -52,3 +55,22 @@ def int4_cfg(name, lr, seed=0, transforms=(), total_steps=250,
         spike=SpikeConfig(probability=0.1, severity=0.5),
         optimizer=OptimizerConfig(name=name, transforms=list(transforms)),
         quant_format="int4", seed=seed)
+
+
+def named_config(name):
+    """The ``OptimizerConfig`` of an optimizer name, where ``base+transform``
+    names a base behind one transform."""
+    name, _, transform = name.partition("+")
+    return OptimizerConfig(name=name, transforms=[transform] if transform
+                           else [])
+
+
+def memory_orders(x):
+    """The values of the matrix ``x`` in four memory orders: a C-ordered
+    copy, an F-ordered copy, the transposed view of a C-ordered ``x.T``, and
+    a view that steps 2 rows and 3 columns of a larger array."""
+    rows, cols = x.shape
+    strided = np.full((2 * rows, 3 * cols), np.nan)[::2, ::3]
+    strided[...] = x
+    return {"C": np.array(x, order="C"), "F": np.array(x, order="F"),
+            "transposed": np.array(x.T, order="C").T, "strided": strided}

@@ -11,31 +11,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablespam import harness, models, selftest
+from stablespam import harness, models, optim, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 RunConfig, ScheduleConfig, global_grad_norm,
-                                lr_schedule, prepare, run, sweep,
-                                write_records_csv)
+                                lr_schedule, make_optimizer, prepare, run,
+                                sweep, write_records_csv)
 from stablespam.optim import ConfigError
-from stablespam.tensor_core import make_rng
+from stablespam.tensor_core import frobenius_norm, make_rng
 from tasks import int4_cfg, small_cfg
 
 
 class TestGlobalGradNorm:
+    """``global_grad_norm`` combines the per-tensor norms a layout takes."""
+
     def test_three_four_five(self):
-        assert global_grad_norm([np.array([[3.0]]),
-                                 np.array([[4.0]])]) == pytest.approx(5.0)
+        assert global_grad_norm([3.0, 4.0]) == 5.0
 
     def test_single_layer_is_frobenius(self):
         g = make_rng(0).standard_normal((3, 3))
-        assert global_grad_norm([g]) == pytest.approx(
+        layout = optim.lay_out({"g": g.shape})
+        assert global_grad_norm(layout.tensor_norms(g)) == pytest.approx(
             float(np.linalg.norm(g)), rel=1e-12, abs=0)
 
     def test_matches_flattened_oracle(self):
         rng = make_rng(1)
         layers = [rng.standard_normal((2, 3)) for _ in range(5)]
-        flat = np.concatenate([g.ravel() for g in layers])
-        assert global_grad_norm(layers) == pytest.approx(
+        layout = optim.lay_out({i: g.shape for i, g in enumerate(layers)})
+        flat = layout.flatten(layers)
+        assert global_grad_norm(layout.tensor_norms(flat)) == pytest.approx(
             float(np.linalg.norm(flat)), rel=1e-12, abs=0)
 
     def test_empty_errors(self):
@@ -169,28 +172,61 @@ class TestRun:
         assert all(model.params[k].tobytes() == w.tobytes()
                    for k, w in weights.items())
 
-    def test_telemetry_norms_match_callback(self):
-        # grad_clip=0.5: on_step sees the raw gradients, clipped only in post
-        # (or not, in steps under the threshold). Plain adam has no
-        # transforms, so its post norm is its pre norm; stable_spam's
-        # transforms change the norm in every step.
-        for cfg, post_is_pre in (
-                (small_cfg({"optimizer.name": "stable_spam"}), False),
-                (small_cfg({"optimizer.grad_clip": 0.5}), None),
-                (small_cfg({"optimizer.name": "adam"}), True)):
-            seen = {}
+    def test_telemetry_norms_match_callback(self, monkeypatch):
+        # Each record's norm columns are, bit for bit, the root of the sum
+        # of each tensor's squared frobenius_norm over the gradients that
+        # on_step sees (the model's, and the transformed ones), and
+        # global_grad_norm of the per-tensor norms in the step's telemetry.
+        # grad_clip=0.5 clips only in post (or not, in steps under the
+        # threshold). Without transforms the post norm is the pre norm;
+        # stable_spam's transforms change it in every step. effective_lr
+        # is the LR the base applied: SPAM's 5-step warmup scales it below
+        # the schedule's in the first 4 steps after each reset boundary.
+        cases = [{"optimizer.name": name, "optimizer.grad_clip": clip}
+                 for name in ("adam", "adam_gradclip", "stable_spam")
+                 for clip in (0.0, 0.5)]
+        spam = {"optimizer.name": "spam", "optimizer.spam_reset_interval": 10,
+                "optimizer.spam_warmup_steps": 5}
+        cases.append(spam)
+        cases += [{"model.kind": "quadratic", "optimizer.name": name}
+                  for name in harness.OPTIMIZER_NAMES]
+        told = []
 
-            def on_step(step, pre, post):
-                seen[step] = (global_grad_norm(pre.values()),
-                              global_grad_norm(post.values()))
+        def step(opt, *args, original=optim.ComposedOptimizer.step):
+            told.append(original(opt, *args))
+            return told[-1]
 
-            result = run(cfg, on_step=on_step)
-            for r in result.records:
-                pre, post = seen[r.step]
-                assert r.grad_norm_pre == pre
-                assert r.grad_norm_post == post
-                if post_is_pre is not None:
-                    assert (r.grad_norm_post == r.grad_norm_pre) is post_is_pre
+        def frobenius_total(grads):
+            return math.sqrt(sum(frobenius_norm(g) ** 2
+                                 for g in grads.values()))
+
+        monkeypatch.setattr(optim.ComposedOptimizer, "step", step)
+        for keys in cases:
+            cfg, seen = small_cfg(keys), []
+            told.clear()
+            result = run(cfg, on_step=lambda step, pre, post: seen.append(
+                (step, frobenius_total(pre), frobenius_total(post), len(pre))))
+            transforms = make_optimizer(cfg.optimizer).transforms
+            assert len(seen) == len(told) == len(result.records) == 40
+            for r, (step, pre, post, size), t in zip(result.records, seen,
+                                                     told):
+                assert r.step == step
+                assert r.grad_norm_pre == pre == global_grad_norm(t.norms_pre)
+                assert r.grad_norm_post == post == global_grad_norm(
+                    t.norms_post)
+                assert len(t.norms_pre) == len(t.norms_post) == size
+                assert all(type(n) is float
+                           for n in t.norms_pre + t.norms_post)
+                assert r.effective_lr == t.lr
+                if not transforms:
+                    assert t.norms_post is t.norms_pre
+                elif keys["optimizer.name"] == "stable_spam":
+                    assert r.grad_norm_post != r.grad_norm_pre
+            if keys is spam:
+                warm = [r.step for r in result.records
+                        if r.effective_lr != lr_schedule(r.step, cfg)]
+                assert warm == [k + j for k in (0, 10, 20, 30)
+                                for j in (1, 2, 3, 4)]
 
     def test_stable_spam_reset_flag_at_interval(self):
         cfg = small_cfg({"optimizer.name": "stable_spam",

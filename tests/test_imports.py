@@ -68,6 +68,20 @@ def test_as_matrix_called_only_at_the_doors():
     assert found == DOORS
 
 
+# A tensor's norm is taken by its layout: global_grad_norm and the harness
+# only combine the norms the optimizer took. The selftest's AdaGN entry
+# measures its output on its own, as an independent check.
+NORM_CALLERS = {"src/stablespam/optim.py": {"OneTensor.tensor_norms"},
+                "src/stablespam/selftest.py": {"check_adagn_norm_identity"}}
+
+
+def test_frobenius_norm_called_only_by_the_layout():
+    found = {str(path.relative_to(ROOT)): callers
+             for path in sorted(ROOT.glob("src/**/*.py"))
+             if (callers := callers_of(path, "frobenius_norm"))}
+    assert found == NORM_CALLERS
+
+
 # The doors a config is checked at: the config file, a run's set-up, and
 # a sweep's grid points before any run; the selftest checks its own.
 VALIDATE_CALLERS = {"src/stablespam/cli.py": {"parse_config_text"},

@@ -14,6 +14,7 @@ from stablespam.models import (QuadraticProblem, _sigmoid, init_mlp,
                                swiglu_fwd_bwd)
 from stablespam.quant import QuantSpec, grid
 from stablespam.tensor_core import make_rng
+from tasks import memory_orders
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,29 @@ class TestMlp:
                    for k, g in grads.items())
         assert mlp_loss(m, x.tolist(), labels.tolist()).hex() == \
             mlp_loss(m, x, labels).hex()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+           cols=st.integers(1, 40), fmt=st.sampled_from(["none", "int4"]))
+    def test_the_doors_read_values_not_memory_order(self, seed, rows, cols,
+                                                    fmt):
+        # Each order of memory_orders gives, at each door, the bytes that
+        # the C-ordered batch gives: the loss and every gradient, the loss
+        # alone, and the spiked batch, which is C-ordered itself.
+        rng = make_rng(seed)
+        m = init_mlp(cols, 8, 2, 3, rng, quant=QuantSpec.from_name(fmt))
+        x = rng.standard_normal((rows, cols)) * 3.0
+        labels = rng.integers(0, 3, rows)
+        doors = {}
+        for order, batch in memory_orders(x).items():
+            loss, grads = mlp_forward_backward(m, batch, labels)
+            spiked = inject_spikes(batch, 0.3, 0.5, make_rng(seed))
+            assert spiked.flags.c_contiguous, order
+            doors[order] = [loss.hex(), mlp_loss(m, batch, labels).hex(),
+                            spiked.tobytes()] + [
+                name.encode() + g.tobytes() for name, g in grads.items()]
+        for order, got in doors.items():
+            assert got == doors["C"], order
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               adam_step, global_grad_norm, grad_clip_global,
                               lion_step, spike_clip)
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
-from tasks import int4_cfg
+from tasks import int4_cfg, memory_orders, named_config
 
 
 def scalar(x):
@@ -298,16 +298,23 @@ class TestSpikeClip:
        scales=st.lists(st.integers(-30, 30), min_size=6, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_layout_norms_are_each_tensors_frobenius_norm(shapes, scales, seed):
-    # Layout.norms squares the flat vector once and reduces each segment;
-    # each norm must be the bytes frobenius_norm gives the tensor alone,
-    # at any segment offset and at magnitudes 1e-30..1e30.
+    # Layout.tensor_norms squares the flat vector once and reduces each
+    # segment; each norm must be the bytes frobenius_norm gives the tensor
+    # alone, at any segment offset and at magnitudes 1e-30..1e30, as a
+    # Python float (and as an array entry in Layout.norms). Their
+    # combination is the flat vector's norm.
     rng = make_rng(seed)
     parts = [rng.standard_normal(shape) * 10.0**scale
              for shape, scale in zip(shapes, scales)]
     layout = optim.lay_out({str(i): p.shape for i, p in enumerate(parts)})
     flat = layout.flatten(parts)
-    want = np.array([frobenius_norm(p) for p in parts])
-    assert layout.norms(flat).tobytes() == want.tobytes()
+    want = [frobenius_norm(p) for p in parts]
+    got = layout.tensor_norms(flat)
+    assert [type(n) for n in got] == [float] * len(parts)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert layout.norms(flat).tobytes() == np.array(want).tobytes()
+    assert global_grad_norm(got) == pytest.approx(
+        float(np.linalg.norm(flat)), rel=1e-12, abs=0)
 
 
 class TestGradClipGlobal:
@@ -315,7 +322,7 @@ class TestGradClipGlobal:
         layout = optim.lay_out({"a": (1, 1), "b": (1, 1)})
         out = grad_clip_global(np.array([3.0, 4.0]), 1.0, layout)
         assert out[0] == pytest.approx(0.6, rel=1e-12, abs=0)
-        assert global_grad_norm(layout.views(out)) == pytest.approx(
+        assert global_grad_norm(layout.tensor_norms(out)) == pytest.approx(
             1.0, rel=1e-12, abs=0)
 
     def test_below_threshold_unchanged(self):
@@ -525,16 +532,15 @@ def key_trace(ocfg):
     (name, key) for name, keys in READS.items() for key in keys]
     + [("sgd+adagn", "eps")])
 def test_every_key_an_optimizer_reads_changes_its_run(name, key):
-    name, _, transform = name.partition("+")
-    default = OptimizerConfig(name=name,
-                              transforms=[transform] if transform else [])
+    default = named_config(name)
     assert getattr(default, key) != CHANGED[key]
     changed = replace(default, **{key: CHANGED[key]})
     assert key_trace(changed) != key_trace(default)
 
 
 # ---------------------------------------------------------------------------
-# The flat step's doors: rejected input, reused weights, one call per rule
+# The flat step's doors: memory order, rejected input, reused weights, one
+# call per rule
 # ---------------------------------------------------------------------------
 
 # A parameter set in gradient order, a (1, 1) tensor among them.
@@ -598,6 +604,52 @@ def rejected_step_changes_nothing(name, spoil, match):
                       "weights")
     assert_same_bytes(base_state(opt.base), base_state(twin.base), "state")
     return raised.value
+
+
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES + ("sgd+adagn",))
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_door_reads_values_not_memory_order(name, rows, cols, seed):
+    """A one-tensor set steps alike whatever memory order its weights and
+    gradients come in: over three steps, each order of ``memory_orders``
+    gives the C-ordered input's weights and telemetry, byte for byte."""
+    rng = make_rng(seed)
+    w0 = rng.standard_normal((rows, cols))
+    gs = [rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-3, 4)
+          for _ in range(3)]
+    traces = {}
+    for order in memory_orders(w0):
+        opt = make_optimizer(named_config(name))
+        params, trace = {"w": memory_orders(w0)[order]}, []
+        for step, g in enumerate(gs, start=1):
+            t = opt.step(params, {"w": memory_orders(g)[order]}, 0.01, step)
+            trace += [params["w"], t.grads_post["w"], t.norms_pre,
+                      t.norms_post, t.clipped_fraction, t.lr]
+        traces[order] = trace
+    for order, trace in traces.items():
+        assert_same_bytes(trace, traces["C"], order)
+
+
+@pytest.mark.parametrize("name", ["sgd+adagn", "adam_mini", "adafactor"])
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 12), cols=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_tensor_alone_steps_as_it_does_laid_out(name, rows, cols, seed):
+    """A rule with a per-tensor statistic (AdaGN's norm, Adam-mini's mean
+    of g^2, Adafactor's row and column means) gives an F-ordered tensor the
+    same weights alone as beside another tensor in a laid-out set."""
+    rng = make_rng(seed)
+    w0 = np.asfortranarray(rng.standard_normal((rows, cols)))
+    alone = {"w": w0}
+    together = {"w": w0, "other": rng.standard_normal((2, 3))}
+    opts = [make_optimizer(named_config(name)) for _ in range(2)]
+    for step in range(1, 4):
+        g = np.asfortranarray(rng.standard_normal((rows, cols)))
+        opts[0].step(alone, {"w": g}, 0.01, step)
+        opts[1].step(together, {"w": g, "other": rng.standard_normal((2, 3))},
+                     0.01, step)
+    assert alone["w"].tobytes() == together["w"].tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
