@@ -29,7 +29,14 @@ writes nothing, and runs each point through the module's ``run``.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
-``numpy.random.SeedSequence``; the validation split uses seed + 1.
+``numpy.random.SeedSequence``; the validation split uses seed + 1. An MLP
+run draws its batch indices up to ``DRAW_ENTRIES`` at a time
+(``batch_indices``): the same integers, in the same order, as one draw per
+step.
+
+As in ``models``, a training step calls numpy's C entries and no Python
+wrapper. ``Generator.integers`` runs numpy's Python ``prod`` on its size,
+which is one more reason to draw the indices in chunks.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ from .quant import QuantSpec
 from .tensor_core import NonFiniteError, make_rng
 
 DIVERGENCE_LOSS_CAP = 1e100
+
+# The most batch indices an MLP run draws in one call.
+DRAW_ENTRIES = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +333,19 @@ def _is_bad(loss: float) -> bool:
     return not math.isfinite(loss) or abs(loss) > DIVERGENCE_LOSS_CAP
 
 
+def batch_indices(rng, samples: int, batch_size: int, steps: int):
+    """Yield each step's batch indices into ``samples``, without end: the
+    integers that one ``rng.integers(0, samples, size=batch_size)`` per step
+    would give, in the same order. Up to ``DRAW_ENTRIES`` of them (at least
+    one batch) are drawn in one call, and no more batches than the
+    ``steps`` the run takes; after those, one batch per call."""
+    per_draw = max(1, DRAW_ENTRIES // batch_size)
+    while True:
+        k = max(1, min(steps, per_draw))
+        steps -= k
+        yield from rng.integers(0, samples, size=(k, batch_size))
+
+
 class Prepared(NamedTuple):
     """What ``run`` needs besides the config, before its first step."""
     params: dict[str, np.ndarray]
@@ -357,10 +380,11 @@ def prepare(cfg: RunConfig) -> Prepared:
         params = model.params
         dataset = models.make_dataset(cfg.data.samples, cfg.model.input_dim,
                                       cfg.model.classes, cfg.seed)
+        batches = batch_indices(batch_rng, cfg.data.samples,
+                                cfg.data.batch_size, cfg.schedule.total_steps)
 
         def loss_grad():
-            idx = batch_rng.integers(0, cfg.data.samples,
-                                     size=cfg.data.batch_size)
+            idx = next(batches)
             x = models.inject_spikes(dataset.inputs[idx],
                                      cfg.spike.probability,
                                      cfg.spike.severity, spike_rng)

@@ -21,10 +21,11 @@ decides when spikes are off. The layers behind them and their backward
 closures take 2-D float64 arrays as given, as are the parameters of an
 ``MlpModel``.
 
-The layers sum, average and take maxima with ``np.add.reduce`` and
-``np.maximum.reduce`` (a mean is the sum divided by the count). That is the
-arithmetic ``np.sum``, ``np.mean`` and ``np.max`` do, bit for bit, without
-their Python wrappers, which cost more than the reductions at these shapes.
+The layers and ``inject_spikes`` sum, average and take maxima with
+``np.add.reduce`` and ``np.maximum.reduce`` (a mean is the sum divided by
+the count). That is the arithmetic ``np.sum``, ``np.mean`` and ``np.max``
+do, bit for bit, without their Python wrappers, which cost more than the
+reductions at these shapes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quant import QuantSpec, qdq
-from .tensor_core import as_matrix, make_rng, matmul, max_abs
+from .tensor_core import as_matrix, make_rng, matmul
 
 RMSNORM_EPS = 1e-8
 QUADRATIC_DELTA = 0.1
@@ -266,5 +267,6 @@ def inject_spikes(batch, probability: float, severity: float, rng) -> np.ndarray
     if probability == 0.0 or severity == 0.0:
         return batch.copy()
     mask = rng.random(batch.shape) < probability
-    noise = rng.standard_normal(batch.shape) * (severity * max_abs(batch))
+    amax = float(np.maximum.reduce(np.abs(batch), axis=None))
+    noise = rng.standard_normal(batch.shape) * (severity * amax)
     return np.where(mask, batch + noise, batch)

@@ -64,8 +64,16 @@ whose names differ from the weights' (or from the first step's) with a
 array of the first step's shape (so a tensor's bits do not depend on its
 memory order, or on whether it is laid out alone or with others), and
 rejects a NaN or +-inf gradient with a ``NonFiniteError`` naming the first
-such tensor, all before any state changes. Behind it, only AdaClip
-re-checks (free, from its max).
+such tensor, all before any state changes. It reads that from the
+per-tensor norms it takes anyway: a NaN or +-inf entry makes its tensor's
+norm NaN or inf, so only when their sum is not finite does it scan the
+entries, and a finite tensor whose squares overflow steps. Behind it, only
+AdaClip re-checks (free, from its max).
+
+As in ``models``, a step calls numpy's C entries and no Python wrapper:
+``np.add.reduce`` and ``np.logical_and.reduce``, not ``np.sum``,
+``ndarray.all`` or ``np.count_nonzero``, whose wrappers cost more than the
+reductions at these shapes. The results are the same.
 
 Each step returns a ``StepTelemetry``, what it measured and did, for its
 caller to record rather than measure again.
@@ -115,18 +123,16 @@ class OneTensor:
         return {name: flat}
 
     @staticmethod
-    def views(flat):
-        return [flat]
-
-    @staticmethod
     def max(x):
         return float(np.maximum.reduce(x, axis=None))
-
-    norms = staticmethod(frobenius_norm)
 
     @staticmethod
     def tensor_norms(x):
         return [frobenius_norm(x)]
+
+    @staticmethod
+    def norms(x):
+        return OneTensor.tensor_norms(x)[0]
 
     means = staticmethod(_mean)
 
@@ -167,22 +173,19 @@ class Layout:
         return {name: flat[s].reshape(shape) for name, s, shape
                 in zip(self.names, self.slices, self.shapes)}
 
-    def views(self, flat):
-        return [flat[s] for s in self.slices]
-
     def max(self, x):
         return np.maximum.reduceat(x, self.starts)
 
     def tensor_norms(self, x):
         # frobenius_norm of each segment, from one square of the whole
-        return [math.sqrt(np.add.reduce(part))
-                for part in self.views(np.square(x))]
+        sq = np.square(x)
+        return [math.sqrt(np.add.reduce(sq[s])) for s in self.slices]
 
     def norms(self, x):
         return np.array(self.tensor_norms(x))
 
     def means(self, x):
-        sums = [np.add.reduce(part) for part in self.views(x)]
+        sums = [np.add.reduce(x[s]) for s in self.slices]
         return np.array(sums) / self.sizes
 
     def spread(self, stat):
@@ -192,7 +195,7 @@ class Layout:
 
     @staticmethod
     def finite(stat):
-        return np.isfinite(stat).all()
+        return np.logical_and.reduce(np.isfinite(stat))
 
     where = staticmethod(np.where)
 
@@ -271,11 +274,12 @@ def adaclip(g, state: AdaClipState, gamma3: float, layout=TENSOR):
     state.step = t
     t_hat = layout.spread(state.t_threshold / (1.0 - gamma3 ** t))
     mask = abs_g > t_hat
+    clipped = int(np.add.reduce(mask, axis=None, dtype=np.intp))
     out = g.copy()
-    if mask.any():
+    if clipped:
         np.divide(g, layout.spread(g_max), out=out, where=mask)
         np.multiply(out, t_hat, out=out, where=mask)
-    return out, int(np.count_nonzero(mask))
+    return out, clipped
 
 
 def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6,
@@ -306,12 +310,13 @@ def spike_clip(g, v, theta: float):
     wherever g_i^2 / v_i > theta, except where v_i == 0. Returns the new
     gradient and the number of entries flagged."""
     positive = v > 0
-    ratio = np.divide(g * g, v, out=np.zeros_like(g), where=positive)
+    ratio = np.divide(g * g, v, out=np.zeros(g.shape), where=positive)
     mask = positive & (ratio > theta)
+    clipped = int(np.add.reduce(mask, axis=None, dtype=np.intp))
     out = g.copy()
-    if mask.any():
+    if clipped:
         out[mask] = np.sign(g[mask]) * np.sqrt(theta * v[mask])
-    return out, int(np.count_nonzero(mask))
+    return out, clipped
 
 
 def global_grad_norm(norms) -> float:
@@ -580,11 +585,14 @@ class ComposedOptimizer:
                 f"the first step's {layout.shapes}")
         g = layout.flatten(gs)
         w = self._weights[0] if reuse else layout.flatten(ws)
-        if not np.isfinite(g).all():
-            bad = next(name for name, part in zip(layout.names, gs)
-                       if not np.isfinite(part).all())
-            raise NonFiniteError(f"non-finite gradient for '{bad}'")
         norms_pre = layout.tensor_norms(g)
+        if not math.isfinite(sum(norms_pre)):
+            # A NaN or +-inf entry makes its tensor's norm NaN or inf, but
+            # so can a finite tensor whose squares overflow: that one steps.
+            for name, part, norm in zip(layout.names, gs, norms_pre):
+                if not (math.isfinite(norm)
+                        or np.logical_and.reduce(np.isfinite(part), axis=None)):
+                    raise NonFiniteError(f"non-finite gradient for '{name}'")
         self.layout = layout
         reset, lr_scale = self.base.begin_step(global_step)
         clipped = 0

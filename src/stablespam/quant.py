@@ -7,7 +7,13 @@ sign preservation) hold exactly. A format is a member of the one enum
 ``QuantSpec``, valued by its ``quant.format`` name; ``NONE`` quantizes nothing.
 
 ``qdq`` takes a 2-D float64 array as given (the model's doors make one) and
-raises ``NonFiniteError`` on a NaN or +-inf entry, naming its index.
+raises ``NonFiniteError`` on a NaN or +-inf entry, naming its index, and
+``ValueError`` on one with no entries.
+
+``qdq`` runs on every matmul operand of every step, so, as in ``models``, it
+calls numpy's C entries (``np.maximum.reduce``, not ``np.max``) and no
+Python wrapper: ``QuantSpec`` members hash by identity, which keeps
+``Enum.__hash__`` off its format lookup.
 
 One rule serves every format: ``code = rint(x / absmax * top)``, rounding
 half to even on the integer code, and the output is ``code * absmax / top``,
@@ -31,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor_core import NonFiniteError, max_abs
+from .tensor_core import NonFiniteError
 
 
 class QuantSpec(Enum):
@@ -40,6 +46,10 @@ class QuantSpec(Enum):
     INT3 = "int3"
     INT4 = "int4"
     FP4_E1M2 = "fp4_e1m2"
+
+    # Each member is a singleton, compared by identity: the C hash of
+    # ``object`` serves, where ``Enum.__hash__`` runs in Python.
+    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: str) -> "QuantSpec":
@@ -69,16 +79,18 @@ def grid(fmt: QuantSpec) -> np.ndarray:
 def qdq(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Quantize-dequantize with per-tensor absmax scaling.
 
-    The entry attaining the absmax maps to exactly +-max_abs(x): codes
+    The entry attaining the absmax maps to exactly +-max|x|: codes
     +-top are pinned to +-absmax, which also makes qdq exactly idempotent.
     The pin is skipped when ``top * (absmax / top) == absmax``, where the
     +-top codes already give +-absmax (for 92% of random INT4 absmaxes and
     every INT2 one). The codes are computed in place in the output array.
-    A non-finite entry is a ``NonFiniteError`` naming its index.
+    A non-finite entry is a ``NonFiniteError`` naming its index, and an
+    ``x`` with no entries a ``ValueError``.
     """
     if spec is QuantSpec.NONE:
         return x.copy()
-    amax = max_abs(x)  # inf or nan exactly when some entry is
+    # inf or nan exactly when some entry is; no entries is a ValueError
+    amax = float(np.maximum.reduce(np.abs(x), axis=None))
     if not math.isfinite(amax):
         i, j = np.argwhere(~np.isfinite(x))[0]
         raise NonFiniteError(f"non-finite value at index ({i}, {j})")

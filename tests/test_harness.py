@@ -7,15 +7,18 @@ import stat
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablespam import harness, models, optim, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
-                                RunConfig, ScheduleConfig, global_grad_norm,
-                                lr_schedule, make_optimizer, prepare, run,
-                                sweep, write_records_csv)
+                                RunConfig, ScheduleConfig, batch_indices,
+                                global_grad_norm, lr_schedule, make_optimizer,
+                                prepare, run, sweep, write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import frobenius_norm, make_rng
 from tasks import int4_cfg, small_cfg
@@ -268,6 +271,18 @@ class TestRun:
         assert plain.records[5].loss != quantized.records[5].loss
 
 
+class RecordingRng:
+    """A seeded generator that records how many entries each ``integers``
+    draw asks for."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = make_rng(seed), []
+
+    def integers(self, low, high, size):
+        self.sizes.append(math.prod(size))
+        return self.rng.integers(low, high, size=size)
+
+
 class TestPrepare:
     def test_draws_nothing_from_the_batch_or_spike_streams(self, monkeypatch):
         made = []
@@ -291,6 +306,75 @@ class TestPrepare:
         for seed_seq, rng in streams:  # the first call draws from both
             assert rng.bit_generator.state != \
                 make_rng(seed_seq).bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(samples=st.sampled_from([1, 2, 3, 7, 255, 256, 2**31, 2**32 - 1,
+                                    2**32, 2**32 + 5, 2**40 + 3, 2**62])
+           | st.integers(1, 2**62),
+           batch_size=st.integers(1, 70),
+           entries=st.integers(1, 64) | st.just(harness.DRAW_ENTRIES),
+           steps=st.integers(1, 30), extra=st.integers(0, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_indices_are_one_draw_per_step(self, samples, batch_size,
+                                                 entries, steps, extra, seed):
+        """The chunked draws yield, step by step, what one
+        ``integers(0, samples, size=batch_size)`` per step gives a twin
+        stream, also past the run's ``steps``. No draw asks for more than
+        ``max(batch_size, DRAW_ENTRIES)`` entries; with few entries a
+        draw's chunk ends mid-run and a batch may exceed them."""
+        rng, twin = RecordingRng(seed), make_rng(seed)
+        with mock.patch.object(harness, "DRAW_ENTRIES", entries):
+            batches = batch_indices(rng, samples, batch_size, steps)
+            for _ in range(steps + extra):
+                want = twin.integers(0, samples, size=batch_size)
+                assert next(batches).tobytes() == want.tobytes()
+        assert max(rng.sizes) <= max(batch_size, entries)
+        assert sum(rng.sizes) == (steps + extra) * batch_size
+
+    def test_a_run_draws_its_batches_in_one_call(self):
+        """A 250-step run of batches of 32 draws all of its indices in its
+        first call, and a batch above ``DRAW_ENTRIES`` is drawn alone."""
+        for batch_size, steps, want in [(32, 250, [8000]), (
+                harness.DRAW_ENTRIES + 1, 2, [harness.DRAW_ENTRIES + 1] * 2)]:
+            rng = RecordingRng(0)
+            batches = batch_indices(rng, 10, batch_size, steps)
+            assert rng.sizes == []  # nothing is drawn before the first batch
+            for _ in range(steps):
+                next(batches)
+            assert rng.sizes == want
+
+
+# numpy's Python wrappers (np.sum, ndarray.all, np.count_nonzero, ...) and
+# the stdlib enum module; a traced step may only pass through the
+# argument-only array-function dispatchers of ``numpy/_core/multiarray.py``.
+WRAPPER_FILES = {("numpy", "_core", "_methods.py"),
+                 ("numpy", "_core", "fromnumeric.py"),
+                 ("numpy", "_core", "numeric.py")}
+
+
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_an_mlp_training_step_runs_no_numpy_or_enum_wrapper(name):
+    """One step of an INT4 MLP run with input spikes, from the end of the
+    4th step's ``on_step`` to the 5th's (a step that starts no new batch
+    draw), calls no numpy Python wrapper and nothing of ``enum.py``."""
+    frames = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.add(frame.f_code.co_filename)
+
+    def on_step(step, grads_pre, grads_post):
+        sys.setprofile(profile if step == 4 else None)
+
+    try:
+        run(int4_cfg(name, 1e-2, total_steps=8, warmup_steps=2),
+            on_step=on_step)
+    finally:
+        sys.setprofile(None)
+    assert any(f.endswith("optim.py") for f in frames), frames
+    found = sorted(f for f in frames if Path(f).parts[-3:] in WRAPPER_FILES
+                   or Path(f).name == "enum.py")
+    assert not found, found
 
 
 class TestCsv:

@@ -686,17 +686,42 @@ def test_mismatched_gradients_rejected(name, spoil, match):
 
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
 def test_flat_step_names_the_first_nonfinite_tensor(name):
-    """A step whose second and fourth gradients are not finite names the
-    second, in gradient order."""
-    def spoil(grads):
-        spoiled = {key: g.copy() for key, g in grads.items()}
-        spoiled["bias"][0, 0] = math.nan
-        spoiled["gain"][0, 3] = -math.inf
-        return spoiled
+    """A step whose second gradient holds a NaN, +inf or -inf names the
+    second, in gradient order: when the fourth is not finite either, and
+    when the first is finite but its squares overflow, so that its norm is
+    inf as well."""
+    def spoiler(bad, first):
+        def spoil(grads):
+            spoiled = {key: g.copy() for key, g in grads.items()}
+            spoiled["out"] *= first
+            spoiled["bias"][0, 0] = bad
+            spoiled["gain"][0, 3] = -math.inf
+            return spoiled
+        return spoil
 
-    error = rejected_step_changes_nothing(
-        name, spoil, r"^non-finite gradient for 'bias'$")
-    assert isinstance(error, NonFiniteError)
+    for bad in (math.nan, math.inf, -math.inf):
+        for first in (1.0, 1e200):
+            with np.errstate(over="ignore"):
+                error = rejected_step_changes_nothing(
+                    name, spoiler(bad, first),
+                    r"^non-finite gradient for 'bias'$")
+            assert isinstance(error, NonFiniteError)
+
+
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_a_finite_gradient_whose_norm_overflows_still_steps(name):
+    """Entries near 1e200 are finite, though their squares overflow and the
+    tensor's norm is inf: the door lets the step through."""
+    opt = flat_optimizer(name)
+    params = {key: np.ones(shape) for key, shape in FLAT_SHAPES.items()}
+    for step, grads in enumerate(flat_grads()[:5], start=1):
+        if step == 5:
+            grads = dict(grads, bias=np.full((1, 1), -1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            telemetry = opt.step(params, grads, 0.01, step)
+    norms = telemetry.norms_pre
+    assert norms[1] == math.inf
+    assert all(math.isfinite(n) for n in norms[:1] + norms[2:])
 
 
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)

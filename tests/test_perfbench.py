@@ -19,10 +19,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 # Traced, a workload also checks its span counts: 3 matmuls per quadratic
-# step, 15 matmuls and 8 qdq per MLP forward-backward.
+# step, 15 matmuls and 8 qdq per MLP forward-backward. ``lr_grid`` checks
+# the digests of the sweep path.
 @pytest.mark.parametrize("workload, trace", [("quadratic_all_opt", "1"),
                                              ("mlp_int4_spike", "0"),
-                                             ("mlp_int4_spike", "1")])
+                                             ("mlp_int4_spike", "1"),
+                                             ("lr_grid", "0")])
 def test_workload_runs_correct(workload, trace, tmp_path):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))

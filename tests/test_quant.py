@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from stablespam import selftest
 from stablespam.quant import QuantSpec, grid, qdq
-from stablespam.tensor_core import make_rng
+from stablespam.tensor_core import NonFiniteError, make_rng
 
 ALL_FORMATS = [fmt for fmt in QuantSpec if fmt is not QuantSpec.NONE]
 # Each case keeps the id it was first reported under.
@@ -91,6 +91,12 @@ class TestQdq:
         out = qdq(np.array([[amax, -amax, 0.3 * amax, 0.0]]), fmt)
         assert out[0, 0] == amax
         assert out[0, 1] == -amax
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=FORMAT_IDS)
+    def test_a_matrix_with_no_entries_is_a_value_error(self, fmt):
+        with pytest.raises(ValueError) as raised:
+            qdq(np.zeros((0, 3)), fmt)
+        assert not isinstance(raised.value, NonFiniteError)
 
     def test_nonfinite_errors_with_index(self):
         for bad in (np.inf, -np.inf, np.nan):
