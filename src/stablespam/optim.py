@@ -322,11 +322,16 @@ def spike_clip(g, v, theta: float):
 def global_grad_norm(norms) -> float:
     """The norm of several tensors taken together as one vector, combined
     from each tensor's norm (Python floats, as ``tensor_norms`` gives
-    them): the root of the sum of their squares, in the order given."""
+    them): the root of the sum of their squares, added left to right in
+    the order given. Not builtin ``sum``, which compensates a float sum
+    from Python 3.12 on and so would give other bits there."""
     norms = list(norms)
     if not norms:
         raise ValueError("global_grad_norm needs at least one norm")
-    return math.sqrt(sum(n ** 2 for n in norms))
+    total = 0.0
+    for n in norms:
+        total += n ** 2
+    return math.sqrt(total)
 
 
 def grad_clip_global(g, threshold: float, layout=TENSOR):

@@ -24,7 +24,7 @@ import numpy as np
 from . import harness, models, optim, oracles, quant
 from .oracles import each_tensor
 from .quant import QuantSpec
-from .tensor_core import frobenius_norm, make_rng, max_abs
+from .tensor_core import frobenius_norm, make_rng
 
 TRACE_SEEDS = (7, 101)
 # A scalar, the shape of the MLP's gains, and a non-square matrix
@@ -284,12 +284,12 @@ def check_quant_grid_snap(formats=QUANT_FORMATS):
         ties = (g[:-1] + g[1:]) / 2
         tied = [np.append(ties, top)[None, :] * 2.0 ** k
                 for k in (-30, 0, 3, 40)]
-        if not all(np.array_equal((x / max_abs(x) * top)[0, :-1], ties)
-                   for x in tied):
+        if not all(np.array_equal((x / np.max(np.abs(x)) * top)[0, :-1],
+                                  ties) for x in tied):
             return False, f"{fmt.value}: a midpoint is not an exact tie"
         rng = make_rng(17)
         for x in [rng.standard_normal((4, 5)) * 3.0 for _ in range(10)] + tied:
-            amax = max_abs(x)
+            amax = np.max(np.abs(x))
             codes = [oracles.nearest_grid_even(v / amax * top, g)
                      for v in x.ravel()]
             want = np.reshape([(amax * np.sign(c) if abs(c) == top
@@ -380,9 +380,10 @@ def _gradient_check(model, fixed, tol):
     errs = []
     for args in fixed + [a for kind, a in _random_shapes() if kind == model]:
         for f, x, analytic in _PROBLEMS[model](*args):
-            for h in (1e-6, 1e-5 * max(1.0, max_abs(x))):
+            for h in (1e-6, 1e-5 * max(1.0, np.max(np.abs(x)))):
                 num = finite_difference(f, x, h)
-                errs.append(max_abs(num - analytic) / max(max_abs(num), 1e-8))
+                errs.append(np.max(np.abs(num - analytic))
+                            / max(np.max(np.abs(num)), 1e-8))
     worst = float(np.max(errs))
     return worst < tol, f"{model} max rel err {worst:.2e}"
 

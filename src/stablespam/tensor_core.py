@@ -6,10 +6,10 @@ optimizer, ``mlp_forward_backward``, ``mlp_loss`` and ``inject_spikes`` for
 the model. ``as_matrix`` also fixes the memory order: its result is always
 C-ordered, because a reduction (a norm, a mean, einsum's sum) adds in the
 order it walks memory, so an F-ordered or strided copy of the same values
-would give other bits. Behind the doors, ``matmul``, ``frobenius_norm`` and
-``max_abs`` take C-ordered 2-D float64 arrays as given. ``NonFiniteError``
-is the one error for a NaN or +-inf where a finite value is needed;
-``harness.run`` records it as divergence.
+would give other bits. Behind the doors, ``matmul`` and ``frobenius_norm``
+take C-ordered 2-D float64 arrays as given. ``NonFiniteError`` is the one
+error for a NaN or +-inf where a finite value is needed; ``harness.run``
+records it as divergence.
 
 The one non-obvious piece is ``matmul``: every output element is
 ``((0.0 + p0) + p1) + ...`` with ``pk = a[i, k] * b[k, j]`` added in
@@ -139,12 +139,6 @@ _check_einsum()
 
 def frobenius_norm(m: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(np.square(m), axis=None))
-
-
-def max_abs(m: np.ndarray) -> float:
-    if m.size == 0:
-        raise ValueError("max_abs of an empty matrix")
-    return float(np.maximum.reduce(np.abs(m), axis=None))
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:

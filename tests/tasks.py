@@ -1,11 +1,15 @@
 """The tests' configs, each key named by its dotted name as a config file
-names it, and criterion 7's task, declared once; and the memory orders the
-doors' tests pass a matrix in."""
+names it, and criterion 7's task, declared once; the memory orders the
+doors' tests pass a matrix in; and the one probe of a training step's
+Python-level calls."""
+
+import sys
+from collections import Counter
 
 import numpy as np
 
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
-                                ScheduleConfig, SpikeConfig)
+                                ScheduleConfig, SpikeConfig, run)
 
 # The 6 -> 8 -> 3 MLP of one block, 40 steps.
 SMALL = {"model.input_dim": 6, "model.hidden_dim": 8, "model.depth": 1,
@@ -74,3 +78,24 @@ def memory_orders(x):
     strided[...] = x
     return {"C": np.array(x, order="C"), "F": np.array(x, order="F"),
             "transposed": np.array(x.T, order="C").T, "strided": strided}
+
+
+def step_calls(cfg):
+    """The Python functions one loop iteration of ``run(cfg)`` calls, counted
+    by (file, function name): the ``sys.setprofile`` call events from the
+    end of step 4's ``on_step`` to step 5's. Step 5 draws no batch when the
+    run's batches fit one draw."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
+
+    def on_step(step, grads_pre, grads_post):
+        sys.setprofile(profile if step == 4 else None)
+
+    try:
+        run(cfg, on_step=on_step)
+    finally:
+        sys.setprofile(None)
+    return calls

@@ -22,7 +22,6 @@ from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, run)
 from stablespam.optim import ConfigError
-from stablespam.tensor_core import max_abs
 from tasks import config_text, int4_cfg, key_values, set_key, small_cfg
 
 
@@ -664,7 +663,7 @@ def broken_qdq(round_codes=np.rint, plus_zero=True, pin=True,
     rint's -0.0, the pin of the +-top codes, or the scale, taken as
     absmax * (1 / top) instead of absmax / top."""
     def qdq(x, spec):
-        amax = max_abs(x)
+        amax = np.max(np.abs(x))
         if amax == 0.0:
             return np.zeros_like(x)
         top = len(quant.grid(spec)) // 2

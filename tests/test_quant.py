@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stablespam import selftest
+from stablespam import quant, selftest
 from stablespam.quant import QuantSpec, grid, qdq
 from stablespam.tensor_core import NonFiniteError, make_rng
+from tasks import int4_cfg, step_calls
 
 ALL_FORMATS = [fmt for fmt in QuantSpec if fmt is not QuantSpec.NONE]
 # Each case keeps the id it was first reported under.
@@ -104,6 +105,13 @@ class TestQdq:
             x[1, 0] = bad
             with pytest.raises(ValueError, match=r"\(1, 0\)"):
                 qdq(x, QuantSpec.INT4)
+
+
+def test_one_qdq_per_quantized_operand():
+    # The count the benchmark's span check expects: per block its normed
+    # input and two weights, and the head's input and weight.
+    calls = step_calls(int4_cfg("adam", 1e-3, total_steps=8, warmup_steps=2))
+    assert calls[quant.__file__, "qdq"] == 8
 
 
 class TestProperties:

@@ -1,4 +1,3 @@
-import math
 import os
 import re
 import subprocess
@@ -12,11 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stablespam import models, tensor_core
-from stablespam.harness import ModelConfig, RunConfig, prepare
-from stablespam.tensor_core import (as_matrix, frobenius_norm, make_rng,
-                                    matmul, max_abs)
-from tasks import int4_cfg
+from stablespam import tensor_core
+from stablespam.harness import ModelConfig, RunConfig, ScheduleConfig
+from stablespam.tensor_core import as_matrix, frobenius_norm, make_rng, matmul
+from tasks import int4_cfg, step_calls
 
 
 def naive_matmul(a, b):
@@ -230,31 +228,15 @@ def test_import_fails_where_einsum_breaks_the_order():
             " the products in ascending k") in proc.stderr
 
 
-def count_matmuls(monkeypatch, call):
-    """The ``matmul`` calls that ``call()`` makes, counted on every module
-    attribute that binds it, as a span tracer wraps it: a ``matmul`` that
-    re-entered itself would count one product twice."""
-    count = 0
-    inner = tensor_core.matmul
-
-    def counted(a, b):
-        nonlocal count
-        count += 1
-        return inner(a, b)
-
-    for module in (tensor_core, models):
-        monkeypatch.setattr(module, "matmul", counted)
-    call()
-    return count
-
-
-def test_one_matmul_per_product(monkeypatch):
+def test_one_matmul_per_product():
     # The counts the benchmark's span check expects: 6 per SwiGLU block
     # plus 3 for the head, and 3 per quadratic step.
-    mlp = prepare(int4_cfg("adam", 1e-3))
-    quadratic = prepare(RunConfig(model=ModelConfig(kind="quadratic")))
-    assert count_matmuls(monkeypatch, mlp.loss_grad) == 15
-    assert count_matmuls(monkeypatch, quadratic.loss_grad) == 3
+    mlp = step_calls(int4_cfg("adam", 1e-3, total_steps=8, warmup_steps=2))
+    quadratic = step_calls(RunConfig(
+        model=ModelConfig(kind="quadratic"),
+        schedule=ScheduleConfig(total_steps=8, warmup_steps=2)))
+    assert mlp[tensor_core.__file__, "matmul"] == 15
+    assert quadratic[tensor_core.__file__, "matmul"] == 3
 
 
 # numpy builds its float64 loops for several SIMD targets and picks one at
@@ -314,37 +296,11 @@ class TestNorms:
            scale=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
     def test_matches_numpy_wrappers_bytewise(self, rows, cols, layout, scale,
                                              seed):
-        # frobenius_norm and max_abs call numpy's reduce ufuncs directly; the
-        # results must be the very bytes of np.sum / np.max on any layout.
+        # frobenius_norm calls numpy's reduce ufunc directly; the result
+        # must be the very bytes of np.sum on any layout.
         m = operand(make_rng(seed), rows, cols, layout) * 10.0**scale
         fro = np.float64(np.sqrt(np.sum(np.square(m))))
         assert np.float64(frobenius_norm(m)).tobytes() == fro.tobytes()
-        assert np.float64(max_abs(m)).tobytes() == np.max(np.abs(m)).tobytes()
-
-
-class TestMaxAbs:
-    def test_examples(self):
-        assert max_abs(np.array([[-5.0, 2.0], [1.0, 3.0]])) == 5.0
-        assert max_abs(np.zeros((2, 2))) == 0.0
-
-    @pytest.mark.parametrize("special", [NAN, INF, -INF])
-    def test_non_finite_propagates(self, special):
-        # qdq's NonFiniteError relies on a NaN or +-inf showing in the max.
-        m = np.arange(12.0).reshape(3, 4)
-        m[1, 2] = special
-        if math.isnan(special):
-            assert math.isnan(max_abs(m))
-        else:
-            assert max_abs(m) == INF
-
-    def test_matches_scan(self):
-        rng = make_rng(3)
-        m = rng.standard_normal((8, 8))
-        assert max_abs(m) == max(map(abs, m.ravel().tolist()))
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            max_abs(np.zeros((0, 3)))
 
 
 class TestRng:
