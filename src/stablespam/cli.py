@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lr-grid", default="step",
                          help="a:b:step or a preset: wide, step (default)")
     p_sweep.add_argument("--jobs", type=int, default=0,
-                         help="parallel runs (default: grid size, capped)")
+                         help="parallel runs, capped at the grid size "
+                              "(default: the CPU count)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare",

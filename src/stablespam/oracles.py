@@ -48,7 +48,11 @@ def adam_gradclip_trace(streams, lr, threshold=1.0, **adam):
     root of the sum of the tensors' squared norms, in gradient order."""
     clipped = []
     for step in zip(*streams):
-        norm = math.sqrt(sum(math.sqrt(np.sum(g * g)) ** 2 for g in step))
+        # Not builtin sum, which compensates from Python 3.12 on
+        total = 0.0
+        for g in step:
+            total += math.sqrt(np.sum(g * g)) ** 2
+        norm = math.sqrt(total)
         clipped.append([g if norm <= threshold else g * (threshold / norm)
                         for g in step])
     return [list(adam_trace(gs, lr, **adam)) for gs in zip(*clipped)]

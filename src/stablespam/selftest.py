@@ -9,10 +9,11 @@ calls, and ``quantizer rounds to nearest, ties to even``, which
 ``tests/test_quant.py`` calls one format at a time. The checks compare
 every optimizer's trace bit for bit with its independent reference in
 :mod:`stablespam.oracles`, analytic gradients with central finite
-differences, and the quantizer with a brute-force grid snap and its stated
-properties. Every optimizer trace steps a parameter set through
-``harness.make_optimizer``, as training does, and checks each step's
-weights and telemetry: one tensor alone and three laid out together.
+differences, and the quantizer with a brute-force grid snap and, in one
+pass over its check data, its stated properties. Every optimizer trace
+steps a parameter set through ``harness.make_optimizer``, as training
+does, and checks each step's weights and telemetry: one tensor alone and
+three laid out together.
 """
 
 from __future__ import annotations
@@ -211,12 +212,12 @@ def check_moret_periodicity():
 
 
 def _quant_batches():
-    """(format, stacked matrices) for every quantizer check: per format 20
-    6x6 N(0, 9) draws (seed 5); for INT4 and E1M2, 20 5x5 N(0, 1) draws
-    (seed 6); per format 10^4 3x3 N(0, 1) draws, each scaled by 10^-3..10^3
-    (seed 106); per format the same 20 16x16 N(0, 1) draws (seed 23) and a
-    4x4 zero matrix; per format the same 50 5x5 N(0, 1) draws, each scaled
-    by 10^-6..10^6 (seed 29)."""
+    """(format, stacked matrices) that ``check_quant_properties`` walks
+    once, 40,404 matrices in all: per format 20 6x6 N(0, 9) draws (seed 5);
+    for INT4 and E1M2, 20 5x5 N(0, 1) draws (seed 6); per format 10^4 3x3
+    N(0, 1) draws, each scaled by 10^-3..10^3 (seed 106); per format the
+    same 20 16x16 N(0, 1) draws (seed 23) and a 4x4 zero matrix; per format
+    the same 50 5x5 N(0, 1) draws, each scaled by 10^-6..10^6 (seed 29)."""
     rng = make_rng(5)
     for fmt in QUANT_FORMATS:
         yield fmt, rng.standard_normal((20, 6, 6)) * 3.0
@@ -235,16 +236,6 @@ def _quant_batches():
                              * 10.0 ** rng.integers(-6, 7) for _ in range(50)])
 
 
-def check_quant_idempotence():
-    """qdq(qdq(x)) == qdq(x) bit for bit."""
-    for fmt, xs in _quant_batches():
-        for x in xs:
-            once = quant.qdq(x, fmt)
-            if not np.array_equal(quant.qdq(once, fmt), once):
-                return False, f"{fmt.value}: not idempotent at {x.tolist()}"
-    return True, ""
-
-
 def check_quant_fp4_grid():
     expected = sorted({0.0} | {s * v for s in (-1.0, 1.0)
                                for v in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)})
@@ -252,24 +243,32 @@ def check_quant_fp4_grid():
     return got == expected, "" if got == expected else f"grid {got}"
 
 
-def check_quant_absmax_fixed_point():
-    """The entry attaining max|x| comes out as exactly +-max|x|, and every
-    output entry is at most max|x| in size and is zero or has its input's
-    sign. Together these give max|qdq(x)| == max|x|."""
+def check_quant_properties():
+    """Each matrix of every batch quantized once, and that output once
+    more: qdq(qdq(x)) == qdq(x) bit for bit (idempotence), the entry
+    attaining max|x| comes out as exactly +-max|x| (absmax entry), and
+    every output entry is at most max|x| in size (bound) and is zero or has
+    its input's sign (sign). The last three give max|qdq(x)| == max|x|.
+    Each property that fails is named with the first format it fails in,
+    and idempotence with the first matrix too."""
+    failed = {}
     for fmt, xs in _quant_batches():
         outs = np.stack([quant.qdq(x, fmt) for x in xs])
+        again = np.stack([quant.qdq(y, fmt) for y in outs])
+        moved = xs[np.any(again != outs, axis=(1, 2))]
         mags = np.abs(xs).reshape(len(xs), -1)
         amax = mags.max(axis=1)
         at_max = np.abs(outs).reshape(len(xs), -1)[np.arange(len(xs)),
                                                     mags.argmax(axis=1)]
-        failed = [prop for prop, ok in (
-            ("absmax entry", np.array_equal(at_max, amax)),
-            ("bound", np.all(np.abs(outs) <= amax[:, None, None])),
-            ("sign", np.all((outs == 0) | (np.sign(outs) == np.sign(xs)))))
-            if not ok]
-        if failed:
-            return False, f"{fmt.value}: {', '.join(failed)} violated"
-    return True, ""
+        holds = {"idempotence": not len(moved),
+                 "absmax entry": np.array_equal(at_max, amax),
+                 "bound": np.all(np.abs(outs) <= amax[:, None, None]),
+                 "sign": np.all((outs == 0) | (np.sign(outs) == np.sign(xs)))}
+        for prop, ok in holds.items():
+            if not ok and prop not in failed:
+                failed[prop] = f"{fmt.value}: {prop} violated" + (
+                    f" at {moved[0].tolist()}" if prop == "idempotence" else "")
+    return not failed, "; ".join(failed.values())
 
 
 def check_quant_grid_snap(formats=QUANT_FORMATS):
@@ -501,9 +500,8 @@ CHECKS = [
     ("adaclip bias-corrected threshold", check_adaclip_bias_correction),
     ("adagn output-norm identity", check_adagn_norm_identity),
     ("moret reset periodicity", check_moret_periodicity),
-    ("quantizer idempotence", check_quant_idempotence),
+    ("quantizer idempotence and absmax fixed point", check_quant_properties),
     ("fp4 e1m2 grid values", check_quant_fp4_grid),
-    ("quantizer absmax fixed point", check_quant_absmax_fixed_point),
     ("quantizer rounds to nearest, ties to even", check_quant_grid_snap),
     ("finite differences: quadratic", check_fd_quadratic),
     ("finite differences: rmsnorm", check_fd_rmsnorm),

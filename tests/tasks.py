@@ -1,7 +1,8 @@
 """The tests' configs, each key named by its dotted name as a config file
 names it, and criterion 7's task, declared once; the memory orders the
-doors' tests pass a matrix in; and the one probe of a training step's
-Python-level calls."""
+doors' tests pass a matrix in; the one probe of a training step's
+Python-level calls; and the compensated float sum that builtin ``sum`` is
+from Python 3.12 on."""
 
 import sys
 from collections import Counter
@@ -99,3 +100,15 @@ def step_calls(cfg):
     finally:
         sys.setprofile(None)
     return calls
+
+
+def neumaier(values):
+    """The Neumaier-compensated sum of floats, as builtin ``sum`` adds them
+    from Python 3.12 on; patched in for ``sum``, it shows on any Python
+    whether a sum that must add left to right does."""
+    total = lost = 0.0
+    for x in values:
+        t = total + x
+        lost += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + lost

@@ -20,7 +20,7 @@ from stablespam import cli, optim, quant, selftest
 from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
                             parse_config_text, parse_lr_grid)
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
-                                ScheduleConfig, run)
+                                ScheduleConfig, SweepResult, run)
 from stablespam.optim import ConfigError
 from tasks import config_text, int4_cfg, key_values, set_key, small_cfg
 
@@ -404,6 +404,14 @@ class TestCommands:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_jobs_defaults_to_the_cpu_count(self, tmp_path, monkeypatch):
+        got = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "sweep", lambda cfg, grid, out_dir, jobs: (
+            got.append(jobs) or SweepResult(entries=[], best_lr=None)))
+        main(["sweep", "--out", str(tmp_path / "o")])
+        assert got == [3]
+
     @WRITING_COMMANDS
     def test_negative_seed_writes_nothing(self, argv, tmp_path, capsys):
         paths = {"a": write_cfg(tmp_path, "a.cfg"),
@@ -607,9 +615,8 @@ SELFTEST_CHECKS = [
     "adaclip bias-corrected threshold",
     "adagn output-norm identity",
     "moret reset periodicity",
-    "quantizer idempotence",
+    "quantizer idempotence and absmax fixed point",
     "fp4 e1m2 grid values",
-    "quantizer absmax fixed point",
     "quantizer rounds to nearest, ties to even",
     "finite differences: quadratic",
     "finite differences: rmsnorm",
@@ -676,20 +683,28 @@ def broken_qdq(round_codes=np.rint, plus_zero=True, pin=True,
     return qdq
 
 
+_qdq = quant.qdq
+
+
 # Each broken qdq and the quantizer checks that must fail on it, each with
-# a part of its detail.
+# the parts of its detail: the properties it names, or the grid snap's "!=".
 QDQ_MUTANTS = {
     "pin always skipped": (broken_qdq(pin=False), [
-        (selftest.check_quant_absmax_fixed_point, "absmax entry"),
-        (selftest.check_quant_grid_snap, "!=")]),
+        (selftest.check_quant_properties,
+         ["absmax entry violated", "bound violated"]),
+        (selftest.check_quant_grid_snap, ["!="])]),
     "reciprocal scale, no pin": (broken_qdq(pin=False, reciprocal=True), [
-        (selftest.check_quant_idempotence, "not idempotent"),
-        (selftest.check_quant_absmax_fixed_point, "absmax entry"),
-        (selftest.check_quant_grid_snap, "!=")]),
+        (selftest.check_quant_properties,
+         ["idempotence violated at", "absmax entry violated"]),
+        (selftest.check_quant_grid_snap, ["!="])]),
+    "sign flipped": (lambda x, spec: -_qdq(x, spec), [
+        (selftest.check_quant_properties,
+         ["idempotence violated at", "sign violated"]),
+        (selftest.check_quant_grid_snap, ["!="])]),
     "-0.0 kept": (broken_qdq(plus_zero=False), [
-        (selftest.check_quant_grid_snap, "!=")]),
+        (selftest.check_quant_grid_snap, ["!="])]),
     "ties rounded up": (broken_qdq(round_codes=lambda v: np.floor(v + 0.5)), [
-        (selftest.check_quant_grid_snap, "!=")]),
+        (selftest.check_quant_grid_snap, ["!="])]),
 }
 
 
@@ -766,9 +781,10 @@ class TestSelftest:
     def test_quantizer_mutation_detected(self, mutant, monkeypatch):
         broken, failures = QDQ_MUTANTS[mutant]
         monkeypatch.setattr(quant, "qdq", broken)
-        for check, detail in failures:
+        for check, parts in failures:
             ok, got = check()
-            assert not ok and detail in got, (check.__name__, got)
+            assert not ok and all(part in got for part in parts), (
+                check.__name__, got)
 
     def test_grid_snap_rejects_inexact_ties(self, monkeypatch):
         # With a grid step of 0.7, x / max|x| * top moves some midpoints off

@@ -21,7 +21,7 @@ from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 prepare, run, sweep, write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import frobenius_norm, make_rng
-from tasks import int4_cfg, small_cfg, step_calls
+from tasks import int4_cfg, neumaier, small_cfg, step_calls
 
 
 class TestGlobalGradNorm:
@@ -52,15 +52,6 @@ class TestGlobalGradNorm:
         """From Python 3.12 on, builtin ``sum`` compensates a float sum
         (Neumaier), which would give the norm columns other bits there.
         With ``sum`` so patched, the norm still adds left to right."""
-        def neumaier(values):
-            total = lost = 0.0
-            for x in values:
-                t = total + x
-                lost += (total - t) + x if abs(total) >= abs(x) else (
-                    (x - t) + total)
-                total = t
-            return total + lost
-
         monkeypatch.setattr(optim, "sum", neumaier, raising=False)
         rng = make_rng(2)
         for norms in ([1.0] + [2.0 ** -27] * 200,

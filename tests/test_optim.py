@@ -16,7 +16,8 @@ from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               adam_step, global_grad_norm, grad_clip_global,
                               lion_step, spike_clip)
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
-from tasks import int4_cfg, memory_orders, named_config, step_calls
+from tasks import (int4_cfg, memory_orders, named_config, neumaier,
+                   step_calls)
 
 
 def scalar(x):
@@ -46,6 +47,16 @@ def test_trace_check_fails_on_a_late_nan():
 
     ok, detail = selftest._trace_check(("adam", {}, late_nan))
     assert not ok and detail == "adam max dev nan", detail
+
+
+def test_the_global_clip_oracle_adds_the_squares_left_to_right(monkeypatch):
+    """The reference global norm adds the squared tensor norms in gradient
+    order, as ``optim.global_grad_norm`` does, also where builtin ``sum``
+    compensates (Python 3.12 on): with ``sum`` so patched, the trace still
+    matches bit for bit."""
+    monkeypatch.setattr(oracles, "sum", neumaier, raising=False)
+    assert selftest.check_adam_trace() == (
+        True, "adam/adam_gradclip max dev 0")
 
 
 def recorded_trace_cases(monkeypatch):
