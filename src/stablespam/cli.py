@@ -10,14 +10,15 @@ allowed); sections are expressed with dotted keys, e.g.::
 The keys are the fields of the ``harness`` config dataclasses, named
 ``section.field`` (``seed`` at top level, ``quant.format`` for
 ``RunConfig.quant_format``). Each key's declaration gives the parser of its
-value text (its default's type) and the values it accepts. Every key is
-optional; unset keys take the documented defaults (Adam, no quantization,
-peak LR 1e-3). Unknown keys, keys set twice and unparsable values are
-reported with the key name and line number, a value outside its key's range
-with the key name. ``--seed`` replaces the file's ``seed`` in
-``run``, ``sweep`` and ``compare`` alike; the library checks it, and a
-sweep's learning rates, before any run starts, so a config error writes
-nothing.
+value text (its default's type), the values it accepts and the parts of a
+run that read it; a key set off its default that none of the run's parts
+reads is a config error. Every key is optional; unset keys take the
+documented defaults (Adam, no quantization, peak LR 1e-3). Unknown keys,
+keys set twice and unparsable values are reported with the key name and
+line number, a value outside its key's range with the key name.
+``--seed`` replaces the file's ``seed`` in ``run``, ``sweep`` and
+``compare`` alike; the library checks it, and a sweep's learning rates,
+before any run starts, so a config error writes nothing.
 
 Exit codes: 0 success, 1 config or usage error, 2 divergence-only (every run
 diverged), 3 internal error.
@@ -123,11 +124,12 @@ def parse_lr_grid(text: str) -> list[float]:
 
 def _load_cfg(path: str | None, seed: int | None) -> RunConfig:
     """The config file at ``path`` (the defaults without one), read as UTF-8
-    and checked as it is parsed, with ``--seed`` applied."""
+    less any leading byte-order mark and checked as it is parsed, with
+    ``--seed`` applied."""
     cfg = RunConfig()
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
@@ -237,9 +239,10 @@ def cmd_selftest(args) -> int:
 
 def _out_dir(text: str) -> str:
     """An ``--out`` path whose nearest existing ancestor, or itself, is a
-    directory; anything else is a usage error before any run starts."""
+    directory; anything else, a dangling symbolic link among them, is a
+    usage error before any run starts."""
     path = os.path.abspath(text)
-    while not os.path.exists(path):
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path} is not a directory")
@@ -261,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stable-SPAM optimizer experiments at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="config file path")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--out", type=_out_dir, default="out",
                        help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
@@ -283,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="run configs differing only in optimizer")
     p_cmp.add_argument("configs", nargs="+", help="config files")
-    p_cmp.add_argument("--out", type=_out_dir, default="out")
-    p_cmp.add_argument("--seed", type=int, default=None)
+    common(p_cmp, config=False)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the built-in oracle suite")

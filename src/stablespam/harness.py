@@ -6,7 +6,8 @@ optimizer's ``StepTelemetry`` says; it measures nothing itself. The two
 norm columns combine, with ``global_grad_norm``, the per-tensor gradient
 norms the optimizer took: as it consumed the gradient (after spike
 injection, before any transform) and after all transforms.
-``effective_lr`` is the LR the optimizer's base applied.
+``effective_lr`` is the LR the optimizer's base applied; a diverged row
+applied none: it records ``lr_schedule(step, cfg)``, with no SPAM warmup.
 
 Divergence means a NaN/Inf loss, a loss beyond ``DIVERGENCE_LOSS_CAP`` (an
 overflow guard: a run past that bound is a few steps from literal Inf, and
@@ -20,12 +21,13 @@ validates. A run has at least one step, so its ``final_val_loss`` is None
 exactly when it diverged.
 
 ``_key`` declares each config key: its type (its default's), the parser of
-its config-file text and the values it accepts. ``_OPTIMIZERS`` is the one
-table of optimizers. ``prepare`` is a run's whole set-up: it checks the
-config, spawns the seed streams, switches on the model kind once and builds
-the optimizer. ``run`` is ``prepare`` plus the one training loop. ``sweep``
-checks every grid point's config before any run starts, so a config error
-writes nothing, and runs each point through the module's ``run``.
+its config-file text, the values it accepts and the parts of a run that
+read it. ``_OPTIMIZERS`` is the one table of optimizers. ``prepare`` is a
+run's whole set-up: it checks the config, spawns the seed streams, switches
+on the model kind once and builds the optimizer. ``run`` is ``prepare`` plus
+the one training loop. ``sweep`` checks every grid point's config before any
+run starts, so a config error writes nothing, and runs each point through
+the module's ``run``.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
@@ -90,6 +92,8 @@ _OPTIMIZERS = {
                     ("adaclip", "adagn")),
 }
 OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
+# The optimizers whose base keeps Adam's moments: beta1, beta2 and eps's.
+_ADAMS = ("adam", "adam_gradclip", "adam_mini", "spam", "stable_spam")
 
 
 # A key's type is its default's. Each type: the values that have it (no bool
@@ -101,12 +105,15 @@ _TYPES = {int: ((int, np.integer), "an int", int),
               part.strip() for part in text.split(",") if part.strip()])}
 
 
-def _key(default, accepts):
-    """A config field, typed by its default, and the values it accepts: an
+def _key(default, accepts, readers):
+    """A config field, typed by its default; the values it accepts: an
     interval such as ``"[0, 1)"`` (an infinite bound is always open, so a
     float must be finite), or a tuple of choices, which a list field applies
-    to each entry. ``metadata["parse"]`` reads the key's text, and
-    ``metadata["fault"]`` says why a value is rejected, or returns None.
+    to each entry; and its ``readers``: the optimizer names, transform kinds
+    and model kinds that read it, or None if every run does. ``validate``
+    rejects a value off the default when no part of the run is a reader.
+    ``metadata["parse"]`` reads the key's text; ``metadata["fault"]`` says
+    why a value is rejected, or returns None.
     """
     types, named, parse = _TYPES[type(default)]
     if isinstance(accepts, str):
@@ -128,7 +135,8 @@ def _key(default, accepts):
                 if entry not in accepts:
                     return (f"unknown value {entry!r}; "
                             f"choose from {', '.join(accepts)}")
-    metadata = {"accepts": accepts, "parse": parse, "fault": fault}
+    metadata = {"accepts": accepts, "readers": readers, "parse": parse,
+                "fault": fault}
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -136,56 +144,57 @@ def _key(default, accepts):
 
 @dataclass
 class ModelConfig:
-    kind: str = _key("mlp", ("mlp", "quadratic"))
-    input_dim: int = _key(16, "[1, inf)")
-    hidden_dim: int = _key(32, "[1, inf)")
-    depth: int = _key(2, "[1, inf)")
-    classes: int = _key(4, "[2, inf)")
-    quad_dim: int = _key(8, "[1, inf)")
+    kind: str = _key("mlp", ("mlp", "quadratic"), None)
+    input_dim: int = _key(16, "[1, inf)", ("mlp",))
+    hidden_dim: int = _key(32, "[1, inf)", ("mlp",))
+    depth: int = _key(2, "[1, inf)", ("mlp",))
+    classes: int = _key(4, "[2, inf)", ("mlp",))
+    quad_dim: int = _key(8, "[1, inf)", ("quadratic",))
 
 
 @dataclass
 class DataConfig:
-    samples: int = _key(256, "[1, inf)")
-    batch_size: int = _key(32, "[1, inf)")
+    samples: int = _key(256, "[1, inf)", ("mlp",))
+    batch_size: int = _key(32, "[1, inf)", ("mlp",))
 
 
 @dataclass
 class OptimizerConfig:
-    name: str = _key("adam", OPTIMIZER_NAMES)
-    beta1: float = _key(0.9, "[0, 1)")
-    beta2: float = _key(0.999, "[0, 1)")
+    name: str = _key("adam", OPTIMIZER_NAMES, None)
+    beta1: float = _key(0.9, "[0, 1)", _ADAMS)
+    beta2: float = _key(0.999, "[0, 1)", _ADAMS)
     # Adam's epsilon, and also the one AdaGN adds to its scale's divisor
     # wherever ``adagn`` runs, whatever the base.
-    eps: float = _key(1e-6, "(0, inf)")
-    gamma1: float = _key(0.7, "[0, 1)")
-    gamma2: float = _key(0.9, "[0, 1)")
-    gamma3: float = _key(0.999, "[0, 1)")
-    reset_interval: int = _key(1000, "[0, inf)")  # Stable-SPAM MoRet; 0: off
-    spam_reset_interval: int = _key(500, "[0, inf)")
-    spam_warmup_steps: int = _key(150, "[0, inf)")
-    gss_threshold: float = _key(5000.0, "(0, inf)")
+    eps: float = _key(1e-6, "(0, inf)", _ADAMS + ("adagn",))
+    gamma1: float = _key(0.7, "[0, 1)", ("adagn",))
+    gamma2: float = _key(0.9, "[0, 1)", ("adagn",))
+    gamma3: float = _key(0.999, "[0, 1)", ("adaclip",))
+    # Stable-SPAM's MoRet interval; 0: off
+    reset_interval: int = _key(1000, "[0, inf)", ("stable_spam",))
+    spam_reset_interval: int = _key(500, "[0, inf)", ("spam",))
+    spam_warmup_steps: int = _key(150, "[0, inf)", ("spam",))
+    gss_threshold: float = _key(5000.0, "(0, inf)", ("spike_clip",))
     # 0: off, except adam_gradclip clips at 1
-    grad_clip: float = _key(0.0, "[0, inf)")
-    transforms: list[str] = _key([], optim.TRANSFORM_KINDS)
-    weight_decay: float = _key(0.0, "[0, inf)")
-    lion_beta1: float = _key(0.9, "[0, 1]")
-    lion_beta2: float = _key(0.99, "[0, 1)")
-    adafactor_eps1: float = _key(1e-30, "(0, inf)")
-    adafactor_d: float = _key(1.0, "(0, inf)")
+    grad_clip: float = _key(0.0, "[0, inf)", None)
+    transforms: list[str] = _key([], optim.TRANSFORM_KINDS, None)
+    weight_decay: float = _key(0.0, "[0, inf)", ("lion",))
+    lion_beta1: float = _key(0.9, "[0, 1]", ("lion",))
+    lion_beta2: float = _key(0.99, "[0, 1)", ("lion",))
+    adafactor_eps1: float = _key(1e-30, "(0, inf)", ("adafactor",))
+    adafactor_d: float = _key(1.0, "(0, inf)", ("adafactor",))
 
 
 @dataclass
 class ScheduleConfig:
-    lr_peak: float = _key(1e-3, "(0, inf)")
-    total_steps: int = _key(2000, "[1, inf)")
-    warmup_steps: int = _key(-1, "[-1, inf)")  # -1: 10% of total_steps
+    lr_peak: float = _key(1e-3, "(0, inf)", None)
+    total_steps: int = _key(2000, "[1, inf)", None)
+    warmup_steps: int = _key(-1, "[-1, inf)", None)  # -1: 10% of total_steps
 
 
 @dataclass
 class SpikeConfig:
-    probability: float = _key(0.0, "[0, 1]")
-    severity: float = _key(0.0, "[0, inf)")
+    probability: float = _key(0.0, "[0, 1]", ("mlp",))
+    severity: float = _key(0.0, "[0, inf)", ("mlp",))
 
 
 @dataclass
@@ -195,8 +204,9 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     spike: SpikeConfig = field(default_factory=SpikeConfig)
-    quant_format: str = _key("none", tuple(f.value for f in QuantSpec))
-    seed: int = _key(0, "[0, inf)")
+    quant_format: str = _key("none", tuple(f.value for f in QuantSpec),
+                             ("mlp",))
+    seed: int = _key(0, "[0, inf)", None)
 
     def keys(self):
         """Yield ``(key, owner, field)`` for every config key, where the
@@ -218,16 +228,16 @@ class RunConfig:
                 raise ConfigError(f"{key}: {message}")
         if self.resolved_warmup() > self.schedule.total_steps:
             raise ConfigError("schedule.warmup_steps: must be <= schedule.total_steps")
-        if self.model.kind == "quadratic":
-            # The quadratic has no quantized matmuls and no input batches.
-            for key, value, off in (
-                    ("quant.format", self.quant_format, "none"),
-                    ("spike.probability", self.spike.probability, 0.0),
-                    ("spike.severity", self.spike.severity, 0.0)):
-                if value != off:
-                    raise ConfigError(f"{key}: must be {off!r} when "
-                                      "model.kind = quadratic, which ignores it")
-        make_optimizer(self.optimizer)  # rejects transforms it cannot run
+        # make_optimizer rejects transforms that the base cannot run.
+        parts = {self.model.kind, self.optimizer.name,
+                 *make_optimizer(self.optimizer).transforms}
+        for key, owner, f in self.keys():
+            readers = f.metadata["readers"]
+            if (readers and parts.isdisjoint(readers)
+                    and getattr(owner, f.name) != f.default):
+                raise ConfigError(
+                    f"{key}: {self.optimizer.name} on the {self.model.kind} "
+                    f"model does not read it (read by {', '.join(readers)})")
 
     def quant_spec(self) -> QuantSpec:
         return QuantSpec.from_name(self.quant_format)

@@ -43,9 +43,14 @@ def config_text(cfg):
 
 
 def small_cfg(keys=()):
-    """The ``SMALL`` MLP with ``keys`` (a dict of key to value) set."""
+    """The ``SMALL`` MLP with ``keys`` (a dict of key to value) set; with
+    ``model.kind`` set to another model, ``SMALL`` less its MLP sizes."""
+    keys = dict(keys)
+    mlp = keys.get("model.kind", "mlp") == "mlp"
+    small = {key: value for key, value in SMALL.items()
+             if mlp or not key.startswith("model.")}
     cfg = RunConfig()
-    for key, value in {**SMALL, **dict(keys)}.items():
+    for key, value in {**small, **keys}.items():
         set_key(cfg, key, value)
     return cfg
 

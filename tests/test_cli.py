@@ -223,7 +223,10 @@ class TestKeys:
     @pytest.mark.parametrize("base, key, value", [
         pytest.param({"model.kind": "quadratic"}, key, value, id=f"{key}-{value}")
         for key, value in (("quant.format", "int4"), ("spike.probability", 0.1),
-                           ("spike.severity", 0.5))
+                           ("spike.severity", 0.5), ("model.input_dim", 6),
+                           ("data.samples", 64))
+    ] + [
+        pytest.param({}, "model.quad_dim", 4, id="model.quad_dim-4")
     ] + [
         pytest.param({"schedule.total_steps": 10}, "schedule.warmup_steps", 11,
                      id="schedule.warmup_steps-above-total_steps")
@@ -237,10 +240,11 @@ class TestKeys:
     ])
     def test_key_combination_is_config_error(self, base, key, value, tmp_path,
                                              capsys):
-        """Values each key accepts alone but not together: the quadratic
-        ignores the quant and spike keys, warmup cannot outlast the run, and
-        an optimizer can neither repeat a transform it applies itself nor run
-        spike_clip without a second moment."""
+        """Values each key accepts alone but not together: a key off its
+        default that no part of the run reads (the quadratic reads no MLP,
+        data, quant or spike key, the MLP no ``model.quad_dim``), warmup
+        that outlasts the run, and an optimizer that repeats a transform it
+        applies itself or runs spike_clip without a second moment."""
         settings = {**base, key: value}
         cfg = RunConfig()
         for k, v in settings.items():
@@ -398,6 +402,16 @@ class TestCommands:
         assert exc.value.code == EXIT_OK
         assert "--seed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_help_explains_out_and_seed(self, command, capsys):
+        # compare names its config files as arguments, not with --config.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "output directory" in out and "seed override" in out
+        assert ("--config" in out) == (command != "compare")
+
     def test_negative_jobs_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "--jobs", "-1", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
@@ -424,14 +438,17 @@ class TestCommands:
         assert not out.exists()
 
     @WRITING_COMMANDS
-    @pytest.mark.parametrize("out", ["f", os.path.join("f", "sub")],
-                             ids=["file", "under-file"])
+    @pytest.mark.parametrize("out", ["f", os.path.join("f", "sub"), "link",
+                                     os.path.join("link", "sub")],
+                             ids=["file", "under-file", "dangling-link",
+                                  "under-dangling-link"])
     def test_out_that_cannot_be_a_directory_is_usage_error(
             self, argv, out, tmp_path, capsys):
         # Checked as the arguments are parsed: nothing is run or written.
         paths = {"a": write_cfg(tmp_path, "a.cfg"),
                  "b": write_cfg(tmp_path, "b.cfg", {"optimizer.name": "sgd"})}
         (tmp_path / "f").write_bytes(b"not a directory\n")
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
         before = sorted(tmp_path.iterdir())
         with pytest.raises(SystemExit) as exc:
             main([arg.format(**paths) for arg in argv]
@@ -483,6 +500,18 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(
             f"config error: config file {paths['a']!r}: {reason}")
         assert not out.exists()
+
+    def test_config_with_a_byte_order_mark_runs_as_without(self, tmp_path):
+        # Some editors begin a UTF-8 file with the mark U+FEFF.
+        plain = Path(write_cfg(tmp_path, "plain.cfg"))
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, marked):
+            code = main(["run", "--config", str(path),
+                         "--out", str(tmp_path / path.stem)])
+            assert code == EXIT_OK
+        assert ((tmp_path / "marked" / "run.csv").read_bytes()
+                == (tmp_path / "plain" / "run.csv").read_bytes())
 
     def test_sweep_writes_summary(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "a.cfg")

@@ -495,21 +495,7 @@ def test_make_optimizer_unknown_name():
         make_optimizer(OptimizerConfig(name="adamw"))
 
 
-# The optimizer keys each optimizer reads, besides its name and transforms,
-# and a valid value of each key that is not its default.
-ADAM_KEYS = ("beta1", "beta2", "eps")
-READS = {
-    "sgd": (),
-    "adam": ADAM_KEYS,
-    "adam_gradclip": ADAM_KEYS + ("grad_clip",),
-    "adafactor": ("adafactor_eps1", "adafactor_d"),
-    "lion": ("lion_beta1", "lion_beta2", "weight_decay"),
-    "adam_mini": ADAM_KEYS,
-    "spam": ADAM_KEYS + ("spam_reset_interval", "spam_warmup_steps",
-                         "gss_threshold"),
-    "stable_spam": ADAM_KEYS + ("reset_interval", "gamma1", "gamma2",
-                                "gamma3"),
-}
+# A valid value of each numeric optimizer key that is not its default.
 CHANGED = {"beta1": 0.5, "beta2": 0.9, "eps": 1e-3, "grad_clip": 0.5,
            "adafactor_eps1": 1e-3, "adafactor_d": 0.5, "lion_beta1": 0.5,
            "lion_beta2": 0.5, "weight_decay": 0.1, "spam_reset_interval": 10,
@@ -517,14 +503,10 @@ CHANGED = {"beta1": 0.5, "beta2": 0.9, "eps": 1e-3, "grad_clip": 0.5,
            "gamma1": 0.5, "gamma2": 0.5, "gamma3": 0.5}
 
 
-def test_the_key_table_names_every_optimizer():
-    assert tuple(READS) == harness.OPTIMIZER_NAMES
-
-
 def key_trace(ocfg):
     """The weights after 30 steps of ``ocfg``'s optimizer on two tensors,
-    N(0, 1) gradients with every 7th spiked 10x, from ones at lr 0.01."""
-    RunConfig(optimizer=ocfg).validate()
+    N(0, 1) gradients with every 7th spiked 10x, from ones at lr 0.01. The
+    optimizer is built whether or not ``validate`` accepts ``ocfg``."""
     opt = make_optimizer(ocfg)
     rng = make_rng(51)
     params = {"w": np.ones((3, 4)), "gain": np.ones((1, 4))}
@@ -537,16 +519,24 @@ def key_trace(ocfg):
 
 
 # "base+transform" is a base behind one transform: AdaGN reads
-# ``optimizer.eps`` whatever the base, so ``eps`` also changes SGD's run
-# there. (Lion's sign update would hide it.)
+# ``optimizer.eps``, ``gamma1`` and ``gamma2`` whatever the base, so they
+# also change SGD's run there. (Lion's sign update would hide ``eps``.)
 @pytest.mark.parametrize("name, key", [
-    (name, key) for name, keys in READS.items() for key in keys]
-    + [("sgd+adagn", "eps")])
+    (name, key) for name in harness.OPTIMIZER_NAMES + ("sgd+adagn",)
+    for key in CHANGED])
 def test_every_key_an_optimizer_reads_changes_its_run(name, key):
+    """Every key that ``validate`` accepts off its default changes the run;
+    every key it rejects there, naming the key, would have left it as is."""
     default = named_config(name)
     assert getattr(default, key) != CHANGED[key]
     changed = replace(default, **{key: CHANGED[key]})
-    assert key_trace(changed) != key_trace(default)
+    try:
+        RunConfig(optimizer=changed).validate()
+    except ConfigError as exc:
+        assert str(exc).startswith(f"optimizer.{key}: ")
+        assert key_trace(changed) == key_trace(default)
+    else:
+        assert key_trace(changed) != key_trace(default)
 
 
 # ---------------------------------------------------------------------------
