@@ -20,8 +20,8 @@ line number, a value outside its key's range with the key name.
 ``compare`` alike; the library checks it, and a sweep's learning rates,
 before any run starts, so a config error writes nothing.
 
-Exit codes: 0 success, 1 config or usage error, 2 divergence-only (every run
-diverged), 3 internal error.
+``main`` returns the exit code of every outcome: 0 success or ``--help``, 1
+config or usage error, 2 every run diverged, 3 internal error.
 """
 
 from __future__ import annotations
@@ -231,7 +231,8 @@ def cmd_selftest(args) -> int:
 
     report = selftest.run_selftest()
     for name, ok, detail in report:
-        print(f"[PASS] {name}" if ok else f"[FAIL] {name} ({detail})")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}"
+              + (f" ({detail})" if detail else ""))
     failed = sum(1 for _, ok, _ in report if not ok)
     print(f"{len(report) - failed}/{len(report)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
@@ -249,17 +250,8 @@ def _out_dir(text: str) -> str:
     return text
 
 
-class _Parser(argparse.ArgumentParser):
-    """Exits EXIT_CONFIG on a usage error, where argparse would exit 2, the
-    code for "every run diverged". Subparsers inherit the class."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="stablespam",
         description="Stable-SPAM optimizer experiments at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,8 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is this
+        # CLI's code for "every run diverged"
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,19 +1,19 @@
 """The one table of release-gate checks.
 
 Each ``CHECKS`` entry is a name and a function that takes no arguments,
-carries its own data and tolerance, and returns ``(ok, detail)``.
-``stablespam selftest`` runs the whole table. In pytest each entry runs once:
-criteria 1-6 and 10 of the acceptance suite (``tests/test_acceptance.py``)
-call all but ``lr schedule endpoints``, which ``tests/test_harness.py``
-calls, and ``quantizer rounds to nearest, ties to even``, which
-``tests/test_quant.py`` calls one format at a time. The checks compare
-every optimizer's trace bit for bit with its independent reference in
-:mod:`stablespam.oracles`, analytic gradients with central finite
-differences, and the quantizer with a brute-force grid snap and, in one
-pass over its check data, its stated properties. Every optimizer trace
-steps a parameter set through ``harness.make_optimizer``, as training
-does, and checks each step's weights and telemetry: one tensor alone and
-three laid out together.
+carries its own data and tolerance, and returns ``(ok, detail)``; each kind
+of check is one entry over its declared cases. ``stablespam selftest`` runs
+the whole table. In pytest each entry runs once: criteria 1-6 and 10 of the
+acceptance suite (``tests/test_acceptance.py``) call all but ``lr schedule
+endpoints``, which ``tests/test_harness.py`` calls, and ``quantizer rounds
+to nearest, ties to even``, which ``tests/test_quant.py`` calls one format
+at a time. The checks compare every optimizer's trace bit for bit with its
+independent reference in :mod:`stablespam.oracles` (``TRACE_CASES``),
+every model's analytic gradients with central finite differences, and the
+quantizer with a brute-force grid snap and, in one pass over its check
+data, its stated properties. Every optimizer trace steps a parameter set
+through ``harness.make_optimizer``, as training does, and checks each
+step's weights and telemetry: one tensor alone and three laid out together.
 """
 
 from __future__ import annotations
@@ -53,6 +53,28 @@ def trace_sets(seed):
     return [alone], together
 
 
+def _trace_devs(ocfg, reference):
+    """Yields, on each parameter set, the largest deviation of each quantity
+    ``_trace_check`` compares: the optimizer of ``ocfg`` against ``reference``."""
+    for streams in (s for seed in TRACE_SEEDS for s in trace_sets(seed)):
+        names = [f"t{k}" for k in range(len(streams))]
+        # The weights in the reverse of the gradients' order, as the MLP's
+        params = {key: np.zeros(gs.shape[1:])
+                  for key, gs in reversed(list(zip(names, streams)))}
+        opt, got, want = harness.make_optimizer(ocfg), [], []
+        for step, gs in enumerate(zip(*streams), start=1):
+            telemetry = opt.step(params, dict(zip(names, gs)), LR, step)
+            got.append([telemetry.clipped_fraction] + [
+                x for key in names
+                for x in (params[key], telemetry.grads_post[key])])
+        size = sum(gs[0].size for gs in streams)
+        for records in zip(*reference(streams, LR)):
+            want.append([sum(c for _, _, c in records) / size] + [
+                x for w, g, _ in records for x in (w, g)])
+        yield from (np.max(np.abs(np.subtract(a, b)))
+                    for a, b in zip(zip(*got), zip(*want), strict=True))
+
+
 def _trace_check(*cases):
     """Optimizer steps against their references, bit for bit, each case a
     tuple ``(name, options, reference)``. The optimizer ``name``, built by
@@ -61,85 +83,55 @@ def _trace_check(*cases):
     of ``trace_sets`` from zero at ``LR``. Per step, each tensor's weights
     and ``grads_post`` must be the ``w`` and ``g`` of its oracle record
     ``(w, g, clipped)`` from ``reference(streams, LR)``, and
-    ``clipped_fraction`` the clipped counts over the set's size."""
-    devs = {}
+    ``clipped_fraction`` the clipped counts over the set's size. A case
+    that raises fails its name, and the other cases still run."""
+    devs, failed = {}, {}
     for name, options, reference in cases:
-        ocfg = harness.OptimizerConfig(name=name, **options)
-        harness.RunConfig(optimizer=ocfg).validate()
-        for streams in (s for seed in TRACE_SEEDS for s in trace_sets(seed)):
-            names = [f"t{k}" for k in range(len(streams))]
-            # The weights in the reverse of the gradients' order, as the MLP's
-            params = {key: np.zeros(gs.shape[1:])
-                      for key, gs in reversed(list(zip(names, streams)))}
-            opt, got, want = harness.make_optimizer(ocfg), [], []
-            for step, gs in enumerate(zip(*streams), start=1):
-                telemetry = opt.step(params, dict(zip(names, gs)), LR, step)
-                got.append([telemetry.clipped_fraction] + [
-                    x for key in names
-                    for x in (params[key], telemetry.grads_post[key])])
-            size = sum(gs[0].size for gs in streams)
-            for records in zip(*reference(streams, LR)):
-                want.append([sum(c for _, _, c in records) / size] + [
-                    x for w, g, _ in records for x in (w, g)])
-            devs.setdefault(name, []).extend(
-                np.max(np.abs(np.subtract(a, b)))
-                for a, b in zip(zip(*got), zip(*want), strict=True))
+        try:
+            ocfg = harness.OptimizerConfig(name=name, **options)
+            harness.RunConfig(optimizer=ocfg).validate()
+            devs.setdefault(name, []).extend(_trace_devs(ocfg, reference))
+        except Exception as exc:  # noqa: BLE001
+            failed.setdefault(
+                name, f"{name} raised {type(exc).__name__}: {exc}")
     # np.max, unlike max(), is NaN when any deviation is, and NaN != 0.
-    failed = [f"{name} max dev {np.max(d):.2e}" for name, d in devs.items()
-              if np.max(d) != 0.0]
-    return not failed, "; ".join(failed) or f"{'/'.join(devs)} max dev 0"
+    for name, d in devs.items():
+        if name not in failed and np.max(d) != 0.0:
+            failed[name] = f"{name} max dev {np.max(d):.2e}"
+    return not failed, ("; ".join(failed.values())
+                        or f"{'/'.join(devs)} max dev 0")
+
+
+# Every optimizer's trace cases, in ``harness.OPTIMIZER_NAMES`` order.
+# adam_gradclip clips at 1.0, the library's default threshold. SPAM runs with
+# spike threshold 2, warmup 10 and reset 20 or 25; with reset and warmup off
+# and the threshold at 1e300, which nothing reaches, it is Adam. (An
+# infinite threshold is not a valid config.)
+TRACE_CASES = (
+    ("sgd", {}, each_tensor(oracles.sgd_trace)),
+    ("adam", {}, each_tensor(oracles.adam_trace)),
+    ("adam_gradclip", {}, partial(oracles.adam_gradclip_trace, threshold=1.0)),
+    ("adafactor", {}, each_tensor(oracles.adafactor_trace)),
+    ("lion", {}, each_tensor(oracles.lion_trace)),
+    ("lion", {"weight_decay": 0.1}, each_tensor(oracles.lion_trace, wd=0.1)),
+    ("adam_mini", {}, each_tensor(oracles.adam_mini_trace)),
+    *(("spam", {"spam_reset_interval": k, "spam_warmup_steps": 10,
+                "gss_threshold": 2.0},
+       each_tensor(oracles.spam_trace, theta=2.0, reset_interval=k,
+                   warmup=10)) for k in (20, 25)),
+    ("spam", {"spam_reset_interval": 0, "spam_warmup_steps": 0,
+              "gss_threshold": 1e300}, each_tensor(oracles.adam_trace)),
+    *(("stable_spam", {"reset_interval": k},
+       each_tensor(oracles.stable_spam_trace, interval=k)) for k in (10, 20)),
+)
 
 
 # ---------------------------------------------------------------------------
 # Checks (each returns (ok, detail))
 # ---------------------------------------------------------------------------
 
-def check_adam_trace():
-    # adam_gradclip clips at 1.0, the library's default threshold
-    return _trace_check(
-        ("adam", {}, each_tensor(oracles.adam_trace)),
-        ("adam_gradclip", {},
-         partial(oracles.adam_gradclip_trace, threshold=1.0)))
-
-
-def check_sgd_trace():
-    return _trace_check(("sgd", {}, each_tensor(oracles.sgd_trace)))
-
-
-def check_spam_trace():
-    """SPAM with spike threshold 2, warmup 10 and reset 20 or 25; with reset
-    and warmup off and the threshold at 1e300, which nothing reaches, it is
-    Adam. (An infinite threshold is not a valid config.)"""
-    return _trace_check(*(
-        ("spam", {"spam_reset_interval": k, "spam_warmup_steps": 10,
-                  "gss_threshold": 2.0},
-         each_tensor(oracles.spam_trace, theta=2.0, reset_interval=k,
-                     warmup=10))
-        for k in (20, 25)), (
-        "spam", {"spam_reset_interval": 0, "spam_warmup_steps": 0,
-                 "gss_threshold": 1e300}, each_tensor(oracles.adam_trace)))
-
-
-def check_stable_spam_trace():
-    return _trace_check(*(
-        ("stable_spam", {"reset_interval": k},
-         each_tensor(oracles.stable_spam_trace, interval=k))
-        for k in (10, 20)))
-
-
-def check_lion_trace():
-    return _trace_check(
-        ("lion", {}, each_tensor(oracles.lion_trace)),
-        ("lion", {"weight_decay": 0.1},
-         each_tensor(oracles.lion_trace, wd=0.1)))
-
-
-def check_adam_mini_trace():
-    return _trace_check(("adam_mini", {}, each_tensor(oracles.adam_mini_trace)))
-
-
-def check_adafactor_trace():
-    return _trace_check(("adafactor", {}, each_tensor(oracles.adafactor_trace)))
+def check_traces():
+    return _trace_check(*TRACE_CASES)
 
 
 def check_adaclip_bias_correction():
@@ -371,22 +363,6 @@ def _random_shapes():
                       rng.integers(0, classes, size=4))
 
 
-def _gradient_check(model, fixed, tol):
-    """Analytic gradients of one model against central differences, on each
-    argument tuple in ``fixed`` and on the model's five random shapes. Each
-    gradient is checked at steps 1e-6 and 1e-5 * max(1, max|x|); the error
-    is relative to the largest numeric entry and must be below ``tol``."""
-    errs = []
-    for args in fixed + [a for kind, a in _random_shapes() if kind == model]:
-        for f, x, analytic in _PROBLEMS[model](*args):
-            for h in (1e-6, 1e-5 * max(1.0, np.max(np.abs(x)))):
-                num = finite_difference(f, x, h)
-                errs.append(np.max(np.abs(num - analytic))
-                            / max(np.max(np.abs(num)), 1e-8))
-    worst = float(np.max(errs))
-    return worst < tol, f"{model} max rel err {worst:.2e}"
-
-
 def _layer_args(seed, *shapes):
     """A layer's arguments and the upstream gradient ``dy``, of the given
     shapes (``dy``'s last), drawn in that order as N(0, 1) from one seed."""
@@ -395,35 +371,50 @@ def _layer_args(seed, *shapes):
     return args, dy
 
 
-# Each tolerance also bounds the absolute error at h = 1e-6 on every fixed
-# input, by 1e-6 for the quadratic and 1e-7 for the others: the tolerance
-# times the input's largest numeric gradient entry stays below that bound.
-
-def check_fd_quadratic():
-    return _gradient_check("quadratic", [
-        (models.make_quadratic(5, make_rng(8)),),
-        (models.make_quadratic(5, make_rng(2)),)], 1e-7)
-
-
-def check_fd_rmsnorm():
-    return _gradient_check("rmsnorm", [
-        _layer_args(9, (3, 8), (1, 8), (3, 8)),
-        _layer_args(4, (3, 5), (1, 5), (3, 5))], 1e-8)
-
-
-def check_fd_swiglu():
-    return _gradient_check("swiglu", [
-        _layer_args(10, (4, 5), (5, 6), (5, 6), (4, 6)),
-        _layer_args(6, (3, 4), (4, 5), (4, 5), (3, 5))], 3e-9)
-
-
-def check_fd_mlp():
+def _fd_cases():
+    """Each model's fixed argument tuples and tolerance. Each tolerance also
+    bounds the absolute error at h = 1e-6 on every fixed input, by 1e-6 for
+    the quadratic and 1e-7 for the others: the tolerance times the input's
+    largest numeric gradient entry stays below that bound."""
     data = models.make_dataset(8, 5, 3, seed=1)
-    return _gradient_check("mlp", [
-        (models.init_mlp(5, 6, 2, 3, make_rng(12)), data.inputs, data.labels),
-        (models.init_mlp(6, 8, 2, 3, make_rng(9)),
-         make_rng(10).standard_normal((5, 6)), np.array([0, 1, 2, 0, 1]))],
-        1e-7)
+    return {
+        "quadratic": ([(models.make_quadratic(5, make_rng(8)),),
+                       (models.make_quadratic(5, make_rng(2)),)], 1e-7),
+        "rmsnorm": ([_layer_args(9, (3, 8), (1, 8), (3, 8)),
+                     _layer_args(4, (3, 5), (1, 5), (3, 5))], 1e-8),
+        "swiglu": ([_layer_args(10, (4, 5), (5, 6), (5, 6), (4, 6)),
+                    _layer_args(6, (3, 4), (4, 5), (4, 5), (3, 5))], 3e-9),
+        "mlp": ([(models.init_mlp(5, 6, 2, 3, make_rng(12)), data.inputs,
+                  data.labels),
+                 (models.init_mlp(6, 8, 2, 3, make_rng(9)),
+                  make_rng(10).standard_normal((5, 6)),
+                  np.array([0, 1, 2, 0, 1]))], 1e-7)}
+
+
+def check_finite_differences():
+    """Each model's analytic gradients against central differences, on its
+    fixed argument tuples and then its five random shapes. Each gradient is
+    checked at steps 1e-6 and 1e-5 * max(1, max|x|); the error is relative
+    to the largest numeric entry and must be below the model's tolerance.
+    A model that raises fails, and the other models still run."""
+    shapes = list(_random_shapes())
+    ok, details = True, []
+    for model, (fixed, tol) in _fd_cases().items():
+        try:
+            errs = []
+            for args in fixed + [a for kind, a in shapes if kind == model]:
+                for f, x, analytic in _PROBLEMS[model](*args):
+                    for h in (1e-6, 1e-5 * max(1.0, np.max(np.abs(x)))):
+                        num = finite_difference(f, x, h)
+                        errs.append(np.max(np.abs(num - analytic))
+                                    / max(np.max(np.abs(num)), 1e-8))
+            worst = float(np.max(errs))
+            details.append(f"{model} max rel err {worst:.2e}")
+        except Exception as exc:  # noqa: BLE001
+            worst = np.inf
+            details.append(f"{model} raised {type(exc).__name__}: {exc}")
+        ok = ok and worst < tol
+    return ok, "; ".join(details)
 
 
 def check_constant_gradient_bias_correction():
@@ -490,23 +481,14 @@ def check_lr_schedule_endpoints():
 
 
 CHECKS = [
-    ("adam trace vs reference", check_adam_trace),
-    ("sgd trace vs reference", check_sgd_trace),
-    ("spam trace vs reference", check_spam_trace),
-    ("stable_spam trace vs reference", check_stable_spam_trace),
-    ("lion trace vs reference", check_lion_trace),
-    ("adam_mini trace vs reference", check_adam_mini_trace),
-    ("adafactor trace vs reference", check_adafactor_trace),
+    ("optimizer traces vs reference", check_traces),
     ("adaclip bias-corrected threshold", check_adaclip_bias_correction),
     ("adagn output-norm identity", check_adagn_norm_identity),
     ("moret reset periodicity", check_moret_periodicity),
     ("quantizer idempotence and absmax fixed point", check_quant_properties),
     ("fp4 e1m2 grid values", check_quant_fp4_grid),
     ("quantizer rounds to nearest, ties to even", check_quant_grid_snap),
-    ("finite differences: quadratic", check_fd_quadratic),
-    ("finite differences: rmsnorm", check_fd_rmsnorm),
-    ("finite differences: swiglu", check_fd_swiglu),
-    ("finite differences: mlp", check_fd_mlp),
+    ("finite differences vs analytic gradients", check_finite_differences),
     ("bias correction on a constant gradient",
      check_constant_gradient_bias_correction),
     ("global grad clip norm bound", check_grad_clip_norm_bound),

@@ -1,14 +1,15 @@
 """The tests' configs, each key named by its dotted name as a config file
 names it, and criterion 7's task, declared once; the memory orders the
 doors' tests pass a matrix in; the one probe of a training step's
-Python-level calls; and the compensated float sum that builtin ``sum`` is
-from Python 3.12 on."""
+Python-level calls; the optimizer-trace check of some optimizers only; and
+the compensated float sum that builtin ``sum`` is from Python 3.12 on."""
 
 import sys
 from collections import Counter
 
 import numpy as np
 
+from stablespam import selftest
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SpikeConfig, run)
 
@@ -105,6 +106,13 @@ def step_calls(cfg):
     finally:
         sys.setprofile(None)
     return calls
+
+
+def traces_of(*names):
+    """The selftest's optimizer-trace check over the ``TRACE_CASES`` of the
+    optimizers ``names`` only."""
+    return selftest._trace_check(*(case for case in selftest.TRACE_CASES
+                                   if case[0] in names))
 
 
 def neumaier(values):

@@ -4,11 +4,14 @@ Criteria 1-6 and 10 are exact property and oracle checks: each runs entries
 of the check table in ``stablespam.selftest``, the same functions
 ``stablespam selftest`` runs. Between them they run every entry once, but
 for ``lr schedule endpoints`` (``tests/test_harness.py``) and ``quantizer
-rounds to nearest, ties to even`` (``tests/test_quant.py``); criterion 5
-runs the two other quantizer entries, the first of which checks all four
-of its properties in one pass over its data. Criteria 7 and 8 are
-deterministic desk-scale phenomenology checks (one ``harness.sweep`` per
-seed on the spike-injected INT4 MLP task); criterion 9 checks determinism.
+rounds to nearest, ties to even`` (``tests/test_quant.py``). Criterion 1
+runs the one entry that traces all eight optimizers against their oracles,
+and criterion 6 the one entry that checks all four models' gradients by
+finite differences; criterion 5 runs the two other quantizer entries, the
+first of which checks all four of its properties in one pass over its
+data. Criteria 7 and 8 are deterministic desk-scale phenomenology checks
+(one ``harness.sweep`` per seed on the spike-injected INT4 MLP task);
+criterion 9 checks determinism.
 """
 
 import math
@@ -38,12 +41,8 @@ def report_checks(num, name, checks, limit=math.inf):
 
 
 def test_criterion_01_oracle_equivalence():
-    report_checks(1, "bitwise oracle equivalence for all 8 optimizers", [
-        selftest.check_adam_trace, selftest.check_sgd_trace,
-        selftest.check_adafactor_trace,
-        selftest.check_lion_trace, selftest.check_adam_mini_trace,
-        selftest.check_spam_trace, selftest.check_stable_spam_trace],
-        limit=1.0)
+    report_checks(1, "bitwise oracle equivalence for all 8 optimizers",
+                  [selftest.check_traces], limit=1.0)
 
 
 def test_criterion_02_algorithm_fidelity():
@@ -70,9 +69,8 @@ def test_criterion_05_quantizer_properties():
 
 
 def test_criterion_06_gradient_checks():
-    report_checks(6, "gradient checks vs central finite differences", [
-        selftest.check_fd_quadratic, selftest.check_fd_rmsnorm,
-        selftest.check_fd_swiglu, selftest.check_fd_mlp], limit=30.0)
+    report_checks(6, "gradient checks vs central finite differences",
+                  [selftest.check_finite_differences], limit=30.0)
 
 
 SEEDS = (0, 1, 2)

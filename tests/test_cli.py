@@ -22,7 +22,8 @@ from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SweepResult, run)
 from stablespam.optim import ConfigError
-from tasks import config_text, int4_cfg, key_values, set_key, small_cfg
+from tasks import (config_text, int4_cfg, key_values, set_key, small_cfg,
+                   traces_of)
 
 
 def write_cfg(tmp_path, name, keys=()):
@@ -391,26 +392,32 @@ class TestCommands:
                              ids=["bad-seed", "unknown-flag", "unknown-command"])
     def test_usage_error_is_config_error(self, argv, capsys):
         # exit 2 is reserved for "every run diverged"
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_CONFIG
+        assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("usage: stablespam")
 
     def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--help"])
-        assert exc.value.code == EXIT_OK
+        assert main(["run", "--help"]) == EXIT_OK
         assert "--seed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
     def test_help_explains_out_and_seed(self, command, capsys):
         # compare names its config files as arguments, not with --config.
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
-        assert exc.value.code == EXIT_OK
+        assert main([command, "--help"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "output directory" in out and "seed override" in out
         assert ("--config" in out) == (command != "compare")
+
+    @pytest.mark.parametrize("argv, code", [(["frobnicate"], EXIT_CONFIG),
+                                            (["--help"], EXIT_OK)],
+                             ids=["unknown-command", "help"])
+    def test_module_exits_with_the_code_main_returns(self, argv, code):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-m", "stablespam.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == code
+        shown = proc.stderr if code else proc.stdout
+        assert shown.startswith("usage: stablespam"), proc.stderr
 
     def test_negative_jobs_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "--jobs", "-1", "--out", str(tmp_path / "o")])
@@ -450,10 +457,8 @@ class TestCommands:
         (tmp_path / "f").write_bytes(b"not a directory\n")
         (tmp_path / "link").symlink_to(tmp_path / "nowhere")
         before = sorted(tmp_path.iterdir())
-        with pytest.raises(SystemExit) as exc:
-            main([arg.format(**paths) for arg in argv]
-                 + ["--out", str(tmp_path / out)])
-        assert exc.value.code == EXIT_CONFIG
+        assert main([arg.format(**paths) for arg in argv]
+                    + ["--out", str(tmp_path / out)]) == EXIT_CONFIG
         assert "argument --out" in capsys.readouterr().err
         assert (tmp_path / "f").read_bytes() == b"not a directory\n"
         assert sorted(tmp_path.iterdir()) == before
@@ -634,23 +639,14 @@ class TestCommands:
 
 
 SELFTEST_CHECKS = [
-    "adam trace vs reference",
-    "sgd trace vs reference",
-    "spam trace vs reference",
-    "stable_spam trace vs reference",
-    "lion trace vs reference",
-    "adam_mini trace vs reference",
-    "adafactor trace vs reference",
+    "optimizer traces vs reference",
     "adaclip bias-corrected threshold",
     "adagn output-norm identity",
     "moret reset periodicity",
     "quantizer idempotence and absmax fixed point",
     "fp4 e1m2 grid values",
     "quantizer rounds to nearest, ties to even",
-    "finite differences: quadratic",
-    "finite differences: rmsnorm",
-    "finite differences: swiglu",
-    "finite differences: mlp",
+    "finite differences vs analytic gradients",
     "bias correction on a constant gradient",
     "global grad clip norm bound",
     "lr schedule endpoints",
@@ -751,7 +747,8 @@ class TestSelftest:
                                        ("second", lambda: (True, ""))],
                                       monkeypatch, capsys)
         assert code == EXIT_OK
-        assert lines == ["[PASS] first", "[PASS] second", "2/2 checks passed"]
+        assert lines == ["[PASS] first (dev 0)", "[PASS] second",
+                         "2/2 checks passed"]
 
     def test_failure_or_exception_exits_internal(self, monkeypatch, capsys):
         code, lines = run_selftest_on([("passes", lambda: (True, "")),
@@ -771,8 +768,9 @@ class TestSelftest:
             return g.copy(), 0.0
 
         monkeypatch.setattr(optim, "adaclip", broken)
-        for check in (selftest.check_stable_spam_trace,
-                      selftest.check_adaclip_bias_correction,
+        ok, detail = traces_of("stable_spam")
+        assert not ok and detail.startswith("stable_spam max dev "), detail
+        for check in (selftest.check_adaclip_bias_correction,
                       selftest.check_constant_gradient_bias_correction):
             ok, detail = check()
             assert not ok, (check.__name__, detail)
@@ -790,7 +788,7 @@ class TestSelftest:
         original = getattr(optim.Layout, stat)
         monkeypatch.setattr(optim.Layout, stat,
                             lambda layout, x: original(layout, x)[::-1])
-        ok, detail = getattr(selftest, f"check_{name}_trace")()
+        ok, detail = traces_of(name)
         assert not ok and detail.startswith(f"{name} max dev "), detail
 
     def test_raw_grads_post_detected(self, monkeypatch):
@@ -800,10 +798,8 @@ class TestSelftest:
             return telemetry
 
         monkeypatch.setattr(optim.ComposedOptimizer, "step", raw)
-        for check, name in ((selftest.check_stable_spam_trace, "stable_spam"),
-                            (selftest.check_spam_trace, "spam"),
-                            (selftest.check_adam_trace, "adam_gradclip")):
-            ok, detail = check()
+        for name in ("stable_spam", "spam", "adam_gradclip"):
+            ok, detail = traces_of(name)
             assert not ok and detail.startswith(f"{name} max dev "), detail
 
     @pytest.mark.parametrize("mutant", list(QDQ_MUTANTS))
@@ -824,7 +820,7 @@ class TestSelftest:
 
     def test_each_entry_has_one_tier1_home(self):
         """Each table entry is called from exactly one place in the tests that
-        run the table (the mutation test above re-runs three on purpose)."""
+        run the table (the mutation tests above re-run some on purpose)."""
         calls = []
         for name in ("test_acceptance.py", "test_quant.py", "test_harness.py"):
             tree = ast.parse((Path(__file__).parent / name).read_text())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablespam import models
+from stablespam import models, selftest
 from stablespam.models import (QuadraticProblem, _sigmoid, init_mlp,
                                inject_spikes, make_dataset, make_quadratic,
                                mlp_forward_backward, mlp_loss,
@@ -302,3 +302,17 @@ class TestInjectSpikes:
             inject_spikes(x, -0.1, 1.0, make_rng(0))
         with pytest.raises(ValueError):
             inject_spikes(x, 0.5, -1.0, make_rng(0))
+
+
+def test_a_model_that_raises_fails_the_gradient_entry_by_name(monkeypatch):
+    """The finite-difference entry names a model whose gradient raises, and
+    still checks the other models."""
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(models, "mlp_forward_backward", boom)
+    ok, detail = selftest.check_finite_differences()
+    *others, mlp = detail.split("; ")
+    assert not ok and mlp == "mlp raised RuntimeError: boom", detail
+    assert [part.split(" max rel err ")[0] for part in others] == [
+        "quadratic", "rmsnorm", "swiglu"], detail

@@ -17,7 +17,7 @@ from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               lion_step, spike_clip)
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
 from tasks import (int4_cfg, memory_orders, named_config, neumaier,
-                   step_calls)
+                   step_calls, traces_of)
 
 
 def scalar(x):
@@ -55,32 +55,22 @@ def test_the_global_clip_oracle_adds_the_squares_left_to_right(monkeypatch):
     compensates (Python 3.12 on): with ``sum`` so patched, the trace still
     matches bit for bit."""
     monkeypatch.setattr(oracles, "sum", neumaier, raising=False)
-    assert selftest.check_adam_trace() == (
+    assert traces_of("adam", "adam_gradclip") == (
         True, "adam/adam_gradclip max dev 0")
 
 
-def recorded_trace_cases(monkeypatch):
-    """The cases the seven trace entries pass, recorded, not stepped."""
-    cases = []
-    monkeypatch.setattr(selftest, "_trace_check",
-                        lambda *given: cases.extend(given) or (True, ""))
-    ran = [check() for name, check in selftest.CHECKS
-           if name.endswith(" trace vs reference")]
-    assert ran == [(True, "")] * 7
-    return cases
+def test_the_trace_entries_trace_every_optimizer():
+    """A new optimizer cannot ship without an oracle trace; the cases come
+    in ``OPTIMIZER_NAMES`` order, the order the passing detail names them."""
+    traced = [name for name, _, _ in selftest.TRACE_CASES]
+    assert list(dict.fromkeys(traced)) == list(harness.OPTIMIZER_NAMES)
 
 
-def test_the_trace_entries_trace_every_optimizer(monkeypatch):
-    """A new optimizer cannot ship without an oracle trace."""
-    traced = {name for name, _, _ in recorded_trace_cases(monkeypatch)}
-    assert traced == set(harness.OPTIMIZER_NAMES)
-
-
-def test_the_set_covers_each_case(monkeypatch):
+def test_the_set_covers_each_case():
     """The oracle records of the three tensors show, on each seed, AdaClip
     clipping in one tensor alone, an all-zero gradient (AdaGN's zero-norm
     branch) and the global clip acting and idle; MoRet and SPAM reset."""
-    cases = recorded_trace_cases(monkeypatch)
+    cases = selftest.TRACE_CASES
     for seed in selftest.TRACE_SEEDS:
         streams = selftest.trace_sets(seed)[1]
         for name, _, reference in cases:
@@ -105,7 +95,24 @@ def test_the_stable_spam_oracle_takes_a_zero_gradient(monkeypatch):
     zero = np.zeros((2, 1, 3))
     monkeypatch.setattr(selftest, "trace_sets", lambda seed: [
         [zero], [zero, np.concatenate([np.ones((1, 1, 3)), zero[:1]])]])
-    assert selftest.check_stable_spam_trace() == (True, "stable_spam max dev 0")
+    assert traces_of("stable_spam") == (True, "stable_spam max dev 0")
+
+
+def test_a_trace_case_that_raises_names_its_optimizer(monkeypatch):
+    """A raising base fails the trace entry under its optimizer's name, and
+    the cases after it still run: here a broken norm statistic, which only
+    the later ``stable_spam`` cases read, is caught too."""
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(optim.LionBase, "update", boom)
+    original = optim.Layout.norms
+    monkeypatch.setattr(optim.Layout, "norms",
+                        lambda layout, x: original(layout, x)[::-1])
+    ok, detail = selftest.check_traces()
+    assert not ok and detail.count("; ") == 1, detail
+    assert detail.startswith("lion raised RuntimeError: boom; "
+                             "stable_spam max dev "), detail
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,21 @@ def test_import_fails_where_einsum_breaks_the_order():
             " the products in ascending k") in proc.stderr
 
 
+def test_import_fails_without_the_c_einsum_entry():
+    # numpy before 2 has no numpy._core.multiarray.c_einsum; the import
+    # must say which numpy it found.
+    code = ("import numpy._core.multiarray as multiarray\n"
+            "del multiarray.c_einsum\n"
+            "import stablespam\n")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert (f"ImportError: numpy {np.__version__}: stablespam needs "
+            "numpy>=2") in proc.stderr, proc.stderr
+
+
 def test_one_matmul_per_product():
     # The counts the benchmark's span check expects: 6 per SwiGLU block
     # plus 3 for the head, and 3 per quadratic step.
