@@ -8,6 +8,9 @@ norms the optimizer took: as it consumed the gradient (after spike
 injection, before any transform) and after all transforms.
 ``effective_lr`` is the LR the optimizer's base applied; a diverged row
 applied none: it records ``lr_schedule(step, cfg)``, with no SPAM warmup.
+``run``'s one hook, ``on_step(step, grads, telemetry)``, is handed the
+model's gradients and that ``StepTelemetry`` after each step that did not
+diverge, and never for a diverged row.
 
 Divergence means a NaN/Inf loss, a loss beyond ``DIVERGENCE_LOSS_CAP`` (an
 overflow guard: a run past that bound is a few steps from literal Inf, and
@@ -412,10 +415,12 @@ def run(cfg: RunConfig, records_path: str | None = None,
         on_step=None) -> RunResult:
     """Execute one training run; optionally write the telemetry CSV.
 
-    ``on_step(step, grads_pre, grads_post)`` is an instrumentation hook,
-    handed the model's gradients and the optimizer's transformed ones: the
-    tests use it to cross-check recorded norms, and the benchmark's
-    ``StepClock`` (``perfbench/run.py``) to time each step.
+    ``on_step(step, grads, telemetry)`` is an instrumentation hook, called
+    once per step that did not diverge, after ``opt.step``: ``grads`` are
+    the model's gradients and ``telemetry`` is the ``StepTelemetry`` that
+    ``opt.step`` returned. The tests use it to cross-check recorded norms,
+    and the benchmark's ``StepClock`` (``perfbench/run.py``) to time each
+    step.
     """
     params, opt, loss_grad, val_loss = prepare(cfg)
     records: list[StepRecord] = []
@@ -439,7 +444,7 @@ def run(cfg: RunConfig, records_path: str | None = None,
                 break
 
             if on_step is not None:
-                on_step(step, grads, telemetry.grads_post)
+                on_step(step, grads, telemetry)
             records.append(StepRecord(step, loss,
                                       global_grad_norm(telemetry.norms_pre),
                                       global_grad_norm(telemetry.norms_post),

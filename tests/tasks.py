@@ -98,7 +98,7 @@ def step_calls(cfg):
         if event == "call":
             calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
 
-    def on_step(step, grads_pre, grads_post):
+    def on_step(step, grads, telemetry):
         sys.setprofile(profile if step == 4 else None)
 
     try:

@@ -191,11 +191,11 @@ class TestRun:
         assert all(model.params[k].tobytes() == w.tobytes()
                    for k, w in weights.items())
 
-    def test_telemetry_norms_match_callback(self, monkeypatch):
+    def test_telemetry_norms_match_callback(self):
         # Each record's norm columns are, bit for bit, the root of the sum
         # of each tensor's squared frobenius_norm over the gradients that
-        # on_step sees (the model's, and the transformed ones), and
-        # global_grad_norm of the per-tensor norms in the step's telemetry.
+        # on_step sees (the model's, and the telemetry's transformed ones),
+        # and global_grad_norm of the per-tensor norms in that telemetry.
         # grad_clip=0.5 clips only in post (or not, in steps under the
         # threshold). Without transforms the post norm is the pre norm;
         # stable_spam's transforms change it in every step. effective_lr
@@ -209,11 +209,6 @@ class TestRun:
         cases.append(spam)
         cases += [{"model.kind": "quadratic", "optimizer.name": name}
                   for name in harness.OPTIMIZER_NAMES]
-        told = []
-
-        def step(opt, *args, original=optim.ComposedOptimizer.step):
-            told.append(original(opt, *args))
-            return told[-1]
 
         def frobenius_total(grads):
             total = 0.0
@@ -221,16 +216,15 @@ class TestRun:
                 total += frobenius_norm(g) ** 2
             return math.sqrt(total)
 
-        monkeypatch.setattr(optim.ComposedOptimizer, "step", step)
         for keys in cases:
             cfg, seen = small_cfg(keys), []
-            told.clear()
-            result = run(cfg, on_step=lambda step, pre, post: seen.append(
-                (step, frobenius_total(pre), frobenius_total(post), len(pre))))
+            result = run(cfg, on_step=lambda step, grads, telemetry:
+                         seen.append((step, frobenius_total(grads),
+                                      frobenius_total(telemetry.grads_post),
+                                      len(grads), telemetry)))
             transforms = make_optimizer(cfg.optimizer).transforms
-            assert len(seen) == len(told) == len(result.records) == 40
-            for r, (step, pre, post, size), t in zip(result.records, seen,
-                                                     told):
+            assert len(seen) == len(result.records) == 40
+            for r, (step, pre, post, size, t) in zip(result.records, seen):
                 assert r.step == step
                 assert r.grad_norm_pre == pre == global_grad_norm(t.norms_pre)
                 assert r.grad_norm_post == post == global_grad_norm(
@@ -248,6 +242,47 @@ class TestRun:
                         if r.effective_lr != lr_schedule(r.step, cfg)]
                 assert warm == [k + j for k in (0, 10, 20, 30)
                                 for j in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("route,last_step", [
+        ("loss above the cap", 8), ("inf in qdq", 9), ("inf gradient", 3)])
+    def test_on_step_sees_each_step_that_did_not_diverge(self, route,
+                                                         last_step,
+                                                         monkeypatch):
+        # on_step is called once per step that did not diverge, in step
+        # order, with that step's telemetry, and never for the diverged
+        # last record, whichever way the run diverged. The benchmark's
+        # step_ms_* metrics are the intervals between these calls.
+        if route == "loss above the cap":
+            cfg = small_cfg({"model.kind": "quadratic",
+                             "optimizer.name": "sgd", "schedule.lr_peak": 1e6,
+                             "schedule.total_steps": 100,
+                             "schedule.warmup_steps": 0})
+        elif route == "inf in qdq":
+            cfg = int4_cfg("sgd", 10.0)
+        else:  # the optimizer's door rejects the gradient
+            real, calls = models.mlp_forward_backward, []
+
+            def inf_at_step_3(model, x, y):
+                loss, grads = real(model, x, y)
+                calls.append(None)
+                if len(calls) == 3:
+                    grads["block0.w_up"][1, 2] = np.inf
+                return loss, grads
+
+            monkeypatch.setattr(models, "mlp_forward_backward", inf_at_step_3)
+            cfg = small_cfg()
+        seen = []
+        result = run(cfg, on_step=lambda step, grads, telemetry: seen.append(
+            (step, telemetry)))
+        *stepped, last = result.records
+        assert last.diverged and last.step == last_step
+        assert [step for step, _ in seen] == [r.step for r in stepped] == \
+            list(range(1, last_step))
+        for r, (_, t) in zip(stepped, seen):
+            assert not r.diverged
+            assert r.effective_lr == t.lr
+            assert r.reset == t.reset
+            assert r.clipped_fraction == t.clipped_fraction
 
     def test_stable_spam_reset_flag_at_interval(self):
         cfg = small_cfg({"optimizer.name": "stable_spam",

@@ -26,8 +26,8 @@ def unused_imports(path):
 
 def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): names
-             for path in sorted(ROOT.glob("src/**/*.py")) + sorted(
-                 ROOT.glob("tests/*.py"))
+             for pattern in ("src/**/*.py", "tests/*.py", "perfbench/*.py")
+             for path in sorted(ROOT.glob(pattern))
              if (names := unused_imports(path))}
     assert not found, found
 
