@@ -35,7 +35,8 @@ import sys
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 
-from .harness import ConfigError, RunConfig, atomic_write, run, sweep
+from .harness import (ConfigError, RunConfig, atomic_write, run, run_grid,
+                      sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -192,10 +193,9 @@ def cmd_compare(args) -> int:
     cfgs = [_load_cfg(p, args.seed) for p in args.configs]
     compare_configs(cfgs)
 
-    results = []
-    for i, cfg in enumerate(cfgs):
-        path = os.path.join(args.out, f"compare_run{i}.csv")
-        results.append((cfg, run(cfg, records_path=path), path))
+    paths = [os.path.join(args.out, f"compare_run{i}.csv")
+             for i in range(len(cfgs))]
+    results = list(zip(cfgs, run_grid(cfgs, paths), paths))
 
     # Every run that did not diverge reaches the worst of their final losses.
     target = max((res.records[-1].loss for _, res, _ in results

@@ -28,9 +28,10 @@ its config-file text, the values it accepts and the parts of a run that
 read it. ``_OPTIMIZERS`` is the one table of optimizers. ``prepare`` is a
 run's whole set-up: it checks the config, spawns the seed streams, switches
 on the model kind once and builds the optimizer. ``run`` is ``prepare`` plus
-the one training loop. ``sweep`` checks every grid point's config before any
-run starts, so a config error writes nothing, and runs each point through
-the module's ``run``.
+the one training loop. ``run_grid`` runs a list of configs, ``sweep``'s LR
+grid and ``compare``'s configs alike: it checks every config before any run
+starts, so a config error writes nothing, and runs each point through the
+module's ``run``, or on one process pool no larger than the grid.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
@@ -503,8 +504,29 @@ def write_records_csv(records: list[StepRecord], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# Grids and sweeps
 # ---------------------------------------------------------------------------
+
+def run_grid(cfgs: list[RunConfig], records_paths=None,
+             jobs: int = 1) -> list[RunResult]:
+    """Run every config, each writing its CSV to its entry of
+    ``records_paths`` (None: none), and return the results in input order.
+    Every config is checked before any run starts. With ``jobs > 1`` and
+    more than one config, the runs share one process pool of at most as
+    many workers as configs; otherwise each runs in turn through the
+    module attribute ``run``, looked up at call time."""
+    if not cfgs:
+        raise ValueError("empty grid")
+    paths = [None] * len(cfgs) if records_paths is None else records_paths
+    for cfg, _ in zip(cfgs, paths, strict=True):  # one path per config
+        cfg.validate()
+    if jobs > 1 and len(cfgs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        # Under fork the pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cfgs))) as pool:
+            return list(pool.map(run, cfgs, paths))
+    return list(map(run, cfgs, paths))
+
 
 @dataclass
 class SweepEntry:
@@ -519,32 +541,18 @@ class SweepResult:
     best_lr: float | None
 
 
-def _sweep_one(cfg, records_path):
-    result = run(cfg, records_path=records_path)
-    return SweepEntry(lr=cfg.schedule.lr_peak, final_loss=result.final_val_loss,
-                      records_path=records_path)
-
-
 def sweep(base_cfg: RunConfig, lr_grid, out_dir: str | None = None,
           jobs: int = 1) -> SweepResult:
-    """Run the grid with identical seeds, pick the best finite final loss.
-    Every grid point's config is checked before any run starts."""
+    """Run the LR grid with identical seeds through ``run_grid``, pick the
+    best finite final loss."""
     cfgs = [replace(base_cfg, schedule=replace(base_cfg.schedule,
                                                lr_peak=lr))
             for lr in lr_grid]
-    if not cfgs:
-        raise ValueError("empty learning-rate grid")
-    for cfg in cfgs:
-        cfg.validate()
     paths = [os.path.join(out_dir, f"run_lr{i}.csv") if out_dir else None
              for i in range(len(cfgs))]
-    if jobs > 1 and len(cfgs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        # Under fork the pool starts all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cfgs))) as pool:
-            entries = list(pool.map(_sweep_one, cfgs, paths))
-    else:
-        entries = list(map(_sweep_one, cfgs, paths))
+    results = run_grid(cfgs, paths, jobs)
+    entries = [SweepEntry(cfg.schedule.lr_peak, res.final_val_loss, path)
+               for cfg, res, path in zip(cfgs, results, paths)]
     finite = [e for e in entries if e.final_loss is not None]
     best_lr = min(finite, key=lambda e: e.final_loss).lr if finite else None
     result = SweepResult(entries=entries, best_lr=best_lr)

@@ -10,15 +10,15 @@ and criterion 6 the one entry that checks all four models' gradients by
 finite differences; criterion 5 runs the two other quantizer entries, the
 first of which checks all four of its properties in one pass over its
 data. Criteria 7 and 8 are deterministic desk-scale phenomenology checks
-(one ``harness.sweep`` per seed on the spike-injected INT4 MLP task);
-criterion 9 checks determinism.
+on the spike-injected INT4 MLP task, each running its 30 points in one
+``harness.run_grid`` call on two workers; criterion 9 checks determinism.
 """
 
 import math
 import time
 
 from stablespam import selftest
-from stablespam.harness import run, sweep
+from stablespam.harness import run, run_grid
 from tasks import int4_cfg, small_cfg
 
 
@@ -77,18 +77,17 @@ SEEDS = (0, 1, 2)
 LR_RATIO = 30.0 ** 0.25  # five points spanning exactly 30x
 
 
-def _pheno_grid(name, base_lr, transforms=()):
+def _pheno_grids(base_lr, *arms):
     lrs = [base_lr * LR_RATIO ** i for i in range(5)]
-    table = {(seed, entry.lr): entry.final_loss for seed in SEEDS
-             for entry in sweep(int4_cfg(name, lrs[0], seed, transforms),
-                                lrs).entries}
-    return lrs, table
+    points = [(seed, lr) for seed in SEEDS for lr in lrs]
+    runs = iter(run_grid([int4_cfg(name, lr, seed, ts) for name, ts in arms
+                          for seed, lr in points], jobs=2))
+    return lrs, [{p: next(runs).final_val_loss for p in points} for _ in arms]
 
 
 def test_criterion_07_lr_sensitivity_ordering():
     t0 = time.time()
-    lrs, adam = _pheno_grid("adam", 1e-2)
-    _, stable = _pheno_grid("stable_spam", 1e-2)
+    lrs, (adam, stable) = _pheno_grids(1e-2, ("adam", ()), ("stable_spam", ()))
 
     def bad_count(table):
         total = 0
@@ -124,8 +123,8 @@ def test_criterion_07_lr_sensitivity_ordering():
 
 def test_criterion_08_lion_composition_benefit():
     t0 = time.time()
-    lrs, plain = _pheno_grid("lion", 3e-3)
-    _, composed = _pheno_grid("lion", 3e-3, transforms=("adaclip", "adagn"))
+    lrs, (plain, composed) = _pheno_grids(
+        3e-3, ("lion", ()), ("lion", ("adaclip", "adagn")))
 
     wins = 0
     bests = []

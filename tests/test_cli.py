@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablespam import cli, optim, quant, selftest
+from stablespam import cli, harness, optim, quant, selftest
 from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
                             parse_config_text, parse_lr_grid)
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
@@ -581,6 +581,24 @@ class TestCommands:
         for i, row in enumerate(rows[1:]):
             assert row[4] == str(out / f"compare_run{i}.csv")
             assert os.path.exists(row[4])
+
+    def test_compare_runs_each_config_through_harness_run(self, tmp_path,
+                                                          monkeypatch):
+        # As sweep's grid points do: the benchmark swaps harness.run.
+        names = ["sgd", "adam", "lion"]
+        configs = [write_cfg(tmp_path, f"{name}.cfg", {"optimizer.name": name})
+                   for name in names]
+        seen, real = [], harness.run
+
+        def recorder(cfg, records_path=None, on_step=None):
+            seen.append((cfg.optimizer.name, records_path))
+            return real(cfg, records_path, on_step)
+
+        monkeypatch.setattr(harness, "run", recorder)
+        out = tmp_path / "cmp"
+        assert main(["compare", *configs, "--out", str(out)]) == EXIT_OK
+        assert seen == [(name, str(out / f"compare_run{i}.csv"))
+                        for i, name in enumerate(names)]
 
     def test_compare_rejects_non_optimizer_difference(self, tmp_path, capsys):
         a = write_cfg(tmp_path, "a.cfg")

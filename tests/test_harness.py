@@ -18,10 +18,11 @@ from stablespam import harness, models, optim, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 RunConfig, ScheduleConfig, batch_indices,
                                 global_grad_norm, lr_schedule, make_optimizer,
-                                prepare, run, sweep, write_records_csv)
+                                prepare, run, run_grid, sweep,
+                                write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import frobenius_norm, make_rng
-from tasks import int4_cfg, neumaier, small_cfg, step_calls
+from tasks import int4_cfg, neumaier, set_key, small_cfg, step_calls
 
 
 class TestGlobalGradNorm:
@@ -597,3 +598,48 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"schedule\.lr_peak"):
             sweep(small_cfg(), [1e-3, 2e-3, math.nan], out_dir=str(out))
         assert not out.exists()
+
+
+def mixed_grid():
+    """Adam at seeds 0 and 1, the quadratic SGD run that diverges at lr 1e6,
+    then Stable-SPAM at seeds 0 and 1."""
+    mlp = [small_cfg({"optimizer.name": name, "seed": seed})
+           for name in ("adam", "stable_spam") for seed in (0, 1)]
+    diverging = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
+                           "schedule.lr_peak": 1e6, "schedule.total_steps": 30,
+                           "schedule.warmup_steps": 0})
+    return mlp[:2] + [diverging] + mlp[2:]
+
+
+class TestRunGrid:
+    def test_results_come_back_in_input_order(self):
+        cfgs = mixed_grid()
+        finals = [r.final_val_loss for r in run_grid(cfgs, jobs=2)]
+        assert finals == [run(cfg).final_val_loss for cfg in cfgs]
+        assert finals[2] is None and len(set(finals)) == len(cfgs)
+
+    def test_one_worker_and_two_write_the_same_bytes(self, tmp_path):
+        cfgs = mixed_grid()
+        seen = []
+        for jobs in (1, 2):
+            paths = [str(tmp_path / f"j{jobs}" / f"{i}.csv")
+                     for i in range(len(cfgs))]
+            finals = [r.final_val_loss for r in run_grid(cfgs, paths, jobs)]
+            seen.append((finals, [Path(p).read_bytes() for p in paths]))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_bad_config_anywhere_writes_nothing(self, tmp_path, bad, jobs):
+        cfgs = mixed_grid()
+        set_key(cfgs[bad], "schedule.lr_peak", math.nan)
+        out = tmp_path / "o"
+        paths = [str(out / f"{i}.csv") for i in range(len(cfgs))]
+        with pytest.raises(ConfigError, match=r"schedule\.lr_peak"):
+            run_grid(cfgs, paths, jobs)
+        assert not out.exists()
+
+    def test_a_path_list_of_another_length_runs_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            run_grid(mixed_grid(), [str(tmp_path / "o" / "0.csv")])
+        assert not (tmp_path / "o").exists()

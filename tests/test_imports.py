@@ -83,9 +83,9 @@ def test_frobenius_norm_called_only_by_the_layout():
 
 
 # The doors a config is checked at: the config file, a run's set-up, and
-# a sweep's grid points before any run; the selftest checks its own.
+# a grid's points before any run; the selftest checks its own.
 VALIDATE_CALLERS = {"src/stablespam/cli.py": {"parse_config_text"},
-                    "src/stablespam/harness.py": {"prepare", "sweep"},
+                    "src/stablespam/harness.py": {"prepare", "run_grid"},
                     "src/stablespam/selftest.py": {"_trace_check"}}
 
 
@@ -170,6 +170,16 @@ def test_layout_named_only_where_it_is_built_or_shapes_state():
                  if (owners := {owner for name, owner in references(path)
                                 if name == layout and owner != layout})}
         assert found == {"src/stablespam/optim.py": namers}, layout
+
+
+def test_only_run_grid_starts_a_process_pool():
+    """Every multi-run job goes through ``harness.run_grid``: no other
+    function in the package names ``ProcessPoolExecutor``."""
+    found = {str(path.relative_to(ROOT)): owners
+             for path in sorted(ROOT.glob("src/**/*.py"))
+             if (owners := {owner for name, owner in references(path)
+                            if name == "ProcessPoolExecutor"})}
+    assert found == {"src/stablespam/harness.py": {"run_grid"}}
 
 
 def private_references(path, modules):
