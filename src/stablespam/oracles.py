@@ -1,20 +1,26 @@
-"""Independent straight-line references for the optimizers and quantizer.
+"""Independent references for the optimizers, the quantizer and the norm.
 
-The check table in ``stablespam.selftest``, which serves both ``stablespam
-selftest`` and acceptance criteria 1-6 and 10, and the unit tests compare the
-library against these. Each optimizer reference steps one weight array that
-starts at zero through a sequence of gradient arrays of its shape and yields
-a record ``(w, g, clipped)`` per step: the weights, the gradient the update
-consumed and the number of entries clipped. On a parameter set, each tensor
-runs on its own stream (``each_tensor``) but for the global clip. They are
-written directly from the update rules with numpy arrays and import nothing
-from the package, so they stay independent of the code paths they check; a
-test enforces that this module imports only ``math`` and ``numpy``.
+The check table in ``stablespam.selftest`` (``stablespam selftest`` and
+acceptance criteria 1-6 and 10) takes its expected values from these: the
+optimizer traces, each format's value grid, the reference quantizer and
+the norm. Each optimizer trace steps one weight array from zero through a
+sequence of gradient arrays of its shape and yields a record ``(w, g,
+clipped)`` per step: the weights, the gradient the update consumed and the
+number of entries clipped. On a parameter set, each tensor runs on its own
+stream (``each_tensor``) but for the global clip. All are written from the
+update rules and bit layouts, and they import nothing from the package, so
+they stay independent of the code they check; a test enforces that this
+module imports only ``math`` and ``numpy``.
 """
 
 import math
 
 import numpy as np
+
+
+def norm(x):
+    """The Frobenius norm: numpy's sqrt(sum(x * x))."""
+    return np.sqrt(np.sum(x * x))
 
 
 def each_tensor(trace, **options):
@@ -141,7 +147,7 @@ def stable_spam_trace(gs, lr, g1=0.7, g2=0.9, g3=0.999, interval=1000,
         with np.errstate(invalid="ignore"):  # 0 / 0 where g is all zero
             g = np.where(clip, g / gmax * that, g)
         # AdaGN: the tensor's norm becomes mhat_n / (sqrt(vhat_n) + eps)
-        gnorm = float(np.sqrt(np.sum(g * g)))
+        gnorm = float(norm(g))
         mn = g1 * mn + (1 - g1) * gnorm
         vn = g2 * vn + (1 - g2) * gnorm * gnorm
         if gnorm != 0.0:
@@ -171,13 +177,38 @@ def adagn_norm_trace(norms, g1, g2, eps=1e-6):
         yield mhn / (math.sqrt(vhn) + eps)
 
 
-def nearest_grid_even(value, grid_values):
-    """Brute-force snap with ties to the even signed code index."""
-    center = len(grid_values) // 2
-    best = None
-    for i, g in enumerate(grid_values):
-        d = abs(value - g)
-        key = (d, (i - center) % 2)  # prefer smaller distance, then even index
-        if best is None or key < best[0]:
-            best = (key, g)
-    return best[1]
+MINIFLOATS = {"fp4_e1m2": (1, 2, 1)}  # exponent bits, mantissa bits, bias
+
+
+def grid(name):
+    """The sorted values of ``quant.format`` ``name``, from its bit layout.
+    INT-k holds the integers up to 2^(k-1)-1 in size. A minifloat with
+    exponent e, M-bit mantissa m and bias b holds, as the OCP Microscaling
+    spec lays out FP4, the subnormals 2^(1-b) m / 2^M at e = 0 and the
+    normals 2^(e-b) (1 + m / 2^M): E1M2's are m/4 and 1 + m/4."""
+    if name in MINIFLOATS:
+        ebits, mbits, bias = MINIFLOATS[name]
+        mags = [2.0 ** (max(e, 1) - bias) * ((e > 0) + m / 2 ** mbits)
+                for e in range(2 ** ebits) for m in range(2 ** mbits)]
+    elif name[:3] == "int" and name[3:].isdigit():
+        mags = range(2 ** (int(name[3:]) - 1))
+    else:
+        raise ValueError(f"format {name!r} has no grid")
+    return np.array([-m for m in mags[:0:-1]] + list(mags), dtype=float)
+
+
+def qdq(x, name):
+    """Brute-force quantize-dequantize to format ``name``: x / max|x| * top,
+    top the largest value of ``grid(name)``, snaps to the nearest grid value
+    (on a tie, the one of even signed index) and scales back by max|x| / top;
+    +-top give exactly +-max|x|, and zero is +0.0."""
+    g = grid(name)
+    top, center = g[-1], len(g) // 2
+    amax = np.max(np.abs(x)) or 1.0  # a zero x snaps to zeros at any scale
+    out = np.zeros(np.shape(x))
+    for idx, v in np.ndenumerate(x):
+        _, _, c = min((abs(v / amax * top - c), (i - center) % 2, c)
+                      for i, c in enumerate(g))
+        out[idx] = (amax * np.sign(c) if abs(c) == top
+                    else c * (amax / top)) + 0.0
+    return out

@@ -7,13 +7,14 @@ the whole table. In pytest each entry runs once: criteria 1-6 and 10 of the
 acceptance suite (``tests/test_acceptance.py``) call all but ``lr schedule
 endpoints``, which ``tests/test_harness.py`` calls, and ``quantizer rounds
 to nearest, ties to even``, which ``tests/test_quant.py`` calls one format
-at a time. The checks compare every optimizer's trace bit for bit with its
-independent reference in :mod:`stablespam.oracles` (``TRACE_CASES``),
-every model's analytic gradients with central finite differences, and the
-quantizer with a brute-force grid snap and, in one pass over its check
-data, its stated properties. Every optimizer trace steps a parameter set
-through ``harness.make_optimizer``, as training does, and checks each
-step's weights and telemetry: one tensor alone and three laid out together.
+at a time. Every expected value comes from :mod:`stablespam.oracles` or is
+stated in the check, never from the code it checks: each optimizer's trace
+bit for bit (``TRACE_CASES``), the quantizer byte for byte, each norm. The
+models' analytic gradients are checked against central finite differences,
+and the quantizer's properties in one pass over its check data. Every
+optimizer trace steps a parameter set through ``harness.make_optimizer``, as
+training does, and checks each step's weights and telemetry: one tensor
+alone and three laid out together.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import harness, models, optim, oracles, quant
 from .oracles import each_tensor
 from .quant import QuantSpec
-from .tensor_core import frobenius_norm, make_rng
+from .tensor_core import make_rng
 
 TRACE_SEEDS = (7, 101)
 # A scalar, the shape of the MLP's gains, and a non-square matrix
@@ -148,12 +149,12 @@ def check_adaclip_bias_correction():
 
 def check_adagn_norm_identity():
     """AdaGN's output norms equal ``oracles.adagn_norm_trace`` over the
-    input norms to 1e-12 relative: on gradients whose scale jumps by powers
-    of ten (3x4, seed 11: 59 steps at 10^-3..10^3; 3x4, seed 104: 1000
-    steps at 10^-4..10^4; 2x5, seed 3: 199 steps at 10^-4..10^4), and on two
-    spikes, each of which must leave with a norm below 10: a 3x3 of unit
-    norm (seed 105) 20 times and then 10 times it, and [[1, 0]] 9 times and
-    then [[10, 0]]."""
+    input norms, all as ``oracles.norm``, to 1e-12 relative: on gradients
+    whose scale jumps by powers of ten (3x4, seed 11: 59 steps at
+    10^-3..10^3; 3x4, seed 104: 1000 steps at 10^-4..10^4; 2x5, seed 3: 199
+    steps at 10^-4..10^4), and on two spikes, each of which must leave with
+    a norm below 10: a 3x3 of unit norm (seed 105) 20 times and then 10
+    times it, and [[1, 0]] 9 times and then [[10, 0]]."""
     streams = []
     for seed, shape, steps, exponents in ((11, (3, 4), 59, (-3, 4)),
                                           (104, (3, 4), 1000, (-4, 5)),
@@ -163,15 +164,15 @@ def check_adagn_norm_identity():
                         * 10.0 ** rng.integers(*exponents)
                         for _ in range(steps)])
     unit = make_rng(105).standard_normal((3, 3))
-    unit = unit / frobenius_norm(unit)
+    unit = unit / oracles.norm(unit)
     spikes = [[unit] * 20 + [10.0 * unit],
               [np.array([[n, 0.0]]) for n in [1.0] * 9 + [10.0]]]
     devs, spike_norms = [], []
     for gs in streams + spikes:
         state = optim.AdaGnState()
-        got = [frobenius_norm(optim.adagn(g, state, 0.7, 0.9)) for g in gs]
+        got = [oracles.norm(optim.adagn(g, state, 0.7, 0.9)) for g in gs]
         want = np.fromiter(oracles.adagn_norm_trace(
-            [np.sqrt(np.sum(g * g)) for g in gs], 0.7, 0.9), float)
+            [oracles.norm(g) for g in gs], 0.7, 0.9), float)
         devs.append(np.max(np.abs(got - want) / want))
         spike_norms.append(got[-1])
     worst = float(np.max(devs))
@@ -228,13 +229,6 @@ def _quant_batches():
                              * 10.0 ** rng.integers(-6, 7) for _ in range(50)])
 
 
-def check_quant_fp4_grid():
-    expected = sorted({0.0} | {s * v for s in (-1.0, 1.0)
-                               for v in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)})
-    got = quant.grid(QuantSpec.FP4_E1M2).tolist()
-    return got == expected, "" if got == expected else f"grid {got}"
-
-
 def check_quant_properties():
     """Each matrix of every batch quantized once, and that output once
     more: qdq(qdq(x)) == qdq(x) bit for bit (idempotence), the entry
@@ -264,15 +258,13 @@ def check_quant_properties():
 
 
 def check_quant_grid_snap(formats=QUANT_FORMATS):
-    """qdq(x) equals byte for byte ``oracles.nearest_grid_even`` of
-    x / max|x| * top, scaled back by max|x| / top, with +-top giving +-max|x|
-    and zero as +0.0. Per format: 10 4x5 N(0, 9) draws (seed 17), and every
-    midpoint between grid neighbours, with the top grid value as the absmax
-    entry, times 2^-30, 1, 2^3 and 2^40, where each stays an exact tie."""
+    """qdq(x) equals ``oracles.qdq(x)`` byte for byte. Per format: 10 4x5
+    N(0, 9) draws (seed 17), and every midpoint between neighbours of
+    ``oracles.grid``, with the top grid value as the absmax entry, times
+    2^-30, 1, 2^3 and 2^40, where each stays an exact tie."""
     for fmt in formats:
-        g = quant.grid(fmt)
-        top = g[-1]
-        ties = (g[:-1] + g[1:]) / 2
+        g = oracles.grid(fmt.value)
+        top, ties = g[-1], (g[:-1] + g[1:]) / 2
         tied = [np.append(ties, top)[None, :] * 2.0 ** k
                 for k in (-30, 0, 3, 40)]
         if not all(np.array_equal((x / np.max(np.abs(x)) * top)[0, :-1],
@@ -280,13 +272,7 @@ def check_quant_grid_snap(formats=QUANT_FORMATS):
             return False, f"{fmt.value}: a midpoint is not an exact tie"
         rng = make_rng(17)
         for x in [rng.standard_normal((4, 5)) * 3.0 for _ in range(10)] + tied:
-            amax = np.max(np.abs(x))
-            codes = [oracles.nearest_grid_even(v / amax * top, g)
-                     for v in x.ravel()]
-            want = np.reshape([(amax * np.sign(c) if abs(c) == top
-                                else c * (amax / top)) + 0.0 for c in codes],
-                              x.shape)
-            got = quant.qdq(x, fmt)
+            got, want = quant.qdq(x, fmt), oracles.qdq(x, fmt.value)
             if got.tobytes() != want.tobytes():
                 return False, f"{fmt.value}: {got.tolist()} != {want.tolist()}"
     return True, ""
@@ -437,7 +423,7 @@ def check_constant_gradient_bias_correction():
 
 def check_grad_clip_norm_bound():
     """After grad_clip_global(g, 1.0, layout) on the flat vector g of a stack
-    of layers, their global norm is at most 1 + 1e-12: three 4x4 layers of
+    of layers, ``oracles.norm(g)`` is at most 1 + 1e-12: three 4x4 layers of
     N(0, 25) (seed 13), 100 stacks of four 3x3 layers of N(0, 25) (seed 8),
     and 100 stacks of 1-5 layers of random shape up to 4x4, N(0, 25) (seed
     110)."""
@@ -456,7 +442,7 @@ def check_grad_clip_norm_bound():
     for layers in stacks:
         layout = optim.lay_out({i: x.shape for i, x in enumerate(layers)})
         g = optim.grad_clip_global(layout.flatten(layers), 1.0, layout)
-        norms.append(harness.global_grad_norm(layout.tensor_norms(g)))
+        norms.append(oracles.norm(g))
     worst = float(np.max(norms))
     return worst <= 1.0 + 1e-12, f"max post-clip norm {worst!r}"
 
@@ -486,7 +472,6 @@ CHECKS = [
     ("adagn output-norm identity", check_adagn_norm_identity),
     ("moret reset periodicity", check_moret_periodicity),
     ("quantizer idempotence and absmax fixed point", check_quant_properties),
-    ("fp4 e1m2 grid values", check_quant_fp4_grid),
     ("quantizer rounds to nearest, ties to even", check_quant_grid_snap),
     ("finite differences vs analytic gradients", check_finite_differences),
     ("bias correction on a constant gradient",

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablespam import cli, harness, optim, quant, selftest
+from stablespam import cli, harness, optim, oracles, quant, selftest
 from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
                             parse_config_text, parse_lr_grid)
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
@@ -662,7 +662,6 @@ SELFTEST_CHECKS = [
     "adagn output-norm identity",
     "moret reset periodicity",
     "quantizer idempotence and absmax fixed point",
-    "fp4 e1m2 grid values",
     "quantizer rounds to nearest, ties to even",
     "finite differences vs analytic gradients",
     "bias correction on a constant gradient",
@@ -716,7 +715,7 @@ def broken_qdq(round_codes=np.rint, plus_zero=True, pin=True,
         amax = np.max(np.abs(x))
         if amax == 0.0:
             return np.zeros_like(x)
-        top = len(quant.grid(spec)) // 2
+        top = len(oracles.grid(spec.value)) // 2
         codes = round_codes(x / amax * top) + (0.0 if plus_zero else -0.0)
         out = codes * (amax * (1.0 / top) if reciprocal else amax / top)
         if pin:
@@ -832,9 +831,25 @@ class TestSelftest:
     def test_grid_snap_rejects_inexact_ties(self, monkeypatch):
         # With a grid step of 0.7, x / max|x| * top moves some midpoints off
         # the grid's, so the check's tie data are no longer exact ties.
-        monkeypatch.setattr(quant, "grid", lambda fmt: np.arange(-7, 8) * 0.7)
+        monkeypatch.setattr(oracles, "grid",
+                            lambda name: np.arange(-7, 8) * 0.7)
         ok, detail = selftest.check_quant_grid_snap()
         assert not ok and detail.endswith("a midpoint is not an exact tie")
+
+    def test_a_top_code_off_the_reference_grid_detected(self, monkeypatch):
+        # INT4 on 17 codes, -8..8: the reference grid keeps its 15.
+        monkeypatch.setitem(quant._TOP_CODES, quant.QuantSpec.INT4, 8)
+        ok, detail = selftest.check_quant_grid_snap()
+        assert not ok and detail.startswith("int4: "), detail
+
+    def test_halved_layout_norms_detected(self, monkeypatch):
+        # The clip reads half of each tensor's norm, so a clipped stack
+        # leaves with a global norm of 2.
+        tensor_norms = optim.Layout.tensor_norms
+        monkeypatch.setattr(optim.Layout, "tensor_norms", lambda layout, x: [
+            n / 2 for n in tensor_norms(layout, x)])
+        ok, detail = selftest.check_grad_clip_norm_bound()
+        assert not ok and detail.startswith("max post-clip norm 2.0"), detail
 
     def test_each_entry_has_one_tier1_home(self):
         """Each table entry is called from exactly one place in the tests that

@@ -69,10 +69,8 @@ def test_as_matrix_called_only_at_the_doors():
 
 
 # A tensor's norm is taken by its layout: global_grad_norm and the harness
-# only combine the norms the optimizer took. The selftest's AdaGN entry
-# measures its output on its own, as an independent check.
-NORM_CALLERS = {"src/stablespam/optim.py": {"OneTensor.tensor_norms"},
-                "src/stablespam/selftest.py": {"check_adagn_norm_identity"}}
+# only combine the norms the optimizer took.
+NORM_CALLERS = {"src/stablespam/optim.py": {"OneTensor.tensor_norms"}}
 
 
 def test_frobenius_norm_called_only_by_the_layout():
@@ -80,6 +78,16 @@ def test_frobenius_norm_called_only_by_the_layout():
              for path in sorted(ROOT.glob("src/**/*.py"))
              if (callers := callers_of(path, "frobenius_norm"))}
     assert found == NORM_CALLERS
+
+
+def test_the_selftest_takes_no_norm_from_the_code_it_checks():
+    """The release gate measures every norm with ``oracles.norm``, never
+    with the library's own norms."""
+    selftest = ROOT / "src/stablespam/selftest.py"
+    found = {name: callers for name in ("frobenius_norm", "tensor_norms",
+                                        "global_grad_norm")
+             if (callers := callers_of(selftest, name))}
+    assert not found, found
 
 
 # The doors a config is checked at: the config file, a run's set-up, and

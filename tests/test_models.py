@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablespam import models, selftest
+from stablespam import models, oracles, selftest
 from stablespam.models import (QuadraticProblem, _sigmoid, init_mlp,
                                inject_spikes, make_dataset, make_quadratic,
                                mlp_forward_backward, mlp_loss,
                                quadratic_loss_grad, rmsnorm_fwd_bwd,
                                swiglu_fwd_bwd)
-from stablespam.quant import QuantSpec, grid
+from stablespam.quant import QuantSpec
 from stablespam.tensor_core import make_rng
 from tasks import memory_orders
 
@@ -162,7 +162,7 @@ class TestMlp:
         # equals the unquantized one bit for bit.
         m = init_mlp(4, 8, 0, 2, make_rng(11), quant=QuantSpec.INT4)
         scale = 0.5 / 7.0
-        g = grid(QuantSpec.INT4)
+        g = oracles.grid("int4")
         rng = make_rng(12)
         m.params["out.w"] = rng.choice(g, size=(4, 2)) * scale
         m.params["out.w"].ravel()[0] = 7 * scale  # pin absmax to a grid point

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stablespam import quant, selftest
-from stablespam.quant import QuantSpec, grid, qdq
+from stablespam import oracles, quant, selftest
+from stablespam.quant import QuantSpec, qdq
 from stablespam.tensor_core import NonFiniteError, make_rng
 from tasks import int4_cfg, step_calls
 
@@ -27,7 +27,7 @@ def absmax_with_pin(top, pin_needed):
 
 # INT2's top code is 1, so its +-top codes always give +-absmax unpinned.
 def top_code(fmt):
-    return len(grid(fmt)) // 2  # the codes run from -top to top
+    return len(oracles.grid(fmt.value)) // 2  # the codes run from -top to top
 
 
 PIN_CASES = [(fmt, needed) for fmt in ALL_FORMATS for needed in (True, False)
@@ -37,22 +37,31 @@ PIN_IDS = [f"{fmt.value}-{'pinned' if needed else 'unpinned'}"
 
 
 class TestGrid:
+    """The reference grids in ``oracles``, built from each bit layout."""
+
     def test_int2(self):
-        assert list(grid(QuantSpec.INT2)) == [-1.0, 0.0, 1.0]
+        assert list(oracles.grid("int2")) == [-1.0, 0.0, 1.0]
 
     def test_int3(self):
-        assert list(grid(QuantSpec.INT3)) == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0,
+        assert list(oracles.grid("int3")) == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0,
                                                3.0]
 
     def test_int4(self):
-        g = grid(QuantSpec.INT4)
+        g = oracles.grid("int4")
         assert len(g) == 15
         assert g[-1] == 7.0
         assert np.array_equal(g, -g[::-1])
 
+    def test_fp4_e1m2(self):
+        # Subnormals m/4 at exponent 0, normals 1 + m/4 at exponent 1.
+        g = oracles.grid("fp4_e1m2")
+        magnitudes = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
+        assert list(g) == [-v for v in magnitudes[:0:-1]] + magnitudes
+        assert not np.signbit(g[7])
+
     def test_none_has_no_grid(self):
         with pytest.raises(ValueError):
-            grid(QuantSpec.NONE)
+            oracles.grid("none")
 
 
 class TestQdq:
@@ -114,7 +123,37 @@ def test_one_qdq_per_quantized_operand():
     assert calls[quant.__file__, "qdq"] == 8
 
 
+# Entries of either sign from 1e-8 to 1e8 in size, and exact zeros
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-8, 7)))
+
+
+@st.composite
+def reference_cases(draw):
+    """A format and a matrix of up to 4x5 for it: of ``ENTRIES``, or, as the
+    grid-snap entry builds its exact ties, of the format's grid values and
+    the midpoints between them, times one 2^k, with +-top * 2^k as the
+    absmax entry."""
+    fmt = draw(st.sampled_from(ALL_FORMATS))
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 5)))
+    if draw(st.booleans()):
+        return fmt, draw(arrays(np.float64, shape, elements=ENTRIES))
+    g = oracles.grid(fmt.value)
+    values = np.concatenate([g, (g[:-1] + g[1:]) / 2])
+    x = draw(arrays(np.float64, shape, elements=st.sampled_from(values)))
+    x.flat[draw(st.integers(0, x.size - 1))] = draw(st.sampled_from(
+        [-1.0, 1.0])) * g[-1]
+    return fmt, x * 2.0 ** draw(st.integers(-30, 40))
+
+
 class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=reference_cases())
+    def test_equals_the_reference_quantizer(self, case):
+        fmt, x = case
+        assert qdq(x, fmt).tobytes() == oracles.qdq(x, fmt.value).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(x=arrays(np.float64, (3, 4),
                     elements=st.floats(-100, 100, allow_nan=False)),
@@ -132,7 +171,7 @@ class TestProperties:
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=FORMAT_IDS)
     def test_error_bound(self, fmt):
         rng = make_rng(31)
-        g = grid(fmt)
+        g = oracles.grid(fmt.value)
         widest_gap = float(np.max(np.diff(g)))
         for _ in range(20):
             x = rng.standard_normal((6, 6))
