@@ -242,6 +242,11 @@ class RunConfig:
                 raise ConfigError(
                     f"{key}: {self.optimizer.name} on the {self.model.kind} "
                     f"model does not read it (read by {', '.join(readers)})")
+        spike = vars(self.spike)
+        if (spike["probability"] == 0) != (spike["severity"] == 0):
+            key, other = sorted(spike, key=lambda k: spike[k] == 0)
+            raise ConfigError(f"spike.{key}: {spike[key]!r} injects nothing "
+                              f"while spike.{other} is 0")
 
     def quant_spec(self) -> QuantSpec:
         return QuantSpec.from_name(self.quant_format)

@@ -405,20 +405,22 @@ def check_finite_differences():
 
 def check_constant_gradient_bias_correction():
     """After 40 steps of a constant gradient c, AdaClip's bias-corrected
-    threshold is |c| and Adam's bias-corrected moments are c and c^2, each
-    to 1e-12 relative."""
+    threshold is |c|, Adam's bias-corrected moments are c and c^2, and its
+    40th step moves w by -LR * c / (|c| + 1e-6), each to 1e-12 relative."""
     c = -2.5
     clip, moments = optim.AdaClipState(), optim.AdamMoments.zeros((1, 1))
+    w = np.zeros((1, 1))
     for _ in range(40):
         optim.adaclip(np.array([[c]]), clip, 0.999)
-        optim.adam_step(np.zeros((1, 1)), np.array([[c]]), moments, lr=LR)
+        w, last = optim.adam_step(w, np.array([[c]]), moments, lr=LR), w
     t_hat = clip.t_threshold / (1 - 0.999 ** clip.step)
     m_hat = moments.m[0, 0] / (1 - 0.9 ** moments.step_in_cycle)
     v_hat = moments.v[0, 0] / (1 - 0.999 ** moments.step_in_cycle)
-    ok = (abs(t_hat - abs(c)) <= 1e-12 * abs(c)
-          and abs(m_hat - c) <= 1e-12 * abs(c)
-          and abs(v_hat - c * c) <= 1e-12 * c * c)
-    return ok, f"T_hat, m_hat, v_hat {t_hat:.17g}, {m_hat:.17g}, {v_hat:.17g}"
+    got = (t_hat, m_hat, v_hat, w[0, 0] - last[0, 0])
+    want = (abs(c), c, c * c, -LR * c / (abs(c) + 1e-6))
+    ok = all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(got, want))
+    return ok, "T_hat, m_hat, v_hat, step " + ", ".join(
+        f"{x:.17g}" for x in got)
 
 
 def check_grad_clip_norm_bound():

@@ -49,7 +49,8 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_algorithm_fidelity():
     report_checks(
-        2, "MoRet periodicity and bias correction on a constant gradient",
+        2, "MoRet periodicity; bias correction and Adam's applied step on a "
+        "constant gradient",
         [selftest.check_moret_periodicity,
          selftest.check_constant_gradient_bias_correction])
 
