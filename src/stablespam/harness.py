@@ -1,16 +1,18 @@
 """Experiment runner: configs, LR schedule, training loop, sweeps, telemetry.
 
 Telemetry: ``run.csv``'s columns are ``StepRecord``'s fields, which its
-header and rows are derived from. ``run`` records the loss and what the
-optimizer's ``StepTelemetry`` says; it measures nothing itself. The two
-norm columns combine, with ``global_grad_norm``, the per-tensor gradient
-norms the optimizer took: as it consumed the gradient (after spike
-injection, before any transform) and after all transforms.
-``effective_lr`` is the LR the optimizer's base applied; a diverged row
-applied none: it records ``lr_schedule(step, cfg)``, with no SPAM warmup.
-``run``'s one hook, ``on_step(step, grads, telemetry)``, is handed the
-model's gradients and that ``StepTelemetry`` after each step that did not
-diverge, and never for a diverged row.
+header and row format are derived from: ``%r`` for a float, ``%d`` for the
+step and the two flags. ``run`` stores Python numbers, never numpy scalars.
+It records the loss and what the optimizer's ``StepTelemetry`` says; it
+measures nothing itself. The two norm columns combine, with
+``global_grad_norm``, the per-tensor gradient norms the optimizer took: as
+it consumed the gradient (after spike injection, before any transform) and
+after all transforms. ``effective_lr`` is the LR the optimizer's base
+applied; a diverged row applied none: it records
+``lr_schedule(step, cfg)``, with no SPAM warmup. ``run``'s one hook,
+``on_step(step, grads, telemetry)``, is handed the model's gradients and
+that ``StepTelemetry`` after each step that did not diverge, and never for
+a diverged row.
 
 Divergence means a NaN/Inf loss, a loss beyond ``DIVERGENCE_LOSS_CAP`` (an
 overflow guard: a run past that bound is a few steps from literal Inf, and
@@ -51,7 +53,7 @@ import json
 import math
 import operator
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, get_type_hints
 
@@ -322,9 +324,9 @@ def lr_schedule(step: int, cfg: RunConfig) -> float:
 # Training loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StepRecord:
-    """One row of ``run.csv``, whose columns are these fields in order."""
+class StepRecord(NamedTuple):
+    """One row of ``run.csv``, whose columns are these fields in order.
+    ``run`` fills each with its annotated type, never a numpy scalar."""
     step: int
     loss: float
     grad_norm_pre: float
@@ -335,7 +337,7 @@ class StepRecord:
     diverged: bool
 
 
-CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
+CSV_HEADER = ",".join(StepRecord._fields)
 
 
 @dataclass
@@ -446,16 +448,16 @@ def run(cfg: RunConfig, records_path: str | None = None,
                 diverged = True
             if diverged:
                 records.append(StepRecord(step, loss, math.nan, math.nan, 0.0,
-                                          lr, False, True))
+                                          float(lr), False, True))
                 break
 
             if on_step is not None:
                 on_step(step, grads, telemetry)
-            records.append(StepRecord(step, loss,
-                                      global_grad_norm(telemetry.norms_pre),
-                                      global_grad_norm(telemetry.norms_post),
-                                      telemetry.clipped_fraction, telemetry.lr,
-                                      telemetry.reset, False))
+            records.append(StepRecord(
+                step, loss, global_grad_norm(telemetry.norms_pre),
+                global_grad_norm(telemetry.norms_post),
+                telemetry.clipped_fraction, float(telemetry.lr),
+                bool(telemetry.reset), False))
 
         final_val_loss = None
         if not diverged:
@@ -493,36 +495,33 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-# Each column's field and how its cells are written: a float as
-# repr(float(x)), the step and the two flags as str(int(x)). The type is the
-# annotation's value, whether or not annotations are kept as text.
-_COLUMNS = [(operator.attrgetter(name), float, repr) if kind is float
-            else (operator.attrgetter(name), int, str)
-            for name, kind in get_type_hints(StepRecord).items()]
+# A row's format: %r for a float field, %d for the step and the two flags,
+# by the annotation's value, whether or not annotations are kept as text.
+_ROW = ",".join("%r" if kind is float else "%d"
+                for kind in get_type_hints(StepRecord).values()) + "\n"
 
 
-def write_records_csv(records: list[StepRecord], path: str) -> None:
-    cells = [map(text, map(number, map(get, records)))
-             for get, number, text in _COLUMNS]
-    lines = [CSV_HEADER, *map(",".join, zip(*cells))]
-    atomic_write(path, "\n".join(lines) + "\n")
+def write_records_csv(records: Iterable[StepRecord], path: str) -> None:
+    """Write the header and a row per record, in one pass over any iterable."""
+    atomic_write(path, CSV_HEADER + "\n" + "".join(map(_ROW.__mod__, records)))
 
 
 # ---------------------------------------------------------------------------
 # Grids and sweeps
 # ---------------------------------------------------------------------------
 
-def run_grid(cfgs: list[RunConfig], records_paths=None,
+def run_grid(cfgs: Iterable[RunConfig], records_paths=None,
              jobs: int = 1) -> list[RunResult]:
     """Run every config, each writing its CSV to its entry of
     ``records_paths`` (None: none), and return the results in input order.
-    Every config is checked before any run starts. With ``jobs > 1`` and
-    more than one config, the runs share one process pool of at most as
-    many workers as configs; otherwise each runs in turn through the
-    module attribute ``run``, looked up at call time."""
+    Both are read once, and every config is checked before any run starts.
+    With ``jobs > 1`` and more than one config, the runs share one process
+    pool of at most as many workers as configs; otherwise each runs in turn
+    through the module attribute ``run``, looked up at call time."""
+    cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("empty grid")
-    paths = [None] * len(cfgs) if records_paths is None else records_paths
+    paths = [None] * len(cfgs) if records_paths is None else list(records_paths)
     for cfg, _ in zip(cfgs, paths, strict=True):  # one path per config
         cfg.validate()
     if jobs > 1 and len(cfgs) > 1:

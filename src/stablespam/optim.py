@@ -86,6 +86,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -419,12 +420,12 @@ def adam_mini_step(w, g, moments: AdamMoments, lr: float,
 # Composable multi-tensor optimizers (harness-facing)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StepTelemetry:
-    """What one step measured and did. ``norms_pre`` holds each tensor's
-    gradient norm as the gradient entered, and ``norms_post`` each one after
-    the transforms (the same list when none ran): one Python float per
-    tensor, in layout order. ``lr`` is the LR the base applied."""
+class StepTelemetry(NamedTuple):
+    """What one step measured and did; a tuple, which ``_replace`` copies
+    with a field changed. ``norms_pre`` holds each tensor's gradient norm as
+    the gradient entered, and ``norms_post`` each one after the transforms
+    (the same list when none ran): one Python float per tensor, in layout
+    order. ``lr`` is the LR the base applied: the caller's times its scale."""
     clipped_fraction: float
     reset: bool
     lr: float

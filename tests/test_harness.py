@@ -6,6 +6,7 @@ import os
 import stat
 import sys
 import types
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from stablespam import harness, models, optim, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
-                                RunConfig, ScheduleConfig, batch_indices,
-                                global_grad_norm, lr_schedule, make_optimizer,
-                                prepare, run, run_grid, sweep,
+                                RunConfig, ScheduleConfig, StepRecord,
+                                batch_indices, global_grad_norm, lr_schedule,
+                                make_optimizer, prepare, run, run_grid, sweep,
                                 write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import frobenius_norm, make_rng
@@ -471,6 +472,54 @@ class TestCsv:
         assert ((tmp_path / "eager.csv").read_bytes()
                 == (tmp_path / "lazy.csv").read_bytes())
 
+    def test_an_iterator_writes_the_same_bytes_as_a_list(self, tmp_path):
+        records = run(small_cfg({"model.kind": "quadratic"})).records
+        assert len(records) == 40
+        write_records_csv(records, str(tmp_path / "list.csv"))
+        write_records_csv(iter(records), str(tmp_path / "iter.csv"))
+        assert ((tmp_path / "iter.csv").read_bytes()
+                == (tmp_path / "list.csv").read_bytes())
+
+    def test_special_floats_are_written_as_their_repr(self, tmp_path):
+        nan, inf = math.nan, math.inf
+        records = [StepRecord(1, nan, inf, -inf, -0.0, 5e-324, False, True),
+                   StepRecord(2, 5e-324, -0.0, -inf, inf, nan, True, False)]
+        path = tmp_path / "r.csv"
+        write_records_csv(records, str(path))
+        assert path.read_text() == (CSV_HEADER + "\n"
+                                    "1,nan,inf,-inf,-0.0,5e-324,0,1\n"
+                                    "2,5e-324,-0.0,-inf,inf,nan,1,0\n")
+
+    # SPAM and Stable-SPAM each set the warmup or MoRet key they read and
+    # keep the other at its default, the one value an unread key may take;
+    # SGD at LR 1e6 diverges, so its last row is the diverged one.
+    @pytest.mark.parametrize("name, keys", [
+        ("spam", {"optimizer.spam_warmup_steps": 5,
+                  "optimizer.reset_interval": 1000}),
+        ("stable_spam", {"optimizer.reset_interval": 10,
+                         "optimizer.spam_warmup_steps": 150}),
+        ("sgd", {"schedule.lr_peak": 1e6}),
+    ])
+    def test_numpy_typed_config_values_write_the_same_bytes(self, tmp_path,
+                                                            name, keys):
+        """``run`` stores Python numbers: numpy-typed LR, warmup, MoRet and
+        SPAM warmup values write the Python-number run's bytes, and every
+        field holds its annotated type."""
+        keys = {"model.kind": "quadratic", "optimizer.name": name,
+                "schedule.lr_peak": 0.05, "schedule.warmup_steps": 4, **keys}
+        typed = {key: np.float64(value) if isinstance(value, float)
+                 else np.int64(value) if isinstance(value, int) else value
+                 for key, value in keys.items()}
+        plain = run(small_cfg(keys), records_path=str(tmp_path / "py.csv"))
+        numpy = run(small_cfg(typed), records_path=str(tmp_path / "np.csv"))
+        assert ((tmp_path / "np.csv").read_bytes()
+                == (tmp_path / "py.csv").read_bytes())
+        assert numpy.diverged == plain.diverged == (name == "sgd")
+        kinds = typing.get_type_hints(StepRecord)
+        assert {(field, type(getattr(record, field)))
+                for record in numpy.records for field in kinds} == set(
+            kinds.items())
+
     def test_atomic_write_creates_parents(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "r.csv"
         write_records_csv([], str(path))
@@ -638,6 +687,18 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match=r"schedule\.lr_peak"):
             run_grid(cfgs, paths, jobs)
         assert not out.exists()
+
+    def test_iterables_run_like_lists(self, tmp_path):
+        """A generator of configs with a path list, and a config list with
+        an iterator of paths, each run every config and write every CSV."""
+        cfgs = mixed_grid()[:3]
+        finals = [r.final_val_loss for r in run_grid(cfgs)]
+        for name, given_cfgs, given_paths in [
+                ("gen", (cfg for cfg in cfgs), list), ("iter", cfgs, iter)]:
+            paths = [str(tmp_path / name / f"{i}.csv") for i in range(3)]
+            results = run_grid(given_cfgs, given_paths(paths))
+            assert [r.final_val_loss for r in results] == finals
+            assert all(Path(p).exists() for p in paths)
 
     def test_a_path_list_of_another_length_runs_nothing(self, tmp_path):
         with pytest.raises(ValueError):

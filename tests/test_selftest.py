@@ -55,8 +55,7 @@ def reset_keeping_the_moments(base, step, begin=optim.AdamBase.begin_step):
 def raw_grads_post(opt, params, grads, *args,
                    step=optim.ComposedOptimizer.step):
     telemetry = step(opt, params, grads, *args)
-    telemetry.grads_post = dict(grads)
-    return telemetry
+    return telemetry._replace(grads_post=dict(grads))
 
 
 def broken_qdq(round_codes=np.rint, plus_zero=True, pin=True,
