@@ -2,17 +2,16 @@
 
 Telemetry: ``run.csv``'s columns are ``StepRecord``'s fields, which its
 header and row format are derived from: ``%r`` for a float, ``%d`` for the
-step and the two flags. ``run`` stores Python numbers, never numpy scalars.
-It records the loss and what the optimizer's ``StepTelemetry`` says; it
-measures nothing itself. The two norm columns combine, with
+step and the two flags. ``run`` records the loss and what the optimizer's
+``StepTelemetry`` says, Python numbers that ``lr_schedule`` and the bases
+make; it measures nothing itself. The two norm columns combine, with
 ``global_grad_norm``, the per-tensor gradient norms the optimizer took: as
 it consumed the gradient (after spike injection, before any transform) and
 after all transforms. ``effective_lr`` is the LR the optimizer's base
-applied; a diverged row applied none: it records
-``lr_schedule(step, cfg)``, with no SPAM warmup. ``run``'s one hook,
-``on_step(step, grads, telemetry)``, is handed the model's gradients and
-that ``StepTelemetry`` after each step that did not diverge, and never for
-a diverged row.
+applied; a diverged row applied none: it records ``lr_schedule(step,
+cfg)``, with no SPAM warmup. ``run``'s one hook, ``on_step(step, grads,
+telemetry)``, is handed the model's gradients and that ``StepTelemetry``
+after each step that did not diverge, and never for a diverged row.
 
 Divergence means a NaN/Inf loss, a loss beyond ``DIVERGENCE_LOSS_CAP`` (an
 overflow guard: a run past that bound is a few steps from literal Inf, and
@@ -314,10 +313,11 @@ def lr_schedule(step: int, cfg: RunConfig) -> float:
     if not 0 <= step <= total:
         raise ValueError(f"step {step} outside [0, {total}]")
     if warmup > 0 and step <= warmup:
-        return peak * step / warmup
+        return float(peak * step / warmup)
     floor = 0.1 * peak
     progress = (step - warmup) / (total - warmup)
-    return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
+    return float(floor + (peak - floor) * 0.5
+                 * (1.0 + math.cos(math.pi * progress)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def run(cfg: RunConfig, records_path: str | None = None,
                 diverged = True
             if diverged:
                 records.append(StepRecord(step, loss, math.nan, math.nan, 0.0,
-                                          float(lr), False, True))
+                                          lr, False, True))
                 break
 
             if on_step is not None:
@@ -456,8 +456,8 @@ def run(cfg: RunConfig, records_path: str | None = None,
             records.append(StepRecord(
                 step, loss, global_grad_norm(telemetry.norms_pre),
                 global_grad_norm(telemetry.norms_post),
-                telemetry.clipped_fraction, float(telemetry.lr),
-                bool(telemetry.reset), False))
+                telemetry.clipped_fraction, telemetry.lr, telemetry.reset,
+                False))
 
         final_val_loss = None
         if not diverged:

@@ -479,7 +479,7 @@ class AdamBase(_Base):
         scale = 1.0
         if self.warmup_steps > 0:
             scale = min(1.0, since / self.warmup_steps)
-        return reset, scale
+        return bool(reset), float(scale)
 
     def second_moment(self, shape):
         self.moments = self.moments or AdamMoments.zeros(shape)

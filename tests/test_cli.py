@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablespam import cli, harness, selftest
+from stablespam import cli, harness, optim, selftest
 from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
                             parse_config_text, parse_lr_grid)
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
-                                ScheduleConfig, SweepResult, run)
+                                ScheduleConfig, SweepResult, run, run_grid)
 from stablespam.optim import ConfigError
 from tasks import config_text, int4_cfg, key_values, set_key, small_cfg
 
@@ -33,12 +33,223 @@ def write_cfg(tmp_path, name, keys=()):
     return str(path)
 
 
-# The three commands that write under --out; "{a}" and "{b}" are configs.
-WRITING_COMMANDS = pytest.mark.parametrize("argv", [
-    ["run", "--config", "{a}"],
-    ["sweep", "--config", "{a}", "--lr-grid", "0.001:0.002:0.001"],
-    ["compare", "{a}", "{b}"],
-], ids=["run", "sweep", "compare"])
+KEYS = {key: field for key, _, field in RunConfig().keys()}
+
+
+def outside(field):
+    """Values a key must reject: just past each finite bound and beyond it,
+    NaN and +-inf for a float, or a word that is not one of its choices."""
+    accepts = field.metadata["accepts"]
+    if isinstance(accepts, tuple):
+        word = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1,
+                       max_size=12).filter(lambda w: w not in accepts)
+        if field.type == "list[str]":
+            return word.map(lambda w: [w]) | st.sampled_from(accepts).map(
+                lambda c: [c, c])
+        return word
+    lo, hi = (float(bound) for bound in accepts[1:-1].split(","))
+    below_closed, above_closed = accepts[0] == "[", accepts[-1] == "]"
+    if field.type == "int":
+        return st.integers(max_value=int(lo) - 1 if below_closed else int(lo))
+    values = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+        max_value=lo, exclude_max=below_closed, allow_nan=False)
+    if hi < math.inf:
+        values |= st.floats(min_value=hi, exclude_min=above_closed,
+                            allow_nan=False)
+    return values
+
+
+def why(key, value):
+    """The message that refuses ``key`` set to a value ``outside`` draws."""
+    accepts = KEYS[key].metadata["accepts"]
+    entry = value[0] if isinstance(value, list) else value
+    if isinstance(accepts, str):
+        return f"{key}: {value!r} is outside {accepts}"
+    if value == [entry, entry]:
+        return f"{key}: duplicate transform in {value}"
+    return f"{key}: unknown value {entry!r}; choose from {', '.join(accepts)}"
+
+
+# A refusal's directory "{d}": configs that differ in the optimizer only,
+# what --out cannot be or lie under (a file "f", a dangling link "link") and
+# what --config cannot read (a directory "dir.cfg", a file not in UTF-8).
+STAGE = {"a.cfg": b"schedule.total_steps = 3\n",
+         "b.cfg": b"schedule.total_steps = 3\noptimizer.name = sgd\n",
+         "f": b"not a directory\n", "latin1.cfg": b"seed = 1\n\xff\n"}
+# The three commands that write under --out, each reading the config "%s".
+WRITING = {"run": "run --config %s",
+           "sweep": "sweep --config %s --lr-grid 0.001:0.002:0.001",
+           "compare": "compare %s {d}/b.cfg"}
+RUN = "run --config {d}/c.cfg --out {d}/o"
+
+# Every input the CLI refuses, by id: (the message; the config "{d}/c.cfg",
+# as text or as keys that the library refuses too; the arguments).
+REFUSALS = {
+    # The parser names the file and the line.
+    "unknown-key": ("{d}/c.cfg:3: unknown key 'optimizzer.name'",
+                    "\n\noptimizzer.name = adam\n"),
+    "unparsable-value": ("{d}/c.cfg:1: bad value for 'schedule.total_steps':"
+                         " 'many'", "schedule.total_steps = many"),
+    "key-set-twice": ("{d}/c.cfg:2: 'seed' already set on line 1",
+                      "seed = 1\nseed = 2"),
+    "no-equals": ("{d}/c.cfg:1: expected 'key = value', got 'just some words'",
+                  "just some words"),
+    # A value off its key's range or choices, as TestKeys' hypothesis draws.
+    **{f"{key}={value!r}".replace(" ", ""): (why(key, value), {key: value})
+       for key, value in (
+           ("quant.format", "int5"), ("optimizer.transforms", ["sparsify"]),
+           ("optimizer.transforms", ["adagn", "adagn"]), ("seed", -1),
+           ("optimizer.grad_clip", -1.0), ("optimizer.gamma1", 1.0),
+           ("optimizer.gamma3", 1.0), ("optimizer.gss_threshold", -1.0),
+           ("optimizer.adafactor_d", 0.0), ("optimizer.beta2", 1.0),
+           ("schedule.lr_peak", math.nan), ("schedule.lr_peak", math.inf),
+           ("spike.severity", math.inf), ("schedule.total_steps", 0),
+           ("model.input_dim", 0), ("model.hidden_dim", 0), ("model.depth", 0),
+           ("model.quad_dim", 0), ("model.classes", 1), ("optimizer.eps", 0.0),
+           ("optimizer.reset_interval", -5), ("optimizer.lion_beta1", 2.0),
+           ("optimizer.spam_warmup_steps", -3))},
+    # A value of another type, which no config file holds.
+    **{f"{key}={value!r}": (f"{key}: {value!r} is not {named}", {key: value},
+                            None) for key, value, named in (
+        ("schedule.total_steps", 2.5, "an int"), ("seed", 1.5, "an int"),
+        ("data.batch_size", 4.0, "an int"), ("model.depth", True, "an int"),
+        ("schedule.lr_peak", "0.1", "a float"),
+        ("optimizer.transforms", "adagn", "a list"))},
+    # Values each key takes alone but not with the rest of the config.
+    **{f"{key}-{value}": (f"{key}: adam on the quadratic model does not read "
+                          "it (read by mlp)", {"model.kind": "quadratic",
+                                               key: value})
+       for key, value in (("quant.format", "int4"), ("spike.probability", 0.1),
+                          ("spike.severity", 0.5), ("model.input_dim", 6),
+                          ("data.samples", 64))},
+    "model.quad_dim-4": ("model.quad_dim: adam on the mlp model does not read"
+                         " it (read by quadratic)", {"model.quad_dim": 4}),
+    **{f"spike.{key}-{value}-alone": (f"spike.{key}: {value} injects nothing"
+                                      f" while spike.{other} is 0",
+                                      {f"spike.{key}": value})
+       for key, value, other in (("probability", 0.1, "severity"),
+                                 ("severity", 0.5, "probability"))},
+    "schedule.warmup_steps-above-total_steps": (
+        "schedule.warmup_steps: must be <= schedule.total_steps",
+        {"schedule.total_steps": 10, "schedule.warmup_steps": 11}),
+    **{f"{name}-{kind}": ("optimizer.transforms: " + (
+        f"spike_clip needs a second moment, which {base} does not keep"
+        if base else f"{name} already applies {kind!r}"),
+        {"optimizer.name": name, "optimizer.transforms": [kind]})
+       for name, kind, base in (
+           ("stable_spam", "adaclip", ""), ("stable_spam", "adagn", ""),
+           ("spam", "spike_clip", ""), ("sgd", "spike_clip", "SgdBase"),
+           ("lion", "spike_clip", "LionBase"),
+           ("adafactor", "spike_clip", "AdafactorBase"),
+           ("adam_mini", "spike_clip", "AdamMiniBase"))},
+    # Flags: argparse rejects what does not parse, the commands the rest.
+    "bad-seed": ("stablespam run: error: argument --seed: invalid int value: "
+                 "'abc'", None, "run --seed abc --out {d}/o"),
+    "unknown-flag": ("stablespam: error: unrecognized arguments: "
+                     "--frobnicate", None, "run --frobnicate --out {d}/o"),
+    "unknown-command": ("stablespam: error: argument command: invalid "
+                        "choice: 'frobnicate' (choose from 'run', 'sweep', "
+                        "'compare', 'selftest')", None, "frobnicate"),
+    **{f"{cmd}-{name}": (error.replace("{cmd}", cmd), None,
+                         WRITING[cmd] % config + " " + flags)
+       for cmd in WRITING for name, config, flags, error in (
+           *((f"out-{under}{name}", "{d}/a.cfg", f"--out {{d}}/{path}{sub}",
+              "stablespam {cmd}: error: argument --out: {d}/%s is not a "
+              "directory" % path)
+             for name, path in (("file", "f"), ("dangling-link", "link"))
+             for under, sub in (("", ""), ("under-", "/sub"))),
+           ("negative-seed", "{d}/a.cfg", "--seed -1 --out {d}/o",
+            "seed: -1 is outside [0, inf)"),
+           ("config-missing", "{d}/nope.cfg", "--out {d}/o",
+            "config file '{d}/nope.cfg': No such file or directory"),
+           ("config-directory", "{d}/dir.cfg", "--out {d}/o",
+            "config file '{d}/dir.cfg': Is a directory"),
+           ("config-not-utf-8", "{d}/latin1.cfg", "--out {d}/o",
+            "config file '{d}/latin1.cfg': 'utf-8' codec can't decode byte "
+            "0xff in position 9: invalid start byte"))},
+    "negative-jobs": ("--jobs must be >= 0, got -1", None,
+                      "sweep --jobs -1 --out {d}/o"),
+    "negative-lr": ("schedule.lr_peak: -0.001 is outside (0, inf)", None,
+                    "sweep --config {d}/a.cfg --lr-grid=-1e-3:2e-3:1e-3 "
+                    "--jobs 2 --out {d}/o"),
+    **{f"lr-grid-{grid}": ("--lr-grid" + says % repr(grid), None,
+                           f"sweep --config {{d}}/a.cfg --lr-grid {grid} "
+                           "--out {d}/o") for grid, says in (
+        ("1:2", " expects 'a:b:step' or a preset name, got %s"),
+        ("a:b:c", ": non-numeric bound in %s"),
+        *((grid, ": bad range %s")
+          for grid in ("3:1:1", "1:2:0", "nan:1:1", "1:inf:1")),
+        *((grid, ": too many points in %s (at most 1000)")
+          for grid in ("1:2:1e-400", "1e-9:1:1e-9")))},
+    "compare-non-optimizer-keys": (
+        "compare configs may differ only in the optimizer block; diverging "
+        "keys: quant.format, seed",
+        "schedule.total_steps = 3\nseed = 3\nquant.format = int4\n",
+        "compare {d}/a.cfg {d}/c.cfg --out {d}/o"),
+    "compare-one-config": ("compare needs at least two config files", None,
+                           "compare {d}/a.cfg --out {d}/o"),
+}
+
+
+def refused(error, config=None, argv=RUN):
+    """``stablespam argv`` exits 1, changes nothing in a new directory "{d}"
+    of ``STAGE`` and ``config``, and prints ``error`` after "config error: ",
+    or after argparse's usage where ``error`` names the program. A dict
+    ``config`` sets keys of ``small_cfg``, which ``validate``, ``run`` and
+    ``run_grid`` refuse with ``error``: all that is checked without ``argv``."""
+    if isinstance(config, dict):
+        cfg = small_cfg(config)
+        for call in (RunConfig.validate, run, lambda cfg: run_grid([cfg])):
+            with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+                call(cfg)
+        config = config_text(cfg)
+    if argv is None:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in {**STAGE, "c.cfg": (config or "").encode()}.items():
+            Path(d, name).write_bytes(data)
+        os.mkdir(os.path.join(d, "dir.cfg"))
+        os.symlink(os.path.join(d, "nowhere"), os.path.join(d, "link"))
+        tree = lambda: {path: path.is_file() and path.read_bytes()  # noqa: E731
+                        for path in Path(d).rglob("*")}
+        before, err = tree(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([arg.replace("{d}", d) for arg in argv.split()])
+        assert tree() == before
+    lines = err.getvalue().replace(d, "{d}").splitlines()
+    usage = error.startswith("stablespam")  # after argparse's usage
+    assert code == EXIT_CONFIG
+    assert lines[-1] == ("" if usage else "config error: ") + error
+    assert (len(lines) > 1) == usage == lines[0].startswith("usage: stablespam")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("row", REFUSALS)
+    def test_row(self, row):
+        refused(*REFUSALS[row])
+
+    def test_every_refusal_has_a_row(self):
+        """Under a line tracer, the rows run every ``raise ConfigError`` in
+        ``cli.py``, ``harness.py`` and ``optim.py`` but two that ``validate``
+        preempts (see ``test_make_optimizer_unknown_name``, ``TestCompose``)."""
+        sites, ran = {(module.__file__, number): line.split("ConfigError(")[1]
+                      for module in (cli, harness, optim)
+                      for number, line in enumerate(
+                          Path(module.__file__).read_text().splitlines(), 1)
+                      if line.lstrip().startswith("raise ConfigError(")}, set()
+
+        def trace(frame, event, arg):
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+            return trace
+
+        with contextlib.ExitStack() as restore:
+            restore.callback(sys.settrace, sys.gettrace())
+            sys.settrace(trace)
+            for row in REFUSALS.values():
+                refused(*row)
+        assert {sites[site] for site in sites.keys() - ran} == {
+            "f\"optimizer.name: unknown value '{ocfg.name}'\")",
+            "f\"unknown transform '{kind}'\")"}
 
 
 class TestParseConfig:
@@ -67,62 +278,10 @@ class TestParseConfig:
         cfg = parse_config_text("# header\n\nseed = 7  # trailing\n")
         assert cfg.seed == 7
 
-    def test_unknown_key_reports_line(self):
-        with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'optimizzer.name'"):
-            parse_config_text("\n\noptimizzer.name = adam\n", origin="cfg")
-
-    def test_bad_value_reports_key(self):
-        with pytest.raises(ConfigError, match=r"bad value for 'schedule.total_steps'"):
-            parse_config_text("schedule.total_steps = many")
-
-    def test_bad_quant_format_names_key(self):
-        with pytest.raises(ConfigError, match=r"quant\.format.*int5"):
-            parse_config_text("quant.format = int5")
-
-    def test_key_set_twice_rejected(self):
-        with pytest.raises(ConfigError,
-                           match=r"^cfg:2: 'seed' already set on line 1$"):
-            parse_config_text("seed = 1\nseed = 2", origin="cfg")
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ConfigError, match="expected 'key = value'"):
-            parse_config_text("just some words")
-
     def test_transforms_list(self):
         cfg = parse_config_text("optimizer.transforms = adaclip, adagn")
         assert cfg.optimizer.transforms == ["adaclip", "adagn"]
 
-    def test_unknown_transform_rejected(self):
-        with pytest.raises(ConfigError,
-                           match=r"optimizer\.transforms: unknown value 'sparsify'"):
-            parse_config_text("optimizer.transforms = sparsify")
-
-
-KEYS = {key: field for key, _, field in RunConfig().keys()}
-
-
-def outside(field):
-    """Values a key must reject: just past each finite bound and beyond it,
-    NaN and +-inf for a float, or a word that is not one of its choices."""
-    accepts = field.metadata["accepts"]
-    if isinstance(accepts, tuple):
-        choices = accepts
-        word = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1,
-                       max_size=12).filter(lambda w: w not in choices)
-        if field.type == "list[str]":
-            return word.map(lambda w: [w]) | st.sampled_from(choices).map(
-                lambda c: [c, c])
-        return word
-    lo, hi = (float(bound) for bound in accepts[1:-1].split(","))
-    below_closed, above_closed = accepts[0] == "[", accepts[-1] == "]"
-    if field.type == "int":
-        return st.integers(max_value=int(lo) - 1 if below_closed else int(lo))
-    values = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
-        max_value=lo, exclude_max=below_closed, allow_nan=False)
-    if hi < math.inf:
-        values |= st.floats(min_value=hi, exclude_min=above_closed,
-                            allow_nan=False)
-    return values
 
 
 class TestKeys:
@@ -155,57 +314,8 @@ class TestKeys:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(KEYS)).flatmap(
         lambda key: st.tuples(st.just(key), outside(KEYS[key]))))
-    @example(("optimizer.gamma1", 1.0))
-    @example(("optimizer.gamma3", 1.0))
-    @example(("seed", -1))
-    @example(("schedule.total_steps", 0))
-    @example(("optimizer.gss_threshold", -1.0))
-    @example(("optimizer.adafactor_d", 0.0))
-    @example(("optimizer.beta2", 1.0))
-    @example(("schedule.lr_peak", math.nan))
-    @example(("schedule.lr_peak", math.inf))
-    @example(("spike.severity", math.inf))
-    @example(("model.input_dim", 0))
-    @example(("model.hidden_dim", 0))
-    @example(("model.depth", 0))
-    @example(("model.quad_dim", 0))
-    @example(("model.classes", 1))
-    @example(("optimizer.reset_interval", -5))
-    @example(("optimizer.eps", 0.0))
-    @example(("optimizer.spam_warmup_steps", -3))
-    @example(("optimizer.lion_beta1", 2.0))
-    @example(("optimizer.transforms", ["adagn", "adagn"]))
     def test_value_outside_range_is_config_error(self, case):
-        key, value = case
-        cfg = RunConfig()
-        set_key(cfg, key, value)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
-            run(cfg)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "bad.cfg")
-            with open(path, "w") as fh:
-                fh.write(config_text(cfg))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(["run", "--config", path,
-                             "--out", os.path.join(tmp, "o")])
-        assert code == EXIT_CONFIG
-        assert f"config error: {key}: " in err.getvalue()
-
-    @pytest.mark.parametrize("key, value, named", [
-        pytest.param(key, value, named, id=f"{key}={value!r}")
-        for key, value, named in (
-            ("schedule.total_steps", 2.5, "an int"), ("seed", 1.5, "an int"),
-            ("data.batch_size", 4.0, "an int"), ("model.depth", True, "an int"),
-            ("schedule.lr_peak", "0.1", "a float"),
-            ("optimizer.transforms", "adagn", "a list"))])
-    def test_value_of_another_type_is_config_error(self, key, value, named):
-        cfg = RunConfig()
-        set_key(cfg, key, value)
-        message = rf"^{re.escape(key)}: {re.escape(repr(value))} is not {named}$"
-        for check in (cfg.validate, lambda: run(cfg)):
-            with pytest.raises(ConfigError, match=message):
-                check()
+        refused(why(*case), {case[0]: case[1]})
 
     @pytest.mark.parametrize("key, value", [
         pytest.param(key, value, id=f"{key}={type(value).__name__}")
@@ -219,48 +329,6 @@ class TestKeys:
         cfg = RunConfig(schedule=ScheduleConfig(total_steps=2, warmup_steps=0))
         set_key(cfg, key, value)
         assert len(run(cfg).records) == 2
-
-    @pytest.mark.parametrize("base, key, value", [
-        pytest.param({"model.kind": "quadratic"}, key, value, id=f"{key}-{value}")
-        for key, value in (("quant.format", "int4"), ("spike.probability", 0.1),
-                           ("spike.severity", 0.5), ("model.input_dim", 6),
-                           ("data.samples", 64))
-    ] + [
-        pytest.param({}, "model.quad_dim", 4, id="model.quad_dim-4")
-    ] + [
-        pytest.param({}, key, value, id=f"{key}-{value}-alone")
-        for key, value in (("spike.probability", 0.1), ("spike.severity", 0.5))
-    ] + [
-        pytest.param({"schedule.total_steps": 10}, "schedule.warmup_steps", 11,
-                     id="schedule.warmup_steps-above-total_steps")
-    ] + [
-        pytest.param({"optimizer.name": name}, "optimizer.transforms", [kind],
-                     id=f"{name}-{kind}")
-        for name, kind in (("stable_spam", "adaclip"), ("stable_spam", "adagn"),
-                           ("spam", "spike_clip"), ("sgd", "spike_clip"),
-                           ("lion", "spike_clip"), ("adafactor", "spike_clip"),
-                           ("adam_mini", "spike_clip"))
-    ])
-    def test_key_combination_is_config_error(self, base, key, value, tmp_path,
-                                             capsys):
-        """Values each key accepts alone but not together: a key off its
-        default that no part of the run reads (the quadratic reads no MLP,
-        data, quant or spike key, the MLP no ``model.quad_dim``), a spike
-        key off zero while the other is zero, which injects nothing, warmup
-        that outlasts the run, and an optimizer that repeats a transform it
-        applies itself or runs spike_clip without a second moment."""
-        settings = {**base, key: value}
-        cfg = RunConfig()
-        for k, v in settings.items():
-            set_key(cfg, k, v)
-        for check in (cfg.validate, lambda: run(cfg)):
-            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
-                check()
-        path = tmp_path / "combination.cfg"
-        path.write_text(config_text(cfg))
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        assert f"config error: {key}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["adam", "adam_gradclip", "stable_spam"])
     def test_spike_clip_runs_on_adam_moments(self, name):
@@ -297,12 +365,6 @@ class TestParseLrGrid:
     def test_range_points_exact(self):
         assert parse_lr_grid("1e-4:1e-3:2e-4") == [1e-4, 3e-4, 5e-4, 7e-4, 9e-4]
         assert parse_lr_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
-
-    def test_bad_shapes(self):
-        for text in ("1:2", "a:b:c", "3:1:1", "1:2:0", "nan:1:1", "1:inf:1",
-                     "1:2:1e-400"):
-            with pytest.raises(ConfigError):
-                parse_lr_grid(text)
 
     def test_too_many_points_rejected_before_any_is_built(self):
         assert len(parse_lr_grid(f"1:{cli.LR_GRID_MAX_POINTS}:1")) == \
@@ -362,19 +424,6 @@ class TestCommands:
         assert "steps: 13\n" in out
         assert "final_val_loss: diverged\n" in out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("quant.format = int5\n")
-        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
-
-    def test_negative_grad_clip_is_config_error(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "neg.cfg", {"optimizer.grad_clip": -1})
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        assert "optimizer.grad_clip" in capsys.readouterr().err
-
     def test_adam_gradclip_cli_matches_library(self, tmp_path):
         cfg = RunConfig(model=ModelConfig(kind="quadratic"),
                         optimizer=OptimizerConfig(name="adam_gradclip"),
@@ -389,14 +438,6 @@ class TestCommands:
         # the library default threshold of 1.0 is applied
         assert all(r.grad_norm_post <= 1.0 + 1e-12 < r.grad_norm_pre
                    for r in result.records)
-
-    @pytest.mark.parametrize("argv", [["run", "--seed", "abc"],
-                                      ["run", "--frobnicate"], ["frobnicate"]],
-                             ids=["bad-seed", "unknown-flag", "unknown-command"])
-    def test_usage_error_is_config_error(self, argv, capsys):
-        # exit 2 is reserved for "every run diverged"
-        assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("usage: stablespam")
 
     def test_help_exits_zero(self, capsys):
         assert main(["run", "--help"]) == EXIT_OK
@@ -422,12 +463,6 @@ class TestCommands:
         shown = proc.stderr if code else proc.stdout
         assert shown.startswith("usage: stablespam"), proc.stderr
 
-    def test_negative_jobs_is_config_error(self, tmp_path, capsys):
-        code = main(["sweep", "--jobs", "-1", "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        assert "--jobs" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     def test_jobs_defaults_to_the_cpu_count(self, tmp_path, monkeypatch):
         got = []
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
@@ -435,79 +470,6 @@ class TestCommands:
             got.append(jobs) or SweepResult(entries=[], best_lr=None)))
         main(["sweep", "--out", str(tmp_path / "o")])
         assert got == [3]
-
-    @WRITING_COMMANDS
-    def test_negative_seed_writes_nothing(self, argv, tmp_path, capsys):
-        paths = {"a": write_cfg(tmp_path, "a.cfg"),
-                 "b": write_cfg(tmp_path, "b.cfg", {"optimizer.name": "sgd"})}
-        out = tmp_path / "o"
-        code = main([arg.format(**paths) for arg in argv]
-                    + ["--seed", "-1", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert "seed: -1 is outside" in capsys.readouterr().err
-        assert not out.exists()
-
-    @WRITING_COMMANDS
-    @pytest.mark.parametrize("out", ["f", os.path.join("f", "sub"), "link",
-                                     os.path.join("link", "sub")],
-                             ids=["file", "under-file", "dangling-link",
-                                  "under-dangling-link"])
-    def test_out_that_cannot_be_a_directory_is_usage_error(
-            self, argv, out, tmp_path, capsys):
-        # Checked as the arguments are parsed: nothing is run or written.
-        paths = {"a": write_cfg(tmp_path, "a.cfg"),
-                 "b": write_cfg(tmp_path, "b.cfg", {"optimizer.name": "sgd"})}
-        (tmp_path / "f").write_bytes(b"not a directory\n")
-        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
-        before = sorted(tmp_path.iterdir())
-        assert main([arg.format(**paths) for arg in argv]
-                    + ["--out", str(tmp_path / out)]) == EXIT_CONFIG
-        assert "argument --out" in capsys.readouterr().err
-        assert (tmp_path / "f").read_bytes() == b"not a directory\n"
-        assert sorted(tmp_path.iterdir()) == before
-
-    def test_sweep_bad_lr_writes_nothing(self, tmp_path, capsys):
-        # The grid's first point, -1e-3, is out of range; the later points
-        # would have run and written their CSVs before it was checked.
-        out = tmp_path / "o"
-        code = main(["sweep", "--config", write_cfg(tmp_path, "a.cfg"),
-                     "--lr-grid=-1e-3:2e-3:1e-3", "--jobs", "2",
-                     "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert "schedule.lr_peak" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_sweep_grid_of_too_many_points_writes_nothing(self, tmp_path,
-                                                          capsys):
-        out = tmp_path / "o"
-        code = main(["sweep", "--config", write_cfg(tmp_path, "a.cfg"),
-                     "--lr-grid", "1e-9:1:1e-9", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert "--lr-grid: too many points" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_missing_config_file_is_config_error(self, tmp_path):
-        code = main(["run", "--config", str(tmp_path / "nope.cfg"),
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-
-    @WRITING_COMMANDS
-    @pytest.mark.parametrize("make, reason", [
-        (lambda path: path.mkdir(), "Is a directory"),
-        (lambda path: path.write_bytes(b"seed = 1\n\xff\n"),
-         "'utf-8' codec can't decode byte 0xff in position 9")],
-        ids=["directory", "not-utf-8"])
-    def test_unreadable_config_file_is_config_error(self, argv, make, reason,
-                                                    tmp_path, capsys):
-        # Read once, as UTF-8: an error there names the file, and nothing runs.
-        paths = {"a": str(tmp_path / "a.cfg"), "b": write_cfg(tmp_path, "b.cfg")}
-        make(tmp_path / "a.cfg")
-        out = tmp_path / "o"
-        code = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(
-            f"config error: config file {paths['a']!r}: {reason}")
-        assert not out.exists()
 
     def test_config_with_a_byte_order_mark_runs_as_without(self, tmp_path):
         # Some editors begin a UTF-8 file with the mark U+FEFF.
@@ -602,18 +564,6 @@ class TestCommands:
         assert main(["compare", *configs, "--out", str(out)]) == EXIT_OK
         assert seen == [(name, str(out / f"compare_run{i}.csv"))
                         for i, name in enumerate(names)]
-
-    def test_compare_rejects_non_optimizer_difference(self, tmp_path, capsys):
-        a = write_cfg(tmp_path, "a.cfg")
-        b = write_cfg(tmp_path, "b.cfg", {"seed": 3, "quant.format": "int4"})
-        code = main(["compare", a, b, "--out", str(tmp_path / "cmp")])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "quant.format" in err and "seed" in err
-
-    def test_compare_needs_two_configs(self, tmp_path):
-        a = write_cfg(tmp_path, "a.cfg")
-        assert main(["compare", a, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
     def test_compare_diverged_row_na(self, tmp_path):
         base = ("model.kind = quadratic\nschedule.total_steps = 30\n"

@@ -502,16 +502,21 @@ class TestCsv:
     ])
     def test_numpy_typed_config_values_write_the_same_bytes(self, tmp_path,
                                                             name, keys):
-        """``run`` stores Python numbers: numpy-typed LR, warmup, MoRet and
-        SPAM warmup values write the Python-number run's bytes, and every
-        field holds its annotated type."""
+        """Numpy-typed LR, warmup, MoRet and SPAM warmup values write the
+        Python-number run's bytes, and every field holds its annotated type:
+        ``lr_schedule`` and the base's ``begin_step`` give the step
+        telemetry, which ``on_step`` sees, a float LR and a bool reset."""
         keys = {"model.kind": "quadratic", "optimizer.name": name,
                 "schedule.lr_peak": 0.05, "schedule.warmup_steps": 4, **keys}
         typed = {key: np.float64(value) if isinstance(value, float)
                  else np.int64(value) if isinstance(value, int) else value
                  for key, value in keys.items()}
         plain = run(small_cfg(keys), records_path=str(tmp_path / "py.csv"))
-        numpy = run(small_cfg(typed), records_path=str(tmp_path / "np.csv"))
+        seen = set()
+        numpy = run(small_cfg(typed), records_path=str(tmp_path / "np.csv"),
+                    on_step=lambda step, grads, t: seen.add(
+                        (type(t.lr), type(t.reset))))
+        assert seen == {(float, bool)}
         assert ((tmp_path / "np.csv").read_bytes()
                 == (tmp_path / "py.csv").read_bytes())
         assert numpy.diverged == plain.diverged == (name == "sgd")
