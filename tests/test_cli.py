@@ -282,6 +282,10 @@ class TestParseConfig:
         cfg = parse_config_text("optimizer.transforms = adaclip, adagn")
         assert cfg.optimizer.transforms == ["adaclip", "adagn"]
 
+    def test_bad_quant_format_names_key(self):
+        with pytest.raises(ConfigError, match=r"quant\.format.*int5"):
+            parse_config_text("quant.format = int5")
+
 
 
 class TestKeys:
@@ -376,6 +380,13 @@ class TestParseLrGrid:
 
 
 class TestCommands:
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("quant.format = int5\n")
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_run_writes_csv_and_exits_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "a.cfg")
         out = tmp_path / "out"
