@@ -17,8 +17,10 @@ documented defaults (Adam, no quantization, peak LR 1e-3). Unknown keys,
 keys set twice and unparsable values are reported with the key name and
 line number, a value outside its key's range with the key name.
 ``--seed`` replaces the file's ``seed`` in ``run``, ``sweep`` and
-``compare`` alike; the library checks it, and a sweep's learning rates,
-before any run starts, so a config error writes nothing.
+``compare`` alike, and ``--lr-grid`` sets a sweep's ``schedule.lr_peak``:
+each flag's value is checked by its key's declaration and a bad one is
+reported with the flag's name, before any run starts, so a config error
+writes nothing.
 
 ``main`` returns the exit code of every outcome: 0 success or ``--help``, 1
 config or usage error, 2 every run diverged, 3 internal error.
@@ -123,6 +125,16 @@ def parse_lr_grid(text: str) -> list[float]:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _flag_value(flag: str, key: str, value):
+    """``value``, which ``flag`` sets as config key ``key``, if the key's
+    declaration accepts it; a config error naming the flag if not."""
+    field = next(f for k, _, f in RunConfig().keys() if k == key)
+    message = field.metadata["fault"](value)
+    if message:
+        raise ConfigError(f"{flag}: {message}")
+    return value
+
+
 def _load_cfg(path: str | None, seed: int | None) -> RunConfig:
     """The config file at ``path`` (the defaults without one), read as UTF-8
     less any leading byte-order mark and checked as it is parsed, with
@@ -136,7 +148,9 @@ def _load_cfg(path: str | None, seed: int | None) -> RunConfig:
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"config file {path!r}: {reason}") from None
         cfg = parse_config_text(text, origin=path)
-    return cfg if seed is None else replace(cfg, seed=seed)
+    if seed is None:
+        return cfg
+    return replace(cfg, seed=_flag_value("--seed", "seed", seed))
 
 
 def cmd_run(args) -> int:
@@ -155,7 +169,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 0:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     cfg = _load_cfg(args.config, args.seed)
-    grid = parse_lr_grid(args.lr_grid)
+    grid = [_flag_value("--lr-grid", "schedule.lr_peak", lr)
+            for lr in parse_lr_grid(args.lr_grid)]
     jobs = args.jobs or os.cpu_count() or 1
     result = sweep(cfg, grid, out_dir=args.out, jobs=jobs)
     for entry in result.entries:

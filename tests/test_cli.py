@@ -159,7 +159,7 @@ REFUSALS = {
              for name, path in (("file", "f"), ("dangling-link", "link"))
              for under, sub in (("", ""), ("under-", "/sub"))),
            ("negative-seed", "{d}/a.cfg", "--seed -1 --out {d}/o",
-            "seed: -1 is outside [0, inf)"),
+            "--seed: -1 is outside [0, inf)"),
            ("config-missing", "{d}/nope.cfg", "--out {d}/o",
             "config file '{d}/nope.cfg': No such file or directory"),
            ("config-directory", "{d}/dir.cfg", "--out {d}/o",
@@ -169,7 +169,7 @@ REFUSALS = {
             "0xff in position 9: invalid start byte"))},
     "negative-jobs": ("--jobs must be >= 0, got -1", None,
                       "sweep --jobs -1 --out {d}/o"),
-    "negative-lr": ("schedule.lr_peak: -0.001 is outside (0, inf)", None,
+    "negative-lr": ("--lr-grid: -0.001 is outside (0, inf)", None,
                     "sweep --config {d}/a.cfg --lr-grid=-1e-3:2e-3:1e-3 "
                     "--jobs 2 --out {d}/o"),
     **{f"lr-grid-{grid}": ("--lr-grid" + says % repr(grid), None,
@@ -364,7 +364,7 @@ class TestParseLrGrid:
 
     def test_range_inclusive(self):
         got = parse_lr_grid("0.001:0.003:0.001")
-        assert got == pytest.approx([0.001, 0.002, 0.003])
+        assert got == pytest.approx([0.001, 0.002, 0.003], rel=1e-6, abs=1e-12)
 
     def test_range_points_exact(self):
         assert parse_lr_grid("1e-4:1e-3:2e-4") == [1e-4, 3e-4, 5e-4, 7e-4, 9e-4]

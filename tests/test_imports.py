@@ -1,6 +1,9 @@
 import ast
+import functools
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,120 +35,53 @@ def test_no_unused_imports():
     assert not found, found
 
 
-# The functions that turn their input into a 2-D float64 array; everything
-# behind them takes such arrays as given.
-DOORS = {"src/stablespam/optim.py": {"ComposedOptimizer.step"},
-         "src/stablespam/models.py": {"mlp_forward_backward", "mlp_loss",
-                                      "inject_spikes"}}
-
-
-def callers_of(path, name):
-    """The qualified names of the functions in a module that call ``name``
-    or ``<object>.name``; a call at module level is reported as
-    ``<module>``."""
-    callers = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
-                callers.add(".".join(scope) or "<module>")
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text()), [])
-    return callers
-
-
-def test_as_matrix_called_only_at_the_doors():
-    found = {str(path.relative_to(ROOT)): callers
-             for path in sorted(ROOT.glob("src/**/*.py"))
-             if (callers := callers_of(path, "as_matrix"))}
-    assert found == DOORS
-
-
-# A tensor's norm is taken by its layout: global_grad_norm and the harness
-# only combine the norms the optimizer took.
-NORM_CALLERS = {"src/stablespam/optim.py": {"OneTensor.tensor_norms"}}
-
-
-def test_frobenius_norm_called_only_by_the_layout():
-    found = {str(path.relative_to(ROOT)): callers
-             for path in sorted(ROOT.glob("src/**/*.py"))
-             if (callers := callers_of(path, "frobenius_norm"))}
-    assert found == NORM_CALLERS
-
-
-def test_the_selftest_takes_no_norm_from_the_code_it_checks():
-    """The release gate measures every norm with ``oracles.norm``, never
-    with the library's own norms."""
-    selftest = ROOT / "src/stablespam/selftest.py"
-    found = {name: callers for name in ("frobenius_norm", "tensor_norms",
-                                        "global_grad_norm")
-             if (callers := callers_of(selftest, name))}
-    assert not found, found
-
-
-# The doors a config is checked at: the config file, a run's set-up, and
-# a grid's points before any run; the selftest checks its own.
-VALIDATE_CALLERS = {"src/stablespam/cli.py": {"parse_config_text"},
-                    "src/stablespam/harness.py": {"prepare", "run_grid"},
-                    "src/stablespam/selftest.py": {"_trace_check"}}
-
-
-def test_validate_called_only_at_the_doors():
-    found = {str(path.relative_to(ROOT)): callers
-             for path in sorted(ROOT.glob("src/**/*.py"))
-             if (callers := callers_of(path, "validate"))}
-    assert found == VALIDATE_CALLERS
-
-
-def test_only_prepare_sets_up_a_run():
-    """In the harness, one function spawns the seed streams and builds the
-    model, its data or the quadratic."""
-    harness = ROOT / "src/stablespam/harness.py"
-    found = {name: callers_of(harness, name)
-             for name in ("SeedSequence", "init_mlp", "make_dataset",
-                          "make_quadratic")}
-    assert found == dict.fromkeys(found, {"prepare"})
-
-
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def references(path):
-    """``(name, owner)`` for each name a module refers to: names, attributes,
-    imported names and the identifiers inside string constants other than
-    docstrings (``perfbench`` names its targets in strings). ``owner`` is the
-    top-level function or class the reference sits in, the name a top-level
-    assignment binds, or None."""
-    tree = ast.parse(path.read_text())
+@functools.cache
+def references(text):
+    """``(name, scope, called)`` for each name a module's source refers to:
+    names, attributes, imported names and the identifiers inside string
+    constants other than docstrings (``perfbench`` names its targets in
+    strings). ``scope`` is the dotted path of the classes and functions the
+    reference sits in, the name a top-level assignment binds, or
+    ``<module>``; ``called`` says whether the name is a call's callee."""
+    tree = ast.parse(text)
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
+    callees = {id(node.func) for node in ast.walk(tree)
+               if isinstance(node, ast.Call)}
     found = []
-    for top in tree.body:
-        owner = None
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-            owner = top.name
-        elif isinstance(top, ast.Assign) and len(top.targets) == 1:
-            owner = getattr(top.targets[0], "id", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found.append((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                found.append((node.attr, owner))
-            elif isinstance(node, ast.alias):
-                found.append((node.name.split(".")[-1], owner))
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and id(node) not in docstrings):
-                found += [(word, owner)
-                          for word in IDENTIFIER.findall(node.value)]
-    return found
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (not scope and isinstance(child, ast.Assign)
+                  and len(child.targets) == 1
+                  and isinstance(child.targets[0], ast.Name)):
+                inner = [child.targets[0].id]
+            if isinstance(child, ast.Name):
+                words = [child.id]
+            elif isinstance(child, ast.Attribute):
+                words = [child.attr]
+            elif isinstance(child, ast.alias):
+                words = [child.name.split(".")[-1]]
+            elif (isinstance(child, ast.Constant)
+                  and isinstance(child.value, str)
+                  and id(child) not in docstrings):
+                words = IDENTIFIER.findall(child.value)
+            else:
+                words = []
+            found.extend((word, ".".join(inner) or "<module>",
+                          id(child) in callees) for word in words)
+            visit(child, inner)
+
+    visit(tree, [])
+    return tuple(found)
 
 
 def test_every_definition_is_referenced():
@@ -155,7 +91,8 @@ def test_every_definition_is_referenced():
     used = set(IDENTIFIER.findall((ROOT / "pyproject.toml").read_text()))
     for path in sorted(ROOT.glob("src/**/*.py")) + sorted(
             ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py")):
-        used |= {name for name, owner in references(path) if name != owner}
+        used |= {name for name, scope, _ in references(path.read_text())
+                 if name != scope.split(".")[0]}
     unreferenced = [
         f"{path.relative_to(ROOT)}: {node.name}"
         for path in sorted(ROOT.glob("src/stablespam/*.py"))
@@ -165,29 +102,115 @@ def test_every_definition_is_referenced():
     assert not unreferenced, unreferenced
 
 
-# Outside its own class, each layout is named only in ``optim`` where it is
-# built, and the one-tensor layout also by the rules' default, ``TENSOR``.
-# Every rule takes whatever layout ``ComposedOptimizer.step`` hands it.
-LAYOUT_NAMERS = {"Layout": {"lay_out"}, "OneTensor": {"lay_out", "TENSOR"}}
+# Each rule's one home: a symbol that is called (a row ending in "()") or
+# named, and the exact ``module.scope``s of the package that may do so.
+ONE_HOME = {
+    # The doors turn their input into a 2-D float64 array; everything
+    # behind them takes such arrays as given.
+    "as_matrix()": {"optim.ComposedOptimizer.step", "models.inject_spikes",
+                    "models.mlp_forward_backward", "models.mlp_loss"},
+    # A tensor's norm is taken by its layout, and the norms are combined by
+    # global_grad_norm. The release gate takes every norm from the oracles.
+    "frobenius_norm()": {"optim.OneTensor.tensor_norms"},
+    "tensor_norms()": {"optim.ComposedOptimizer.step", "optim.Layout.norms",
+                       "optim.OneTensor.norms", "optim.grad_clip_global"},
+    "global_grad_norm()": {"harness.run", "optim.grad_clip_global"},
+    # A config is checked at its doors: the config file, a run's set-up and
+    # a grid's points before any run. The selftest checks its own.
+    "validate()": {"cli.parse_config_text", "harness.prepare",
+                   "harness.run_grid", "selftest._trace_check"},
+    # prepare is a run's whole set-up, and its loss_grad and val_loss are a
+    # run's only model calls. The selftest builds its own problems.
+    "SeedSequence()": {"harness.prepare"},
+    "init_mlp()": {"harness.prepare", "selftest._fd_cases",
+                   "selftest._random_shapes"},
+    "make_dataset()": {"harness.prepare", "selftest._fd_cases"},
+    "make_quadratic()": {"harness.prepare", "selftest._fd_cases",
+                         "selftest._random_shapes"},
+    "mlp_forward_backward()": {"harness.prepare.loss_grad",
+                               "selftest._mlp_problems"},
+    "mlp_loss()": {"harness.prepare.val_loss", "selftest._mlp_problems.f"},
+    "inject_spikes()": {"harness.prepare.loss_grad"},
+    "quadratic_loss_grad()": {"harness.prepare.loss_grad",
+                              "harness.prepare.val_loss",
+                              "selftest._quadratic_problems"},
+    "resample_dataset()": {"harness.prepare.val_loss"},
+    # Every optimizer is one path: the transforms run in
+    # ComposedOptimizer.step and each step rule in its base's update. The
+    # selftest entries call what they check.
+    "adaclip()": {"optim.ComposedOptimizer.step",
+                  "selftest.check_adaclip_bias_correction",
+                  "selftest.check_constant_gradient_bias_correction"},
+    "adagn()": {"optim.ComposedOptimizer.step",
+                "selftest.check_adagn_norm_identity"},
+    "spike_clip()": {"optim.ComposedOptimizer.step"},
+    "grad_clip_global()": {"optim.ComposedOptimizer.step",
+                           "selftest.check_grad_clip_norm_bound"},
+    "adam_step()": {"optim.AdamBase.update",
+                    "selftest.check_constant_gradient_bias_correction"},
+    "lion_step()": {"optim.LionBase.update"},
+    "adam_mini_step()": {"optim.AdamMiniBase.update"},
+    "adafactor_step()": {"optim.AdafactorBase.update"},
+    # Each layout is named only where it is built, and the one-tensor
+    # layout by the rules' default and its own norms. Every rule takes
+    # whatever layout ComposedOptimizer.step hands it.
+    "Layout": {"optim.lay_out"},
+    "OneTensor": {"optim.lay_out", "optim.TENSOR", "optim.OneTensor.norms"},
+    # Every product goes through matmul's one exact-order kernel call.
+    "c_einsum()": {"tensor_core.matmul"},
+    # The package writes every file whole or not at all, and reads only the
+    # config file.
+    "open()": {"harness.atomic_write", "cli._load_cfg"},
+    # Every multi-run job goes through run_grid, and only it starts a pool.
+    "run_grid()": {"harness.sweep", "cli.cmd_compare"},
+    "ProcessPoolExecutor": {"harness.run_grid"},
+}
+SOURCES = {path.stem: path.read_text()
+           for path in sorted(ROOT.glob("src/stablespam/*.py"))}
 
 
-def test_layout_named_only_where_it_is_built_or_shapes_state():
-    for layout, namers in LAYOUT_NAMERS.items():
-        found = {str(path.relative_to(ROOT)): owners
-                 for path in sorted(ROOT.glob("src/**/*.py"))
-                 if (owners := {owner for name, owner in references(path)
-                                if name == layout and owner != layout})}
-        assert found == {"src/stablespam/optim.py": namers}, layout
+def homes(sources, row):
+    """The ``module.scope``s of ``sources`` (module name -> source text)
+    that call the row's symbol, for a row ending in "()", or name it."""
+    symbol = row.removesuffix("()")
+    return {f"{module}.{scope}" for module, text in sources.items()
+            for name, scope, called in references(text)
+            if name == symbol and (called or symbol == row)}
 
 
-def test_only_run_grid_starts_a_process_pool():
-    """Every multi-run job goes through ``harness.run_grid``: no other
-    function in the package names ``ProcessPoolExecutor``."""
-    found = {str(path.relative_to(ROOT)): owners
-             for path in sorted(ROOT.glob("src/**/*.py"))
-             if (owners := {owner for name, owner in references(path)
-                            if name == "ProcessPoolExecutor"})}
-    assert found == {"src/stablespam/harness.py": {"run_grid"}}
+@pytest.mark.parametrize("row", ONE_HOME)
+def test_one_home(row):
+    assert homes(SOURCES, row) == ONE_HOME[row]
+
+
+@pytest.mark.parametrize("row", ONE_HOME)
+def test_every_row_catches_a_break(row):
+    """A reference from a scope that the row does not allow fails the row,
+    naming that scope, and so does a symbol renamed away."""
+    module = min(ONE_HOME[row]).split(".")[0]
+    broken = {**SOURCES, module: SOURCES[module]
+              + f"\n\ndef intruder():\n    return {row}\n"}
+    assert homes(broken, row) - ONE_HOME[row] == {f"{module}.intruder"}
+    symbol = row.removesuffix("()")
+    renamed = {module: re.sub(rf"\b{symbol}\b", "renamed", text)
+               for module, text in SOURCES.items()}
+    assert ONE_HOME[row] and not homes(renamed, row)
+
+
+# Each float comparison in the tests states both of its tolerances, since
+# the one left out may be the looser.
+TOLERANCES = {"approx": {"rel", "abs"}, "allclose": {"rtol", "atol"},
+              "isclose": {"rtol", "atol"}}
+
+
+def test_every_float_comparison_states_both_tolerances():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(ROOT.glob("tests/*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and TOLERANCES.get(
+                 getattr(node.func, "attr", getattr(node.func, "id", None)),
+                 set()) - {keyword.arg for keyword in node.keywords}]
+    assert not found, found
 
 
 def private_references(path, modules):

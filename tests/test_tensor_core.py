@@ -288,7 +288,7 @@ class TestNorms:
         rng = make_rng(1)
         m = rng.standard_normal((10, 10))
         direct = np.sqrt(sum(float(v) ** 2 for v in m.ravel()))
-        assert frobenius_norm(m) == pytest.approx(direct, rel=1e-12)
+        assert frobenius_norm(m) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(c=st.floats(min_value=-1e6, max_value=1e6,
