@@ -79,7 +79,7 @@ def _adam(o, **reset):
 
 
 # Each optimizer: its base update rule, built from the OptimizerConfig, and
-# the transforms it always applies (see make_optimizer).
+# the transforms it always applies, after any listed (see make_optimizer).
 _OPTIMIZERS = {
     "sgd": (lambda o: optim.SgdBase(), ()),
     "adam": (_adam, ()),
@@ -179,8 +179,8 @@ class OptimizerConfig:
     spam_reset_interval: int = _key(500, "[0, inf)", ("spam",))
     spam_warmup_steps: int = _key(150, "[0, inf)", ("spam",))
     gss_threshold: float = _key(5000.0, "(0, inf)", ("spike_clip",))
-    # 0: off, except adam_gradclip clips at 1
-    grad_clip: float = _key(0.0, "[0, inf)", None)
+    # The global clip's threshold; 0: 1.0
+    grad_clip: float = _key(0.0, "[0, inf)", ("grad_clip",))
     transforms: list[str] = _key([], optim.TRANSFORM_KINDS, None)
     weight_decay: float = _key(0.0, "[0, inf)", ("lion",))
     lion_beta1: float = _key(0.9, "[0, 1]", ("lion",))
@@ -233,7 +233,8 @@ class RunConfig:
                 raise ConfigError(f"{key}: {message}")
         if self.resolved_warmup() > self.schedule.total_steps:
             raise ConfigError("schedule.warmup_steps: must be <= schedule.total_steps")
-        # make_optimizer rejects transforms that the base cannot run.
+        # ComposedOptimizer rejects a transform list: a repeat, or a
+        # transform the base cannot run.
         parts = {self.model.kind, self.optimizer.name,
                  *make_optimizer(self.optimizer).transforms}
         for key, owner, f in self.keys():
@@ -269,31 +270,16 @@ _KEYS = tuple(_declared_keys())
 
 def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
     """Build a config's optimizer from its ``_OPTIMIZERS`` row: the base
-    rule, and ``optimizer.transforms`` in listed order before the row's own.
-
-    Global gradient clipping is the ``grad_clip`` transform and runs once:
-    where ``optimizer.transforms`` lists it, or else first whenever
-    ``grad_clip > 0`` or the row names it (``adam_gradclip``). Its threshold
-    is ``grad_clip`` when positive, else 1.0.
-
-    A transform list that repeats a transform or the row's own, or that the
-    base rule cannot run, is a ``ConfigError`` naming ``optimizer.transforms``.
-    """
+    rule behind ``[*optimizer.transforms, *the row's own]``, which
+    ``ComposedOptimizer`` checks; a list it rejects is a ``ConfigError``
+    naming ``optimizer.transforms``. The global clip's threshold is
+    ``grad_clip`` when positive, else 1.0."""
     if ocfg.name not in _OPTIMIZERS:
         raise ConfigError(f"optimizer.name: unknown value '{ocfg.name}'")
-    make_base, builtin = _OPTIMIZERS[ocfg.name]
-    transforms = list(ocfg.transforms)
-    if "grad_clip" not in transforms and (ocfg.grad_clip > 0
-                                          or "grad_clip" in builtin):
-        transforms.insert(0, "grad_clip")
-    for kind in builtin:
-        if kind in transforms and kind != "grad_clip":
-            raise ConfigError(f"optimizer.transforms: {ocfg.name} already "
-                              f"applies {kind!r}")
-    transforms += [kind for kind in builtin if kind not in transforms]
+    make_base, own = _OPTIMIZERS[ocfg.name]
     try:
         return optim.ComposedOptimizer(
-            transforms, make_base(ocfg),
+            [*ocfg.transforms, *own], make_base(ocfg),
             gamma1=ocfg.gamma1, gamma2=ocfg.gamma2, gamma3=ocfg.gamma3,
             eps=ocfg.eps, gss_threshold=ocfg.gss_threshold,
             grad_clip_threshold=ocfg.grad_clip if ocfg.grad_clip > 0 else 1.0)

@@ -541,7 +541,9 @@ class ComposedOptimizer:
     Transforms run in listed order; ``adaclip``/``adagn``/``spike_clip`` are
     per-tensor, ``grad_clip`` rescales all tensors against the global norm.
     Each runs once per step on the flat vector of the ``layout`` laid out at
-    the first step.
+    the first step. The constructor is the one check of a transform list:
+    an unknown or repeated transform, or ``spike_clip`` on a base that keeps
+    no second moment, is a ``ConfigError``.
     """
 
     def __init__(self, transforms, base: _Base, *,

@@ -45,11 +45,11 @@ instruction set, not dispatched to the host's, and on x86-64 that baseline
 has no fused multiply-add: each product is rounded before it is added. A
 build whose baseline fuses (for example aarch64) or reorders the sum
 breaks the contract, so importing this module runs two probes through
-``matmul`` itself, and so through the C entry, in ``_check_einsum``, and
-raises ``RuntimeError`` naming the property and numpy's version if either
-fails. BLAS (``@``) and ``np.sum`` are not used: BLAS blocks and vectorises
-the sum over k, and ``np.sum`` adds pairwise wherever k is the innermost
-axis it iterates.
+``matmul`` itself, and so through the C entry, in ``_check_einsum``, in
+both of its orientations, and raises ``RuntimeError`` naming the property
+and numpy's version if either fails. BLAS (``@``) and ``np.sum`` are not
+used: BLAS blocks and vectorises the sum over k, and ``np.sum`` adds
+pairwise wherever k is the innermost axis it iterates.
 
 Random streams come from ``make_rng`` (PCG64). A given seed produces the
 same stream on every platform numpy supports; Gaussian draws use numpy's
@@ -117,21 +117,27 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _check_einsum(product=matmul) -> None:
     """Raise ``RuntimeError`` unless ``product`` rounds each product before
     adding it and adds them in ascending k. Each probe is two rows of 67
-    outputs, so einsum's vector loop and its scalar tail both run."""
+    outputs, so einsum's vector loop and its scalar tail both run, and is
+    taken again as ``product(b.T, a.T)`` on C-ordered copies, 67 rows of
+    two outputs: ``matmul``'s ``m < n`` path."""
     x = 1.0 + 2.0**-30
-    # fl(x * x) is 1 + 2**-29 exactly; a fused multiply-add keeps 2**-60.
-    unfused = product(np.array([[1.0, x]] * 2),
-                      np.array([[-(1.0 + 2.0**-29)] * 67, [x] * 67]))
     # Added in ascending k, 2**53 absorbs each 1 and -2**53 cancels it.
     column = np.array([2.0**53] + [1.0] * 32 + [-(2.0**53)])
-    ascending = product(np.ones((2, len(column))),
-                        np.tile(column[:, None], (1, 67)))
-    for name, out in (("round each product before adding it", unfused),
-                      ("add the products in ascending k", ascending)):
-        if np.any(out != 0.0):
-            raise RuntimeError(
-                f"numpy {np.__version__}: einsum does not {name}, so matmul "
-                f"cannot match a naive triple loop bit for bit")
+    probes = {
+        # fl(x * x) is 1 + 2**-29 exactly; a fused multiply-add keeps 2**-60.
+        "round each product before adding it": (
+            np.array([[1.0, x]] * 2),
+            np.array([[-(1.0 + 2.0**-29)] * 67, [x] * 67])),
+        "add the products in ascending k": (
+            np.ones((2, len(column))), np.tile(column[:, None], (1, 67))),
+    }
+    for name, (a, b) in probes.items():
+        for out in (product(a, b), product(np.ascontiguousarray(b.T),
+                                           np.ascontiguousarray(a.T))):
+            if np.any(out != 0.0):
+                raise RuntimeError(
+                    f"numpy {np.__version__}: einsum does not {name}, so "
+                    f"matmul cannot match a naive triple loop bit for bit")
 
 
 _check_einsum()

@@ -68,6 +68,12 @@ def int4_cfg(name, lr, seed=0, transforms=(), total_steps=250,
         quant_format="int4", seed=seed)
 
 
+# The transforms each optimizer applies itself, after any listed; as stated
+# here, not read from the code under test.
+OWN = {"adam_gradclip": ["grad_clip"], "spam": ["spike_clip"],
+       "stable_spam": ["adaclip", "adagn"]}
+
+
 def named_config(name):
     """The ``OptimizerConfig`` of an optimizer name, where ``base+transform``
     names a base behind one transform."""

@@ -22,7 +22,8 @@ from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SweepResult, run, run_grid)
 from stablespam.optim import ConfigError
-from tasks import config_text, int4_cfg, key_values, set_key, small_cfg
+from tasks import (OWN, config_text, int4_cfg, key_values, set_key,
+                   small_cfg)
 
 
 def write_cfg(tmp_path, name, keys=()):
@@ -132,16 +133,24 @@ REFUSALS = {
     "schedule.warmup_steps-above-total_steps": (
         "schedule.warmup_steps: must be <= schedule.total_steps",
         {"schedule.total_steps": 10, "schedule.warmup_steps": 11}),
+    # A transform list is the listed transforms, then the optimizer's own.
     **{f"{name}-{kind}": ("optimizer.transforms: " + (
         f"spike_clip needs a second moment, which {base} does not keep"
-        if base else f"{name} already applies {kind!r}"),
+        if base else f"duplicate transform in {[kind, *OWN[name]]}"),
         {"optimizer.name": name, "optimizer.transforms": [kind]})
        for name, kind, base in (
            ("stable_spam", "adaclip", ""), ("stable_spam", "adagn", ""),
-           ("spam", "spike_clip", ""), ("sgd", "spike_clip", "SgdBase"),
+           ("spam", "spike_clip", ""), ("adam_gradclip", "grad_clip", ""),
+           ("sgd", "spike_clip", "SgdBase"),
            ("lion", "spike_clip", "LionBase"),
            ("adafactor", "spike_clip", "AdafactorBase"),
            ("adam_mini", "spike_clip", "AdamMiniBase"))},
+    # The global clip's threshold, where no global clip runs.
+    **{f"optimizer.grad_clip-{name}": (
+        f"optimizer.grad_clip: {name} on the mlp model does not read it "
+        "(read by grad_clip)", {"optimizer.name": name,
+                                "optimizer.grad_clip": 0.5})
+       for name in ("adam", "stable_spam")},
     # Flags: argparse rejects what does not parse, the commands the rest.
     "bad-seed": ("stablespam run: error: argument --seed: invalid int value: "
                  "'abc'", None, "run --seed abc --out {d}/o"),

@@ -198,13 +198,17 @@ class TestRun:
         # of each tensor's squared frobenius_norm over the gradients that
         # on_step sees (the model's, and the telemetry's transformed ones),
         # and global_grad_norm of the per-tensor norms in that telemetry.
-        # grad_clip=0.5 clips only in post (or not, in steps under the
-        # threshold). Without transforms the post norm is the pre norm;
-        # stable_spam's transforms change it in every step. effective_lr
-        # is the LR the base applied: SPAM's 5-step warmup scales it below
-        # the schedule's in the first 4 steps after each reset boundary.
-        cases = [{"optimizer.name": name, "optimizer.grad_clip": clip}
-                 for name in ("adam", "adam_gradclip", "stable_spam")
+        # The global clip at 0.5 (listed, but for adam_gradclip, whose own
+        # it is) clips only in post (or not, in steps under the threshold).
+        # Without transforms the post norm is the pre norm; stable_spam's
+        # transforms change it in every step. effective_lr is the LR the
+        # base applied: SPAM's 5-step warmup scales it below the
+        # schedule's in the first 4 steps after each reset boundary.
+        cases = [{"optimizer.name": name, "optimizer.grad_clip": clip,
+                  "optimizer.transforms": listed if clip else []}
+                 for name, listed in (("adam", ["grad_clip"]),
+                                      ("adam_gradclip", []),
+                                      ("stable_spam", ["grad_clip"]))
                  for clip in (0.0, 0.5)]
         spam = {"optimizer.name": "spam", "optimizer.spam_reset_interval": 10,
                 "optimizer.spam_warmup_steps": 5}

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
                               adam_step, global_grad_norm, grad_clip_global,
                               lion_step, spike_clip)
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
-from tasks import (int4_cfg, memory_orders, named_config, neumaier,
+from tasks import (OWN, int4_cfg, memory_orders, named_config, neumaier,
                    step_calls, traces_of)
 
 
@@ -452,21 +453,74 @@ class TestCompose:
 
 @pytest.mark.parametrize("name, transforms, grad_clip, expected", [
     ("adam", [], 0.0, []),
-    ("adam", ["adagn"], 0.5, ["grad_clip", "adagn"]),
+    ("adam", ["adagn", "grad_clip"], 0.5, ["adagn", "grad_clip"]),
     ("adam_gradclip", [], 0.0, ["grad_clip"]),
-    ("adam_gradclip", ["adaclip"], 0.0, ["grad_clip", "adaclip"]),
-    ("adam_gradclip", ["adaclip", "grad_clip"], 0.0, ["adaclip", "grad_clip"]),
+    ("adam_gradclip", ["adaclip"], 0.0, ["adaclip", "grad_clip"]),
+    ("adam_gradclip", ["adagn", "adaclip"], 0.0,
+     ["adagn", "adaclip", "grad_clip"]),
     ("spam", ["grad_clip"], 0.0, ["grad_clip", "spike_clip"]),
-    ("stable_spam", ["spike_clip"], 2.0,
+    ("stable_spam", ["grad_clip", "spike_clip"], 2.0,
      ["grad_clip", "spike_clip", "adaclip", "adagn"]),
 ])
 def test_make_optimizer_transform_order(name, transforms, grad_clip, expected):
-    """Listed transforms keep their order; global clipping runs once, where
-    listed or else first; the optimizer's own transforms come last."""
-    opt = make_optimizer(OptimizerConfig(name=name, transforms=transforms,
-                                         grad_clip=grad_clip))
+    """Listed transforms keep their order, and the optimizer's own come
+    last; ``grad_clip``, which a run with the global clip accepts, is that
+    clip's threshold (0: 1.0)."""
+    ocfg = OptimizerConfig(name=name, transforms=transforms,
+                           grad_clip=grad_clip)
+    RunConfig(optimizer=ocfg).validate()
+    opt = make_optimizer(ocfg)
     assert opt.transforms == expected
     assert opt.grad_clip_threshold == (grad_clip or 1.0)
+
+
+# The optimizers whose base keeps no second moment for ``spike_clip``.
+NO_SECOND_MOMENT = ("sgd", "lion", "adafactor", "adam_mini")
+
+
+def test_every_transform_list_is_the_listed_then_the_own():
+    """For every optimizer and every ordered list of distinct transforms
+    (65 lists, 520 pairs), ``make_optimizer`` runs exactly the listed ones,
+    then the optimizer's own, or refuses under ``optimizer.transforms`` a
+    list that repeats one, or that puts ``spike_clip`` on a base with no
+    second moment."""
+    lists = [list(p) for k in range(len(optim.TRANSFORM_KINDS) + 1)
+             for p in itertools.permutations(optim.TRANSFORM_KINDS, k)]
+    assert len(lists) == 65
+    for name in harness.OPTIMIZER_NAMES:
+        for listed in lists:
+            expected = listed + OWN.get(name, [])
+            refused = (len(set(expected)) < len(expected)
+                       or ("spike_clip" in expected
+                           and name in NO_SECOND_MOMENT))
+            ocfg = OptimizerConfig(name=name, transforms=listed)
+            if refused:
+                with pytest.raises(ConfigError,
+                                   match=r"^optimizer\.transforms: "):
+                    make_optimizer(ocfg)
+            else:
+                assert make_optimizer(ocfg).transforms == expected
+
+
+def test_the_library_defaults_are_the_config_defaults():
+    """A base built with no arguments, as library callers and the
+    microbenchmarks build them, and ``ComposedOptimizer``'s keyword
+    defaults carry ``OptimizerConfig``'s defaults, the global clip's 1.0
+    (``grad_clip`` 0) included."""
+    o = OptimizerConfig()
+    for base in (optim.AdamBase(), optim.AdamMiniBase()):
+        assert (base.beta1, base.beta2, base.eps) == (o.beta1, o.beta2, o.eps)
+    lion = optim.LionBase()
+    assert (lion.beta1, lion.beta2, lion.weight_decay) == (
+        o.lion_beta1, o.lion_beta2, o.weight_decay)
+    adafactor = optim.AdafactorBase()
+    assert (adafactor.eps1, adafactor.d) == (o.adafactor_eps1, o.adafactor_d)
+    composed = optim.ComposedOptimizer([], optim.SgdBase())
+    assert (composed.gamma1, composed.gamma2, composed.gamma3, composed.eps,
+            composed.gss_threshold) == (o.gamma1, o.gamma2, o.gamma3, o.eps,
+                                        o.gss_threshold)
+    assert composed.grad_clip_threshold == make_optimizer(
+        OptimizerConfig(name="adam_gradclip")).grad_clip_threshold == 1.0
 
 
 def test_make_optimizer_unknown_name():
@@ -543,11 +597,13 @@ def flat_grads():
 
 
 def flat_optimizer(name):
-    """``name`` with the global clip at 0.5, a MoRet reset at step 8
+    """``name`` behind the global clip at 0.5 (listed, but for
+    ``adam_gradclip``, whose own it is), a MoRet reset at step 8
     (Stable-SPAM), and SPAM's reset at step 6 and its 3-step warmup."""
     return make_optimizer(OptimizerConfig(
-        name=name, reset_interval=8, spam_reset_interval=5,
-        spam_warmup_steps=3, grad_clip=0.5))
+        name=name, transforms=[] if name == "adam_gradclip" else ["grad_clip"],
+        reset_interval=8, spam_reset_interval=5, spam_warmup_steps=3,
+        grad_clip=0.5))
 
 
 def base_state(base):

@@ -193,6 +193,11 @@ def reversed_k(a, b):
     return matmul(a[:, ::-1], b[::-1])
 
 
+def reversed_k_when_m_lt_n(a, b):
+    # matmul's m < n path, which the MLP's 32x32x8 and 32x32x4 products take
+    return reversed_k(a, b) if b.shape[1] < a.shape[0] else matmul(a, b)
+
+
 def fused(a, b):
     # long double keeps x * x unrounded, as a fused multiply-add does
     return np.einsum("ki,kj->ij", a.T.astype(np.longdouble),
@@ -201,8 +206,9 @@ def fused(a, b):
 
 @pytest.mark.parametrize("product, prop", [
     (reversed_k, "add the products in ascending k"),
+    (reversed_k_when_m_lt_n, "add the products in ascending k"),
     (fused, "round each product before adding it"),
-], ids=["reversed-k", "fused"])
+], ids=["reversed-k", "reversed-k-when-m-lt-n", "fused"])
 def test_einsum_guard_names_the_broken_property(product, prop):
     tensor_core._check_einsum()
     version = re.escape(np.__version__)
