@@ -166,27 +166,29 @@ class DataConfig:
 @dataclass
 class OptimizerConfig:
     name: str = _key("adam", OPTIMIZER_NAMES, None)
-    beta1: float = _key(0.9, "[0, 1)", _ADAMS)
-    beta2: float = _key(0.999, "[0, 1)", _ADAMS)
+    beta1: float = _key(optim.BETA1, "[0, 1)", _ADAMS)
+    beta2: float = _key(optim.BETA2, "[0, 1)", _ADAMS)
     # Adam's epsilon, and also the one AdaGN adds to its scale's divisor
     # wherever ``adagn`` runs, whatever the base.
-    eps: float = _key(1e-6, "(0, inf)", _ADAMS + ("adagn",))
-    gamma1: float = _key(0.7, "[0, 1)", ("adagn",))
-    gamma2: float = _key(0.9, "[0, 1)", ("adagn",))
-    gamma3: float = _key(0.999, "[0, 1)", ("adaclip",))
+    eps: float = _key(optim.EPS, "(0, inf)", _ADAMS + ("adagn",))
+    gamma1: float = _key(optim.GAMMA1, "[0, 1)", ("adagn",))
+    gamma2: float = _key(optim.GAMMA2, "[0, 1)", ("adagn",))
+    gamma3: float = _key(optim.GAMMA3, "[0, 1)", ("adaclip",))
     # Stable-SPAM's MoRet interval; 0: off
     reset_interval: int = _key(1000, "[0, inf)", ("stable_spam",))
     spam_reset_interval: int = _key(500, "[0, inf)", ("spam",))
     spam_warmup_steps: int = _key(150, "[0, inf)", ("spam",))
-    gss_threshold: float = _key(5000.0, "(0, inf)", ("spike_clip",))
-    # The global clip's threshold; 0: 1.0
+    gss_threshold: float = _key(optim.GSS_THRESHOLD, "(0, inf)",
+                                ("spike_clip",))
+    # The global clip's threshold; 0: optim.GRAD_CLIP
     grad_clip: float = _key(0.0, "[0, inf)", ("grad_clip",))
     transforms: list[str] = _key([], optim.TRANSFORM_KINDS, None)
-    weight_decay: float = _key(0.0, "[0, inf)", ("lion",))
-    lion_beta1: float = _key(0.9, "[0, 1]", ("lion",))
-    lion_beta2: float = _key(0.99, "[0, 1)", ("lion",))
-    adafactor_eps1: float = _key(1e-30, "(0, inf)", ("adafactor",))
-    adafactor_d: float = _key(1.0, "(0, inf)", ("adafactor",))
+    weight_decay: float = _key(optim.WEIGHT_DECAY, "[0, inf)", ("lion",))
+    lion_beta1: float = _key(optim.LION_BETA1, "[0, 1]", ("lion",))
+    lion_beta2: float = _key(optim.LION_BETA2, "[0, 1)", ("lion",))
+    adafactor_eps1: float = _key(optim.ADAFACTOR_EPS1, "(0, inf)",
+                                 ("adafactor",))
+    adafactor_d: float = _key(optim.ADAFACTOR_D, "(0, inf)", ("adafactor",))
 
 
 @dataclass
@@ -273,7 +275,7 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
     rule behind ``[*optimizer.transforms, *the row's own]``, which
     ``ComposedOptimizer`` checks; a list it rejects is a ``ConfigError``
     naming ``optimizer.transforms``. The global clip's threshold is
-    ``grad_clip`` when positive, else 1.0."""
+    ``grad_clip`` when positive, else ``optim.GRAD_CLIP``."""
     if ocfg.name not in _OPTIMIZERS:
         raise ConfigError(f"optimizer.name: unknown value '{ocfg.name}'")
     make_base, own = _OPTIMIZERS[ocfg.name]
@@ -282,7 +284,7 @@ def make_optimizer(ocfg: OptimizerConfig) -> optim.ComposedOptimizer:
             [*ocfg.transforms, *own], make_base(ocfg),
             gamma1=ocfg.gamma1, gamma2=ocfg.gamma2, gamma3=ocfg.gamma3,
             eps=ocfg.eps, gss_threshold=ocfg.gss_threshold,
-            grad_clip_threshold=ocfg.grad_clip if ocfg.grad_clip > 0 else 1.0)
+            grad_clip_threshold=ocfg.grad_clip or optim.GRAD_CLIP)
     except ConfigError as exc:
         raise ConfigError(f"optimizer.transforms: {exc}") from None
 

@@ -97,6 +97,14 @@ class ConfigError(ValueError):
     pass
 
 
+# Each default, declared once; OptimizerConfig and the code below read it.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-6  # Adam's, Adam-mini's; EPS also AdaGN's
+GAMMA1, GAMMA2, GAMMA3 = 0.7, 0.9, 0.999  # AdaGN's norm EMAs, AdaClip's
+GSS_THRESHOLD, GRAD_CLIP = 5000.0, 1.0  # SPAM's spike clip, the global clip
+LION_BETA1, LION_BETA2, WEIGHT_DECAY = 0.9, 0.99, 0.0  # Lion's
+ADAFACTOR_EPS1, ADAFACTOR_D = 1e-30, 1.0
+
+
 def _mean(x) -> float:
     """``np.mean`` of every entry, without its wrapper: the same sum,
     divided by the count."""
@@ -221,8 +229,8 @@ def lay_out(shapes):
 
 # Adam-mini's ``v``, AdaGN's norms and AdaClip's threshold are per-tensor
 # statistics: a laid-out set keeps one float64 array, with an entry per
-# tensor, where one tensor keeps a float.
-@dataclass
+# tensor, where one tensor keeps a float. A state compares by identity.
+@dataclass(eq=False)
 class AdamMoments:
     m: np.ndarray
     v: np.ndarray | float
@@ -233,20 +241,20 @@ class AdamMoments:
         return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
-@dataclass
+@dataclass(eq=False)
 class AdaGnState:
     m_norm: float | np.ndarray = 0.0
     v_norm: float | np.ndarray = 0.0
     step: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class AdaClipState:
     t_threshold: float | np.ndarray = 0.0
     step: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class AdafactorState:
     row: np.ndarray | float = 0.0   # (rows, 1) EMA of row means of g^2
     col: np.ndarray | float = 0.0   # (1, cols) EMA of column means of g^2
@@ -283,7 +291,7 @@ def adaclip(g, state: AdaClipState, gamma3: float, layout=TENSOR):
     return out, clipped
 
 
-def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = 1e-6,
+def adagn(g, state: AdaGnState, gamma1: float, gamma2: float, eps: float = EPS,
           layout=TENSOR):
     """Rescale g to the bias-corrected historical-norm ratio.
 
@@ -351,7 +359,7 @@ def grad_clip_global(g, threshold: float, layout=TENSOR):
 # ---------------------------------------------------------------------------
 
 def adam_step(w, g, moments: AdamMoments, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6):
+              beta1: float = BETA1, beta2: float = BETA2, eps: float = EPS):
     t = moments.step_in_cycle + 1
     moments.step_in_cycle = t
     m, v = moments.m, moments.v
@@ -368,7 +376,7 @@ ADAFACTOR_DECAY_POWER = 0.8
 
 
 def adafactor_step(w, g, state: AdafactorState, lr: float,
-                   eps1: float = 1e-30, d: float = 1.0):
+                   eps1: float = ADAFACTOR_EPS1, d: float = ADAFACTOR_D):
     """Simplified Adafactor: factored second moment for matrices (row/column
     mean accumulators, decay 1 - t^-0.8), unfactored for vectors, update
     clipped so rms(update) <= d."""
@@ -391,8 +399,8 @@ def adafactor_step(w, g, state: AdafactorState, lr: float,
     return w - lr * u
 
 
-def lion_step(w, g, m, lr: float, beta1: float = 0.9, beta2: float = 0.99,
-              weight_decay: float = 0.0):
+def lion_step(w, g, m, lr: float, beta1: float = LION_BETA1,
+              beta2: float = LION_BETA2, weight_decay: float = WEIGHT_DECAY):
     """Lion: sign of the interpolated momentum; m is updated in place.
     sign(0) == 0, so a zero gradient with zero momentum leaves w unchanged."""
     c = beta1 * m + (1.0 - beta1) * g
@@ -402,8 +410,8 @@ def lion_step(w, g, m, lr: float, beta1: float = 0.9, beta2: float = 0.99,
 
 
 def adam_mini_step(w, g, moments: AdamMoments, lr: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-6,
-                   layout=TENSOR):
+                   beta1: float = BETA1, beta2: float = BETA2,
+                   eps: float = EPS, layout=TENSOR):
     """Per-tensor Adam-mini: full first moment, one shared second moment per
     tensor (EMA of mean(g^2)). ``moments.v`` starts at 0.0 and holds one
     per tensor of the ``layout``."""
@@ -456,7 +464,7 @@ class AdamBase(_Base):
     following step (SPAM). A positive warmup_steps scales the LR by
     min(1, k / warmup_steps) on the k-th step since the last reset boundary."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-6,
+    def __init__(self, beta1=BETA1, beta2=BETA2, eps=EPS,
                  reset_interval=0, reset_style="multiple", warmup_steps=0):
         if reset_style not in ("multiple", "after"):
             raise ValueError(f"unknown reset_style {reset_style!r}")
@@ -492,7 +500,8 @@ class AdamBase(_Base):
 
 
 class LionBase(_Base):
-    def __init__(self, beta1=0.9, beta2=0.99, weight_decay=0.0):
+    def __init__(self, beta1=LION_BETA1, beta2=LION_BETA2,
+                 weight_decay=WEIGHT_DECAY):
         self.beta1, self.beta2, self.weight_decay = beta1, beta2, weight_decay
         self.m: np.ndarray | None = None
 
@@ -504,7 +513,7 @@ class LionBase(_Base):
 
 
 class AdamMiniBase(_Base):
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-6):
+    def __init__(self, beta1=BETA1, beta2=BETA2, eps=EPS):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.moments: AdamMoments | None = None
 
@@ -519,7 +528,7 @@ class AdafactorBase(_Base):
     """Adafactor, tensor by tensor: the layout splits the flat vector, and
     ``states`` holds one state per tensor, in layout order."""
 
-    def __init__(self, eps1=1e-30, d=1.0):
+    def __init__(self, eps1=ADAFACTOR_EPS1, d=ADAFACTOR_D):
         self.eps1, self.d = eps1, d
         self.states: list[AdafactorState] | None = None
 
@@ -547,8 +556,8 @@ class ComposedOptimizer:
     """
 
     def __init__(self, transforms, base: _Base, *,
-                 gamma1=0.7, gamma2=0.9, gamma3=0.999, eps=1e-6,
-                 gss_threshold=5000.0, grad_clip_threshold=1.0):
+                 gamma1=GAMMA1, gamma2=GAMMA2, gamma3=GAMMA3, eps=EPS,
+                 gss_threshold=GSS_THRESHOLD, grad_clip_threshold=GRAD_CLIP):
         transforms = list(transforms)
         for kind in transforms:
             if kind not in TRANSFORM_KINDS:

@@ -502,25 +502,15 @@ def test_every_transform_list_is_the_listed_then_the_own():
                 assert make_optimizer(ocfg).transforms == expected
 
 
-def test_the_library_defaults_are_the_config_defaults():
-    """A base built with no arguments, as library callers and the
-    microbenchmarks build them, and ``ComposedOptimizer``'s keyword
-    defaults carry ``OptimizerConfig``'s defaults, the global clip's 1.0
-    (``grad_clip`` 0) included."""
-    o = OptimizerConfig()
-    for base in (optim.AdamBase(), optim.AdamMiniBase()):
-        assert (base.beta1, base.beta2, base.eps) == (o.beta1, o.beta2, o.eps)
-    lion = optim.LionBase()
-    assert (lion.beta1, lion.beta2, lion.weight_decay) == (
-        o.lion_beta1, o.lion_beta2, o.weight_decay)
-    adafactor = optim.AdafactorBase()
-    assert (adafactor.eps1, adafactor.d) == (o.adafactor_eps1, o.adafactor_d)
-    composed = optim.ComposedOptimizer([], optim.SgdBase())
-    assert (composed.gamma1, composed.gamma2, composed.gamma3, composed.eps,
-            composed.gss_threshold) == (o.gamma1, o.gamma2, o.gamma3, o.eps,
-                                        o.gss_threshold)
-    assert composed.grad_clip_threshold == make_optimizer(
-        OptimizerConfig(name="adam_gradclip")).grad_clip_threshold == 1.0
+def test_a_state_equals_only_itself():
+    # Each holds arrays (AdaGN's and AdaClip's under a Layout), whose
+    # field-wise == would raise.
+    for make in (lambda: AdamMoments.zeros((2, 2)),
+                 lambda: AdafactorState(np.zeros((2, 1)), np.zeros((1, 2))),
+                 lambda: AdaGnState(np.zeros(2), np.zeros(2)),
+                 lambda: AdaClipState(np.zeros(2))):
+        state = make()
+        assert state == state and state != make()
 
 
 def test_make_optimizer_unknown_name():

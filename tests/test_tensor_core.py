@@ -217,18 +217,22 @@ def test_einsum_guard_names_the_broken_property(product, prop):
         tensor_core._check_einsum(product)
 
 
+def run_python(code, **env):
+    """Run ``code`` in a new interpreter at the root, ``src`` on its path."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), **env}
+    return subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True)
+
+
 def test_import_fails_where_einsum_breaks_the_order():
     # The guard runs at import, through the C einsum entry that matmul
     # binds: a c_einsum that adds in reversed k must fail the import.
-    code = ("import numpy._core.multiarray as multiarray\n"
-            "c_einsum = multiarray.c_einsum\n"
-            "multiarray.c_einsum = (lambda s, a, b:\n"
-            "                       c_einsum(s, a[::-1], b[::-1]))\n"
-            "import stablespam.tensor_core\n")
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    proc = run_python("import numpy._core.multiarray as multiarray\n"
+                      "c_einsum = multiarray.c_einsum\n"
+                      "multiarray.c_einsum = (lambda s, a, b:\n"
+                      "                       c_einsum(s, a[::-1], b[::-1]))\n"
+                      "import stablespam.tensor_core\n")
     assert proc.returncode != 0
     assert ("RuntimeError: numpy " + np.__version__ + ": einsum does not add"
             " the products in ascending k") in proc.stderr
@@ -237,13 +241,9 @@ def test_import_fails_where_einsum_breaks_the_order():
 def test_import_fails_without_the_c_einsum_entry():
     # numpy before 2 has no numpy._core.multiarray.c_einsum; the import
     # must say which numpy it found.
-    code = ("import numpy._core.multiarray as multiarray\n"
-            "del multiarray.c_einsum\n"
-            "import stablespam\n")
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    proc = run_python("import numpy._core.multiarray as multiarray\n"
+                      "del multiarray.c_einsum\n"
+                      "import stablespam\n")
     assert proc.returncode != 0
     assert (f"ImportError: numpy {np.__version__}: stablespam needs "
             "numpy>=2") in proc.stderr, proc.stderr
@@ -276,10 +276,8 @@ sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
 
 
 def test_matmul_matches_naive_on_the_avx2_path():
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_TARGETS)}
-    proc = subprocess.run([sys.executable, "-c", CHECK_AVX2_PATH], cwd=root,
-                          env=env, capture_output=True, text=True)
+    proc = run_python(CHECK_AVX2_PATH,
+                      NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
