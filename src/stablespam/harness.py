@@ -36,10 +36,10 @@ module's ``run``, or on one process pool no larger than the grid.
 
 Determinism: (config, seed) fully determines every record. Independent RNG
 streams (init / batch order / spike noise) are spawned from the seed via
-``numpy.random.SeedSequence``; the validation split uses seed + 1. An MLP
-run draws its batch indices up to ``DRAW_ENTRIES`` at a time
-(``batch_indices``): the same integers, in the same order, as one draw per
-step.
+``numpy.random.SeedSequence``; the validation split, drawn once at
+set-up, uses seed + 1. An MLP run draws its batch indices up to
+``DRAW_ENTRIES`` at a time (``batch_indices``): the same integers, in the
+same order, as one draw per step.
 
 As in ``models``, a training step calls numpy's C entries and no Python
 wrapper. ``Generator.integers`` runs numpy's Python ``prod`` on its size,
@@ -364,14 +364,15 @@ class Prepared(NamedTuple):
 
 
 def prepare(cfg: RunConfig) -> Prepared:
-    """Check the config and build its run. Draws nothing from the batch or
-    spike streams: the first ``loss_grad()`` call does."""
+    """Check the config and build its run, held-out split included. Draws
+    nothing from the batch or spike streams: the first ``loss_grad()`` call
+    does."""
     cfg.validate()
     init_rng, batch_rng, spike_rng = map(
         make_rng, np.random.SeedSequence(cfg.seed).spawn(3))
 
     # The one switch on the model kind. loss_grad() draws a batch (indices,
-    # then spikes) and returns (loss, grads); val_loss() validates.
+    # then spikes) and returns (loss, grads); val_loss() only evaluates.
     if cfg.model.kind == "quadratic":
         problem = models.make_quadratic(cfg.model.quad_dim, init_rng)
         params = {"w": problem.w0}
@@ -389,6 +390,9 @@ def prepare(cfg: RunConfig) -> Prepared:
         params = model.params
         dataset = models.make_dataset(cfg.data.samples, cfg.model.input_dim,
                                       cfg.model.classes, cfg.seed)
+        # Seed + 1 as a Python int, which cannot wrap as a numpy integer can.
+        val = models.resample_dataset(dataset, cfg.data.samples,
+                                      int(cfg.seed) + 1)
         batches = batch_indices(batch_rng, cfg.data.samples,
                                 cfg.data.batch_size, cfg.schedule.total_steps)
 
@@ -400,8 +404,6 @@ def prepare(cfg: RunConfig) -> Prepared:
             return models.mlp_forward_backward(model, x, dataset.labels[idx])
 
         def val_loss():
-            val = models.resample_dataset(dataset, cfg.data.samples,
-                                          cfg.seed + 1)
             return models.mlp_loss(model, val.inputs, val.labels)
 
     return Prepared(params, make_optimizer(cfg.optimizer), loss_grad, val_loss)

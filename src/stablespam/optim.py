@@ -358,8 +358,8 @@ def grad_clip_global(g, threshold: float, layout=TENSOR):
 # Step rules
 # ---------------------------------------------------------------------------
 
-def adam_step(w, g, moments: AdamMoments, lr: float,
-              beta1: float = BETA1, beta2: float = BETA2, eps: float = EPS):
+def adam_step(w, g, moments: AdamMoments, lr: float, beta1: float,
+              beta2: float, eps: float):
     t = moments.step_in_cycle + 1
     moments.step_in_cycle = t
     m, v = moments.m, moments.v
@@ -375,8 +375,8 @@ def adam_step(w, g, moments: AdamMoments, lr: float,
 ADAFACTOR_DECAY_POWER = 0.8
 
 
-def adafactor_step(w, g, state: AdafactorState, lr: float,
-                   eps1: float = ADAFACTOR_EPS1, d: float = ADAFACTOR_D):
+def adafactor_step(w, g, state: AdafactorState, lr: float, eps1: float,
+                   d: float):
     """Simplified Adafactor: factored second moment for matrices (row/column
     mean accumulators, decay 1 - t^-0.8), unfactored for vectors, update
     clipped so rms(update) <= d."""
@@ -399,8 +399,8 @@ def adafactor_step(w, g, state: AdafactorState, lr: float,
     return w - lr * u
 
 
-def lion_step(w, g, m, lr: float, beta1: float = LION_BETA1,
-              beta2: float = LION_BETA2, weight_decay: float = WEIGHT_DECAY):
+def lion_step(w, g, m, lr: float, beta1: float, beta2: float,
+              weight_decay: float):
     """Lion: sign of the interpolated momentum; m is updated in place.
     sign(0) == 0, so a zero gradient with zero momentum leaves w unchanged."""
     c = beta1 * m + (1.0 - beta1) * g
@@ -409,9 +409,8 @@ def lion_step(w, g, m, lr: float, beta1: float = LION_BETA1,
     return w - lr * update
 
 
-def adam_mini_step(w, g, moments: AdamMoments, lr: float,
-                   beta1: float = BETA1, beta2: float = BETA2,
-                   eps: float = EPS, layout=TENSOR):
+def adam_mini_step(w, g, moments: AdamMoments, lr: float, beta1: float,
+                   beta2: float, eps: float, layout):
     """Per-tensor Adam-mini: full first moment, one shared second moment per
     tensor (EMA of mean(g^2)). ``moments.v`` starts at 0.0 and holds one
     per tensor of the ``layout``."""
@@ -446,7 +445,9 @@ class _Base:
     """Base update rule. Each base's ``update(layout, w, g, lr)`` updates
     the flat vector of ``layout``, where a bare tensor name stands for one
     tensor, and keeps that one parameter set's state in a field, ``None``
-    until the first update. A rule that keeps a second moment exposes it as
+    until the first update. A base is the one caller of its step rule
+    (``adam_step``, ...), and hands it every hyperparameter: the rules have
+    no defaults. A rule that keeps a second moment exposes it as
     ``second_moment(shape)``."""
 
     def begin_step(self, global_step: int):

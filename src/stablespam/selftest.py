@@ -405,14 +405,16 @@ def check_finite_differences():
 
 def check_constant_gradient_bias_correction():
     """After 40 steps of a constant gradient c, AdaClip's bias-corrected
-    threshold is |c|, Adam's bias-corrected moments are c and c^2, and its
-    40th step moves w by -LR * c / (|c| + 1e-6), each to 1e-12 relative."""
+    threshold is |c|, ``AdamBase``'s bias-corrected moments are c and c^2,
+    and its 40th ``update`` moves w by -LR * c / (|c| + 1e-6), each to
+    1e-12 relative."""
     c = -2.5
-    clip, moments = optim.AdaClipState(), optim.AdamMoments.zeros((1, 1))
+    clip, base = optim.AdaClipState(), optim.AdamBase()
     w = np.zeros((1, 1))
     for _ in range(40):
         optim.adaclip(np.array([[c]]), clip, 0.999)
-        w, last = optim.adam_step(w, np.array([[c]]), moments, lr=LR), w
+        w, last = base.update(optim.TENSOR, w, np.array([[c]]), LR), w
+    moments = base.moments
     t_hat = clip.t_threshold / (1 - 0.999 ** clip.step)
     m_hat = moments.m[0, 0] / (1 - 0.9 ** moments.step_in_cycle)
     v_hat = moments.v[0, 0] / (1 - 0.999 ** moments.step_in_cycle)

@@ -1,11 +1,15 @@
 """The tests' configs, each key named by its dotted name as a config file
 names it, and criterion 7's task, declared once; the memory orders the
 doors' tests pass a matrix in; the one probe of a training step's
-Python-level calls; the optimizer-trace check of some optimizers only; and
-the compensated float sum that builtin ``sum`` is from Python 3.12 on."""
+Python-level calls; the optimizer-trace check of some optimizers only; the
+compensated float sum that builtin ``sum`` is from Python 3.12 on; and a
+new interpreter at the root, with ``src`` on its path."""
 
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -131,3 +135,13 @@ def neumaier(values):
         lost += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + lost
+
+
+def run_python(*args, **env):
+    """Run a new interpreter with the arguments ``args`` (``"-c", code`` or
+    ``"-m", module, ...``) at the root, ``src`` on its path and ``env``
+    added to its environment."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), **env}
+    return subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True, text=True)

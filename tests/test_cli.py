@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -22,8 +21,8 @@ from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SweepResult, run, run_grid)
 from stablespam.optim import ConfigError
-from tasks import (OWN, config_text, int4_cfg, key_values, set_key,
-                   small_cfg)
+from tasks import (OWN, config_text, int4_cfg, key_values, run_python,
+                   set_key, small_cfg)
 
 
 def write_cfg(tmp_path, name, keys=()):
@@ -351,19 +350,17 @@ class TestKeys:
         assert len(run(cfg).records) == 3
 
     def test_package_import_loads_only_the_library(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         for module, absent in (
                 ("stablespam", ("cli", "selftest", "oracles")),
                 # only the selftest command needs the oracles
                 ("stablespam.cli", ("selftest", "oracles"))):
             code = (f"import sys, {module}; print(sorted(m for m in "
                     "sys.modules if m.startswith('stablespam.')))")
-            out = subprocess.run([sys.executable, "-c", code], check=True,
-                                 capture_output=True, text=True,
-                                 env={**os.environ, "PYTHONPATH": src}).stdout
-            assert "'stablespam.harness'" in out, module
+            proc = run_python("-c", code)
+            assert proc.returncode == 0, proc.stderr
+            assert "'stablespam.harness'" in proc.stdout, module
             for name in absent:
-                assert f"'stablespam.{name}'" not in out, module
+                assert f"'stablespam.{name}'" not in proc.stdout, module
 
 
 class TestParseLrGrid:
@@ -475,10 +472,7 @@ class TestCommands:
                                             (["--help"], EXIT_OK)],
                              ids=["unknown-command", "help"])
     def test_module_exits_with_the_code_main_returns(self, argv, code):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run([sys.executable, "-m", "stablespam.cli", *argv],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
+        proc = run_python("-m", "stablespam.cli", *argv)
         assert proc.returncode == code
         shown = proc.stderr if code else proc.stdout
         assert shown.startswith("usage: stablespam"), proc.stderr

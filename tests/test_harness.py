@@ -26,6 +26,24 @@ from stablespam.tensor_core import frobenius_norm, make_rng
 from tasks import int4_cfg, neumaier, set_key, small_cfg, step_calls
 
 
+def inf_gradient_at_the_third_call(monkeypatch):
+    """Patch the MLP's forward/backward to put inf in ``block0.w_up``'s
+    gradient at its third call. Returns the list each call appends its
+    (model, loss, copy of the weights it saw) to."""
+    real, seen = models.mlp_forward_backward, []
+
+    def inf_at_step_3(model, x, y):
+        loss, grads = real(model, x, y)
+        seen.append((model, loss,
+                     {k: w.copy() for k, w in model.params.items()}))
+        if len(seen) == 3:
+            grads["block0.w_up"][1, 2] = np.inf
+        return loss, grads
+
+    monkeypatch.setattr(models, "mlp_forward_backward", inf_at_step_3)
+    return seen
+
+
 class TestGlobalGradNorm:
     """``global_grad_norm`` combines the per-tensor norms a layout takes."""
 
@@ -170,18 +188,7 @@ class TestRun:
                                                   tmp_path):
         # A finite loss with an inf gradient at step 3: the optimizer's door
         # rejects the step, the row keeps the loss, and no weight moves.
-        real = models.mlp_forward_backward
-        seen = []
-
-        def inf_at_step_3(model, x, y):
-            loss, grads = real(model, x, y)
-            seen.append((model, loss,
-                         {k: w.copy() for k, w in model.params.items()}))
-            if len(seen) == 3:
-                grads["block0.w_up"][1, 2] = np.inf
-            return loss, grads
-
-        monkeypatch.setattr(models, "mlp_forward_backward", inf_at_step_3)
+        seen = inf_gradient_at_the_third_call(monkeypatch)
         cfg = small_cfg()  # plain Adam: the door is its only check
         path = tmp_path / "run.csv"
         result = run(cfg, records_path=str(path))
@@ -266,16 +273,7 @@ class TestRun:
         elif route == "inf in qdq":
             cfg = int4_cfg("sgd", 10.0)
         else:  # the optimizer's door rejects the gradient
-            real, calls = models.mlp_forward_backward, []
-
-            def inf_at_step_3(model, x, y):
-                loss, grads = real(model, x, y)
-                calls.append(None)
-                if len(calls) == 3:
-                    grads["block0.w_up"][1, 2] = np.inf
-                return loss, grads
-
-            monkeypatch.setattr(models, "mlp_forward_backward", inf_at_step_3)
+            inf_gradient_at_the_third_call(monkeypatch)
             cfg = small_cfg()
         seen = []
         result = run(cfg, on_step=lambda step, grads, telemetry: seen.append(
@@ -496,20 +494,23 @@ class TestCsv:
 
     # SPAM and Stable-SPAM each set the warmup or MoRet key they read and
     # keep the other at its default, the one value an unread key may take;
-    # SGD at LR 1e6 diverges, so its last row is the diverged one.
+    # SGD at LR 1e6 diverges, so its last row is the diverged one. An MLP
+    # seed at int64's maximum validates on the split of that seed plus one.
     @pytest.mark.parametrize("name, keys", [
         ("spam", {"optimizer.spam_warmup_steps": 5,
                   "optimizer.reset_interval": 1000}),
         ("stable_spam", {"optimizer.reset_interval": 10,
                          "optimizer.spam_warmup_steps": 150}),
         ("sgd", {"schedule.lr_peak": 1e6}),
+        ("adam", {"model.kind": "mlp", "seed": 2**63 - 1}),
     ])
     def test_numpy_typed_config_values_write_the_same_bytes(self, tmp_path,
                                                             name, keys):
-        """Numpy-typed LR, warmup, MoRet and SPAM warmup values write the
-        Python-number run's bytes, and every field holds its annotated type:
-        ``lr_schedule`` and the base's ``begin_step`` give the step
-        telemetry, which ``on_step`` sees, a float LR and a bool reset."""
+        """Numpy-typed LR, warmup, MoRet, SPAM warmup and seed values write
+        the Python-number run's bytes and final validation loss, and every
+        field holds its annotated type: ``lr_schedule`` and the base's
+        ``begin_step`` give the step telemetry, which ``on_step`` sees, a
+        float LR and a bool reset."""
         keys = {"model.kind": "quadratic", "optimizer.name": name,
                 "schedule.lr_peak": 0.05, "schedule.warmup_steps": 4, **keys}
         typed = {key: np.float64(value) if isinstance(value, float)
@@ -524,6 +525,7 @@ class TestCsv:
         assert ((tmp_path / "np.csv").read_bytes()
                 == (tmp_path / "py.csv").read_bytes())
         assert numpy.diverged == plain.diverged == (name == "sgd")
+        assert numpy.final_val_loss == plain.final_val_loss
         kinds = typing.get_type_hints(StepRecord)
         assert {(field, type(getattr(record, field)))
                 for record in numpy.records for field in kinds} == set(

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from stablespam import harness, optim, oracles, selftest
 from stablespam.harness import (OptimizerConfig, RunConfig, make_optimizer,
                                 prepare)
-from stablespam.optim import (AdaClipState, AdaGnState, AdafactorState,
-                              AdamMoments, ConfigError, adaclip,
-                              adafactor_step, adagn, adam_mini_step,
-                              adam_step, global_grad_norm, grad_clip_global,
-                              lion_step, spike_clip)
+from stablespam.optim import (TENSOR, AdaClipState, AdaGnState,
+                              AdafactorState, AdamMoments, ConfigError,
+                              adaclip, adagn, global_grad_norm,
+                              grad_clip_global, spike_clip)
 from stablespam.tensor_core import NonFiniteError, frobenius_norm, make_rng
 from tasks import (OWN, int4_cfg, memory_orders, named_config, neumaier,
                    step_calls, traces_of)
@@ -218,21 +217,20 @@ def test_vector_weight_updates_as_a_row(base):
 
 class TestAdam:
     def test_first_step_closed_form(self):
-        moments = AdamMoments.zeros((1, 1))
-        w = adam_step(scalar(0.0), scalar(3.0), moments, lr=0.1)
+        w = optim.AdamBase().update(TENSOR, scalar(0.0), scalar(3.0), 0.1)
         assert w[0, 0] == pytest.approx(-0.1 * 3.0 / (3.0 + 1e-6),
                                         rel=1e-12, abs=0)
 
     def test_constant_gradient_magnitude_approaches_lr(self):
-        moments = AdamMoments.zeros((1, 1))
+        base = optim.AdamBase()
         w = scalar(0.0)
         for _ in range(100):
-            w = adam_step(w, scalar(0.5), moments, lr=0.01)
+            w = base.update(TENSOR, w, scalar(0.5), 0.01)
         assert w[0, 0] != 0.0  # moved
         last_update = None
         for _ in range(3):
             before = w[0, 0]
-            w = adam_step(w, scalar(0.5), moments, lr=0.01)
+            w = base.update(TENSOR, w, scalar(0.5), 0.01)
             last_update = abs(w[0, 0] - before)
         assert last_update == pytest.approx(0.01, rel=1e-3, abs=1e-12)
 
@@ -346,18 +344,19 @@ class TestAdafactor:
         r = np.array([[1.0], [4.0]])
         c = np.array([[9.0, 16.0]])
         g = np.sqrt(r * c)
-        state = AdafactorState()
-        w = adafactor_step(np.zeros((2, 2)), g, state, lr=0.01)
+        base = optim.AdafactorBase()
+        base.update(TENSOR, np.zeros((2, 2)), g, 0.01)
+        [state] = base.states
         v_hat = state.row * state.col / np.mean(state.row)
         assert np.allclose(v_hat, g * g, rtol=1e-9, atol=1e-8)
 
     def test_update_rms_bounded_by_d(self):
         rng = make_rng(11)
-        state = AdafactorState()
+        base = optim.AdafactorBase(d=1.0)
         w = np.zeros((3, 3))
         for _ in range(20):
             g = rng.standard_normal((3, 3)) * 10
-            new_w = adafactor_step(w, g, state, lr=1.0, d=1.0)
+            new_w = base.update(TENSOR, w, g, 1.0)
             u = (w - new_w) / 1.0
             assert math.sqrt(float(np.mean(u * u))) <= 1.0 + 1e-12
             w = new_w
@@ -365,32 +364,28 @@ class TestAdafactor:
 
 class TestLion:
     def test_positive_gradient_moves_down_by_lr(self):
-        m = np.zeros((1, 1))
-        w = lion_step(scalar(1.0), scalar(0.5), m, lr=0.01)
+        w = optim.LionBase().update(TENSOR, scalar(1.0), scalar(0.5), 0.01)
         assert w[0, 0] == pytest.approx(1.0 - 0.01, rel=1e-15, abs=0)
 
     def test_zero_gradient_zero_momentum_no_move(self):
-        m = np.zeros((1, 1))
-        w = lion_step(scalar(1.0), scalar(0.0), m, lr=0.01)
+        w = optim.LionBase().update(TENSOR, scalar(1.0), scalar(0.0), 0.01)
         assert w[0, 0] == 1.0
 
 
 class TestAdamMini:
     def test_uniform_gradient_equals_adam(self):
-        mini = AdamMoments(m=np.zeros((2, 3)), v=0.0)
-        adam = AdamMoments.zeros((2, 3))
+        mini, adam = optim.AdamMiniBase(), optim.AdamBase()
         w1 = np.zeros((2, 3))
         w2 = np.zeros((2, 3))
         for _ in range(10):
             g = np.full((2, 3), 0.7)
-            w1 = adam_mini_step(w1, g, mini, lr=0.01)
-            w2 = adam_step(w2, g, adam, lr=0.01)
+            w1 = mini.update(TENSOR, w1, g, 0.01)
+            w2 = adam.update(TENSOR, w2, g, 0.01)
         assert np.allclose(w1, w2, rtol=0, atol=1e-12)
 
     def test_first_step_closed_form(self):
-        state = AdamMoments(m=np.zeros((1, 2)), v=0.0)
         g = np.array([[3.0, 4.0]])
-        w = adam_mini_step(np.zeros((1, 2)), g, state, lr=0.1)
+        w = optim.AdamMiniBase().update(TENSOR, np.zeros((1, 2)), g, 0.1)
         # shared v = mean(g^2) = 12.5; m_hat = g
         expected = -0.1 * g / (math.sqrt(12.5) + 1e-6)
         assert np.allclose(w, expected, rtol=1e-12, atol=0)

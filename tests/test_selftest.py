@@ -35,8 +35,7 @@ def passing_adaclip(g, state, gamma3, eps=1e-6):
     return g.copy(), 0.0
 
 
-def adam_without_bias_correction(w, g, moments, lr, beta1=0.9, beta2=0.999,
-                                 eps=1e-6):
+def adam_without_bias_correction(w, g, moments, lr, beta1, beta2, eps):
     moments.step_in_cycle += 1
     moments.m = beta1 * moments.m + (1.0 - beta1) * g
     moments.v = beta2 * moments.v + (1.0 - beta2) * (g * g)

@@ -1,9 +1,5 @@
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
@@ -14,7 +10,7 @@ from hypothesis import strategies as st
 from stablespam import tensor_core
 from stablespam.harness import ModelConfig, RunConfig, ScheduleConfig
 from stablespam.tensor_core import as_matrix, frobenius_norm, make_rng, matmul
-from tasks import int4_cfg, step_calls
+from tasks import int4_cfg, run_python, step_calls
 
 
 def naive_matmul(a, b):
@@ -217,18 +213,10 @@ def test_einsum_guard_names_the_broken_property(product, prop):
         tensor_core._check_einsum(product)
 
 
-def run_python(code, **env):
-    """Run ``code`` in a new interpreter at the root, ``src`` on its path."""
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), **env}
-    return subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                          capture_output=True, text=True)
-
-
 def test_import_fails_where_einsum_breaks_the_order():
     # The guard runs at import, through the C einsum entry that matmul
     # binds: a c_einsum that adds in reversed k must fail the import.
-    proc = run_python("import numpy._core.multiarray as multiarray\n"
+    proc = run_python("-c", "import numpy._core.multiarray as multiarray\n"
                       "c_einsum = multiarray.c_einsum\n"
                       "multiarray.c_einsum = (lambda s, a, b:\n"
                       "                       c_einsum(s, a[::-1], b[::-1]))\n"
@@ -241,7 +229,7 @@ def test_import_fails_where_einsum_breaks_the_order():
 def test_import_fails_without_the_c_einsum_entry():
     # numpy before 2 has no numpy._core.multiarray.c_einsum; the import
     # must say which numpy it found.
-    proc = run_python("import numpy._core.multiarray as multiarray\n"
+    proc = run_python("-c", "import numpy._core.multiarray as multiarray\n"
                       "del multiarray.c_einsum\n"
                       "import stablespam\n")
     assert proc.returncode != 0
@@ -276,7 +264,7 @@ sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
 
 
 def test_matmul_matches_naive_on_the_avx2_path():
-    proc = run_python(CHECK_AVX2_PATH,
+    proc = run_python("-c", CHECK_AVX2_PATH,
                       NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
