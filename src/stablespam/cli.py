@@ -34,6 +34,7 @@ import io
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 
@@ -175,7 +176,7 @@ def cmd_sweep(args) -> int:
     result = sweep(cfg, grid, out_dir=args.out, jobs=jobs)
     for entry in result.entries:
         shown = "diverged" if entry.final_loss is None else repr(entry.final_loss)
-        print(f"lr={entry.lr:g}\tfinal_loss={shown}")
+        print(f"lr={entry.lr!r}\tfinal_loss={shown}")
     print(f"best_lr: {result.best_lr}")
     return EXIT_OK if result.best_lr is not None else EXIT_DIVERGED
 
@@ -315,6 +316,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

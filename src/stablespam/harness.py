@@ -468,13 +468,13 @@ def run(cfg: RunConfig, records_path: str | None = None,
 # ---------------------------------------------------------------------------
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: into a new file in
-    the same directory, which then replaces ``path``. The new file is
-    created as ``open(path, "w")`` creates one, mode 0o666 less the umask."""
+    """Write ``text`` to ``path`` in UTF-8, whole or not at all: into a new
+    file beside it, which then replaces ``path``. The new file is created
+    as ``open(path, "w")`` creates one, mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             fh.write(text)

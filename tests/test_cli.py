@@ -21,7 +21,7 @@ from stablespam.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main,
 from stablespam.harness import (ModelConfig, OptimizerConfig, RunConfig,
                                 ScheduleConfig, SweepResult, run, run_grid)
 from stablespam.optim import ConfigError
-from tasks import (OWN, config_text, int4_cfg, key_values, run_python,
+from tasks import (DIVERGES, OWN, config_text, key_values, run_python,
                    set_key, small_cfg)
 
 
@@ -419,27 +419,34 @@ class TestCommands:
 
     def test_run_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "div.cfg"
-        cfg.write_text("model.kind = quadratic\n"
-                       "optimizer.name = sgd\n"
-                       "schedule.total_steps = 30\n"
-                       "schedule.lr_peak = 1e6\n"
-                       "schedule.warmup_steps = 0\n")
+        cfg.write_text(config_text(DIVERGES["loss above the cap"].config()))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DIVERGED
 
-    def test_run_final_loss_above_cap_exit_code(self, tmp_path, capsys):
-        # Every training loss is under the cap; the final one is 5.05e101.
-        cfg = tmp_path / "cap.cfg"
-        cfg.write_text("model.kind = quadratic\n"
-                       "optimizer.name = sgd\n"
-                       "schedule.total_steps = 13\n"
-                       "schedule.lr_peak = 1000\n"
-                       "schedule.warmup_steps = 0\n")
+    @pytest.mark.parametrize("route", DIVERGES)
+    def test_run_exits_2_on_each_way_a_run_diverges(self, route, tmp_path,
+                                                    monkeypatch, capsys):
+        row = DIVERGES[route]
+        row.patch(monkeypatch)
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(config_text(row.config()))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DIVERGED
-        out = capsys.readouterr().out
-        assert "steps: 13\n" in out
-        assert "final_val_loss: diverged\n" in out
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            f"steps: {row.last_step}", "diverged: True",
+            "final_val_loss: diverged"]
+
+    def test_run_final_loss_above_cap_exit_code(self, tmp_path):
+        # Only the final validation diverges, so run.csv's last row, of
+        # step 13, is not flagged.
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(config_text(
+            DIVERGES["final validation above the cap"].config()))
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        last = (out / "run.csv").read_text().splitlines()[-1]
+        assert last.startswith("13,") and last.endswith(",0,0")
 
     def test_adam_gradclip_cli_matches_library(self, tmp_path):
         cfg = RunConfig(model=ModelConfig(kind="quadratic"),
@@ -498,14 +505,19 @@ class TestCommands:
                 == (tmp_path / "plain" / "run.csv").read_bytes())
 
     def test_sweep_writes_summary(self, tmp_path, capsys):
+        # It prints each LR exactly: these three agree in their first 6
+        # significant digits.
         cfg = write_cfg(tmp_path, "a.cfg")
         out = tmp_path / "out"
         code = main(["sweep", "--config", cfg, "--out", str(out),
-                     "--lr-grid", "0.0003:0.001:0.0007", "--jobs", "1"])
+                     "--lr-grid", "1e-4:1.0000002e-4:1e-11", "--jobs", "1"])
         assert code == EXIT_OK
         data = json.loads((out / "sweep_summary.json").read_text())
         assert data["best_lr"] in [e["lr"] for e in data["runs"]]
-        assert "best_lr:" in capsys.readouterr().out
+        assert [line.split("\t")[0]
+                for line in capsys.readouterr().out.splitlines()] == [
+            "lr=0.0001", "lr=0.00010000001", "lr=0.00010000002",
+            f"best_lr: {data['best_lr']}"]
 
     def test_sweep_without_lr_grid_runs_the_step_preset(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -522,7 +534,7 @@ class TestCommands:
         # Criterion 7's INT4 task: at lr 10 the forward pass meets an inf;
         # the run diverges quietly, with no overflow warning.
         cfg = tmp_path / "int4.cfg"
-        cfg.write_text(config_text(int4_cfg("sgd", 1e-3)))
+        cfg.write_text(config_text(DIVERGES["inf in qdq"].config()))
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg), "--out", str(out),
                      "--lr-grid", "1:10:9", "--jobs", "1"])
@@ -580,12 +592,12 @@ class TestCommands:
                         for i, name in enumerate(names)]
 
     def test_compare_diverged_row_na(self, tmp_path):
-        base = ("model.kind = quadratic\nschedule.total_steps = 30\n"
-                "schedule.warmup_steps = 0\nschedule.lr_peak = 1e6\n")
+        cfg = DIVERGES["loss above the cap"].config()
         a = tmp_path / "a.cfg"
-        a.write_text(base + "optimizer.name = sgd\n")
+        a.write_text(config_text(cfg))
+        set_key(cfg, "optimizer.name", "stable_spam")
         b = tmp_path / "b.cfg"
-        b.write_text(base + "optimizer.name = stable_spam\n")
+        b.write_text(config_text(cfg))
         out = tmp_path / "cmp"
         main(["compare", str(a), str(b), "--out", str(out)])
         lines = (out / "compare.csv").read_text().splitlines()
@@ -620,7 +632,23 @@ class TestCommands:
         monkeypatch.setattr(cli, "run", broken_run)
         code = main(["run", "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_INTERNAL
-        assert capsys.readouterr().err == "internal error: boom\n"
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n"), err
+        assert 'in broken_run\n    raise RuntimeError("boom")\n' in err
+        assert err.endswith("\nRuntimeError: boom\ninternal error: boom\n")
+
+    def test_output_files_need_no_default_encoding(self, tmp_path):
+        """Each command that writes under --out runs to the end, leaving no
+        temporary file, where opening text with no encoding is an error."""
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("model.kind = quadratic\nschedule.total_steps = 3\n")
+        for argv in (["run", "--config", cfg], ["compare", cfg, cfg],
+                     ["sweep", "--jobs", "1", "--config", cfg]):
+            proc = run_python("-X", "warn_default_encoding", "-W",
+                              "error::EncodingWarning", "-m", "stablespam.cli",
+                              *map(str, argv), "--out", str(tmp_path))
+            assert proc.returncode == EXIT_OK, proc.stderr
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 SELFTEST_CHECKS = [

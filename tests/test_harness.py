@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablespam import harness, models, optim, selftest
+from stablespam import harness, optim, selftest
 from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 RunConfig, ScheduleConfig, StepRecord,
                                 batch_indices, global_grad_norm, lr_schedule,
@@ -23,25 +23,8 @@ from stablespam.harness import (CSV_HEADER, DIVERGENCE_LOSS_CAP, ModelConfig,
                                 write_records_csv)
 from stablespam.optim import ConfigError
 from stablespam.tensor_core import frobenius_norm, make_rng
-from tasks import int4_cfg, neumaier, set_key, small_cfg, step_calls
-
-
-def inf_gradient_at_the_third_call(monkeypatch):
-    """Patch the MLP's forward/backward to put inf in ``block0.w_up``'s
-    gradient at its third call. Returns the list each call appends its
-    (model, loss, copy of the weights it saw) to."""
-    real, seen = models.mlp_forward_backward, []
-
-    def inf_at_step_3(model, x, y):
-        loss, grads = real(model, x, y)
-        seen.append((model, loss,
-                     {k: w.copy() for k, w in model.params.items()}))
-        if len(seen) == 3:
-            grads["block0.w_up"][1, 2] = np.inf
-        return loss, grads
-
-    monkeypatch.setattr(models, "mlp_forward_backward", inf_at_step_3)
-    return seen
+from tasks import (DIVERGES, STEP_CALLS, int4_cfg, mlp_step_calls, neumaier,
+                   set_key, small_cfg)
 
 
 class TestGlobalGradNorm:
@@ -140,10 +123,7 @@ class TestRun:
         assert not result.diverged
 
     def test_divergence_detected_within_ten_steps(self):
-        cfg = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
-                         "schedule.lr_peak": 1e6, "schedule.total_steps": 100,
-                         "schedule.warmup_steps": 0})
-        result = run(cfg)
+        result = run(DIVERGES["loss above the cap"].config())
         assert result.diverged
         assert result.records[-1].diverged
         assert result.records[-1].step <= 10
@@ -152,45 +132,70 @@ class TestRun:
     def test_divergence_cap_triggers_before_inf(self):
         assert harness._is_bad(DIVERGENCE_LOSS_CAP * 10)
 
+    @pytest.mark.parametrize("route", DIVERGES)
+    def test_each_way_a_run_diverges(self, route, monkeypatch, tmp_path):
+        """A diverged run has no final validation loss. Its records stop at
+        the route's step, where only a flagged record is diverged: its CSV
+        row has NaN norms and ends ``,0,1``."""
+        row = DIVERGES[route]
+        row.patch(monkeypatch)
+        cfg, path = row.config(), tmp_path / "run.csv"
+        result = run(cfg, records_path=str(path))
+        assert result.diverged and result.final_val_loss is None
+        assert [(r.step, r.diverged) for r in result.records] == [
+            (step, row.flagged and step == row.last_step)
+            for step in range(1, row.last_step + 1)]
+        if row.flagged:
+            last = result.records[-1]
+            assert path.read_text().splitlines()[-1] == (
+                f"{last.step},{last.loss!r},nan,nan,0.0,"
+                f"{lr_schedule(last.step, cfg)!r},0,1")
+
+    @pytest.mark.parametrize("route,last_step", [
+        (route, row.last_step) for route, row in DIVERGES.items()])
+    def test_on_step_sees_each_step_that_did_not_diverge(self, route,
+                                                         last_step,
+                                                         monkeypatch):
+        # on_step is called once per step that did not diverge, in step
+        # order, with that step's telemetry, and never for a diverged last
+        # record, whichever way the run diverged. The benchmark's step_ms_*
+        # metrics are the intervals between these calls.
+        row = DIVERGES[route]
+        row.patch(monkeypatch)
+        seen = []
+        result = run(row.config(), on_step=lambda step, grads, telemetry:
+                     seen.append((step, telemetry)))
+        kept = result.records[:-1] if row.flagged else result.records
+        assert [step for step, _ in seen] == [r.step for r in kept] == \
+            list(range(1, last_step + (not row.flagged)))
+        for r, (_, t) in zip(kept, seen):
+            assert not r.diverged
+            assert r.effective_lr == t.lr
+            assert r.reset == t.reset
+            assert r.clipped_fraction == t.clipped_fraction
+
     def test_quantizer_overflow_is_a_diverged_row(self):
-        # The forward pass of step 9 meets an inf, which qdq rejects; the
-        # row has no loss to keep, and no overflow warning escapes.
-        result = run(int4_cfg("sgd", 10.0))
-        assert result.diverged
-        assert result.final_val_loss is None
-        assert [r.step for r in result.records] == list(range(1, 10))
-        assert [r.diverged for r in result.records] == [False] * 8 + [True]
-        last = result.records[-1]
+        # The row of a forward pass that meets an inf has no loss to keep,
+        # and no overflow warning escapes.
+        last = run(DIVERGES["inf in qdq"].config()).records[-1]
+        assert last.diverged
         assert math.isnan(last.loss)
         assert math.isnan(last.grad_norm_pre)
         assert math.isnan(last.grad_norm_post)
 
-    def test_nonfinite_final_validation_is_divergence(self):
-        # One step at lr 1e99 leaves finite weights whose validation
-        # forward pass overflows, so qdq rejects an inf there.
-        result = run(int4_cfg("sgd", 1e100, total_steps=1, warmup_steps=0))
-        assert [r.diverged for r in result.records] == [False]
-        assert result.diverged
-        assert result.final_val_loss is None
-
     def test_final_loss_above_cap_is_divergence(self):
-        cfg = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
-                         "schedule.lr_peak": 1000.0,
-                         "schedule.total_steps": 13, "schedule.warmup_steps": 0})
-        result = run(cfg)
-        assert len(result.records) == 13
+        result = run(DIVERGES["final validation above the cap"].config())
         assert not any(r.diverged for r in result.records)
         assert all(abs(r.loss) <= DIVERGENCE_LOSS_CAP for r in result.records)
         assert result.diverged
-        assert result.final_val_loss is None
 
     def test_nonfinite_gradient_is_a_diverged_row(self, monkeypatch,
                                                   tmp_path):
-        # A finite loss with an inf gradient at step 3: the optimizer's door
-        # rejects the step, the row keeps the loss, and no weight moves.
-        seen = inf_gradient_at_the_third_call(monkeypatch)
-        cfg = small_cfg()  # plain Adam: the door is its only check
-        path = tmp_path / "run.csv"
+        # The optimizer's door rejects the step: the row keeps the loss, and
+        # no weight moves.
+        row = DIVERGES["inf gradient"]
+        seen = row.patch(monkeypatch)
+        cfg, path = row.config(), tmp_path / "run.csv"
         result = run(cfg, records_path=str(path))
         model, loss, weights = seen[-1]
         assert len(seen) == 3
@@ -255,38 +260,6 @@ class TestRun:
                         if r.effective_lr != lr_schedule(r.step, cfg)]
                 assert warm == [k + j for k in (0, 10, 20, 30)
                                 for j in (1, 2, 3, 4)]
-
-    @pytest.mark.parametrize("route,last_step", [
-        ("loss above the cap", 8), ("inf in qdq", 9), ("inf gradient", 3)])
-    def test_on_step_sees_each_step_that_did_not_diverge(self, route,
-                                                         last_step,
-                                                         monkeypatch):
-        # on_step is called once per step that did not diverge, in step
-        # order, with that step's telemetry, and never for the diverged
-        # last record, whichever way the run diverged. The benchmark's
-        # step_ms_* metrics are the intervals between these calls.
-        if route == "loss above the cap":
-            cfg = small_cfg({"model.kind": "quadratic",
-                             "optimizer.name": "sgd", "schedule.lr_peak": 1e6,
-                             "schedule.total_steps": 100,
-                             "schedule.warmup_steps": 0})
-        elif route == "inf in qdq":
-            cfg = int4_cfg("sgd", 10.0)
-        else:  # the optimizer's door rejects the gradient
-            inf_gradient_at_the_third_call(monkeypatch)
-            cfg = small_cfg()
-        seen = []
-        result = run(cfg, on_step=lambda step, grads, telemetry: seen.append(
-            (step, telemetry)))
-        *stepped, last = result.records
-        assert last.diverged and last.step == last_step
-        assert [step for step, _ in seen] == [r.step for r in stepped] == \
-            list(range(1, last_step))
-        for r, (_, t) in zip(stepped, seen):
-            assert not r.diverged
-            assert r.effective_lr == t.lr
-            assert r.reset == t.reset
-            assert r.clipped_fraction == t.clipped_fraction
 
     def test_stable_spam_reset_flag_at_interval(self):
         cfg = small_cfg({"optimizer.name": "stable_spam",
@@ -408,32 +381,30 @@ WRAPPER_FILES = {("numpy", "_core", "_methods.py"),
                  ("numpy", "_core", "fromnumeric.py"),
                  ("numpy", "_core", "numeric.py")}
 
+RULES = {rule for _, rules in STEP_CALLS.values() for rule in rules}
+
 
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
 def test_an_mlp_training_step_runs_no_numpy_or_enum_wrapper(name):
     """One step of an INT4 MLP run with input spikes calls no numpy Python
     wrapper and nothing of ``enum.py``."""
-    files = {f for f, _ in step_calls(
-        int4_cfg(name, 1e-2, total_steps=8, warmup_steps=2))}
+    files = {f for f, _ in mlp_step_calls(name)}
     assert any(f.endswith("optim.py") for f in files), files
     found = sorted(f for f in files if Path(f).parts[-3:] in WRAPPER_FILES
                    or Path(f).name == "enum.py")
     assert not found, found
 
 
-# Calls into the package's own files in that step, per optimizer, as upper
-# bounds: numpy's dispatchers and the SIMD path cannot move them, and
-# stable_spam's count is 79 or 80 with AdaClip's branch.
-PACKAGE_CALLS = {"sgd": 66, "adam": 67, "adam_gradclip": 73, "adafactor": 91,
-                 "lion": 67, "adam_mini": 70, "spam": 71, "stable_spam": 80}
-
-
 @pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
 def test_an_mlp_training_step_makes_at_most_its_package_calls(name):
+    """That step makes at most its ``STEP_CALLS`` package calls and exactly
+    its rule calls."""
     package = Path(harness.__file__).parent
-    calls = step_calls(int4_cfg(name, 1e-2, total_steps=8, warmup_steps=2))
+    calls, (package_calls, rules) = mlp_step_calls(name), STEP_CALLS[name]
     assert sum(n for (f, _), n in calls.items()
-               if Path(f).parent == package) <= PACKAGE_CALLS[name]
+               if Path(f).parent == package) <= package_calls
+    assert {rule: calls[optim.__file__, rule] for rule in RULES} == \
+        {**dict.fromkeys(RULES, 0), **rules}
 
 
 class TestCsv:
@@ -591,9 +562,7 @@ class TestSweep:
         assert result.best_lr == min(finite)[1]
 
     def test_diverged_runs_excluded(self):
-        cfg = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
-                         "schedule.lr_peak": 1.0, "schedule.total_steps": 30,
-                         "schedule.warmup_steps": 0})
+        cfg = DIVERGES["loss above the cap"].config()
         result = sweep(cfg, [1e-3, 1e6])
         bad = [e for e in result.entries if e.lr == 1e6][0]
         assert bad.final_loss is None
@@ -661,14 +630,11 @@ class TestSweep:
 
 
 def mixed_grid():
-    """Adam at seeds 0 and 1, the quadratic SGD run that diverges at lr 1e6,
-    then Stable-SPAM at seeds 0 and 1."""
+    """Adam at seeds 0 and 1, the quadratic SGD run whose loss passes the
+    cap, then Stable-SPAM at seeds 0 and 1."""
     mlp = [small_cfg({"optimizer.name": name, "seed": seed})
            for name in ("adam", "stable_spam") for seed in (0, 1)]
-    diverging = small_cfg({"model.kind": "quadratic", "optimizer.name": "sgd",
-                           "schedule.lr_peak": 1e6, "schedule.total_steps": 30,
-                           "schedule.warmup_steps": 0})
-    return mlp[:2] + [diverging] + mlp[2:]
+    return mlp[:2] + [DIVERGES["loss above the cap"].config()] + mlp[2:]
 
 
 class TestRunGrid:
